@@ -14,20 +14,17 @@ times in the window, exactly as §V-C describes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.core.config import SFSConfig
-from repro.trace import events as tev
-from repro.trace.recorder import NULL_RECORDER
 
 
 class SliceMonitor:
     """Sliding-window IAT tracker producing the global time slice S."""
 
-    def __init__(self, config: SFSConfig, n_cores: int, trace=None):
+    def __init__(self, config: SFSConfig, n_cores: int):
         self.config = config
         self.n_cores = n_cores
-        self._trace = trace if trace is not None else NULL_RECORDER
         self._slice: int = config.initial_slice
         self._arrivals: Deque[int] = deque(maxlen=config.window + 1)
         self._since_update = 0
@@ -40,12 +37,13 @@ class SliceMonitor:
         """Current global time slice S (microseconds)."""
         return self._slice
 
-    def record_arrival(self, now: int) -> None:
-        """Note a fresh request arrival; maybe recompute S."""
+    def record_arrival(self, now: int) -> Optional[int]:
+        """Note a fresh request arrival; maybe recompute S.  Returns the
+        new S when it was recomputed (the caller reports it), else None."""
         self._arrivals.append(now)
         self._since_update += 1
         if not self.config.adaptive:
-            return
+            return None
         # a full window is N IATs, which takes N+1 arrival timestamps
         if (
             self._since_update >= self.config.window
@@ -53,6 +51,8 @@ class SliceMonitor:
         ):
             self._recompute(now)
             self._since_update = 0
+            return self._slice
+        return None
 
     def _recompute(self, now: int) -> None:
         ts = self._arrivals
@@ -64,8 +64,6 @@ class SliceMonitor:
         self._slice = s
         self.recomputations += 1
         self.timeline.append((now, s))
-        if self._trace.enabled:
-            self._trace.emit(now, tev.SFS_SLICE, args=(s,))
 
     def mean_iat(self) -> float:
         """Mean IAT currently in the window (us); inf with <2 samples."""

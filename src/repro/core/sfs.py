@@ -21,7 +21,6 @@ from repro.core.worker import SFSWorker
 from repro.machine.base import MachineBase
 from repro.sim.task import SchedPolicy, Task, TaskState
 from repro.trace import events as tev
-from repro.why import audit as aud
 
 
 @dataclass
@@ -78,47 +77,13 @@ class SFS:
             self.queue = GlobalQueue()
             self.queues = [self.queue] * n_workers
         self._rr_submit = 0
-        # structured tracing: cached once; NULL_RECORDER when disabled
-        self._trace = self.sim.trace
-        self._trace_on = self._trace.enabled
-        # metric registry: same caching contract (repro.obs)
-        self._metrics = self.sim.metrics
-        self._metrics_on = self._metrics.enabled
-        # scheduler-decision audit: same caching contract (repro.why);
-        # the FILTER's promote/demote/bypass decisions are the ones the
-        # paper's Fig 4 flow chart names
-        self._audit = self.sim.audit
-        self._audit_on = self._audit.enabled
-        if self._metrics_on:
-            m = self._metrics
-            self._m_submitted = m.counter(
-                "repro_sfs_submitted_total", help="requests entering SFS")
-            self._m_resubmitted = m.counter(
-                "repro_sfs_resubmitted_total", help="post-I/O re-enqueues")
-            self._m_promoted = m.counter(
-                "repro_sfs_promotions_total", help="FILTER promotions")
-            self._m_filter_finish = m.counter(
-                "repro_sfs_filter_finishes_total",
-                help="functions finishing inside their FILTER slice")
-            self._m_demote_slice = m.counter(
-                "repro_sfs_demotions_total", help="FILTER demotions",
-                labels={"reason": "slice"})
-            self._m_demote_io = m.counter(
-                "repro_sfs_demotions_total", help="FILTER demotions",
-                labels={"reason": "io"})
-            self._m_bypassed = m.counter(
-                "repro_sfs_overload_bypass_total",
-                help="requests left in CFS by the overload detector")
-            self._m_queue_delay = m.histogram(
-                "repro_sfs_queue_delay_us", unit="us",
-                help="global-queue residence at FILTER promotion")
-            self._m_slice_granted = m.histogram(
-                "repro_sfs_slice_granted_us", unit="us",
-                help="FILTER slice budget granted at promotion")
-            self._m_boost_us = m.counter(
-                "repro_sfs_boost_us_total", unit="us",
-                help="total virtual time spent FILTER-boosted")
-        self.monitor = SliceMonitor(self.config, machine.n_cores, trace=self._trace)
+        # observability: the simulator's probe and its enabled flag,
+        # cached once like every instrumented layer; the FILTER's
+        # promote/demote/bypass decisions are the ones Fig 4 names
+        self._probe = self.sim.probe
+        self._probe_on = self._probe.enabled
+        self._probe.register("sfs")
+        self.monitor = SliceMonitor(self.config, machine.n_cores)
         self.overload = OverloadDetector(self.config)
         self.overhead = OverheadMeter()
         self.stats = SFSStats()
@@ -137,11 +102,9 @@ class SFS:
         now = self.sim.now
         invoke = invoke_ts if invoke_ts is not None else now
         self.stats.submitted += 1
-        if self._trace_on:
-            self._trace.emit(now, tev.SFS_SUBMIT, task.tid)
-        if self._metrics_on:
-            self._m_submitted.inc()
-        self.monitor.record_arrival(now)
+        new_slice = self.monitor.record_arrival(now)
+        if self._probe_on:
+            self._probe.submit(task, new_slice)
         self._push(QueueEntry(task=task, enqueue_ts=now, invoke_ts=invoke))
         self._drain()
 
@@ -200,9 +163,8 @@ class SFS:
             delay = now - entry.enqueue_ts
             if state is TaskState.FINISHED:
                 self.stats.skipped_finished += 1
-                if self._trace_on:
-                    self._trace.emit(now, tev.SFS_SKIP_FINISHED, task.tid,
-                                     args=(delay,))
+                if self._probe_on:
+                    self._probe.skip_finished(task, delay)
                 continue
             if not entry.resumed and self.overload.should_bypass(
                 now, delay, self.monitor.slice
@@ -210,23 +172,13 @@ class SFS:
                 # 4.4: transient overload — leave the process in CFS.
                 self.stats.bypassed_overload += 1
                 task.sfs_bypassed = True
-                if self._trace_on:
-                    self._trace.emit(now, tev.SFS_OVERLOAD, task.tid,
-                                     args=(delay, self.monitor.slice))
-                if self._metrics_on:
-                    self._m_bypassed.inc()
-                if self._audit_on:
-                    self._audit.record(now, aud.OP_BYPASS, "sfs-filter",
-                                       displaced=task.tid, reason="overload",
-                                       arg=delay)
+                if self._probe_on:
+                    self._probe.bypass(task, delay, self.monitor.slice)
                 continue
             if self.config.io_aware and state is TaskState.BLOCKED:
                 # Found sleeping (e.g. leading I/O): watch until runnable.
                 self.stats.watched_at_pop += 1
-                if self._trace_on:
-                    self._trace.emit(now, tev.SFS_WATCH_AT_POP, task.tid,
-                                     args=(delay,))
-                self._watch_task(entry)
+                self._watch_task(entry, delay)
                 continue
             self._promote(worker, entry)
             return True
@@ -246,17 +198,8 @@ class SFS:
         worker.slice_at_assign = slice_left
         self._by_tid[task.tid] = worker
         self.stats.promoted += 1
-        if self._trace_on:
-            self._trace.emit(now, tev.SFS_PROMOTE, task.tid, worker.index,
-                             args=(slice_left, now - entry.enqueue_ts))
-        if self._metrics_on:
-            self._m_promoted.inc()
-            self._m_queue_delay.observe(now - entry.enqueue_ts)
-            self._m_slice_granted.observe(slice_left)
-        if self._audit_on:
-            self._audit.record(now, aud.OP_PROMOTE,
-                               f"sfs-worker:{worker.index}",
-                               chosen=task.tid, arg=slice_left)
+        if self._probe_on:
+            self._probe.promote(task, worker, now - entry.enqueue_ts)
         self._sched_op()
         self.machine.set_policy(task, SchedPolicy.FIFO, self.config.rt_priority)
         worker.slice_handle = self.sim.schedule(
@@ -274,21 +217,18 @@ class SFS:
         """waitpid: the function returned (4.1) — release its worker."""
         if self._watch.pop(task.tid, None) is not None:
             self.stats.finished_while_watched += 1
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.SFS_WATCH_FINISH, task.tid)
+            if self._probe_on:
+                self._probe.watch_finish(task.tid)
         worker = self._by_tid.pop(task.tid, None)
         if worker is None:
             return
         if worker.entry is not None and worker.entry.task is task:
-            if worker.slice_handle is not None and worker.slice_handle.active:
+            in_slice = (worker.slice_handle is not None
+                        and worker.slice_handle.active)
+            if in_slice:
                 self.stats.completed_in_filter += 1
-                if self._trace_on:
-                    self._trace.emit(self.sim.now, tev.SFS_FILTER_FINISH,
-                                     task.tid, worker.index)
-                if self._metrics_on:
-                    self._m_filter_finish.inc()
-            if self._metrics_on:
-                self._m_boost_us.inc(self.sim.now - worker.assigned_at)
+            if self._probe_on:
+                self._probe.filter_exit(task, worker, in_slice)
             worker.clear()
             self._drain()
 
@@ -300,16 +240,8 @@ class SFS:
         task.sfs_slice_left = 0
         task.sfs_demoted = True
         self.stats.demoted_slice += 1
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.SFS_DEMOTE_SLICE,
-                             task.tid, worker.index)
-        if self._metrics_on:
-            self._m_demote_slice.inc()
-            self._m_boost_us.inc(self.sim.now - worker.assigned_at)
-        if self._audit_on:
-            self._audit.record(self.sim.now, aud.OP_DEMOTE,
-                               f"sfs-worker:{worker.index}",
-                               displaced=task.tid, reason="slice")
+        if self._probe_on:
+            self._probe.demote(task, worker)
         self._sched_op()
         self._by_tid.pop(task.tid, None)
         worker.clear()
@@ -331,16 +263,8 @@ class SFS:
             task.sfs_slice_left = left
             entry = worker.entry
             self.stats.demoted_io += 1
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.SFS_DEMOTE_IO,
-                                 task.tid, worker.index, args=(left,))
-            if self._metrics_on:
-                self._m_demote_io.inc()
-                self._m_boost_us.inc(self.sim.now - worker.assigned_at)
-            if self._audit_on:
-                self._audit.record(self.sim.now, aud.OP_DEMOTE,
-                                   f"sfs-worker:{worker.index}",
-                                   displaced=task.tid, reason="io", arg=left)
+            if self._probe_on:
+                self._probe.demote(task, worker, left)
             self._sched_op()
             self._by_tid.pop(task.tid, None)
             worker.clear()
@@ -362,10 +286,11 @@ class SFS:
     # ==================================================================
     # blocked-function watch list (§V-D)
     # ==================================================================
-    def _watch_task(self, entry: QueueEntry) -> None:
+    def _watch_task(self, entry: QueueEntry,
+                    delay: Optional[int] = None) -> None:
         self._watch[entry.task.tid] = entry
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.SFS_WATCH, entry.task.tid)
+        if self._probe_on:
+            self._probe.watch(entry.task, delay)
         if not self._watch_poll_active:
             self._watch_poll_active = True
             self.sim.schedule(self.config.poll_interval, self._on_watch_poll)
@@ -379,18 +304,16 @@ class SFS:
             state = self.machine.poll_state(entry.task)
             if state is TaskState.FINISHED:
                 self.stats.finished_while_watched += 1
-                if self._trace_on:
-                    self._trace.emit(now, tev.SFS_WATCH_FINISH, tid)
+                if self._probe_on:
+                    self._probe.watch_finish(tid)
                 del self._watch[tid]
             elif state in (TaskState.READY, TaskState.RUNNING):
                 del self._watch[tid]
                 woke.append(entry)
         for entry in woke:
             self.stats.resubmitted += 1
-            if self._trace_on:
-                self._trace.emit(now, tev.SFS_RESUBMIT, entry.task.tid)
-            if self._metrics_on:
-                self._m_resubmitted.inc()
+            if self._probe_on:
+                self._probe.resubmit(entry.task)
             self._push(
                 QueueEntry(
                     task=entry.task,
@@ -420,10 +343,10 @@ class SFS:
         return sum(len(q) for q in self.queues)
 
     # ------------------------------------------------------------------
-    # structured tracing
+    # gauges
     # ------------------------------------------------------------------
-    def sample_gauges(self, trace, now: int) -> None:
+    def sample_gauges(self, probe, now: int) -> None:
         """Emit scheduler-state gauges (called by the periodic sampler)."""
-        trace.emit(now, tev.GAUGE_GLOBAL_QUEUE, args=(self.queued(),))
-        trace.emit(now, tev.GAUGE_WATCH_LIST, args=(len(self._watch),))
-        trace.emit(now, tev.GAUGE_BUSY_WORKERS, args=(self.busy_workers(),))
+        probe.gauge(now, tev.GAUGE_GLOBAL_QUEUE, self.queued())
+        probe.gauge(now, tev.GAUGE_WATCH_LIST, len(self._watch))
+        probe.gauge(now, tev.GAUGE_BUSY_WORKERS, self.busy_workers())

@@ -27,8 +27,7 @@ from repro.sched.ideal import IdealMachine
 from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import SchedPolicy, Task
-from repro.trace import RunManifest, attach_gauge_sampler
-from repro.trace import events as tev
+from repro.trace import RunManifest
 from repro.workload.spec import RequestSpec, Workload
 
 SCHEDULERS = ("cfs", "fifo", "rr", "sfs", "srtf", "ideal")
@@ -117,9 +116,10 @@ def run_workload(
     :class:`repro.obs.MetricsRegistry` as ``metrics`` to aggregate
     streaming instruments, and/or a :class:`repro.why.AuditLog` as
     ``audit`` to capture scheduler decisions; all default to the
-    zero-overhead nulls and cost one predicted branch per
-    instrumentation site.  The hooks are read-only, so records are
-    identical either way.
+    zero-overhead nulls.  The simulator wraps whichever are given in
+    its one probe (:mod:`repro.obs.probe`), so every decision site
+    costs one predicted branch when all three are null.  The probe is
+    read-only, so records are identical either way.
     """
     wall_start = time.perf_counter()
     label = f"scheduler={cfg.scheduler} engine={cfg.engine}"
@@ -128,7 +128,6 @@ def run_workload(
     )
     sim = Simulator(trace=trace, invariants=checker, metrics=metrics,
                     label=label, audit=audit)
-    tr = sim.trace
     if cfg.faults is not None:
         # a straggler entry for host 0 degrades this (single) machine
         speed = cfg.faults.straggler_speed(0)
@@ -138,7 +137,8 @@ def run_workload(
     sfs: Optional[SFS] = None
     if cfg.scheduler == "sfs":
         sfs = SFS(machine, cfg.sfs)
-    attach_gauge_sampler(sim, machine, sfs)
+    probe = sim.probe
+    probe.attach_sampler(machine, sfs)
 
     governor: Optional[FaultRuntime] = None
     if cfg.fault_handling:
@@ -155,9 +155,8 @@ def run_workload(
     def dispatch(spec: RequestSpec) -> None:
         task = spec.make_task(policy=policy)
         pairs.append((spec, task))
-        if tr.enabled:
-            tr.emit(sim.now, tev.TASK_SPAWN, task.tid,
-                    args=(spec.name, spec.req_id))
+        if probe.enabled:
+            probe.task_spawn(task, spec)
         if governor is not None:
             spec_of[task.tid] = spec
         machine.spawn(task)

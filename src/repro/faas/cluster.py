@@ -34,7 +34,6 @@ from repro.metrics.collector import RunResult, build_records
 from repro.sim.engine import Simulator
 from repro.sim.task import Task
 from repro.sim.units import MS
-from repro.trace.gauges import attach_gauge_sampler
 from repro.workload.spec import RequestSpec, Workload
 
 PLACEMENT_POLICIES = ("round_robin", "least_loaded", "least_work", "offload_long")
@@ -148,17 +147,9 @@ class FaaSCluster:
         self._rr = 0
         for idx, host in enumerate(self.hosts):
             host.host_index = idx  # gauge labelling (see sample_gauges)
-        # metric registry: cached like the trace recorder (repro.obs)
-        self._metrics = sim.metrics
-        self._metrics_on = self._metrics.enabled
-        if self._metrics_on:
-            self._m_dispatch = [
-                self._metrics.counter(
-                    "repro_cluster_dispatch_total",
-                    help="requests placed on this host",
-                    labels={"host": str(i)})
-                for i in range(config.n_hosts)
-            ]
+        self._probe = sim.probe
+        self._probe_on = self._probe.enabled
+        self._probe.register_cluster(config.n_hosts)
         self.predictor = DurationPredictor()
         #: per-host outstanding predicted CPU work (us) — an estimator:
         #: credit the prediction at dispatch, debit the measured CPU at
@@ -176,8 +167,8 @@ class FaaSCluster:
         """Global scheduler: pick a host and forward the invocation."""
         idx = self._place(spec)
         self.placements.append(idx)
-        if self._metrics_on:
-            self._m_dispatch[idx].inc()
+        if self._probe_on:
+            self._probe.dispatch(idx)
         self._work[idx] += self.predictor.predict(spec.name or spec.app)
         self.hosts[idx].invoke(spec)
         if self.resilience is not None:
@@ -193,19 +184,21 @@ class FaaSCluster:
 
     def _hedge_dispatch(self, spec: RequestSpec, idx: int) -> None:
         """Launch a hedged backup attempt on a chosen healthy host."""
-        if self._metrics_on:
-            self._m_dispatch[idx].inc()
+        if self._probe_on:
+            self._probe.dispatch(idx)
         self._work[idx] += self.predictor.predict(spec.name or spec.app)
         self.hosts[idx].retry_entry(spec)
 
     def _host_down(self, idx: int) -> None:
         self._alive[idx] = False
-        self.faults.note_host_down(idx)
+        if self._probe_on:
+            self._probe.host(idx, up=False)
         self.hosts[idx].fail_host()
 
     def _host_up(self, idx: int) -> None:
         self._alive[idx] = True
-        self.faults.note_host_up(idx)
+        if self._probe_on:
+            self._probe.host(idx, up=True)
         self.hosts[idx].recover_host()
 
     def _place(self, spec: RequestSpec) -> int:
@@ -276,10 +269,7 @@ def run_cluster(workload: Workload, config: ClusterConfig,
     )
     sim = Simulator(trace=trace, invariants=checker, metrics=metrics)
     cluster = FaaSCluster(sim, config)
-    extra = list(cluster.hosts)
-    if cluster.resilience is not None:
-        extra.append(cluster.resilience)
-    attach_gauge_sampler(sim, extra=extra)
+    sim.probe.attach_sampler(*cluster.hosts, cluster.resilience)
     for spec in workload:
         sim.schedule_at(spec.arrival, cluster.dispatch, spec)
     sim.run()

@@ -28,7 +28,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import SeedLike, make_rng
 from repro.sim.task import SchedPolicy, Task
 from repro.trace import events as tev
-from repro.trace.gauges import attach_gauge_sampler
 from repro.workload.spec import RequestSpec, Workload
 
 
@@ -128,21 +127,9 @@ class OpenLambdaPlatform:
         self.outstanding: int = 0
         #: cluster slot for gauge labelling (-1 = standalone host)
         self.host_index: int = -1
-        # trace recorder + metric registry: cached at construction like
-        # every instrumented layer (repro.trace / repro.obs contract)
-        self._trace = sim.trace
-        self._trace_on = self._trace.enabled
-        self._metrics = sim.metrics
-        self._metrics_on = self._metrics.enabled
-        if self._metrics_on:
-            self._m_invocations = self._metrics.counter(
-                "repro_invocations_total", help="requests entering the gateway")
-            self._m_cold_starts = self._metrics.counter(
-                "repro_cold_starts_total",
-                help="invocations that missed the keep-alive cache")
-            self._m_coldstart_us = self._metrics.histogram(
-                "repro_coldstart_us",
-                help="container provisioning delay on a cache miss")
+        self._probe = sim.probe
+        self._probe_on = self._probe.enabled
+        self._probe.register("platform")
 
     # ------------------------------------------------------------------
     # invocation pipeline
@@ -152,8 +139,8 @@ class OpenLambdaPlatform:
         if self.faults is not None and not self.faults.admit(spec, self.outstanding):
             return  # load shed: 429 before any work happens
         self.outstanding += 1
-        if self._metrics_on:
-            self._m_invocations.inc()
+        if self._probe_on:
+            self._probe.invoke()
         self._ingress(spec)
 
     def _ingress(self, spec: RequestSpec) -> None:
@@ -207,9 +194,8 @@ class OpenLambdaPlatform:
             # warm hit: 0; otherwise the container must be provisioned
             cold = self.coldstart.acquire(spec.name or spec.app)
             delay += cold
-            if self._metrics_on and cold > 0:
-                self._m_cold_starts.inc()
-                self._m_coldstart_us.observe(cold)
+            if self._probe_on and cold > 0:
+                self._probe.cold_start(cold)
         self.sim.schedule(delay, self._spawn, spec)
 
     def _spawn(self, spec: RequestSpec) -> None:
@@ -226,11 +212,10 @@ class OpenLambdaPlatform:
                 return
         task = spec.make_task(policy=SchedPolicy.CFS)
         self.pairs.append((spec, task))
-        if self._trace_on:
+        if self._probe_on:
             # same lifecycle mark the bare-machine runner emits, so
             # repro.why can reconstruct platform runs too
-            self._trace.emit(self.sim.now, tev.TASK_SPAWN, task.tid,
-                             args=(spec.name, spec.req_id))
+            self._probe.task_spawn(task, spec)
         self._app_of[task.tid] = spec.app or spec.name
         self._fn_of[task.tid] = spec.name or spec.app
         if self.faults is not None:
@@ -296,17 +281,17 @@ class OpenLambdaPlatform:
     # ------------------------------------------------------------------
     # structured tracing / metrics
     # ------------------------------------------------------------------
-    def sample_gauges(self, trace, now: int) -> None:
+    def sample_gauges(self, probe, now: int) -> None:
         """Emit platform-level gauges (called by the periodic sampler).
 
         ``core`` carries the cluster host index (as in ``fault.host_*``
         events); -1 on a standalone deployment.
         """
-        trace.emit(now, tev.GAUGE_OUTSTANDING, core=self.host_index,
-                   args=(self.outstanding,))
+        probe.gauge(now, tev.GAUGE_OUTSTANDING, self.outstanding,
+                    self.host_index)
         if self.coldstart is not None:
-            trace.emit(now, tev.GAUGE_KEEPALIVE, core=self.host_index,
-                       args=(self.coldstart.warm_total(),))
+            probe.gauge(now, tev.GAUGE_KEEPALIVE,
+                        self.coldstart.warm_total(), self.host_index)
 
 
 def run_openlambda(workload: Workload, config: OpenLambdaConfig,
@@ -325,8 +310,7 @@ def run_openlambda(workload: Workload, config: OpenLambdaConfig,
     )
     sim = Simulator(trace=trace, invariants=checker, metrics=metrics)
     platform = OpenLambdaPlatform(sim, config)
-    attach_gauge_sampler(sim, platform.machine, platform.sfs,
-                         extra=(platform,))
+    sim.probe.attach_sampler(platform.machine, platform.sfs, platform)
     for spec in workload:
         sim.schedule_at(spec.arrival, platform.invoke, spec)
     sim.run()

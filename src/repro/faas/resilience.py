@@ -167,8 +167,9 @@ class ResilienceRuntime:
         self.config = config
         self.cluster = cluster
         self.governor = governor
-        self._trace = sim.trace
-        self._trace_on = self._trace.enabled
+        self._probe = sim.probe
+        self._probe_on = self._probe.enabled
+        self._probe.register("resilience")
         #: req_id -> terminal-or-won (pipeline events for settled
         #: requests are dropped at every stage boundary)
         self._settled: set = set()
@@ -189,29 +190,6 @@ class ResilienceRuntime:
         budget = config.retry_budget
         self._tokens = float(budget.burst) if budget else 0.0
         self._tokens_at = 0
-        # metric counters (null-registry pattern: cached at construction)
-        metrics = sim.metrics
-        self._metrics_on = metrics.enabled
-        if self._metrics_on:
-            self._m_failovers = metrics.counter(
-                "repro_cluster_failovers_total",
-                help="attempts re-dispatched after dying with a failed host")
-            self._m_hedges = metrics.counter(
-                "repro_cluster_hedges_total",
-                help="backup attempts launched by the hedging policy")
-            self._m_hedge_wins = {
-                who: metrics.counter(
-                    "repro_cluster_hedge_wins_total",
-                    help="hedge races won, by which attempt finished first",
-                    labels={"winner": who})
-                for who in ("primary", "backup")
-            }
-            self._m_throttled = metrics.counter(
-                "repro_cluster_retry_throttled_total",
-                help="retries denied by the global retry budget")
-            self._m_host_lost = metrics.counter(
-                "repro_cluster_host_lost_total",
-                help="requests terminally lost with a failed host")
 
     # ------------------------------------------------------------------
     # health poller (gauge-sampler rearm rule: see module docstring)
@@ -227,9 +205,8 @@ class ResilienceRuntime:
             actual = not host.down
             if view[idx] != actual:
                 view[idx] = actual
-                if self._trace_on:
-                    kind = tev.HEALTH_UP if actual else tev.HEALTH_DOWN
-                    self._trace.emit(self.sim.now, kind, core=idx)
+                if self._probe_on:
+                    self._probe.health(idx, actual)
         if self._stranded:
             stranded, self._stranded = self._stranded, []
             for spec, host in stranded:
@@ -247,12 +224,9 @@ class ResilienceRuntime:
         if self.is_settled(req_id):
             return  # e.g. the deadline expired while stranded... handled
         self.governor.stats.failovers += 1
-        if self._metrics_on:
-            self._m_failovers.inc()
         to_host = self.cluster._redispatch(spec)
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.FAILOVER_REDISPATCH,
-                             args=(req_id, from_host, to_host))
+        if self._probe_on:
+            self._probe.failover(req_id, from_host, to_host)
 
     # ------------------------------------------------------------------
     # request lifecycle notes (called by cluster / governor)
@@ -321,11 +295,8 @@ class ResilienceRuntime:
         if backup < 0:
             return  # no second healthy host to hedge onto
         self.governor.stats.hedges += 1
-        if self._metrics_on:
-            self._m_hedges.inc()
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.HEDGE_LAUNCH,
-                             args=(req_id, primary, backup))
+        if self._probe_on:
+            self._probe.hedge(req_id, primary, backup)
         self._hedge[req_id] = {"chains": 2, "backup_host": backup,
                                "backup_tid": None}
         cluster._hedge_dispatch(spec, backup)
@@ -351,13 +322,8 @@ class ResilienceRuntime:
                 else "primary"
             if winner == "backup":
                 self.governor.stats.hedge_wins += 1
-            if self._metrics_on:
-                self._m_hedge_wins[winner].inc()
-            if self._trace_on:
-                # tid identifies the winning chain for repro.why's
-                # timeline reconstruction (never serialised outward)
-                self._trace.emit(self.sim.now, tev.HEDGE_WIN, task.tid,
-                                 args=(req_id, winner))
+            if self._probe_on:
+                self._probe.hedge_win(task, req_id, winner)
         self.settle(req_id)
         if st is not None:
             self._cancel_losers(req_id)
@@ -366,9 +332,8 @@ class ResilienceRuntime:
         for tid, (task, host) in list(self._live.get(req_id, {}).items()):
             if task.state is TaskState.FINISHED:
                 continue
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.HEDGE_CANCEL, tid,
-                                 args=(req_id,))
+            if self._probe_on:
+                self._probe.hedge_cancel(tid, req_id)
             self.cluster.hosts[host].machine.kill(task, "hedge")
 
     # ------------------------------------------------------------------
@@ -406,20 +371,11 @@ class ResilienceRuntime:
             return True
         return False
 
-    def on_throttled(self) -> None:
-        if self._metrics_on:
-            self._m_throttled.inc()
-
-    def on_host_lost(self) -> None:
-        if self._metrics_on:
-            self._m_host_lost.inc()
-
     # ------------------------------------------------------------------
     # gauges
     # ------------------------------------------------------------------
-    def sample_gauges(self, trace, now: int) -> None:
+    def sample_gauges(self, probe, now: int) -> None:
         unhealthy = sum(1 for ok in self.cluster._view if not ok)
-        trace.emit(now, tev.GAUGE_UNHEALTHY, args=(unhealthy,))
+        probe.gauge(now, tev.GAUGE_UNHEALTHY, unhealthy)
         if self.config.retry_budget is not None:
-            trace.emit(now, tev.GAUGE_RETRY_TOKENS,
-                       args=(int(self._tokens),))
+            probe.gauge(now, tev.GAUGE_RETRY_TOKENS, int(self._tokens))

@@ -29,7 +29,6 @@ from repro.faults.plan import NULL_PLAN, FaultPlan
 from repro.faults.policy import AdmissionControl, RetryPolicy
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.task import Task, TaskState
-from repro.trace import events as tev
 from repro.workload.spec import RequestSpec
 
 #: terminal request states beyond the default "ok"
@@ -86,8 +85,8 @@ class FaultRuntime:
         self.admission = admission
         self.timeout = timeout
         self.stats = FaultStats()
-        self._trace = sim.trace
-        self._trace_on = self._trace.enabled
+        self._probe = sim.probe
+        self._probe_on = self._probe.enabled
         #: cluster hook: re-dispatch a retry through placement instead
         #: of pinning it to the host that just failed it
         self.retry_router: Optional[Callable[[RequestSpec], None]] = None
@@ -114,9 +113,8 @@ class FaultRuntime:
         self._terminal[spec.req_id] = _Outcome(STATUS_SHED, self.sim.now)
         if self.resilience is not None:
             self.resilience.settle(spec.req_id)
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.SHED_REQUEST,
-                             args=(spec.req_id, outstanding))
+        if self._probe_on:
+            self._probe.shed(spec.req_id, outstanding)
         return False
 
     def settled(self, req_id: int) -> bool:
@@ -147,9 +145,8 @@ class FaultRuntime:
         self._terminal[spec.req_id] = _Outcome(STATUS_TIMEOUT, self.sim.now)
         if self.resilience is not None:
             self.resilience.settle(spec.req_id)
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.FAULT_TIMEOUT, tid,
-                             args=(self.deadline_of(spec),))
+        if self._probe_on:
+            self._probe.timeout(tid, self.deadline_of(spec))
 
     def begin(self, spec: RequestSpec) -> int:
         """An attempt enters the pipeline; returns its 1-based number."""
@@ -169,9 +166,8 @@ class FaultRuntime:
         if not self.plan.coldstart_fails(spec.req_id, attempt):
             return False
         self.stats.coldstart_failures += 1
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.FAULT_COLDSTART,
-                             args=(spec.req_id, attempt))
+        if self._probe_on:
+            self._probe.coldstart_failed(spec.req_id, attempt)
         return True
 
     def arm(self, spec: RequestSpec, task: Task, machine) -> None:
@@ -200,9 +196,8 @@ class FaultRuntime:
         if task.state is TaskState.FINISHED:
             return  # raced with a real completion
         self.stats.crashes += 1
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.FAULT_CRASH, task.tid,
-                             args=(attempt,))
+        if self._probe_on:
+            self._probe.crash(task, attempt)
         machine.kill(task, "crash")
 
     def _deadline(self, spec: RequestSpec, task: Task, machine) -> None:
@@ -212,9 +207,8 @@ class FaultRuntime:
         # request's expiry once even though both tasks get killed
         if spec.req_id not in self._terminal:
             self.stats.timeouts += 1
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.FAULT_TIMEOUT, task.tid,
-                                 args=(self.deadline_of(spec),))
+            if self._probe_on:
+                self._probe.timeout(task.tid, self.deadline_of(spec))
         machine.kill(task, "timeout")
 
     # ------------------------------------------------------------------
@@ -242,31 +236,25 @@ class FaultRuntime:
                     self.stats.retries += 1
                     if res is not None:
                         res.note_retry_scheduled(req_id)
-                    if self._trace_on:
-                        self._trace.emit(self.sim.now, tev.RETRY_BACKOFF,
-                                         args=(req_id, attempt, delay))
+                    if self._probe_on:
+                        self._probe.retry(req_id, attempt, delay)
                     return delay
                 self.mark_timeout(spec)  # the backoff would overrun it
                 return None
             self.stats.retry_throttled += 1
-            res.on_throttled()
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.RETRY_THROTTLED,
-                                 args=(req_id, attempt))
+            if self._probe_on:
+                self._probe.retry_throttled(req_id, attempt)
         if reason == "host":
             self.stats.host_lost += 1
             status = STATUS_HOST_LOST
-            if res is not None:
-                res.on_host_lost()
         else:
             self.stats.abandoned += 1
             status = STATUS_FAILED
         self._terminal[req_id] = _Outcome(status, self.sim.now)
         if res is not None:
             res.settle(req_id)
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.RETRY_EXHAUSTED,
-                             args=(req_id, attempt))
+        if self._probe_on:
+            self._probe.give_up(req_id, attempt, host_lost=reason == "host")
         return None
 
     def on_task_end(self, spec: RequestSpec, task: Task) -> Optional[int]:
@@ -291,17 +279,6 @@ class FaultRuntime:
             self.stats.host_kills += 1
             return self.fail_attempt(spec, reason="host", host=host)
         return self.fail_attempt(spec)
-
-    # ------------------------------------------------------------------
-    # host lifecycle (emitted by the cluster)
-    # ------------------------------------------------------------------
-    def note_host_down(self, host: int) -> None:
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.FAULT_HOST_DOWN, core=host)
-
-    def note_host_up(self, host: int) -> None:
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.FAULT_HOST_UP, core=host)
 
     # ------------------------------------------------------------------
     # results

@@ -85,28 +85,16 @@ class MachineBase:
         self.params = params or MachineParams()
         self.n_cores = self.params.n_cores
         self._finish_callbacks: List[FinishCallback] = []
-        # structured tracing: recorder and its enabled flag are cached at
-        # construction (install the recorder on the Simulator first); the
-        # plain-bool guard keeps disabled-mode sites to one attribute load
-        self._trace = sim.trace
-        self._trace_on = self._trace.enabled
-        # runtime invariant checker: same caching contract as the trace
-        # recorder (install on the Simulator before building the machine)
+        # observability: the simulator's probe (trace + metrics + audit)
+        # and its enabled flag are cached at construction (install the
+        # sinks on the Simulator first); engines name themselves as the
+        # actor on machine-level decisions (preempt/slice/quantum/...)
+        self._probe = sim.probe
+        self._probe_on = self._probe.enabled
+        self._probe.register("machine")
+        # runtime invariant checker: same caching contract
         self._inv = sim.invariants
         self._inv_on = self._inv.enabled
-        # metric registry: same caching contract again (repro.obs)
-        self._metrics = sim.metrics
-        self._metrics_on = self._metrics.enabled
-        # scheduler-decision audit stream: same caching contract
-        # (repro.why.audit); engines name themselves as the actor on
-        # machine-level decisions (preempt/slice/quantum/throttle/kill)
-        self._audit = sim.audit
-        self._audit_on = self._audit.enabled
-        if self._metrics_on:
-            self._m_spawned = self._metrics.counter(
-                "repro_tasks_spawned_total", help="processes dispatched")
-            self._m_finished = self._metrics.counter(
-                "repro_tasks_finished_total", help="processes exited")
         # aggregate accounting
         self.busy_time: int = 0          # core-microseconds of CPU work done
         self.tasks_spawned: int = 0
@@ -169,25 +157,23 @@ class MachineBase:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # structured tracing
+    # gauges
     # ------------------------------------------------------------------
-    def sample_gauges(self, trace, now: int) -> None:
+    def sample_gauges(self, probe, now: int) -> None:
         """Emit machine-state gauges (called by the periodic sampler).
 
         The base snapshot works for any machine exposing the
         introspection API; engines override to add per-queue depth.
         """
-        trace.emit(now, tev.GAUGE_RUNNABLE, args=(self.runnable_count(),))
-        trace.emit(now, tev.GAUGE_IDLE_CORES, args=(self.idle_cores(),))
+        probe.gauge(now, tev.GAUGE_RUNNABLE, self.runnable_count())
+        probe.gauge(now, tev.GAUGE_IDLE_CORES, self.idle_cores())
 
     # ------------------------------------------------------------------
     def _notify_finish(self, task: Task) -> None:
         self.tasks_finished += 1
         if self._inv_on:
             self._inv.on_task_finish(task, self.sim.now)
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_FINISH, task.tid)
-        if self._metrics_on:
-            self._m_finished.inc()
+        if self._probe_on:
+            self._probe.finish(task)
         for cb in list(self._finish_callbacks):
             cb(task)

@@ -24,7 +24,6 @@ from repro.sched.rt import RTRunqueue
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.task import Burst, BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
-from repro.why import audit as aud
 
 
 class _Core:
@@ -84,30 +83,12 @@ class DiscreteMachine(MachineBase):
         #: straggler speed factor; the == 1.0 guard keeps the nominal
         #: path on exact integer arithmetic (bit-identical runs)
         self._speed = self.params.speed
-        if self._metrics_on:
-            from repro.obs.hooks import RunqueueObs
-
-            fair_obs = RunqueueObs(self._metrics, self.params.fair_class)
-            for core in self.cores:
-                core.rq.obs = fair_obs
-            self.rt_rq.obs = RunqueueObs(self._metrics, "rt")
-            self._m_slice_expiries = self._metrics.counter(
-                "repro_slice_expiries_total",
-                help="fair-class slice expiries that descheduled a task")
-            self._m_preemptions = self._metrics.counter(
-                "repro_preemptions_total",
-                help="involuntary off-CPU moves by a higher-claim task")
-            self._m_migrations = self._metrics.counter(
-                "repro_migrations_total", help="cross-core task resumes")
-            self._m_steals = self._metrics.counter(
-                "repro_steals_total", help="idle-balance pulls")
-        if self._audit_on:
-            fc = self.params.fair_class
-            for core in self.cores:
-                core.rq.audit = aud.RunqueueAudit(
-                    self._audit, sim, f"{fc}:{core.index}")
-            self.rt_rq.audit = aud.RunqueueAudit(self._audit, sim, "rt")
-        prof = self._metrics.profiler
+        self._probe.register("discrete")
+        fc = self.params.fair_class
+        for core in self.cores:
+            core.rq.hook = self._probe.runqueue_hook(f"{fc}:{core.index}", fc)
+        self.rt_rq.hook = self._probe.runqueue_hook("rt", "rt")
+        prof = sim.metrics.profiler
         if prof is not None:
             # shadow the bound method so the nominal path stays untouched
             impl = self._pick_next
@@ -127,15 +108,13 @@ class DiscreteMachine(MachineBase):
             raise RuntimeError(f"task {task.tid} already spawned")
         task.dispatch_time = self.sim.now
         self.tasks_spawned += 1
-        if self._metrics_on:
-            self._m_spawned.inc()
         task._last_run_core = None  # type: ignore[attr-defined]
         first = task.current_burst
         assert first is not None
+        if self._probe_on:
+            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
         if first.kind is BurstKind.IO:
             task.state = TaskState.BLOCKED
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_BLOCK, task.tid)
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
                 first.duration, self._on_io_done, task, first.duration
             )
@@ -149,9 +128,8 @@ class DiscreteMachine(MachineBase):
         rt_priority = rt_priority if policy is not SchedPolicy.CFS else 0
         if task.policy is policy and task.rt_priority == rt_priority:
             return
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_POLICY, task.tid,
-                             args=(policy.name, rt_priority))
+        if self._probe_on:
+            self._probe.set_policy(task, policy, rt_priority)
         old_policy = task.policy
         state = task.state
 
@@ -193,18 +171,13 @@ class DiscreteMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
-        if self._audit_on:
-            self._audit.record(self.sim.now, aud.OP_KILL, "faults",
-                               displaced=task.tid, reason=reason,
-                               arg=task.state.value)
         if task.state is TaskState.RUNNING:
             core = self.cores[task._run_core]  # type: ignore[attr-defined]
             assert core.task is task
+            if self._probe_on:
+                self._probe.kill(task, reason, core.index, tev.DESCHED_KILL)
             self._charge(core)
             core.cancel_timers()
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                                 core.index, (tev.DESCHED_KILL,))
             core.task = None
             # schedule the core before notifying user space (see
             # _complete_burst): the finish callback may re-enter
@@ -221,6 +194,8 @@ class DiscreteMachine(MachineBase):
             if handle is not None:
                 handle.cancel()
                 task._io_handle = None  # type: ignore[attr-defined]
+        if self._probe_on:
+            self._probe.kill(task, reason)
         self._finish_killed(task, reason)
         return True
 
@@ -230,12 +205,11 @@ class DiscreteMachine(MachineBase):
     def runnable_count(self) -> int:
         return sum(len(c.rq) for c in self.cores) + len(self.rt_rq)
 
-    def sample_gauges(self, trace, now: int) -> None:
-        super().sample_gauges(trace, now)
+    def sample_gauges(self, probe, now: int) -> None:
+        super().sample_gauges(probe, now)
         for core in self.cores:
-            trace.emit(now, tev.GAUGE_RUNQUEUE, core=core.index,
-                       args=(len(core.rq),))
-        trace.emit(now, tev.GAUGE_RT_QUEUE, args=(len(self.rt_rq),))
+            probe.gauge(now, tev.GAUGE_RUNQUEUE, len(core.rq), core.index)
+        probe.gauge(now, tev.GAUGE_RT_QUEUE, len(self.rt_rq))
 
     # ==================================================================
     # internals
@@ -269,18 +243,9 @@ class DiscreteMachine(MachineBase):
                 return
             core.cancel_timers()
             victim.ctx_involuntary += 1
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE,
-                                 victim.tid, core.index,
-                                 (tev.DESCHED_PREEMPT,))
-            if self._metrics_on:
-                self._m_preemptions.inc()
-            if self._audit_on:
-                self._audit.record(
-                    self.sim.now, aud.OP_PREEMPT,
-                    f"{self.params.fair_class}:{core.index}",
-                    chosen=task.tid, displaced=victim.tid,
-                    reason=tev.DESCHED_PREEMPT)
+            if self._probe_on:
+                self._probe.preempt(f"{self.params.fair_class}:{core.index}",
+                                    task, victim, core.index)
             self._make_ready(victim)
             core.task = None
             victim._rq_core = core.index  # type: ignore[attr-defined]
@@ -338,18 +303,9 @@ class DiscreteMachine(MachineBase):
             if victim is not None:
                 core.cancel_timers()
                 victim.ctx_involuntary += 1
-                if self._trace_on:
-                    self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE,
-                                     victim.tid, core.index,
-                                     (tev.DESCHED_PREEMPT,))
-                if self._metrics_on:
-                    self._m_preemptions.inc()
-                if self._audit_on:
-                    self._audit.record(
-                        self.sim.now, aud.OP_PREEMPT, "rt",
-                        chosen=task.tid, displaced=victim.tid,
-                        reason=tev.DESCHED_PREEMPT,
-                        arg=task.rt_priority)
+                if self._probe_on:
+                    self._probe.preempt("rt", task, victim, core.index,
+                                        task.rt_priority)
                 self._make_ready(victim)
                 core.task = None
             # Start the RT task *before* re-enqueuing the victim:
@@ -406,8 +362,8 @@ class DiscreteMachine(MachineBase):
             return None
         task = busiest.rq.pick_next()
         assert task is not None
-        if self._metrics_on:
-            self._m_steals.inc()
+        if self._probe_on:
+            self._probe.steal()
         return task
 
     def _start(self, core: _Core, task: Task) -> None:
@@ -427,13 +383,8 @@ class DiscreteMachine(MachineBase):
         migrated = last is not None and last != core.index
         if migrated:
             task.migrations += 1
-            if self._metrics_on:
-                self._m_migrations.inc()
-        if self._trace_on:
-            tr = self._trace
-            if migrated:
-                tr.emit(now, tev.TASK_MIGRATE, task.tid, core.index, (last,))
-            tr.emit(now, tev.TASK_RUN, task.tid, core.index)
+        if self._probe_on:
+            self._probe.run(task, core.index, last if migrated else -1)
         task._last_run_core = core.index  # type: ignore[attr-defined]
         task._run_core = core.index  # type: ignore[attr-defined]
         task.state = TaskState.RUNNING
@@ -516,17 +467,10 @@ class DiscreteMachine(MachineBase):
             if core.completion_handle is not None:
                 core.completion_handle.cancel()
                 core.completion_handle = None
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE,
-                                 task.tid, core.index, (tev.DESCHED_SLICE,))
-            if self._metrics_on:
-                self._m_slice_expiries.inc()
-            if self._audit_on:
-                self._audit.record(
-                    self.sim.now, aud.OP_SLICE,
-                    f"{self.params.fair_class}:{core.index}",
-                    displaced=task.tid, reason=tev.DESCHED_SLICE,
-                    arg=len(core.rq))
+            if self._probe_on:
+                self._probe.slice_expiry(
+                    f"{self.params.fair_class}:{core.index}", task,
+                    core.index, len(core.rq))
             self._make_ready(task)
             core.task = None
             task._rq_core = core.index  # type: ignore[attr-defined]
@@ -551,14 +495,8 @@ class DiscreteMachine(MachineBase):
             if core.completion_handle is not None:
                 core.completion_handle.cancel()
                 core.completion_handle = None
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE,
-                                 task.tid, core.index, (tev.DESCHED_QUANTUM,))
-            if self._audit_on:
-                self._audit.record(
-                    self.sim.now, aud.OP_QUANTUM, "rt",
-                    displaced=task.tid, reason=tev.DESCHED_QUANTUM,
-                    arg=waiting)
+            if self._probe_on:
+                self._probe.quantum(task, core.index, waiting)
             self._make_ready(task)
             core.task = None
             self.rt_rq.enqueue(task)
@@ -578,9 +516,8 @@ class DiscreteMachine(MachineBase):
     def _complete_burst(self, core: _Core, task: Task) -> None:
         core.cancel_timers()
         nxt = task.advance_burst()
-        if self._trace_on and (nxt is None or nxt.kind is BurstKind.IO):
-            self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                             core.index, (tev.DESCHED_BURST_END,))
+        if self._probe_on and (nxt is None or nxt.kind is BurstKind.IO):
+            self._probe.burst_end(task, core.index, blocked=nxt is not None)
         if nxt is None:
             task.state = TaskState.FINISHED
             task.finish_time = self.sim.now
@@ -593,8 +530,6 @@ class DiscreteMachine(MachineBase):
             task.state = TaskState.BLOCKED
             task.ctx_voluntary += 1
             core.task = None
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_BLOCK, task.tid)
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
                 nxt.duration, self._on_io_done, task, nxt.duration
             )
@@ -622,8 +557,8 @@ class DiscreteMachine(MachineBase):
             self._notify_finish(task)
             return
         assert nxt.kind is BurstKind.CPU, "consecutive I/O bursts must be merged"
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_WAKE, task.tid)
+        if self._probe_on:
+            self._probe.wake(task)
         self._make_ready(task)
         self._enqueue_ready(task, wakeup=True)
 
@@ -639,13 +574,8 @@ class DiscreteMachine(MachineBase):
         _runtime, period = self.params.rt_bandwidth
         task.ctx_involuntary += 1
         core.cancel_timers()
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                             core.index, (tev.DESCHED_THROTTLE,))
-        if self._audit_on:
-            self._audit.record(self.sim.now, aud.OP_THROTTLE, "rt",
-                               displaced=task.tid,
-                               reason=tev.DESCHED_THROTTLE, arg=period)
+        if self._probe_on:
+            self._probe.throttle(task, core.index, period)
         self._make_ready(task)
         core.task = None
         self.rt_rq.enqueue(task)
@@ -661,13 +591,8 @@ class DiscreteMachine(MachineBase):
     def _demote_running(self, core: _Core, task: Task) -> None:
         """RT -> CFS while on CPU (SFS slice-expiry demotion)."""
         core.cancel_timers()
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                             core.index, (tev.DESCHED_RECLASS,))
-        if self._audit_on:
-            self._audit.record(self.sim.now, aud.OP_RECLASS, "kernel",
-                               displaced=task.tid,
-                               reason=tev.DESCHED_RECLASS)
+        if self._probe_on:
+            self._probe.reclass(task, core.index)
         self._make_ready(task)
         core.task = None
         self._enqueue_cfs(task, wakeup=False)

@@ -36,7 +36,6 @@ from repro.sched.rt import RTRunqueue
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
-from repro.why import audit as aud
 
 _EPS = 1e-6
 
@@ -69,17 +68,9 @@ class FluidMachine(MachineBase):
         # Chrome exporter per-core tracks for dedicated/FILTER tasks)
         self._rt_slots: dict[int, int] = {}         # tid -> slot
         self._free_slots: list[int] = list(range(self.n_cores))
-        if self._metrics_on:
-            from repro.obs.hooks import RunqueueObs
-
-            self.rt_wait.obs = RunqueueObs(self._metrics, "rt")
-            self._m_pool_enters = self._metrics.counter(
-                "repro_pool_enters_total", help="tasks entering the CFS pool")
-            self._m_rt_starts = self._metrics.counter(
-                "repro_rt_starts_total", help="dedicated-core RT starts")
-        if self._audit_on:
-            self.rt_wait.audit = aud.RunqueueAudit(self._audit, sim, "rt")
-        prof = self._metrics.profiler
+        self._probe.register("fluid")
+        self.rt_wait.hook = self._probe.runqueue_hook("rt", "rt")
+        prof = sim.metrics.profiler
         if prof is not None:
             # shadow the bound method so the nominal path stays untouched
             impl = self._advance
@@ -99,14 +90,12 @@ class FluidMachine(MachineBase):
             raise RuntimeError(f"task {task.tid} already spawned")
         task.dispatch_time = self.sim.now
         self.tasks_spawned += 1
-        if self._metrics_on:
-            self._m_spawned.inc()
         first = task.current_burst
         assert first is not None
+        if self._probe_on:
+            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
         if first.kind is BurstKind.IO:
             task.state = TaskState.BLOCKED
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_BLOCK, task.tid)
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
                 first.duration, self._on_io_done, task, first.duration
             )
@@ -119,9 +108,8 @@ class FluidMachine(MachineBase):
         rt_priority = rt_priority if policy is not SchedPolicy.CFS else 0
         if task.policy is policy and task.rt_priority == rt_priority:
             return
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_POLICY, task.tid,
-                             args=(policy.name, rt_priority))
+        if self._probe_on:
+            self._probe.set_policy(task, policy, rt_priority)
         was_dedicated = self._is_dedicated(task.policy)
 
         if task.state in (TaskState.BLOCKED, TaskState.CREATED):
@@ -129,26 +117,20 @@ class FluidMachine(MachineBase):
             task.record_policy_change(self.sim.now, policy)
             return
 
+        core: Optional[int] = None  # set when the change takes it off CPU
         if task.tid in self._pool:
-            self._leave_pool(task, completing=False)
-            if self._audit_on:
-                self._audit.record(self.sim.now, aud.OP_RECLASS, "kernel",
-                                   displaced=task.tid,
-                                   reason=tev.DESCHED_RECLASS)
-            task.state = TaskState.READY
-            task._ready_since = self.sim.now  # type: ignore[attr-defined]
+            self._leave_pool(task)
+            core = -1
         elif task.tid in self._rt_running:
-            self._stop_rt(task, involuntary=True, reason=tev.DESCHED_RECLASS)
-            if self._audit_on:
-                self._audit.record(self.sim.now, aud.OP_RECLASS, "kernel",
-                                   displaced=task.tid,
-                                   reason=tev.DESCHED_RECLASS)
+            core = self._stop_rt(task, involuntary=True)
+        elif task.state is TaskState.READY and was_dedicated:
+            # READY non-dedicated tasks are always in the pool, handled above
+            self.rt_wait.remove(task)
+        if core is not None:
+            if self._probe_on:
+                self._probe.reclass(task, core)
             task.state = TaskState.READY
             task._ready_since = self.sim.now  # type: ignore[attr-defined]
-        elif task.state is TaskState.READY:
-            if was_dedicated:
-                self.rt_wait.remove(task)
-            # READY non-dedicated tasks are always in the pool, handled above
         task.rt_priority = rt_priority
         task.record_policy_change(self.sim.now, policy)
         self._enqueue_ready(task)
@@ -157,14 +139,13 @@ class FluidMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
-        if self._audit_on:
-            self._audit.record(self.sim.now, aud.OP_KILL, "faults",
-                               displaced=task.tid, reason=reason,
-                               arg=task.state.value)
+        core, off = -1, None  # trace core and deschedule reason if on CPU
         if task.tid in self._pool:
-            self._leave_pool(task, completing=False)
+            self._leave_pool(task)
+            off = tev.DESCHED_RECLASS
         elif task.tid in self._rt_running:
-            self._stop_rt(task, involuntary=False, reason=tev.DESCHED_KILL)
+            core = self._stop_rt(task, involuntary=False)
+            off = tev.DESCHED_KILL
         elif task.state is TaskState.READY and self._is_dedicated(task.policy):
             self.rt_wait.remove(task)
         elif task.state is TaskState.BLOCKED:
@@ -172,6 +153,8 @@ class FluidMachine(MachineBase):
             if handle is not None:
                 handle.cancel()
                 task._io_handle = None  # type: ignore[attr-defined]
+        if self._probe_on:
+            self._probe.kill(task, reason, core, off)
         self._finish_killed(task, reason)
         self._dispatch_rt()  # a freed core may admit waiting RT work
         return True
@@ -185,11 +168,11 @@ class FluidMachine(MachineBase):
         queued_pool = max(0, len(self._pool) - free)
         return len(self.rt_wait) + queued_pool
 
-    def sample_gauges(self, trace, now: int) -> None:
-        super().sample_gauges(trace, now)
-        trace.emit(now, tev.GAUGE_POOL, args=(len(self._pool),))
-        trace.emit(now, tev.GAUGE_RT_RUNNING, args=(len(self._rt_running),))
-        trace.emit(now, tev.GAUGE_RT_QUEUE, args=(len(self.rt_wait),))
+    def sample_gauges(self, probe, now: int) -> None:
+        super().sample_gauges(probe, now)
+        probe.gauge(now, tev.GAUGE_POOL, len(self._pool))
+        probe.gauge(now, tev.GAUGE_RT_RUNNING, len(self._rt_running))
+        probe.gauge(now, tev.GAUGE_RT_QUEUE, len(self.rt_wait))
 
     # ==================================================================
     # pool (CFS + RR-as-sharing) mechanics
@@ -275,31 +258,23 @@ class FluidMachine(MachineBase):
         task.wait_time += self.sim.now - getattr(task, "_ready_since", self.sim.now)
         task.state = TaskState.RUNNING
         self._pool[task.tid] = task
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_RUN, task.tid)
-        if self._metrics_on:
-            self._m_pool_enters.inc()
-        if self._audit_on:
-            self._audit.record(self.sim.now, aud.OP_PICK, "pool",
-                               chosen=task.tid, arg=len(self._pool))
+        if self._probe_on:
+            self._probe.pool_enter(task, len(self._pool))
         heapq.heappush(self._heap, (target, next(self._seq), task))
         self._reschedule_pool_event()
 
-    def _leave_pool(self, task: Task, completing: bool) -> int:
-        """Remove from the pool, charging service received.  Returns it."""
+    def _leave_pool(self, task: Task) -> None:
+        """Take a task out of the pool before its burst completes
+        (re-class or kill), charging the service it received."""
         self._advance()
         assert task.tid in self._pool
         del self._pool[task.tid]
-        if self._trace_on:
-            reason = tev.DESCHED_BURST_END if completing else tev.DESCHED_RECLASS
-            self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                             args=(reason,))
-        served_float = self._credit - task._pool_enter_credit  # type: ignore[attr-defined]
-        if completing:
-            served = task.burst_remaining
-        else:
-            served = int(round(served_float))
-            served = max(0, min(served, task.burst_remaining - 1))
+        served = int(round(self._credit - task._pool_enter_credit))  # type: ignore[attr-defined]
+        self._charge_pool(task, max(0, min(served, task.burst_remaining - 1)))
+        self._reschedule_pool_event()
+
+    def _charge_pool(self, task: Task, served: int) -> None:
+        """Charge a pool stay: ``served`` CPU us, the rest as wait."""
         task.consume_cpu(served)
         if self._inv_on:
             self._inv.on_charge(task)
@@ -307,12 +282,10 @@ class FluidMachine(MachineBase):
         task.wait_time += max(0, elapsed - served)
         # fold the integrated switch-rate estimate into whole switches
         cs = getattr(task, "_cs_float", 0.0)
-        cs += (self._cs_credit - task._pool_cs_enter)  # type: ignore[attr-defined]
+        cs += self._cs_credit - task._pool_cs_enter  # type: ignore[attr-defined]
         whole = int(cs)
         task.ctx_involuntary += whole
         task._cs_float = cs - whole  # type: ignore[attr-defined]
-        self._reschedule_pool_event()
-        return served
 
     def _reschedule_pool_event(self) -> None:
         if self._pool_event is not None:
@@ -343,24 +316,9 @@ class FluidMachine(MachineBase):
                 continue  # stale entry
             del self._pool[task.tid]
             finished.append(task)
-        tr = self._trace
-        tr_on = self._trace_on
         for task in finished:
-            if tr_on:
-                tr.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                        args=(tev.DESCHED_BURST_END,))
-            served = task.burst_remaining
-            task.consume_cpu(served)
-            if self._inv_on:
-                self._inv.on_charge(task)
-            elapsed = self.sim.now - task._pool_enter_time  # type: ignore[attr-defined]
-            task.wait_time += max(0, elapsed - served)
-            cs = getattr(task, "_cs_float", 0.0)
-            cs += self._cs_credit - task._pool_cs_enter  # type: ignore[attr-defined]
-            whole = int(cs)
-            task.ctx_involuntary += whole
-            task._cs_float = cs - whole  # type: ignore[attr-defined]
-            self._complete_cpu_burst(task)
+            self._charge_pool(task, task.burst_remaining)
+            self._complete_cpu_burst(task, -1)
         if self._inv_on:
             self._inv.on_fluid_pool(self)
         self._reschedule_pool_event()
@@ -388,12 +346,9 @@ class FluidMachine(MachineBase):
                     victim = t
             if victim is None:
                 return
-            self._stop_rt(victim, involuntary=True)
-            if self._audit_on:
-                self._audit.record(self.sim.now, aud.OP_PREEMPT, "rt",
-                                   chosen=nxt.tid, displaced=victim.tid,
-                                   reason=tev.DESCHED_PREEMPT,
-                                   arg=nxt.rt_priority)
+            slot = self._stop_rt(victim, involuntary=True)
+            if self._probe_on:
+                self._probe.preempt("rt", nxt, victim, slot, nxt.rt_priority)
             victim.state = TaskState.READY
             victim._ready_since = self.sim.now  # type: ignore[attr-defined]
             self.rt_wait.enqueue(victim)
@@ -414,18 +369,16 @@ class FluidMachine(MachineBase):
             wall, self._on_rt_completion, task
         )
         self._rt_running[task.tid] = task
-        if self._metrics_on:
-            self._m_rt_starts.inc()
-        if self._trace_on:
+        if self._probe_on:
             slot = heapq.heappop(self._free_slots) if self._free_slots else -1
             if slot >= 0:
                 self._rt_slots[task.tid] = slot
-            self._trace.emit(self.sim.now, tev.TASK_RUN, task.tid, slot)
+            self._probe.rt_start(task, slot)
         self._reschedule_pool_event()
 
-    def _stop_rt(self, task: Task, involuntary: bool,
-                 reason: str = tev.DESCHED_PREEMPT) -> None:
-        """Take a dedicated-core task off CPU, charging service so far."""
+    def _stop_rt(self, task: Task, involuntary: bool) -> int:
+        """Take a dedicated-core task off CPU, charging service so far.
+        Returns the virtual core slot it held (for the probe)."""
         self._advance()
         handle = getattr(task, "_rt_end_handle", None)
         if handle is not None:
@@ -439,12 +392,11 @@ class FluidMachine(MachineBase):
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                             self._release_slot(task.tid), args=(reason,))
+        slot = self._release_slot(task.tid)
         if involuntary:
             task.ctx_involuntary += 1
         self._reschedule_pool_event()
+        return slot
 
     def _on_rt_completion(self, task: Task) -> None:
         self._advance()
@@ -453,16 +405,13 @@ class FluidMachine(MachineBase):
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_DESCHEDULE, task.tid,
-                             self._release_slot(task.tid),
-                             args=(tev.DESCHED_BURST_END,))
-        self._complete_cpu_burst(task)
+        self._complete_cpu_burst(task, self._release_slot(task.tid))
         self._dispatch_rt()
         self._reschedule_pool_event()
 
     def _release_slot(self, tid: int) -> int:
-        """Return the task's virtual core slot to the free list (tracing)."""
+        """Return the task's virtual core slot to the free list (-1 when
+        it held none: slots are only handed out while the probe is on)."""
         slot = self._rt_slots.pop(tid, -1)
         if slot >= 0:
             heapq.heappush(self._free_slots, slot)
@@ -471,8 +420,11 @@ class FluidMachine(MachineBase):
     # ==================================================================
     # burst lifecycle (shared)
     # ==================================================================
-    def _complete_cpu_burst(self, task: Task) -> None:
+    def _complete_cpu_burst(self, task: Task, core: int) -> None:
         nxt = task.advance_burst()
+        if self._probe_on:
+            self._probe.burst_end(
+                task, core, blocked=nxt is not None and nxt.kind is BurstKind.IO)
         if nxt is None:
             task.state = TaskState.FINISHED
             task.finish_time = self.sim.now
@@ -480,8 +432,6 @@ class FluidMachine(MachineBase):
         elif nxt.kind is BurstKind.IO:
             task.state = TaskState.BLOCKED
             task.ctx_voluntary += 1
-            if self._trace_on:
-                self._trace.emit(self.sim.now, tev.TASK_BLOCK, task.tid)
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
                 nxt.duration, self._on_io_done, task, nxt.duration
             )
@@ -499,8 +449,8 @@ class FluidMachine(MachineBase):
             self._notify_finish(task)
             return
         assert nxt.kind is BurstKind.CPU, "consecutive I/O bursts must be merged"
-        if self._trace_on:
-            self._trace.emit(self.sim.now, tev.TASK_WAKE, task.tid)
+        if self._probe_on:
+            self._probe.wake(task)
         task.state = TaskState.READY
         task._ready_since = self.sim.now  # type: ignore[attr-defined]
         self._enqueue_ready(task)

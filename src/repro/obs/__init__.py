@@ -8,7 +8,9 @@ Layering (mirrors ``repro.trace`` / ``repro.invariants``):
   zero-overhead :data:`NULL_REGISTRY` default installed on every
   simulator;
 * :mod:`repro.obs.profiler` — host-side wall-clock self-profiler;
-* :mod:`repro.obs.hooks` — gauge fanout + runqueue observer glue;
+* :mod:`repro.obs.probe` — the per-simulator :class:`Probe`, the one
+  instrumentation path that maps each scheduling decision onto the
+  trace, this registry and the audit log (gauge path included);
 * :mod:`repro.obs.attribution` — virtual-time latency breakdown
   ("where did the latency go") and per-core utilization timelines;
 * :mod:`repro.obs.export` — Prometheus text / JSONL / HTML exporters;
@@ -20,7 +22,6 @@ bench (which import machines and experiments) at package init would
 cycle.  Import those submodules explicitly.
 """
 
-from repro.obs.hooks import GaugeSink, RunqueueObs
 from repro.obs.instruments import (
     Counter,
     Gauge,
@@ -33,12 +34,10 @@ from repro.obs.registry import NULL_REGISTRY, MetricsRegistry, NullRegistry
 __all__ = [
     "Counter",
     "Gauge",
-    "GaugeSink",
     "Histogram",
     "HostProfiler",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullRegistry",
     "QuantileSketch",
-    "RunqueueObs",
 ]

@@ -1,17 +1,18 @@
 """Metric registries: the zero-overhead null default and the real one.
 
-Mirrors the :mod:`repro.trace.recorder` contract exactly:
+A registry has the sink shape every observability sink shares:
 
-* ``enabled`` — class-level flag the hot paths branch on;
+* ``enabled`` — class-level flag;
 * ``counter`` / ``gauge`` / ``histogram`` — get-or-create instruments.
 
-:class:`NullRegistry` is the default everywhere: instrumented layers
-cache ``sim.metrics`` (and its ``enabled`` flag) at construction time
-and guard every hook with ``if self._metrics_on:``, so a disabled run
-pays one attribute load and a predictable branch per site.  The null
-registry also hands back a shared do-nothing instrument from the
-get-or-create methods so that mistakenly unguarded calls degrade to
-no-ops instead of crashing.
+:class:`NullRegistry` is the default everywhere.  Instrumented layers
+never touch a registry directly: the simulator's
+:class:`repro.obs.probe.Probe` registers each component's instruments
+and updates them at every decision site, behind the one guard each
+component keeps on the probe's ``enabled`` flag.  The null registry
+hands back a shared do-nothing instrument from the get-or-create
+methods, so a probe running for another sink (a trace or an audit log)
+updates metrics as no-ops.
 
 :class:`MetricsRegistry` keys instruments by ``(name, labels)``; the
 same call site can therefore be labelled per core, per scheduling
@@ -19,7 +20,7 @@ class, or per function class without bookkeeping at the call site.
 
 Registries are installed on the :class:`repro.sim.engine.Simulator`
 (``Simulator(metrics=...)``) **before** machines and schedulers are
-constructed, exactly like trace recorders.
+constructed: components cache the simulator's probe once.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ class NullRegistry:
     __slots__ = ()
 
     enabled: bool = False
-    #: gauge sampling period (us) honoured when a sampler is attached.
-    gauge_interval: int = 10_000
     #: host-side self-profiler; never present on the null registry.
     profiler = None
 
@@ -92,7 +91,7 @@ class MetricsRegistry(NullRegistry):
     """In-memory instrument registry.
 
     ``gauge_interval`` (integer microseconds) sets how often the gauge
-    sampler (:func:`repro.trace.gauges.attach_gauge_sampler`) snapshots
+    sampler (:meth:`repro.obs.probe.Probe.attach_sampler`) snapshots
     queue depths while a run is live.
 
     ``profile`` attaches a :class:`repro.obs.profiler.HostProfiler` so

@@ -77,12 +77,8 @@ class CfsRunqueue:
         # observability: lifetime enqueue count and peak depth
         self.total_enqueued: int = 0
         self.peak_depth: int = 0
-        #: optional repro.obs.hooks.RunqueueObs; the machine attaches it
-        #: when a MetricsRegistry is installed (None = zero overhead)
-        self.obs = None
-        #: optional repro.why.audit.RunqueueAudit; attached the same way
-        #: when an AuditLog is installed (None = zero overhead)
-        self.audit = None
+        #: repro.obs.probe.RunqueueHook while metrics or audit are on
+        self.hook = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -118,8 +114,8 @@ class CfsRunqueue:
         depth = len(self._nodes)
         if depth > self.peak_depth:
             self.peak_depth = depth
-        if self.obs is not None:
-            self.obs.on_enqueue(depth)
+        if self.hook is not None:
+            self.hook.on_enqueue(depth)
 
     def dequeue(self, task: Task) -> None:
         """Remove a specific task (e.g. promoted to the RT class)."""
@@ -139,10 +135,8 @@ class CfsRunqueue:
         del self._nodes[task.tid]
         self.total_weight -= task.weight
         self._refresh_min_vruntime(curr_vruntime=task.vruntime)
-        if self.obs is not None:
-            self.obs.on_pick()
-        if self.audit is not None:
-            self.audit.on_pick(task.tid)
+        if self.hook is not None:
+            self.hook.on_pick(task.tid)
         return task
 
     def peek_next(self) -> Optional[Task]:

@@ -58,12 +58,8 @@ class EevdfRunqueue:
         self.params = params
         self._tasks: List[Task] = []
         self.min_vruntime: int = 0  # kept for interface parity
-        #: optional repro.obs.hooks.RunqueueObs; the machine attaches it
-        #: when a MetricsRegistry is installed (None = zero overhead)
-        self.obs = None
-        #: optional repro.why.audit.RunqueueAudit; attached the same way
-        #: when an AuditLog is installed (None = zero overhead)
-        self.audit = None
+        #: repro.obs.probe.RunqueueHook while metrics or audit are on
+        self.hook = None
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -100,8 +96,8 @@ class EevdfRunqueue:
         self.min_vruntime = max(
             self.min_vruntime, int(min(t.vruntime for t in self._tasks))
         )
-        if self.obs is not None:
-            self.obs.on_enqueue(len(self._tasks))
+        if self.hook is not None:
+            self.hook.on_enqueue(len(self._tasks))
 
     def dequeue(self, task: Task) -> None:
         for i, t in enumerate(self._tasks):
@@ -119,10 +115,8 @@ class EevdfRunqueue:
         pool = eligible if eligible else self._tasks
         best = min(pool, key=lambda t: (t._eevdf_deadline, t.tid))  # type: ignore[attr-defined]
         self.dequeue(best)
-        if self.obs is not None:
-            self.obs.on_pick()
-        if self.audit is not None:
-            self.audit.on_pick(best.tid)
+        if self.hook is not None:
+            self.hook.on_pick(best.tid)
         return best
 
     def peek_next(self) -> Optional[Task]:

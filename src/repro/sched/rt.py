@@ -40,12 +40,8 @@ class RTRunqueue:
         # observability: lifetime enqueue count and peak depth
         self.total_enqueued: int = 0
         self.peak_depth: int = 0
-        #: optional repro.obs.hooks.RunqueueObs; the machine attaches it
-        #: when a MetricsRegistry is installed (None = zero overhead)
-        self.obs = None
-        #: optional repro.why.audit.RunqueueAudit; attached the same way
-        #: when an AuditLog is installed (None = zero overhead)
-        self.audit = None
+        #: repro.obs.probe.RunqueueHook while metrics or audit are on
+        self.hook = None
 
     def __len__(self) -> int:
         live = 0
@@ -69,8 +65,8 @@ class RTRunqueue:
         depth = len(self._members)
         if depth > self.peak_depth:
             self.peak_depth = depth
-        if self.obs is not None:
-            self.obs.on_enqueue(depth)
+        if self.hook is not None:
+            self.hook.on_enqueue(depth)
 
     def remove(self, task: Task) -> None:
         """Lazy removal (e.g. task re-classed to CFS while queued)."""
@@ -85,10 +81,8 @@ class RTRunqueue:
             return None
         _p, _s, task = heapq.heappop(self._heap)
         self._members.discard(task.tid)
-        if self.obs is not None:
-            self.obs.on_pick()
-        if self.audit is not None:
-            self.audit.on_pick(task.tid)
+        if self.hook is not None:
+            self.hook.on_pick(task.tid)
         return task
 
     def peek(self) -> Optional[Task]:

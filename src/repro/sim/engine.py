@@ -17,6 +17,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.invariants.checker import NULL_CHECKER
+from repro.obs.probe import Probe
 from repro.obs.profiler import perf_counter
 from repro.obs.registry import NULL_REGISTRY
 from repro.trace.recorder import NULL_RECORDER
@@ -95,29 +96,22 @@ class Simulator:
     Time never flows backwards; callbacks run at exactly their scheduled
     virtual time and may schedule further events (including at ``now``).
 
-    ``trace`` is the structured-event recorder every instrumented layer
-    (machines, schedulers, SFS) caches at construction time; it defaults
-    to the shared no-op :data:`repro.trace.recorder.NULL_RECORDER`, so
-    install a real :class:`repro.trace.TraceRecorder` *before* building
-    the machine when a run should be traced.
+    ``trace``, ``metrics`` and ``audit`` are the observability sinks:
+    a :class:`repro.trace.TraceRecorder`, a
+    :class:`repro.obs.MetricsRegistry` and a
+    :class:`repro.why.AuditLog`, each defaulting to its shared no-op
+    null.  The simulator wraps them in one :class:`repro.obs.probe.Probe`
+    (``sim.probe``), the single instrumentation path every machine,
+    scheduler, SFS and FaaS component caches — with its ``enabled``
+    flag — at construction.  Install the sinks here *before* building
+    those components.  The probe is read-only with respect to virtual
+    time, so an instrumented run is bit-identical to a bare one.
 
-    ``invariants`` follows the same contract for the runtime invariant
-    checker (:mod:`repro.invariants`): it defaults to the shared no-op
-    :data:`repro.invariants.checker.NULL_CHECKER` and must be installed
-    before the machine is built, because every instrumented layer caches
-    it (and its ``enabled`` flag) at construction time.
-
-    ``metrics`` follows the same contract again for the metric registry
-    (:mod:`repro.obs`): default is the shared no-op
-    :data:`repro.obs.registry.NULL_REGISTRY`; install a real
-    :class:`repro.obs.MetricsRegistry` before building the machine.
-    Metric hooks are read-only with respect to virtual time, so an
-    enabled run is bit-identical to a disabled one.
-
-    ``audit`` follows the same contract for the scheduler-decision
-    audit stream (:mod:`repro.why.audit`): default is the shared no-op
-    :data:`repro.why.audit.NULL_AUDIT`; install a real
-    :class:`repro.why.AuditLog` before building the machine.
+    ``invariants`` is the runtime invariant checker
+    (:mod:`repro.invariants`), defaulting to the shared no-op
+    :data:`repro.invariants.checker.NULL_CHECKER`; it validates state
+    rather than recording decisions, so components cache it (and its
+    ``enabled`` flag) separately, under the same install-first rule.
 
     ``label`` names the run in diagnostics (e.g. the scheduler/engine
     pair); it is only ever read when an error message is built.
@@ -139,6 +133,7 @@ class Simulator:
         self._inv_on = self.invariants.enabled
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.audit = audit if audit is not None else NULL_AUDIT
+        self.probe = Probe(self, self.trace, self.metrics, self.audit)
         # host self-profiler (wall clock around dispatch); None when off
         self._prof = self.metrics.profiler
 

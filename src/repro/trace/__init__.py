@@ -11,15 +11,16 @@ Record what the simulator, the machine engines and the SFS layer *did*
     res = run_workload(workload, RunConfig(scheduler="sfs"), trace=rec)
     write_trace("out.json", rec, res.manifest)   # open in ui.perfetto.dev
 
-Tracing is off by default and free when off: every instrumented call
-site guards on ``recorder.enabled`` (a class attribute of the shared
-:data:`~repro.trace.recorder.NULL_RECORDER`), so no event objects are
-built.  See ``docs/observability.md`` for the event taxonomy.
+Tracing is off by default and free when off: the recorder is one of
+the sinks behind the simulator's probe (:mod:`repro.obs.probe`), and
+every instrumented call site guards on the probe's ``enabled`` flag, so
+with the shared :data:`~repro.trace.recorder.NULL_RECORDER` (and no
+other sink) no event objects are built.  See ``docs/observability.md``
+for the event taxonomy.
 """
 
 from repro.trace.events import EVENT_FIELDS, TraceEvent
 from repro.trace.export import to_chrome, to_jsonl_lines, write_trace
-from repro.trace.gauges import attach_gauge_sampler
 from repro.trace.manifest import RunManifest
 from repro.trace.recorder import NULL_RECORDER, NullRecorder, TraceRecorder
 
@@ -30,7 +31,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "RunManifest",
-    "attach_gauge_sampler",
     "to_chrome",
     "to_jsonl_lines",
     "write_trace",

@@ -1,21 +1,23 @@
 """Trace recorders.
 
-The whole stack is instrumented against one two-method protocol:
+A recorder is a two-method sink:
 
-* ``enabled`` — class-level flag the hot paths branch on;
+* ``enabled`` — class-level flag;
 * ``emit(ts, kind, tid, core, args)`` — append one event.
 
-:class:`NullRecorder` is the default everywhere and makes tracing free
-when off: instrumented call sites read one attribute and skip the
-``emit`` call entirely (``if tr.enabled: tr.emit(...)``), so a disabled
-run pays a pointer load and a predictable branch per site — nothing
-else.  :class:`TraceRecorder` appends :class:`TraceEvent` tuples to an
-in-memory list; exporters (:mod:`repro.trace.export`) turn that list
-into Chrome trace-event JSON or JSONL after the run.
+Instrumented layers never call a recorder directly: the simulator's
+:class:`repro.obs.probe.Probe` maps each scheduling decision to its
+trace event, and every site is guarded by the probe's ``enabled`` flag,
+so a run with only null sinks pays a pointer load and a predictable
+branch per site — nothing else.  :class:`NullRecorder` is the default
+everywhere; its ``emit`` is a no-op for runs whose probe is on for
+another sink.  :class:`TraceRecorder` appends :class:`TraceEvent`
+tuples to an in-memory list; exporters (:mod:`repro.trace.export`) turn
+that list into Chrome trace-event JSON or JSONL after the run.
 
 Recorders are installed on the :class:`repro.sim.engine.Simulator`
 (``Simulator(trace=...)``) **before** machines and schedulers are
-constructed — they cache the reference once at init time.
+constructed — components cache the simulator's probe once.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class NullRecorder:
     __slots__ = ()
 
     enabled: bool = False
-    #: gauge sampling period (us) honoured when a sampler is attached.
-    gauge_interval: int = 10_000
 
     def emit(self, ts: int, kind: str, tid: int = -1, core: int = -1,
              args: Tuple = ()) -> None:  # pragma: no cover - never hot
@@ -54,7 +54,7 @@ class TraceRecorder(NullRecorder):
     """In-memory structured event recorder.
 
     ``gauge_interval`` (integer microseconds) sets how often the gauge
-    sampler (:mod:`repro.trace.gauges`) snapshots queue depths while a
+    sampler (:meth:`repro.obs.probe.Probe.attach_sampler`) snapshots queue depths while a
     run is live.
     """
 

@@ -22,7 +22,6 @@ from repro.why.audit import (
     DecisionRecord,
     NULL_AUDIT,
     NullAudit,
-    RunqueueAudit,
 )
 from repro.why.blame import (
     WHY_SCHEMA,
@@ -41,7 +40,6 @@ __all__ = [
     "NULL_AUDIT",
     "NullAudit",
     "RequestTimeline",
-    "RunqueueAudit",
     "Segment",
     "WHY_SCHEMA",
     "blame_diff",

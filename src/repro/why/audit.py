@@ -7,13 +7,14 @@ throttling, an SFS FILTER promotion or demotion, a fault kill — is one
 compact :class:`DecisionRecord` naming the actor that made it, the task
 it chose, and the task it displaced.
 
-The stream follows the exact zero-cost-when-off contract of
-:mod:`repro.trace.recorder` and the obs registry: the default is the
-shared :data:`NULL_AUDIT` whose ``enabled`` is False and whose
-``record`` is a no-op; instrumented components cache the log *and* its
-enabled flag at construction, so the disabled path is one attribute
-load and one predicted branch per decision site
-(``benchmarks/bench_why_overhead.py`` guards this).
+The log is the third sink behind the simulator's
+:class:`repro.obs.probe.Probe`, which maps each decision to its audit
+record alongside the trace event and instrument update; the default is
+the shared :data:`NULL_AUDIT` whose ``enabled`` is False and whose
+``record`` is a no-op.  Components guard each decision site with the
+probe's cached ``enabled`` flag, so a run with only null sinks pays one
+attribute load and one predicted branch per site
+(``benchmarks/bench_probe_overhead.py`` guards this).
 
 Install the log on the :class:`repro.sim.engine.Simulator` before
 machines are built — ``Simulator(audit=AuditLog())`` — exactly like a
@@ -132,22 +133,3 @@ class AuditLog(NullAudit):
         causal order of same-timestamp events."""
         return {(r.displaced, r.ts): r for r in self.records
                 if r.displaced >= 0}
-
-
-class RunqueueAudit:
-    """Per-runqueue decision hook, mirroring ``RunqueueObs``.
-
-    Runqueues are sim-agnostic data structures; the machine attaches
-    one of these (carrying the sim for timestamps and the actor name)
-    when auditing is enabled, exactly as it attaches the metrics hook.
-    """
-
-    __slots__ = ("log", "sim", "actor")
-
-    def __init__(self, log: NullAudit, sim, actor: str) -> None:
-        self.log = log
-        self.sim = sim
-        self.actor = actor
-
-    def on_pick(self, tid: int) -> None:
-        self.log.record(self.sim.now, OP_PICK, self.actor, chosen=tid)
