@@ -302,3 +302,52 @@ def test_tighten_never_changes_the_summary():
     b.aggregator.tighten()
     b.aggregator.tighten()
     assert StreamSummary.to_json(b.run()) == ref
+
+
+# ----------------------------------------------------------------------
+# differential: streaming replay == materialized run, request by request
+# ----------------------------------------------------------------------
+DIFF = StreamConfig(n_requests=300, n_cores=4, target_load=1.0,
+                    source="faasbench", io_fraction=0.3)
+
+
+def _stream_rows(driver, doc=None):
+    doc = doc if doc is not None else driver.run()
+    rows = sorted(driver.aggregator.recent, key=lambda r: r["req_id"])
+    assert len(rows) == doc["requests"] == DIFF.n_requests
+    return [(r["req_id"], r["dispatch"], r["finish"], r["cpu_time"],
+             r["status"]) for r in rows]
+
+
+def _materialized_rows(seed, scheduler, engine):
+    from repro.experiments.runner import RunConfig, run_workload
+
+    res = run_workload(
+        RequestStream(DIFF, seed=seed).materialize(),
+        RunConfig(scheduler=scheduler, engine=engine,
+                  machine=MachineParams(n_cores=DIFF.n_cores)))
+    return [(r.req_id, r.dispatch, r.finish, r.cpu_time,
+             "ok" if r.ok else "killed")
+            for r in sorted(res.records, key=lambda r: r.req_id)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("engine", ["fluid", "discrete"])
+@pytest.mark.parametrize("scheduler", ["cfs", "fifo", "rr", "sfs"])
+def test_stream_matches_materialized(scheduler, engine, seed):
+    d = _driver(seed=seed, scfg=DIFF, scheduler=scheduler, engine=engine,
+                recent=DIFF.n_requests)
+    assert _stream_rows(d) == _materialized_rows(seed, scheduler, engine)
+
+
+@pytest.mark.parametrize("engine", ["fluid", "discrete"])
+def test_resumed_stream_matches_materialized(tmp_path, engine):
+    store = CheckpointStore(str(tmp_path))
+    d = _driver(seed=2, scfg=DIFF, engine=engine, recent=DIFF.n_requests,
+                checkpointer=store, checkpoint_every=5 * SEC)
+    d.run(until=12 * SEC)  # checkpointed mid-run, arrivals still pending
+    assert not d.cursor.exhausted
+    del d
+    restored = store.load()
+    assert restored.resumed_from == 10 * SEC
+    assert _stream_rows(restored) == _materialized_rows(2, "sfs", engine)
