@@ -39,7 +39,8 @@ import numpy as np
 
 from repro.analysis.report import format_cdf_probes, format_table
 from repro.experiments.registry import REGISTRY
-from repro.experiments.runner import SCHEDULERS, RunConfig, run_workload
+from repro.experiments.runner import RunConfig, run_workload
+from repro.faas.driver import ENGINE_SCHEDULERS, SCHEDULERS
 from repro.machine.base import MachineParams
 from repro.metrics.stats import improvement_summary, percentile
 from repro.workload.faasbench import OPENLAMBDA_MIX, FaaSBench, FaaSBenchConfig
@@ -498,7 +499,7 @@ def cmd_why(args) -> int:
             return 2
         label = bundle.label
     else:
-        if args.scheduler in ("srtf", "ideal"):
+        if args.scheduler not in ENGINE_SCHEDULERS:
             # the oracle machines emit no task.* trace events, so there
             # is nothing to reconstruct a timeline from
             print("error: scheduler must be one of cfs/fifo/rr/sfs for "
@@ -940,8 +941,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "virtual time (in-flight work still drains)")
     p_rp.add_argument("--source", choices=("faasbench", "azure"),
                       default="faasbench")
-    p_rp.add_argument("--scheduler", choices=("cfs", "fifo", "rr", "sfs"),
-                      default="sfs")
+    p_rp.add_argument("--scheduler", choices=ENGINE_SCHEDULERS, default="sfs")
     p_rp.add_argument("--engine", choices=("fluid", "discrete"),
                       default="fluid")
     p_rp.add_argument("--cores", type=int, default=12)

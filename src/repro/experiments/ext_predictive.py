@@ -19,20 +19,16 @@ functions jump the queue); both user-space schedulers crush CFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
-
-import numpy as np
+from functools import partial
+from typing import Dict
 
 from repro.analysis.report import format_cdf_probes
-from repro.core.config import SFSConfig
 from repro.core.predictive import PredictiveSFS
-from repro.core.sfs import SFS
+from repro.core.predictor import DurationPredictor
 from repro.experiments.common import azure_sampled_workload, machine
 from repro.experiments.runner import RunConfig, run_workload
-from repro.machine.fluid import FluidMachine
-from repro.metrics.collector import RunResult, build_records
-from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy
+from repro.faas.driver import run_host
+from repro.metrics.collector import RunResult
 
 
 @dataclass(frozen=True)
@@ -54,46 +50,22 @@ class Result:
     config: Config
 
 
-def _run_layer(workload, config: Config, layer_cls) -> Tuple[RunResult, int]:
-    """Drive a custom user-space scheduler class over the fluid machine."""
-    sim = Simulator()
-    m = FluidMachine(sim, machine(config.n_cores))
-    layer = layer_cls(m, SFSConfig())
-    pairs = []
-
-    def dispatch(spec):
-        task = spec.make_task(policy=SchedPolicy.CFS)
-        pairs.append((spec, task))
-        m.spawn(task)
-        sim.schedule(config.notify_latency, layer.submit, task, spec.arrival)
-
-    for spec in workload:
-        sim.schedule_at(spec.arrival, dispatch, spec)
-    sim.run()
-    result = RunResult(
-        scheduler=layer_cls.__name__.lower(),
-        engine="fluid",
-        records=build_records(pairs),
-        sim_time=sim.now,
-        busy_time=m.busy_time,
-        n_cores=m.n_cores,
-        sfs_stats=layer.stats,
-    )
-    known = layer.predictor.known_apps() if hasattr(layer, "predictor") else 0
-    return result, known
-
-
 def run(config: Config, seed: int = 0) -> Result:
     wl = azure_sampled_workload(
         config.n_requests, config.n_cores, config.load, seed
     )
-    base = RunConfig(engine="fluid", machine=machine(config.n_cores))
+    base = RunConfig(engine="fluid", machine=machine(config.n_cores),
+                     notify_latency=config.notify_latency)
     runs: Dict[str, RunResult] = {}
     runs["cfs"] = run_workload(wl, base)
     runs["srtf"] = run_workload(wl, base.with_scheduler("srtf"))
-    runs["sfs"], _ = _run_layer(wl, config, SFS)
-    runs["predictive"], known = _run_layer(wl, config, PredictiveSFS)
-    return Result(runs=runs, predictor_apps=known, config=config)
+    runs["sfs"] = run_workload(wl, base.with_scheduler("sfs"))
+    predictor = DurationPredictor()
+    runs["predictive"] = run_host(
+        wl, base.with_scheduler("sfs"),
+        layer=partial(PredictiveSFS, predictor=predictor))
+    return Result(runs=runs, predictor_apps=predictor.known_apps(),
+                  config=config)
 
 
 def gap_closed(result: Result) -> float:

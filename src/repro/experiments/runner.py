@@ -5,44 +5,27 @@ The same :class:`repro.workload.spec.Workload` can be executed under
 the user-space SFS layer), ``srtf`` (the clairvoyant oracle) or
 ``ideal`` (infinite resources), on either machine engine.  Per-request
 results come back as a :class:`repro.metrics.collector.RunResult`.
+The run itself goes through the shared driver core,
+:mod:`repro.faas.driver`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.config import SFSConfig
-from repro.core.sfs import SFS
+from repro.faas.driver import ENGINES, SCHEDULERS, run_host
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import AdmissionControl, RetryPolicy
-from repro.faults.runtime import FaultRuntime
-from repro.invariants.checker import resolve_checker
+from repro.faults.runtime import FaultHandling
 from repro.machine.base import MachineParams
-from repro.machine.discrete import DiscreteMachine
-from repro.machine.fluid import FluidMachine
-from repro.metrics.collector import RunResult, build_records
-from repro.sched.ideal import IdealMachine
-from repro.sched.srtf import SRTFMachine
-from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy, Task
-from repro.trace import RunManifest
-from repro.workload.spec import RequestSpec, Workload
-
-SCHEDULERS = ("cfs", "fifo", "rr", "sfs", "srtf", "ideal")
-ENGINES = {"fluid": FluidMachine, "discrete": DiscreteMachine}
-
-_POLICY_FOR = {
-    "cfs": SchedPolicy.CFS,
-    "fifo": SchedPolicy.FIFO,
-    "rr": SchedPolicy.RR,
-    "sfs": SchedPolicy.CFS,  # functions start in CFS; SFS promotes them
-}
+from repro.metrics.collector import RunResult
+from repro.workload.spec import Workload
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(FaultHandling):
     """How to execute a workload."""
 
     scheduler: str = "cfs"
@@ -82,27 +65,8 @@ class RunConfig:
         if self.max_events is not None and self.max_events <= 0:
             raise ValueError("max_events must be positive")
 
-    @property
-    def fault_handling(self) -> bool:
-        """Does this run need a fault governor at all?  False keeps the
-        dispatch loop on the exact pre-fault code path."""
-        return (
-            self.faults is not None
-            or self.retry is not None
-            or self.admission is not None
-            or self.timeout is not None
-        )
-
     def with_scheduler(self, scheduler: str) -> "RunConfig":
         return replace(self, scheduler=scheduler)
-
-
-def _make_machine(sim: Simulator, cfg: RunConfig):
-    if cfg.scheduler == "srtf":
-        return SRTFMachine(sim, cfg.machine)
-    if cfg.scheduler == "ideal":
-        return IdealMachine(sim, cfg.machine)
-    return ENGINES[cfg.engine](sim, cfg.machine)
 
 
 def run_workload(
@@ -121,132 +85,7 @@ def run_workload(
     costs one predicted branch when all three are null.  The probe is
     read-only, so records are identical either way.
     """
-    wall_start = time.perf_counter()
-    label = f"scheduler={cfg.scheduler} engine={cfg.engine}"
-    checker = resolve_checker(
-        cfg.invariants, seed=workload.meta.get("seed"), label=label,
-    )
-    sim = Simulator(trace=trace, invariants=checker, metrics=metrics,
-                    label=label, audit=audit)
-    if cfg.faults is not None:
-        # a straggler entry for host 0 degrades this (single) machine
-        speed = cfg.faults.straggler_speed(0)
-        if speed != 1.0:
-            cfg = replace(cfg, machine=replace(cfg.machine, speed=speed))
-    machine = _make_machine(sim, cfg)
-    sfs: Optional[SFS] = None
-    if cfg.scheduler == "sfs":
-        sfs = SFS(machine, cfg.sfs)
-    probe = sim.probe
-    probe.attach_sampler(machine, sfs)
-
-    governor: Optional[FaultRuntime] = None
-    if cfg.fault_handling:
-        governor = FaultRuntime(
-            sim, plan=cfg.faults, retry=cfg.retry,
-            admission=cfg.admission, timeout=cfg.timeout,
-        )
-
-    policy = _POLICY_FOR.get(cfg.scheduler, SchedPolicy.CFS)
-    pairs: List[Tuple[RequestSpec, Task]] = []
-    spec_of: Dict[int, RequestSpec] = {}
-    outstanding = [0]  # dispatched-but-unfinished requests (admission)
-
-    def dispatch(spec: RequestSpec) -> None:
-        task = spec.make_task(policy=policy)
-        pairs.append((spec, task))
-        if probe.enabled:
-            probe.task_spawn(task, spec)
-        if governor is not None:
-            spec_of[task.tid] = spec
-        machine.spawn(task)
-        if governor is not None:
-            governor.arm(spec, task, machine)
-        if sfs is not None:
-            if cfg.notify_latency > 0:
-                sim.schedule(cfg.notify_latency, sfs.submit, task, spec.arrival)
-            else:
-                sfs.submit(task, spec.arrival)
-
-    # --- fault-handling wrappers (dead code on the nominal path) ------
-    def arrive(spec: RequestSpec) -> None:
-        if not governor.admit(spec, outstanding[0]):
-            return
-        outstanding[0] += 1
-        ingress(spec)
-
-    def ingress(spec: RequestSpec) -> None:
-        if governor.expired(spec):  # deadline passed while backing off
-            outstanding[0] -= 1
-            governor.mark_timeout(spec)
-            return
-        governor.begin(spec)
-        if governor.coldstart_faulted(spec):  # spawn/provisioning failure
-            outstanding[0] -= 1
-            delay = governor.fail_attempt(spec)
-            if delay is not None:
-                sim.schedule(delay, retry_entry, spec)
-            return
-        dispatch(spec)
-
-    def retry_entry(spec: RequestSpec) -> None:
-        outstanding[0] += 1
-        ingress(spec)
-
-    def on_finish(task: Task) -> None:
-        spec = spec_of.pop(task.tid)
-        delay = governor.on_task_end(spec, task)
-        outstanding[0] -= 1
-        if delay is not None:
-            sim.schedule(delay, retry_entry, spec)
-
-    if governor is not None:
-        machine.on_finish(on_finish)
-
-    entry = dispatch if governor is None else arrive
-    for spec in workload:
-        sim.schedule_at(spec.arrival, entry, spec)
-    sim.run(max_events=cfg.max_events)
-
-    unfinished = [s.req_id for s, t in pairs if not t.finished]
-    if unfinished:
-        raise RuntimeError(
-            f"{len(unfinished)} requests never finished under "
-            f"{cfg.scheduler}/{cfg.engine} (first: {unfinished[:5]})"
-        )
-
-    manifest = RunManifest.build(
-        run_config=cfg,
-        workload=workload,
-        sim=sim,
-        n_cores=machine.n_cores,
-        wall_time_s=time.perf_counter() - wall_start,
-        trace=trace,
-    )
-    meta = dict(workload.meta)
-    if governor is not None:
-        meta["fault_stats"] = governor.stats.as_dict()
-    records = build_records(pairs, faults=governor)
-    if checker.enabled:
-        checker.check_accounting(
-            workload, records,
-            governor.stats.as_dict() if governor is not None else None,
-        )
-        meta["invariant_checks"] = checker.summary()
-    return RunResult(
-        scheduler=cfg.scheduler,
-        engine=cfg.engine,
-        records=records,
-        sim_time=sim.now,
-        busy_time=machine.busy_time,
-        n_cores=machine.n_cores,
-        sfs_stats=sfs.stats if sfs else None,
-        slice_timeline=list(sfs.monitor.timeline) if sfs else None,
-        queue_delay_samples=sfs.delay_samples() if sfs else None,
-        overhead=sfs.overhead if sfs else None,
-        meta=meta,
-        manifest=manifest,
-    )
+    return run_host(workload, cfg, trace=trace, metrics=metrics, audit=audit)
 
 
 def _pool_run_workload(payload) -> RunResult:

@@ -23,14 +23,14 @@ part of our future work."  This module builds that investigation:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.predictor import DurationPredictor
+from repro.faas.driver import Driver
 from repro.faas.openlambda import OpenLambdaConfig, OpenLambdaPlatform
 from repro.faas.resilience import ResilienceConfig, ResilienceRuntime
 from repro.faults.runtime import FaultRuntime
-from repro.invariants.checker import resolve_checker
-from repro.metrics.collector import RunResult, build_records
+from repro.metrics.collector import RunResult
 from repro.sim.engine import Simulator
 from repro.sim.task import Task
 from repro.sim.units import MS
@@ -100,14 +100,8 @@ class FaaSCluster:
         #: routing must go back through placement, not pin to a host.
         #: A resilience policy forces a governor even with a null fault
         #: config — hedging alone needs attempt accounting.
-        self.faults: Optional[FaultRuntime] = (
-            FaultRuntime(
-                sim, plan=plan, retry=config.host.retry,
-                admission=config.host.admission, timeout=config.host.timeout,
-            )
-            if config.host.fault_handling or config.resilience is not None
-            else None
-        )
+        self.faults: Optional[FaultRuntime] = config.host.governor(
+            sim, force=config.resilience is not None)
         self.hosts: List[OpenLambdaPlatform] = []
         for i in range(config.n_hosts):
             host_cfg = replace(config.host, seed=config.host.seed + i)
@@ -244,14 +238,6 @@ class FaaSCluster:
         if self.hosts[idx].outstanding == 0:
             self._work[idx] = 0.0  # drained: flush estimator residue
 
-    # ------------------------------------------------------------------
-    @property
-    def pairs(self):
-        out = []
-        for host in self.hosts:
-            out.extend(host.pairs)
-        return out
-
 
 def run_cluster(workload: Workload, config: ClusterConfig,
                 trace=None, metrics=None, invariants=None) -> RunResult:
@@ -263,22 +249,14 @@ def run_cluster(workload: Workload, config: ClusterConfig,
     a recorder / registry on the shared simulator; per-host gauges
     (outstanding, keep-alive occupancy) are labelled by host index.
     """
-    checker = resolve_checker(
-        invariants, seed=workload.meta.get("seed"),
-        label=f"cluster[{config.placement}] scheduler={config.host.scheduler}",
-    )
-    sim = Simulator(trace=trace, invariants=checker, metrics=metrics)
+    driver = Driver(
+        f"cluster[{config.placement}] scheduler={config.host.scheduler}",
+        workload.meta.get("seed"), invariants, trace, metrics)
+    sim = driver.sim
     cluster = FaaSCluster(sim, config)
     sim.probe.attach_sampler(*cluster.hosts, cluster.resilience)
-    for spec in workload:
-        sim.schedule_at(spec.arrival, cluster.dispatch, spec)
-    sim.run()
-    pairs = cluster.pairs
-    unfinished = [s.req_id for s, t in pairs if not t.finished]
-    if unfinished:
-        raise RuntimeError(f"{len(unfinished)} cluster requests never finished")
-    total_busy = sum(h.machine.busy_time for h in cluster.hosts)
-    total_cores = sum(h.machine.n_cores for h in cluster.hosts)
+    driver.feed(workload, cluster.dispatch)
+    driver.drain(cluster.hosts, "cluster requests")
     meta = {
         "placement": config.placement,
         "n_hosts": config.n_hosts,
@@ -289,21 +267,7 @@ def run_cluster(workload: Workload, config: ClusterConfig,
         meta["host_speeds"] = list(config.host_speeds)
     if config.resilience is not None:
         meta["resilience"] = config.resilience.to_json()
-    if cluster.faults is not None:
-        meta["fault_stats"] = cluster.faults.stats.as_dict()
-    records = build_records(pairs, faults=cluster.faults)
-    if checker.enabled:
-        checker.check_accounting(
-            workload, records,
-            cluster.faults.stats.as_dict() if cluster.faults is not None else None,
-        )
-        meta["invariant_checks"] = checker.summary()
-    return RunResult(
-        scheduler=f"cluster[{config.placement}]+{config.host.scheduler}",
-        engine=config.host.engine,
-        records=records,
-        sim_time=sim.now,
-        busy_time=total_busy,
-        n_cores=total_cores,
-        meta=meta,
-    )
+    return driver.result(
+        workload, cluster.hosts, cluster.faults, meta,
+        f"cluster[{config.placement}]+{config.host.scheduler}",
+        config.host.engine)

@@ -3,36 +3,34 @@
 The invocation path: client → HTTP gateway → OpenLambda worker →
 sandbox server → (warm container) → OS dispatch.  When SFS is ported,
 the sandbox server additionally sends SFS a UDP message with the
-function process' PID and invocation timestamp (§VI).
+function process' PID and invocation timestamp (§VI).  The platform is
+a :class:`repro.faas.driver.Host` whose front-end stages are those
+hops; the spawn, notify and finish step is the host's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Optional
 
 from repro.core.config import SFSConfig
-from repro.core.sfs import SFS
 from repro.faas.coldstart import ColdStartConfig, KeepAliveCache
+from repro.faas.driver import ENGINES, Driver, Host
 from repro.faas.overheads import OverheadModel
 from repro.faas.sandbox import ContainerPool
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import AdmissionControl, RetryPolicy
-from repro.faults.runtime import FaultRuntime
-from repro.invariants.checker import resolve_checker
-from repro.machine.base import MachineBase, MachineParams
-from repro.machine.discrete import DiscreteMachine
-from repro.machine.fluid import FluidMachine
-from repro.metrics.collector import RunResult, build_records
+from repro.faults.runtime import FaultHandling, FaultRuntime
+from repro.machine.base import MachineParams
+from repro.metrics.collector import RunResult
 from repro.sim.engine import Simulator
-from repro.sim.rng import SeedLike, make_rng
-from repro.sim.task import SchedPolicy, Task
+from repro.sim.rng import make_rng
 from repro.trace import events as tev
 from repro.workload.spec import RequestSpec, Workload
 
 
 @dataclass(frozen=True)
-class OpenLambdaConfig:
+class OpenLambdaConfig(FaultHandling):
     """Platform deployment parameters (§IX uses 72 cores)."""
 
     machine: MachineParams = field(default_factory=lambda: MachineParams(n_cores=72))
@@ -59,49 +57,28 @@ class OpenLambdaConfig:
     def __post_init__(self) -> None:
         if self.scheduler not in ("cfs", "sfs"):
             raise ValueError("OpenLambda runs use 'cfs' or 'sfs'")
-        if self.engine not in ("fluid", "discrete"):
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.timeout is not None and self.timeout <= 0:
             raise ValueError("timeout must be positive (us)")
-
-    @property
-    def fault_handling(self) -> bool:
-        """Does this deployment need a fault governor at all?
-
-        False keeps the platform on the exact pre-fault code path — a
-        nominal run is bit-identical to one built without repro.faults.
-        """
-        return (
-            self.faults is not None
-            or self.retry is not None
-            or self.admission is not None
-            or self.timeout is not None
-        )
 
     def with_scheduler(self, scheduler: str) -> "OpenLambdaConfig":
         return replace(self, scheduler=scheduler)
 
 
-class OpenLambdaPlatform:
+class OpenLambdaPlatform(Host):
     """Simulated OpenLambda deployment on one big host.
 
     ``faults`` is the run's :class:`~repro.faults.runtime.FaultRuntime`
     governor; a cluster passes one shared governor to every host, a
-    standalone run lets the platform build its own.  When it is None
-    (no fault configuration) every boundary check below short-circuits
-    on a single attribute load, so nominal runs take the exact pre-fault
-    code path.
+    standalone run lets the platform build its own.
     """
 
     def __init__(self, sim: Simulator, config: OpenLambdaConfig,
                  faults: Optional[FaultRuntime] = None):
-        self.sim = sim
+        super().__init__(sim, config.scheduler, config.engine, config.machine,
+                         config.sfs)
         self.config = config
-        engine_cls = FluidMachine if config.engine == "fluid" else DiscreteMachine
-        self.machine: MachineBase = engine_cls(sim, config.machine)
-        self.sfs: Optional[SFS] = (
-            SFS(self.machine, config.sfs) if config.scheduler == "sfs" else None
-        )
         self.pool = ContainerPool(config.container_capacity)
         self.rng = make_rng(config.seed)
         self.coldstart: Optional[KeepAliveCache] = (
@@ -109,26 +86,9 @@ class OpenLambdaPlatform:
             if config.coldstart is not None
             else None
         )
-        if faults is None and config.fault_handling:
-            faults = FaultRuntime(
-                sim, plan=config.faults, retry=config.retry,
-                admission=config.admission, timeout=config.timeout,
-            )
-        self.faults = faults
+        self.faults = faults if faults is not None else config.governor(sim)
         #: host failure injected: drop everything until recovery
         self.down = False
-        self.pairs: List[Tuple[RequestSpec, Task]] = []
-        self.machine.on_finish(self._on_finish)
-        self._app_of: Dict[int, str] = {}
-        self._fn_of: Dict[int, str] = {}
-        self._spec_of: Dict[int, RequestSpec] = {}
-        self._live: Dict[int, Task] = {}
-        #: requests accepted but not yet finished (global-scheduler load)
-        self.outstanding: int = 0
-        #: cluster slot for gauge labelling (-1 = standalone host)
-        self.host_index: int = -1
-        self._probe = sim.probe
-        self._probe_on = self._probe.enabled
         self._probe.register("platform")
 
     # ------------------------------------------------------------------
@@ -136,58 +96,25 @@ class OpenLambdaPlatform:
     # ------------------------------------------------------------------
     def invoke(self, spec: RequestSpec) -> None:
         """Client HTTP request arrives at the gateway (step 1)."""
-        if self.faults is not None and not self.faults.admit(spec, self.outstanding):
-            return  # load shed: 429 before any work happens
-        self.outstanding += 1
-        if self._probe_on:
+        if self.arrive(spec) and self._probe_on:
             self._probe.invoke()
-        self._ingress(spec)
 
-    def _ingress(self, spec: RequestSpec) -> None:
-        """One attempt (fresh or retry) enters the gateway pipeline."""
-        if self.faults is not None:
-            if self.faults.expired(spec):  # deadline passed while backing off
-                self.outstanding -= 1
-                self.faults.mark_timeout(spec)
-                return
-            self.faults.begin(spec)
+    def _stages(self, spec: RequestSpec) -> None:
+        """The attempt crosses the gateway and the OL worker."""
         ov = self.config.overheads
         delay = ov.gateway.sample(self.rng) + ov.ol_worker.sample(self.rng)
         self.sim.schedule(delay, self._at_sandbox_server, spec)
 
-    def retry_entry(self, spec: RequestSpec) -> None:
-        """A retry lands on this host (possibly routed from another)."""
-        self.outstanding += 1
-        self._ingress(spec)
-
     def _at_sandbox_server(self, spec: RequestSpec) -> None:
         """OL worker forwarded the request; acquire a warm container."""
-        if self.faults is not None:
-            if self.faults.settled(spec.req_id):
-                self.outstanding -= 1  # hedge sibling already answered
-                return
-            if self.down:
-                self._fail_before_spawn(spec, reason="host")
-                return
-        self.pool.acquire(spec.app or spec.name, lambda: self._dispatch(spec))
+        if not self._dropped(spec, slot=False):
+            self.pool.acquire(spec.app or spec.name,
+                              lambda: self._dispatch(spec))
 
     def _dispatch(self, spec: RequestSpec) -> None:
         """Sandbox server starts the function process in the container."""
-        if self.faults is not None:
-            if self.faults.settled(spec.req_id):
-                self.pool.release(spec.app or spec.name)
-                self.outstanding -= 1
-                return
-            if self.down:
-                self.pool.release(spec.app or spec.name)
-                self._fail_before_spawn(spec, reason="host")
-                return
-            if self.faults.coldstart_faulted(spec):
-                # container provisioning failed: the slot is freed, the
-                # attempt dies before a process ever exists
-                self.pool.release(spec.app or spec.name)
-                self._fail_before_spawn(spec)
-                return
+        if self._dropped(spec) or self._provision_failed(spec):
+            return
         ov = self.config.overheads
         delay = ov.sandbox_server.sample(self.rng)
         if self.coldstart is not None:
@@ -199,80 +126,44 @@ class OpenLambdaPlatform:
         self.sim.schedule(delay, self._spawn, spec)
 
     def _spawn(self, spec: RequestSpec) -> None:
-        if self.faults is not None:
-            if self.faults.settled(spec.req_id):
-                self.pool.release(spec.app or spec.name)
-                if self.coldstart is not None:
-                    self.coldstart.release(spec.name or spec.app)
-                self.outstanding -= 1
-                return
-            if self.down:
-                self.pool.release(spec.app or spec.name)
-                self._fail_before_spawn(spec, reason="host")
-                return
-        task = spec.make_task(policy=SchedPolicy.CFS)
-        self.pairs.append((spec, task))
-        if self._probe_on:
-            # same lifecycle mark the bare-machine runner emits, so
-            # repro.why can reconstruct platform runs too
-            self._probe.task_spawn(task, spec)
-        self._app_of[task.tid] = spec.app or spec.name
-        self._fn_of[task.tid] = spec.name or spec.app
-        if self.faults is not None:
-            self._spec_of[task.tid] = spec
-            self._live[task.tid] = task
-        self.machine.spawn(task)
-        if self.faults is not None:
-            self.faults.arm(spec, task, self.machine)
-            self.faults.note_spawn(spec, task, self.host_index)
-        if self.sfs is not None:
-            # UDP message (pid, invocation timestamp) to the SFS queue
-            notify = self.config.overheads.udp_notify.sample(self.rng)
-            self.sim.schedule(notify, self.sfs.submit, task, spec.arrival)
+        if not self._dropped(spec, container=True):
+            super()._spawn(spec)
 
-    def _on_finish(self, task: Task) -> None:
-        app = self._app_of.pop(task.tid, None)
-        if app is not None:
-            self.pool.release(app)
-        fn = self._fn_of.pop(task.tid, None)
-        if fn is not None and self.coldstart is not None and not task.killed:
-            # a killed sandbox is destroyed, not returned to the cache
-            self.coldstart.release(fn)
-        if self.faults is None:
-            self.outstanding -= 1
-            return
-        self._live.pop(task.tid, None)
-        spec = self._spec_of.pop(task.tid)
-        delay = self.faults.on_task_end(spec, task)
-        self.outstanding -= 1  # this host's involvement in the attempt ends
-        if delay is not None:
-            self.sim.schedule(delay, self._route_retry, spec)
+    def _notify_delay(self) -> int:
+        # UDP message (pid, invocation timestamp) to the SFS queue
+        return self.config.overheads.udp_notify.sample(self.rng)
+
+    def _free(self, spec: RequestSpec, slot: bool = True,
+              container: bool = False) -> None:
+        if slot:
+            self.pool.release(spec.app or spec.name)
+        if container and self.coldstart is not None:
+            self.coldstart.release(spec.name or spec.app)
 
     # ------------------------------------------------------------------
     # failure paths
     # ------------------------------------------------------------------
-    def _fail_before_spawn(self, spec: RequestSpec,
-                           reason: str = "crash") -> None:
-        """The attempt died before a process existed (provisioning
-        failure or the host went down mid-pipeline)."""
-        self.outstanding -= 1
-        delay = self.faults.fail_attempt(spec, reason=reason,
-                                         host=self.host_index)
-        if delay is not None:
-            self.sim.schedule(delay, self._route_retry, spec)
-
-    def _route_retry(self, spec: RequestSpec) -> None:
-        """Backoff elapsed: re-dispatch, through the cluster if any."""
-        router = self.faults.retry_router
-        if router is not None:
-            router(spec)
-        else:
-            self.retry_entry(spec)
+    def _dropped(self, spec: RequestSpec, slot: bool = True,
+                 container: bool = False) -> bool:
+        """Does the attempt end at this stage boundary?  A settled
+        request (a hedge sibling answered) returns what it holds; on a
+        down host the attempt fails and its container dies with it."""
+        if self.faults is None:
+            return False
+        if self.faults.settled(spec.req_id):
+            self._free(spec, slot, container)
+            self.outstanding -= 1
+            return True
+        if self.down:
+            self._free(spec, slot)
+            self._fail_before_spawn(spec, reason="host")
+            return True
+        return False
 
     def fail_host(self) -> None:
         """Host failure: kill all in-flight work, reject the pipeline."""
         self.down = True
-        for task in list(self._live.values()):
+        for _spec, task in list(self._inflight.values()):
             self.machine.kill(task, "host")
 
     def recover_host(self) -> None:
@@ -304,46 +195,18 @@ def run_openlambda(workload: Workload, config: OpenLambdaConfig,
     afterwards.  ``trace`` / ``metrics`` install a recorder / registry
     on the simulator (defaults stay the zero-overhead nulls).
     """
-    checker = resolve_checker(
-        None, seed=workload.meta.get("seed"),
-        label=f"openlambda scheduler={config.scheduler} engine={config.engine}",
-    )
-    sim = Simulator(trace=trace, invariants=checker, metrics=metrics)
+    driver = Driver(
+        f"openlambda scheduler={config.scheduler} engine={config.engine}",
+        workload.meta.get("seed"), None, trace, metrics)
+    sim = driver.sim
     platform = OpenLambdaPlatform(sim, config)
     sim.probe.attach_sampler(platform.machine, platform.sfs, platform)
-    for spec in workload:
-        sim.schedule_at(spec.arrival, platform.invoke, spec)
-    sim.run()
-    unfinished = [s.req_id for s, t in platform.pairs if not t.finished]
-    if unfinished:
-        raise RuntimeError(
-            f"{len(unfinished)} OpenLambda requests never finished "
-            f"(first: {unfinished[:5]})"
-        )
-    sfs = platform.sfs
+    driver.feed(workload, platform.invoke)
+    driver.drain([platform], "OpenLambda requests")
     meta = dict(workload.meta)
     meta["events_executed"] = sim.events_executed
     if platform.coldstart is not None:
         meta["coldstart_stats"] = platform.coldstart.stats
-    if platform.faults is not None:
-        meta["fault_stats"] = platform.faults.stats.as_dict()
-    records = build_records(platform.pairs, faults=platform.faults)
-    if checker.enabled:
-        checker.check_accounting(
-            workload, records,
-            platform.faults.stats.as_dict() if platform.faults is not None else None,
-        )
-        meta["invariant_checks"] = checker.summary()
-    return RunResult(
-        scheduler=f"openlambda+{config.scheduler}",
-        engine=config.engine,
-        records=records,
-        sim_time=sim.now,
-        busy_time=platform.machine.busy_time,
-        n_cores=platform.machine.n_cores,
-        sfs_stats=sfs.stats if sfs else None,
-        slice_timeline=list(sfs.monitor.timeline) if sfs else None,
-        queue_delay_samples=sfs.delay_samples() if sfs else None,
-        overhead=sfs.overhead if sfs else None,
-        meta=meta,
-    )
+    return driver.result(workload, [platform], platform.faults, meta,
+                         f"openlambda+{config.scheduler}", config.engine,
+                         platform.sfs)

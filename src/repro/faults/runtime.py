@@ -66,6 +66,32 @@ class _Outcome:
     end_ts: int
 
 
+class FaultHandling:
+    """Mixin for run configurations with ``faults``, ``retry``,
+    ``admission`` and ``timeout`` fields."""
+
+    @property
+    def fault_handling(self) -> bool:
+        """Does this run need a fault governor at all?  False keeps the
+        run on the exact pre-fault code path: a nominal run is
+        bit-identical to one built without :mod:`repro.faults`."""
+        return (
+            self.faults is not None
+            or self.retry is not None
+            or self.admission is not None
+            or self.timeout is not None
+        )
+
+    def governor(self, sim: Simulator,
+                 force: bool = False) -> Optional["FaultRuntime"]:
+        """The run's fault governor, or None when it needs none
+        (``force`` builds one anyway)."""
+        if not (force or self.fault_handling):
+            return None
+        return FaultRuntime(sim, plan=self.faults, retry=self.retry,
+                            admission=self.admission, timeout=self.timeout)
+
+
 class FaultRuntime:
     """Shared per-run fault governor (see module docstring)."""
 

@@ -155,6 +155,26 @@ class Simulator:
         heapq.heappush(self._heap, (handle.time, handle.seq, handle))
         return handle
 
+    def reserve(self, n: int) -> int:
+        """Reserve the next ``n`` tie-break ranks and return the first.
+
+        An event later scheduled with :meth:`schedule_ranked` at one of
+        them fires, among events at its timestamp, exactly where it
+        would have had it been scheduled at reservation time."""
+        first = self._seq + 1
+        self._seq += n
+        return first
+
+    def schedule_ranked(self, rank: int, time: int,
+                        callback: Callable[..., Any],
+                        *args: Any) -> EventHandle:
+        """:meth:`schedule_at` with a rank from :meth:`reserve`."""
+        seq, self._seq = self._seq, rank - 1
+        try:
+            return self.schedule_at(time, callback, *args)
+        finally:
+            self._seq = seq
+
     def schedule(self, delay: int, callback: Callable[..., Any], *args: Any,
                  daemon: bool = False) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""

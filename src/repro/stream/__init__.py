@@ -14,11 +14,7 @@ from repro.stream.checkpoint import (
     CheckpointError,
     CheckpointStore,
 )
-from repro.stream.driver import (
-    REPLAY_SCHEDULERS,
-    ReplayConfig,
-    StreamReplayDriver,
-)
+from repro.stream.driver import ReplayConfig, StreamReplayDriver
 from repro.stream.watchdog import (
     MemoryBudgetExceeded,
     MemoryWatchdog,
@@ -31,7 +27,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA",
     "CheckpointError",
     "CheckpointStore",
-    "REPLAY_SCHEDULERS",
     "ReplayConfig",
     "StreamReplayDriver",
     "MemoryBudgetExceeded",

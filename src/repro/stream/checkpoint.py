@@ -38,7 +38,9 @@ from repro.experiments.artifacts import (
     config_digest,
 )
 
-CHECKPOINT_SCHEMA = "repro.stream/1"
+#: bumped whenever the pickled driver graph changes shape: a checkpoint
+#: of another schema cannot be resumed by this code
+CHECKPOINT_SCHEMA = "repro.stream/2"
 
 #: pinned pickle protocol: checkpoints written by one interpreter
 #: version stay readable by the next (protocol 4 is universal on 3.4+)
@@ -110,14 +112,17 @@ class CheckpointStore:
         return manifest
 
     # ------------------------------------------------------------------
-    def manifest(self) -> Optional[Dict[str, Any]]:
-        """The manifest of the stored checkpoint, or None."""
+    def _read_manifest(self) -> Optional[Dict[str, Any]]:
         try:
             with open(self.manifest_path) as fh:
-                doc = json.load(fh)
+                return json.load(fh)
         except (OSError, ValueError):
             return None
-        return doc if doc.get("schema") == CHECKPOINT_SCHEMA else None
+
+    def manifest(self) -> Optional[Dict[str, Any]]:
+        """The manifest of the stored checkpoint, or None."""
+        doc = self._read_manifest()
+        return doc if doc and doc.get("schema") == CHECKPOINT_SCHEMA else None
 
     def has_checkpoint(self) -> bool:
         return self.manifest() is not None
@@ -130,11 +135,17 @@ class CheckpointStore:
         guards against resuming a checkpoint into a different replay:
         scheduler, engine, seed or horizon mismatches fail loudly.
         """
-        manifest = self.manifest()
+        manifest = self._read_manifest()
         if manifest is None:
             raise CheckpointError(
                 f"no checkpoint found in {self.root} "
                 f"(expected {self.manifest_path})")
+        if manifest.get("schema") != CHECKPOINT_SCHEMA:
+            raise CheckpointError(
+                f"checkpoint in {self.root} has schema "
+                f"{manifest.get('schema')!r}; this version resumes only "
+                f"{CHECKPOINT_SCHEMA!r} (delete {self.root} to restart "
+                f"from scratch)")
         try:
             with open(self.checkpoint_path, "rb") as fh:
                 blob = fh.read()

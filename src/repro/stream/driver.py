@@ -1,19 +1,14 @@
 """Streaming replay driver: crash-proof, constant-memory execution.
 
-:func:`repro.experiments.runner.run_workload` schedules every arrival
-up front through local closures and retains every (spec, task) pair —
-both fatal for long horizons: closures cannot be pickled into a
-checkpoint, and O(n) retention is exactly what streaming must remove.
-This driver is the long-horizon counterpart:
+A streaming replay runs the shared driver core
+(:mod:`repro.faas.driver`): a bare :class:`~repro.faas.driver.Host`
+fed by the core's prefetch-one arrival source from a picklable
+:class:`~repro.workload.stream.StreamCursor`, so the event heap holds
+at most one future arrival and its size tracks in-flight work, not
+trace length.  This front end adds what a long horizon needs:
 
-* **prefetch-one arrivals** — the event heap holds at most one future
-  arrival; each arrival event dispatches its request and fetches the
-  next from the (picklable) workload cursor, so heap size tracks
-  in-flight work, not trace length;
-* **class-based event handlers** — every callback living in the event
-  heap is a bound method of a picklable object, making the whole live
-  graph serializable mid-run (see :mod:`repro.stream.checkpoint`);
-* **streaming aggregation** — finished requests fold into a
+* **streaming aggregation** — the driver is the host's result sink:
+  finished requests fold into a
   :class:`repro.stream.aggregate.StreamSummary` and are dropped;
 * **bounded SFS diagnostics** — the unbounded sample lists the
   materialized path keeps for Fig 10/12 (queue delay samples, slice
@@ -22,7 +17,9 @@ This driver is the long-horizon counterpart:
 * **checkpoint ticks** — a self-rescheduling virtual-time event writes
   a checkpoint every ``checkpoint_every`` us and runs the memory
   watchdog; the *next* tick is scheduled before pickling so a restored
-  heap is already armed.
+  heap is already armed.  Every callback in the heap is a bound method
+  of a picklable object, so the whole live graph serializes mid-run
+  (see :mod:`repro.stream.checkpoint`).
 
 Instrumentation is deliberately the zero-overhead NULL stack (trace,
 invariants, metrics off): those layers cache closures and wall-clock
@@ -39,24 +36,13 @@ from typing import Dict, Optional
 from repro.core.config import SFSConfig
 from repro.core.overhead import OverheadMeter
 from repro.core.sfs import SFS
+from repro.faas.driver import ENGINE_SCHEDULERS, ENGINES, Driver, Host
 from repro.machine.base import MachineParams
-from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy, Task
+from repro.sim.task import Task
 from repro.sim.units import SEC
 from repro.stream.aggregate import StreamSummary
 from repro.workload.spec import RequestSpec
 from repro.workload.stream import RequestStream, StreamCursor
-
-#: schedulers the streaming driver supports (the clairvoyant oracles
-#: srtf/ideal are comparison baselines, not replay targets)
-REPLAY_SCHEDULERS = ("cfs", "fifo", "rr", "sfs")
-
-_POLICY_FOR = {
-    "cfs": SchedPolicy.CFS,
-    "fifo": SchedPolicy.FIFO,
-    "rr": SchedPolicy.RR,
-    "sfs": SchedPolicy.CFS,  # functions start in CFS; SFS promotes them
-}
 
 #: cap on retained diagnostic samples inside SFS components
 SAMPLE_CAP = 4096
@@ -85,11 +71,11 @@ class ReplayConfig:
     overhead_window: int = 60 * SEC
 
     def __post_init__(self) -> None:
-        if self.scheduler not in REPLAY_SCHEDULERS:
+        if self.scheduler not in ENGINE_SCHEDULERS:
             raise ValueError(
                 f"unknown replay scheduler {self.scheduler!r} "
-                f"(expected one of {REPLAY_SCHEDULERS})")
-        if self.engine not in ("fluid", "discrete"):
+                f"(expected one of {ENGINE_SCHEDULERS})")
+        if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.notify_latency < 0:
             raise ValueError("notify_latency must be >= 0")
@@ -115,8 +101,8 @@ class StreamReplayDriver:
     """One streaming replay: cursor in, deterministic summary out.
 
     The driver object is the checkpoint root: pickling it captures the
-    simulator (heap included), machine, SFS, cursor, aggregator and
-    watchdog as one aliasing-preserving graph.
+    simulator (heap included), host, machine, SFS, cursor, aggregator
+    and watchdog as one aliasing-preserving graph.
     """
 
     def __init__(self, stream: RequestStream, cfg: ReplayConfig,
@@ -128,78 +114,41 @@ class StreamReplayDriver:
         self.aggregator = aggregator or StreamSummary(recent=cfg.recent)
         self.checkpointer = checkpointer
         self.watchdog = watchdog
-        self.sim = Simulator(label=f"replay {cfg.scheduler}/{cfg.engine}")
-        self.machine = self._make_machine()
-        self.sfs: Optional[SFS] = None
-        if cfg.scheduler == "sfs":
-            self.sfs = SFS(self.machine, cfg.sfs)
+        self.core = Driver(f"replay {cfg.scheduler}/{cfg.engine}",
+                           invariants=False)
+        self.sim = self.core.sim
+        self.host = Host(self.sim, cfg.scheduler, cfg.engine, cfg.machine,
+                         cfg.sfs, notify_latency=cfg.notify_latency,
+                         sink=self)
+        self.machine = self.host.machine
+        self.sfs: Optional[SFS] = self.host.sfs
+        if self.sfs is not None:
             # long-horizon bounds: coarse overhead buckets, capped
             # diagnostic sample lists (see module docstring)
             self.sfs.overhead = OverheadMeter(window=cfg.overhead_window)
             _bound_sfs_buffers(self.sfs)
-        self._policy = _POLICY_FOR[cfg.scheduler]
-        self._inflight: Dict[int, RequestSpec] = {}
-        self._next_spec: Optional[RequestSpec] = None
         self.done = 0
         self.admitted = 0
-        self.truncated_at_horizon = False
         self.checkpoints_written = 0
         self.resumed_from: Optional[int] = None
-        self._finished = False
-        self.machine.on_finish(self._on_finish)
-        self._fetch_next()
+        self.core.feed(self.cursor, self.host.arrive, horizon=cfg.horizon)
         if cfg.checkpoint_every is not None:
             self.sim.schedule(cfg.checkpoint_every, self._on_checkpoint_tick)
 
     # ------------------------------------------------------------------
-    def _make_machine(self):
-        from repro.machine.discrete import DiscreteMachine
-        from repro.machine.fluid import FluidMachine
+    # result sink (see repro.faas.driver.Host)
+    # ------------------------------------------------------------------
+    def spawned(self, spec: RequestSpec, task: Task) -> None:
+        self.admitted += 1
 
-        cls = FluidMachine if self.cfg.engine == "fluid" else DiscreteMachine
-        return cls(self.sim, self.cfg.machine)
+    def finished(self, spec: RequestSpec, task: Task) -> None:
+        self.done += 1
+        self.aggregator.observe(spec, task,
+                                inflight=self.admitted - self.done + 1)
 
     # ------------------------------------------------------------------
     # event handlers: bound methods only — these live in the heap
     # ------------------------------------------------------------------
-    def _fetch_next(self) -> None:
-        """Pull one request from the cursor and arm its arrival event."""
-        try:
-            spec = next(self.cursor)
-        except StopIteration:
-            self._next_spec = None
-            return
-        if self.cfg.horizon is not None and spec.arrival > self.cfg.horizon:
-            self._next_spec = None
-            self.truncated_at_horizon = True
-            return
-        self._next_spec = spec
-        self.sim.schedule_at(spec.arrival, self._arrive)
-
-    def _arrive(self) -> None:
-        spec = self._next_spec
-        # prefetch first: the next arrival's event outranks (by seq) any
-        # machine event this dispatch schedules at the same timestamp,
-        # matching the materialized runner's arrivals-first discipline
-        self._fetch_next()
-        task = spec.make_task(policy=self._policy)
-        self._inflight[task.tid] = spec
-        self.admitted += 1
-        self.machine.spawn(task)
-        if self.sfs is not None:
-            if self.cfg.notify_latency > 0:
-                self.sim.schedule(self.cfg.notify_latency, self.sfs.submit,
-                                  task, spec.arrival)
-            else:
-                self.sfs.submit(task, spec.arrival)
-
-    def _on_finish(self, task: Task) -> None:
-        spec = self._inflight.pop(task.tid, None)
-        if spec is None:
-            return
-        self.done += 1
-        self.aggregator.observe(spec, task, inflight=len(self._inflight) + 1)
-
     def _on_checkpoint_tick(self) -> None:
         """Periodic housekeeping: rearm, watchdog, checkpoint.
 
@@ -223,13 +172,9 @@ class StreamReplayDriver:
         only useful in tests that then abandon this driver and restore
         a checkpointed copy.
         """
-        self.sim.run(until=until)
+        self.core.drain([self.host], f"requests under {self.cfg.scheduler}/"
+                        f"{self.cfg.engine}", until=until)
         if until is None:
-            if self._inflight:
-                raise RuntimeError(
-                    f"{len(self._inflight)} requests never finished under "
-                    f"{self.cfg.scheduler}/{self.cfg.engine}")
-            self._finished = True
             self.aggregator.close()
         return self.summary()
 
@@ -237,7 +182,7 @@ class StreamReplayDriver:
         meta = dict(self.stream_meta)
         if self.cfg.horizon is not None:
             meta["horizon_us"] = self.cfg.horizon
-            meta["truncated_at_horizon"] = self.truncated_at_horizon
+            meta["truncated_at_horizon"] = self.core.truncated_at_horizon
         return self.aggregator.result(
             sim_time=self.sim.now,
             busy_time=self.machine.busy_time,

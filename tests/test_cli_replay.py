@@ -51,6 +51,20 @@ def test_resume_without_stored_checkpoint_exits_2(tmp_path, capsys):
     assert "no checkpoint" in capsys.readouterr().err
 
 
+def test_resume_of_older_checkpoint_schema_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "ckpt"
+    args = BASE + ["--checkpoint-dir", str(ckpt), "--checkpoint-every", "5",
+                   "--output", str(tmp_path / "a.json")]
+    assert main(args) == 0
+    manifest = ckpt / "checkpoint.manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["schema"] = "repro.stream/1"
+    manifest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(args + ["--resume"]) == 2
+    assert "repro.stream/1" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # happy path
 # ----------------------------------------------------------------------

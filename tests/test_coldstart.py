@@ -126,3 +126,18 @@ def test_cold_starts_inflate_end_to_end():
         ),
     )
     assert cold.array("end_to_end").mean() > warm.array("end_to_end").mean()
+
+
+def test_cold_start_outlasting_the_deadline_times_out():
+    # a cold start longer than the 100 ms deadline used to arm the
+    # deadline timer in the past and abort the run
+    wl = small_workload(n_requests=200, n_cores=4, load=0.8, seed=1)
+    res = run_openlambda(wl, OpenLambdaConfig(
+        machine=MachineParams(n_cores=4), coldstart=ColdStartConfig(),
+        timeout=100 * MS))
+    assert sorted(r.req_id for r in res.records) == \
+        sorted(s.req_id for s in wl)
+    statuses = {r.status for r in res.records}
+    assert statuses == {"ok", "timeout"}
+    timeouts = sum(r.status == "timeout" for r in res.records)
+    assert timeouts == res.meta["fault_stats"]["timeouts"]

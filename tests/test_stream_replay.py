@@ -117,7 +117,7 @@ def test_checkpoint_resume_byte_identical(tmp_path, engine):
     d = _driver(checkpointer=store_b, **kw)
     d.run(until=35 * SEC)  # mid-run: checkpoints written, work pending
     assert store_b.has_checkpoint()
-    assert d._inflight or not d.cursor.exhausted
+    assert d.admitted > d.done or not d.cursor.exhausted
     del d  # the killed process
 
     restored = store_b.load()
@@ -131,7 +131,7 @@ def test_checkpoint_manifest_contents(tmp_path):
     d = _driver(checkpointer=store, checkpoint_every=10 * SEC)
     d.run(until=25 * SEC)
     m = store.manifest()
-    assert m["schema"] == "repro.stream/1"
+    assert m["schema"] == "repro.stream/2"
     assert m["virtual_time_us"] == 20 * SEC
     assert m["requests_done"] <= d.done
     assert m["config_digest"]
@@ -142,6 +142,23 @@ def test_checkpoint_manifest_contents(tmp_path):
 def test_load_missing_checkpoint(tmp_path):
     with pytest.raises(CheckpointError, match="no checkpoint"):
         CheckpointStore(str(tmp_path)).load()
+
+
+def _downgrade_manifest(store, schema="repro.stream/1"):
+    with open(store.manifest_path) as fh:
+        doc = json.load(fh)
+    doc["schema"] = schema
+    with open(store.manifest_path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def test_load_refuses_older_checkpoint_schema(tmp_path):
+    store = CheckpointStore(str(tmp_path))
+    _driver(checkpointer=store, checkpoint_every=10 * SEC).run(until=15 * SEC)
+    _downgrade_manifest(store)
+    assert not store.has_checkpoint()
+    with pytest.raises(CheckpointError, match="repro.stream/1"):
+        store.load()
 
 
 def test_load_rejects_corrupt_payload(tmp_path):
