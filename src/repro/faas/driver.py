@@ -190,16 +190,12 @@ class Host:
         return self.notify_latency
 
     def _on_finish(self, task: Task) -> None:
-        entry = self._inflight.pop(task.tid, None)
-        if entry is None:
-            return  # not spawned by this host
-        spec = entry[0]
-        # a killed sandbox is destroyed, not returned to the pool
+        spec, _ = self._inflight.pop(task.tid)
+        # a killed sandbox is destroyed, not kept warm
         self._free(spec, container=not task.killed)
         self.sink.finished(spec, task)
-        delay = None
-        if self.faults is not None:
-            delay = self.faults.on_task_end(spec, task)
+        delay = (self.faults.on_task_end(spec, task)
+                 if self.faults is not None else None)
         self.outstanding -= 1  # this host's involvement in the attempt ends
         if delay is not None:
             self.sim.schedule(delay, self._route_retry, spec)

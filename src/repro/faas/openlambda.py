@@ -76,8 +76,9 @@ class OpenLambdaPlatform(Host):
 
     def __init__(self, sim: Simulator, config: OpenLambdaConfig,
                  faults: Optional[FaultRuntime] = None):
-        super().__init__(sim, config.scheduler, config.engine, config.machine,
-                         config.sfs)
+        super().__init__(
+            sim, config.scheduler, config.engine, config.machine, config.sfs,
+            faults=faults if faults is not None else config.governor(sim))
         self.config = config
         self.pool = ContainerPool(config.container_capacity)
         self.rng = make_rng(config.seed)
@@ -86,7 +87,6 @@ class OpenLambdaPlatform(Host):
             if config.coldstart is not None
             else None
         )
-        self.faults = faults if faults is not None else config.governor(sim)
         #: host failure injected: drop everything until recovery
         self.down = False
         self._probe.register("platform")
