@@ -7,8 +7,8 @@ sequence once, in two classes:
 
 * :class:`Driver` — one run's simulator and invariant checker (built
   from the ``trace`` / ``metrics`` / ``audit`` / ``invariants``
-  arguments), a prefetch-one arrival source over a sized
-  :class:`~repro.workload.spec.RequestSpec` source (a materialized
+  arguments), a prefetch-one arrival source over any
+  :class:`~repro.workload.spec.RequestSpec` iterator (a materialized
   workload or a :class:`~repro.workload.stream.StreamCursor`), and the
   epilogue: run to the end, refuse unfinished work, build the records,
   check the accounting, assemble the :class:`RunResult`;
@@ -243,17 +243,20 @@ class Driver:
     # ------------------------------------------------------------------
     # prefetch-one arrivals
     # ------------------------------------------------------------------
-    def feed(self, specs, entry, horizon: Optional[int] = None) -> None:
-        """Deliver ``specs`` (a sized source in arrival order) to
-        ``entry`` at their arrival times; arrivals after ``horizon``
-        are never admitted.
+    def feed(self, specs, entry, horizon: Optional[int] = None,
+             ranked: bool = True) -> None:
+        """Deliver ``specs`` (in arrival order) to ``entry`` at their
+        arrival times; arrivals after ``horizon`` are never admitted.
 
         The heap holds at most one future arrival, so its size tracks
-        in-flight work, not trace length.  Each arrival still orders
-        among same-time events exactly as if every arrival had been
-        scheduled up front, now: its tie-break rank is reserved here.
+        in-flight work, not trace length.  ``ranked`` reserves every
+        arrival's tie-break rank now (``specs`` must be sized), so each
+        one orders among same-time events exactly as if all had been
+        scheduled up front.  Unranked, an arrival is scheduled when the
+        one before it fires: the order streaming replays and their
+        checkpoints have always used.
         """
-        self._rank = self.sim.reserve(len(specs))
+        self._rank = self.sim.reserve(len(specs)) if ranked else None
         self._source = iter(specs)
         self._entry = entry
         self._horizon = horizon
@@ -266,10 +269,16 @@ class Driver:
         if self._horizon is not None and spec.arrival > self._horizon:
             self.truncated_at_horizon = True
             return
-        self.sim.schedule_ranked(self._rank, spec.arrival, self._arrive, spec)
-        self._rank += 1
+        if self._rank is None:
+            self.sim.schedule_at(spec.arrival, self._arrive, spec)
+        else:
+            self.sim.schedule_ranked(self._rank, spec.arrival, self._arrive,
+                                     spec)
+            self._rank += 1
 
     def _arrive(self, spec: RequestSpec) -> None:
+        # prefetch first: unranked, the next arrival then outranks every
+        # event this one schedules at the same timestamp
         self._fetch()
         self._entry(spec)
 

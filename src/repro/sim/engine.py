@@ -159,8 +159,8 @@ class Simulator:
         """Reserve the next ``n`` tie-break ranks and return the first.
 
         An event later scheduled with :meth:`schedule_ranked` at one of
-        them fires, among events at its timestamp, exactly where it
-        would have had it been scheduled at reservation time."""
+        them fires, among the events at its timestamp, where it would
+        have fired had it been scheduled at reservation time."""
         first = self._seq + 1
         self._seq += n
         return first

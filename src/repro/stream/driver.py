@@ -131,7 +131,8 @@ class StreamReplayDriver:
         self.admitted = 0
         self.checkpoints_written = 0
         self.resumed_from: Optional[int] = None
-        self.core.feed(self.cursor, self.host.arrive, horizon=cfg.horizon)
+        self.core.feed(self.cursor, self.host.arrive, horizon=cfg.horizon,
+                       ranked=False)
         if cfg.checkpoint_every is not None:
             self.sim.schedule(cfg.checkpoint_every, self._on_checkpoint_tick)
 

@@ -275,10 +275,6 @@ class StreamCursor:
     def remaining(self) -> int:
         return self.config.n_requests - self.next_index
 
-    def __len__(self) -> int:
-        """Requests left to yield."""
-        return self.remaining
-
     # ------------------------------------------------------------------
     # pickling: drop the chunk cache, keep the integers
     # ------------------------------------------------------------------

@@ -28,6 +28,27 @@ def test_ties_fire_in_scheduling_order(sim):
     assert fired == list("abcde")
 
 
+def test_ranked_events_fire_where_they_were_reserved(sim):
+    fired = []
+    sim.schedule(100, fired.append, "before")
+    rank = sim.reserve(2)
+    sim.schedule(100, fired.append, "after")
+
+    def later():
+        # scheduled after "after", but at ranks reserved before it
+        sim.schedule_ranked(rank + 1, 100, fired.append, "r1")
+        sim.schedule_ranked(rank, 100, fired.append, "r0")
+        sim.schedule(50, fired.append, "unranked")
+
+    sim.schedule(50, later)
+    sim.run()
+    assert fired == ["before", "r0", "r1", "after", "unranked"]
+    next_rank = sim.reserve(0)
+    with pytest.raises(SimulationError):
+        sim.schedule_ranked(rank, 10, fired.append, "past")
+    assert sim.reserve(0) == next_rank  # a failed call leaves no trace
+
+
 def test_callback_can_schedule_at_now(sim):
     fired = []
 
