@@ -243,20 +243,19 @@ class Driver:
     # ------------------------------------------------------------------
     # prefetch-one arrivals
     # ------------------------------------------------------------------
-    def feed(self, specs, entry, horizon: Optional[int] = None,
-             ranked: bool = True) -> None:
-        """Deliver ``specs`` (in arrival order) to ``entry`` at their
-        arrival times; arrivals after ``horizon`` are never admitted.
+    def feed(self, specs, entry, horizon: Optional[int] = None) -> None:
+        """Deliver ``specs`` (sized, in arrival order) to ``entry`` at
+        their arrival times; arrivals after ``horizon`` are never
+        admitted.
 
         The heap holds at most one future arrival, so its size tracks
-        in-flight work, not trace length.  ``ranked`` reserves every
-        arrival's tie-break rank now (``specs`` must be sized), so each
-        one orders among same-time events exactly as if all had been
-        scheduled up front.  Unranked, an arrival is scheduled when the
-        one before it fires: the order streaming replays and their
-        checkpoints have always used.
+        in-flight work, not trace length.  Every arrival's tie-break
+        rank is reserved now, so each one orders among same-time events
+        exactly as if all had been scheduled up front: a streaming
+        replay and the run of its materialized workload are one event
+        sequence.
         """
-        self._rank = self.sim.reserve(len(specs)) if ranked else None
+        self._rank = self.sim.reserve(len(specs))
         self._source = iter(specs)
         self._entry = entry
         self._horizon = horizon
@@ -269,16 +268,10 @@ class Driver:
         if self._horizon is not None and spec.arrival > self._horizon:
             self.truncated_at_horizon = True
             return
-        if self._rank is None:
-            self.sim.schedule_at(spec.arrival, self._arrive, spec)
-        else:
-            self.sim.schedule_ranked(self._rank, spec.arrival, self._arrive,
-                                     spec)
-            self._rank += 1
+        self.sim.schedule_ranked(self._rank, spec.arrival, self._arrive, spec)
+        self._rank += 1
 
     def _arrive(self, spec: RequestSpec) -> None:
-        # prefetch first: unranked, the next arrival then outranks every
-        # event this one schedules at the same timestamp
         self._fetch()
         self._entry(spec)
 
@@ -357,5 +350,10 @@ def run_host(workload: Workload, cfg, trace=None, metrics=None, audit=None,
         wall_time_s=time.perf_counter() - wall_start,
         trace=trace,
     )
+    scheduler = cfg.scheduler
+    if host.sfs is not None and type(host.sfs) is not SFS:
+        # a variant layer (e.g. PredictiveSFS) names the run it drove
+        scheduler = type(host.sfs).__name__.lower()
+        manifest = replace(manifest, scheduler=scheduler)
     return driver.result(workload, [host], host.faults, dict(workload.meta),
-                         cfg.scheduler, cfg.engine, host.sfs, manifest)
+                         scheduler, cfg.engine, host.sfs, manifest)

@@ -5,7 +5,10 @@ A streaming replay runs the shared driver core
 fed by the core's prefetch-one arrival source from a picklable
 :class:`~repro.workload.stream.StreamCursor`, so the event heap holds
 at most one future arrival and its size tracks in-flight work, not
-trace length.  This front end adds what a long horizon needs:
+trace length.  The arrivals' tie-break ranks are reserved as in every
+run, so the replay is the event sequence of ``run_workload`` over
+``stream.materialize()``.  This front end adds what a long horizon
+needs:
 
 * **streaming aggregation** — the driver is the host's result sink:
   finished requests fold into a
@@ -131,8 +134,7 @@ class StreamReplayDriver:
         self.admitted = 0
         self.checkpoints_written = 0
         self.resumed_from: Optional[int] = None
-        self.core.feed(self.cursor, self.host.arrive, horizon=cfg.horizon,
-                       ranked=False)
+        self.core.feed(self.cursor, self.host.arrive, horizon=cfg.horizon)
         if cfg.checkpoint_every is not None:
             self.sim.schedule(cfg.checkpoint_every, self._on_checkpoint_tick)
 

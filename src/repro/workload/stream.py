@@ -271,9 +271,11 @@ class StreamCursor:
     def exhausted(self) -> bool:
         return self.next_index >= self.config.n_requests
 
-    @property
-    def remaining(self) -> int:
+    def __len__(self) -> int:
+        """The requests not yet yielded."""
         return self.config.n_requests - self.next_index
+
+    remaining = property(__len__)
 
     # ------------------------------------------------------------------
     # pickling: drop the chunk cache, keep the integers

@@ -181,5 +181,8 @@ def test_prop_pickle_resume_is_invariant(cfg, seed, cut):
     head = list(itertools.islice(cur, min(cut, len(ref))))
     restored = pickle.loads(pickle.dumps(cur))
     assert isinstance(restored, StreamCursor)
+    # len() counts the requests still to come (the driver sizes its
+    # arrival ranks with it)
+    assert len(restored) == restored.remaining == len(ref) - len(head)
     assert head + list(restored) == ref
     assert restored.exhausted
