@@ -10,8 +10,6 @@ engine with the null default and with each live sink set:
 
 * ``trace``    — a :class:`repro.trace.TraceRecorder`;
 * ``metrics``  — a :class:`repro.obs.MetricsRegistry`;
-* ``profiled`` — metrics plus the wall-clock self-profiler, the most
-  expensive opt-in;
 * ``audit``    — a :class:`repro.why.AuditLog`;
 * ``all``      — trace, metrics and audit at once.
 
@@ -42,7 +40,6 @@ from repro.why import NULL_AUDIT, AuditLog
 SINKS = {
     "trace": lambda: {"trace": TraceRecorder()},
     "metrics": lambda: {"metrics": MetricsRegistry()},
-    "profiled": lambda: {"metrics": MetricsRegistry(profile=True)},
     "audit": lambda: {"audit": AuditLog()},
     "all": lambda: {"trace": TraceRecorder(), "metrics": MetricsRegistry(),
                     "audit": AuditLog()},

@@ -396,8 +396,7 @@ def cmd_report(args) -> int:
     if args.bundle:
         # the bundle path may itself name a directory to create
         _check_parent(os.path.normpath(args.bundle), "bundle")
-    registry = MetricsRegistry(gauge_interval=args.gauge_interval,
-                               profile=args.profile)
+    registry = MetricsRegistry(gauge_interval=args.gauge_interval)
     recorder = None
     if args.explore or args.bundle:
         from repro.trace import TraceRecorder
@@ -422,14 +421,8 @@ def cmd_report(args) -> int:
         if args.explore:
             n = write_explorer(args.explore, [bundle], metrics=registry)
             print(f"\nwrote explorer to {args.explore} ({n / 1e6:.2f} MB)")
-    if args.profile and registry.profiler is not None:
-        rep = registry.profiler.report()
-        print(f"\nself-profile: {rep['events_executed']:,} events in "
-              f"{rep['run_wall_s']:.2f}s wall "
-              f"({rep['events_per_sec']:,.0f} ev/s)")
     if args.output.endswith((".jsonl", ".prom", ".txt")):
-        write_metrics(args.output, registry,
-                      include_profile=args.profile)
+        write_metrics(args.output, registry)
     else:
         write_html(args.output, registry, records=res.records,
                    n_cores=args.cores,
@@ -493,8 +486,9 @@ def cmd_why(args) -> int:
             return 2
         doc = bundle.why
         if doc is None:
-            print("error: bundle predates repro.why (no embedded why "
-                  "section); re-capture the run or use the fresh-run "
+            print("error: bundle has no why section: it predates "
+                  "repro.why, or its scheduler (srtf/ideal) emits no "
+                  "task trace; re-capture the run or use the fresh-run "
                   "form (repro why --scheduler ...)", file=sys.stderr)
             return 2
         label = bundle.label
@@ -600,47 +594,6 @@ def cmd_why(args) -> int:
               f"invariant: {inexact[:5]}", file=sys.stderr)
         return 1
     return 0
-
-
-def cmd_bench(args) -> int:
-    """Headless perf snapshot + regression gate (repro.obs.bench)."""
-    from repro.obs import bench as obench
-
-    names = args.scenarios or None
-    print(f"running {len(names or obench.scenario_names())} scenarios "
-          f"({'quick' if args.quick else 'full'} sizing, "
-          f"best of {args.rounds})...")
-    doc = obench.run_scenarios(names=names, quick=args.quick,
-                               rounds=args.rounds, progress=print)
-    baseline_path = args.baseline or obench.find_baseline(
-        exclude=args.out)
-    rc = 0
-    if baseline_path:
-        base = obench.load_snapshot(baseline_path)
-        try:
-            rows = obench.compare(doc, base)
-        except ValueError as exc:
-            print(f"skipping comparison vs {baseline_path}: {exc}")
-            rows = []
-        if rows:
-            print(f"\nvs {baseline_path}:")
-            for r in rows:
-                flag = "  REGRESSED" if r["regressed"] else ""
-                print(f"  {r['scenario']:<16} {r['baseline_eps']:>12,.0f} "
-                      f"-> {r['current_eps']:>12,.0f} ev/s "
-                      f"(x{r['ratio']:.2f}){flag}")
-            regressed = [r for r in rows if r["regressed"]]
-            if regressed and not args.report_only:
-                print(f"\n{len(regressed)} scenario(s) regressed more than "
-                      f"{obench.REGRESSION_THRESHOLD:.0%}", file=sys.stderr)
-                rc = 1
-    else:
-        print("\nno committed BENCH_*.json baseline; this snapshot seeds "
-              "the trajectory")
-    if args.out:
-        obench.write_snapshot(args.out, doc)
-        print(f"wrote {args.out}")
-    return rc
 
 
 def cmd_experiment(args) -> int:
@@ -973,8 +926,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="report artifact (.html = self-contained page, "
                             ".jsonl = repro.metrics/1, .prom = Prometheus)")
     p_rep.add_argument("--scheduler", choices=SCHEDULERS, default="sfs")
-    p_rep.add_argument("--profile", action="store_true",
-                       help="also time the simulator itself (wall clock)")
     p_rep.add_argument("--explore", metavar="PATH",
                        help="also write the interactive run explorer "
                             "(one self-contained offline HTML)")
@@ -1017,23 +968,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_why.add_argument("--scheduler", choices=SCHEDULERS, default="sfs")
     _add_workload_args(p_why)
     p_why.set_defaults(func=cmd_why)
-
-    p_bench = sub.add_parser("bench", help="headless perf snapshot "
-                                           "(events/sec per scenario)")
-    p_bench.add_argument("--out", metavar="PATH",
-                         help="write the repro.bench/1 snapshot here")
-    p_bench.add_argument("--baseline", metavar="PATH",
-                         help="compare against this snapshot (default: "
-                              "newest committed BENCH_*.json)")
-    p_bench.add_argument("--scenarios", nargs="+", metavar="NAME",
-                         help="subset of scenarios (default: all)")
-    p_bench.add_argument("--quick", action="store_true",
-                         help="smaller workloads (CI smoke)")
-    p_bench.add_argument("--rounds", type=int, default=3,
-                         help="timing rounds per scenario (best-of)")
-    p_bench.add_argument("--report-only", action="store_true",
-                         help="print regressions without failing")
-    p_bench.set_defaults(func=cmd_bench)
 
     p_exp = sub.add_parser("experiment", help="run paper artifacts")
     p_exp.add_argument("ids", nargs="+")

@@ -174,9 +174,10 @@ def build_data(result, trace, metrics=None,
     along for the accounting panel, ``audit`` an optional
     :class:`repro.why.AuditLog` that tags the embedded ``why`` section's
     wait segments with their decision-makers.  The ``why`` section
-    (schema ``repro.why/1``) is *optional* in stored bundles — older
-    bundles load fine without it — and byte-deterministic: it is keyed
-    by ``req_id`` only, never raw tids.
+    (schema ``repro.why/1``) is byte-deterministic: it is keyed by
+    ``req_id`` only, never raw tids.  It is *optional*: older bundles
+    load fine without it, and runs of the oracle machines (srtf/ideal),
+    which emit no task trace, carry none.
     """
     import numpy as np
 
@@ -405,12 +406,7 @@ def build_data(result, trace, metrics=None,
     provenance = {k: v for k, v in manifest.items()
                   if k not in _NONDETERMINISTIC_MANIFEST_FIELDS}
 
-    from repro.why import build_timelines, build_why_doc
-
-    why = build_why_doc(build_timelines(records, trace, audit=audit),
-                        top_blamed=why_top)
-
-    return {
+    data: Dict[str, object] = {
         "schema": SCHEMA,
         "label": label,
         "title": title or label,
@@ -433,8 +429,17 @@ def build_data(result, trace, metrics=None,
         "slowest": slow_rows,
         "counters": counters,
         "provenance": provenance,
-        "why": why,
     }
+    from repro.faas.driver import ENGINE_SCHEDULERS, SCHEDULERS
+
+    # the oracle machines emit no task.* trace: no timeline to blame
+    if (result.scheduler in ENGINE_SCHEDULERS
+            or result.scheduler not in SCHEDULERS):  # e.g. a variant layer
+        from repro.why import build_timelines, build_why_doc
+
+        data["why"] = build_why_doc(
+            build_timelines(records, trace, audit=audit), top_blamed=why_top)
+    return data
 
 
 class RunBundle:
@@ -462,7 +467,8 @@ class RunBundle:
 
     @property
     def why(self) -> Optional[Dict[str, object]]:
-        """The embedded ``repro.why/1`` section (None in older bundles)."""
+        """The embedded ``repro.why/1`` section (None in older bundles
+        and in runs of the oracle machines)."""
         return self.data.get("why")  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import html as _html
 import json
-import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -417,14 +416,12 @@ def write_explorer(path: Union[str, Path],
                    metrics=None) -> int:
     """Render one or two bundles to ``path``; returns bytes written.
 
-    When a live metrics registry is passed, the build shows up in the
-    self-profiler (``explore.build`` site) and in the
+    When a live metrics registry is passed, the build is counted in the
     ``repro_explorer_builds_total`` / ``repro_explorer_bytes``
-    instruments — build time is wall clock and never enters the page.
+    instruments.
     """
     if not 1 <= len(bundles) <= 2:
         raise ValueError(f"explorer takes 1 or 2 bundles, got {len(bundles)}")
-    t0 = time.perf_counter()
     if len(bundles) == 1:
         text = render_explorer(bundles[0], title=title)
     else:
@@ -436,7 +433,4 @@ def write_explorer(path: Union[str, Path],
                         help="explorer pages generated").inc()
         metrics.gauge("repro_explorer_bytes", unit="bytes",
                       help="size of the last explorer page").set(len(data))
-        profiler = getattr(metrics, "profiler", None)
-        if profiler is not None:
-            profiler.add("explore.build", time.perf_counter() - t0)
     return len(data)

@@ -18,7 +18,6 @@ import math
 from typing import List, Optional
 
 from repro.machine.base import MachineBase, MachineParams
-from repro.obs.profiler import perf_counter
 from repro.sched.cfs import CfsRunqueue
 from repro.sched.rt import RTRunqueue
 from repro.sim.engine import EventHandle, Simulator
@@ -88,17 +87,6 @@ class DiscreteMachine(MachineBase):
         for core in self.cores:
             core.rq.hook = self._probe.runqueue_hook(f"{fc}:{core.index}", fc)
         self.rt_rq.hook = self._probe.runqueue_hook("rt", "rt")
-        prof = sim.metrics.profiler
-        if prof is not None:
-            # shadow the bound method so the nominal path stays untouched
-            impl = self._pick_next
-
-            def timed_pick(core: _Core) -> None:
-                t0 = perf_counter()
-                impl(core)
-                prof.add("discrete.pick_next", perf_counter() - t0)
-
-            self._pick_next = timed_pick  # type: ignore[method-assign]
 
     # ==================================================================
     # public API

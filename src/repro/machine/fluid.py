@@ -31,7 +31,6 @@ import math
 from typing import Optional
 
 from repro.machine.base import MachineBase, MachineParams
-from repro.obs.profiler import perf_counter
 from repro.sched.rt import RTRunqueue
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
@@ -70,17 +69,6 @@ class FluidMachine(MachineBase):
         self._free_slots: list[int] = list(range(self.n_cores))
         self._probe.register("fluid")
         self.rt_wait.hook = self._probe.runqueue_hook("rt", "rt")
-        prof = sim.metrics.profiler
-        if prof is not None:
-            # shadow the bound method so the nominal path stays untouched
-            impl = self._advance
-
-            def timed_advance() -> None:
-                t0 = perf_counter()
-                impl()
-                prof.add("fluid.advance", perf_counter() - t0)
-
-            self._advance = timed_advance  # type: ignore[method-assign]
 
     # ==================================================================
     # public API

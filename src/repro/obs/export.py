@@ -7,8 +7,7 @@ Three formats, one registry:
   summaries with ``quantile`` labels);
 * :func:`to_jsonl` — one JSON object per line under the
   ``repro.metrics/1`` schema.  Deterministic by construction: sorted
-  instruments, virtual timestamps only; the wall-clock profiler is
-  excluded unless explicitly requested, so the same seed produces a
+  instruments, virtual timestamps only, so the same seed produces a
   byte-identical dump;
 * :func:`to_html` — a single self-contained page (inline CSS + SVG, no
   external assets) combining the instrument tables with the latency
@@ -78,14 +77,12 @@ def _num(v) -> str:
 # ----------------------------------------------------------------------
 # JSONL dump
 # ----------------------------------------------------------------------
-def metrics_lines(registry, include_profile: bool = False,
-                  include_series: bool = False) -> List[str]:
+def metrics_lines(registry, include_series: bool = False) -> List[str]:
     """The ``repro.metrics/1`` dump as a list of JSON lines.
 
     Header line, then one line per instrument in sorted order.  Gauge
     time series (virtual timestamps) ride along under ``series`` when
-    ``include_series`` is set; the host profiler — wall-clock, hence
-    non-deterministic — only with ``include_profile``.
+    ``include_series`` is set.
     """
     insts = list(registry)
     header: Dict[str, object] = {
@@ -109,26 +106,20 @@ def metrics_lines(registry, include_profile: bool = False,
         if include_series and inst.kind == "gauge" and inst.series:
             rec["series"] = [[ts, v] for ts, v in inst.series]
         lines.append(json.dumps(rec, sort_keys=True))
-    profiler = getattr(registry, "profiler", None)
-    if include_profile and profiler is not None:
-        lines.append(json.dumps(
-            {"type": "profile", **profiler.report()}, sort_keys=True))
     return lines
 
 
-def to_jsonl(registry, include_profile: bool = False,
-             include_series: bool = False) -> str:
-    return "\n".join(
-        metrics_lines(registry, include_profile, include_series)) + "\n"
+def to_jsonl(registry, include_series: bool = False) -> str:
+    return "\n".join(metrics_lines(registry, include_series)) + "\n"
 
 
-def write_metrics(path: str, registry, include_profile: bool = False,
+def write_metrics(path: str, registry,
                   include_series: bool = False) -> None:
     """Write the JSONL dump (or Prometheus text for ``.prom`` paths)."""
     if path.endswith(".prom") or path.endswith(".txt"):
         text = to_prometheus(registry)
     else:
-        text = to_jsonl(registry, include_profile, include_series)
+        text = to_jsonl(registry, include_series)
     with open(path, "w") as fh:
         fh.write(text)
 
@@ -279,27 +270,6 @@ def to_html(registry, records: Optional[Sequence[object]] = None,
         parts.append("<h2>Gauges</h2>")
         parts.append(_table(["name", "last", "min", "max", "samples"],
                             gauges))
-
-    profiler = getattr(registry, "profiler", None)
-    if profiler is not None and profiler.events_executed:
-        rep = profiler.report()
-        parts.append("<h2>Simulator self-profile (wall clock)</h2>")
-        parts.append(_table(
-            ["", "value"],
-            [("events executed", f"{rep['events_executed']:,}"),
-             ("wall time (s)", f"{rep['run_wall_s']:.3f}"),
-             ("events/sec", f"{rep['events_per_sec']:,.0f}")]))
-        rows = [
-            (site, s["calls"], f"{s['total_s']:.3f}", f"{s['mean_us']:.2f}",
-             f"{s['max_us']:.1f}")
-            for site, s in sorted(rep["sites"].items())
-        ]
-        if rows:
-            parts.append(_table(
-                ["site", "calls", "total (s)", "mean (us)", "max (us)"],
-                rows))
-        parts.append("<p class=muted>host-dependent; excluded from "
-                     "deterministic dumps</p>")
 
     parts.append("</body></html>")
     return "".join(parts)

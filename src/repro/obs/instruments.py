@@ -17,9 +17,8 @@ within *relative* error ``α`` of the exact order statistic it targets.
 That guarantee is what the hypothesis property suite pins down.
 
 Everything here is driven by virtual-time events only, so two runs with
-the same seed produce byte-identical snapshots (the host-side
-wall-clock profiler lives in :mod:`repro.obs.profiler` and is exported
-separately for exactly this reason).
+the same seed produce byte-identical snapshots.  Wall-clock cost of the
+simulator itself is measured from outside the program, by perfbench.
 """
 
 from __future__ import annotations

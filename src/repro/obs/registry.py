@@ -61,8 +61,6 @@ class NullRegistry:
     __slots__ = ()
 
     enabled: bool = False
-    #: host-side self-profiler; never present on the null registry.
-    profiler = None
 
     def counter(self, name: str, help: str = "", unit: str = "",
                 labels: Optional[Dict[str, str]] = None) -> _NullInstrument:
@@ -93,30 +91,19 @@ class MetricsRegistry(NullRegistry):
     ``gauge_interval`` (integer microseconds) sets how often the gauge
     sampler (:meth:`repro.obs.probe.Probe.attach_sampler`) snapshots
     queue depths while a run is live.
-
-    ``profile`` attaches a :class:`repro.obs.profiler.HostProfiler` so
-    the simulator also records *wall-clock* time per dispatch site.
-    Profiler data is host-dependent and therefore kept out of the
-    deterministic snapshot — exporters opt into it explicitly.
     """
 
-    __slots__ = ("_instruments", "gauge_interval", "profiler", "gamma")
+    __slots__ = ("_instruments", "gauge_interval", "gamma")
 
     enabled = True
 
-    def __init__(self, gauge_interval: int = 10_000, profile: bool = False,
+    def __init__(self, gauge_interval: int = 10_000,
                  gamma: float = DEFAULT_GAMMA):
         if gauge_interval <= 0:
             raise ValueError("gauge_interval must be positive")
         self._instruments: Dict[Tuple[str, str], object] = {}
         self.gauge_interval = gauge_interval
         self.gamma = gamma
-        if profile:
-            from repro.obs.profiler import HostProfiler
-
-            self.profiler = HostProfiler()
-        else:
-            self.profiler = None
 
     # ------------------------------------------------------------------
     # get-or-create

@@ -52,7 +52,6 @@ from repro.experiments.artifacts import (
     watchdog,
 )
 from repro.faults.policy import RetryPolicy
-from repro.obs.profiler import perf_counter
 
 #: quarantine report schema identifier (bump on incompatible change).
 SCHEMA = "repro.pool/1"
@@ -311,7 +310,6 @@ class _Run:
         self.chaos_armed = cfg.chaos_kill
         self.c_ok = self.c_retried = self.c_quarantined = None
         self.g_hb_age = None
-        self.profiler = None
         if metrics is not None:
             self.c_ok = metrics.counter(
                 "repro_pool_items_ok_total",
@@ -325,7 +323,6 @@ class _Run:
             self.g_hb_age = metrics.gauge(
                 "repro_pool_heartbeat_age_seconds",
                 help="oldest busy-worker heartbeat age", unit="s")
-            self.profiler = getattr(metrics, "profiler", None)
 
     def ok(self, index: int, result: Any, worker: str = "inline") -> None:
         if self.outcomes[index] is not None:
@@ -492,7 +489,6 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
             except Exception:  # Empty (or torn queue after a kill)
                 pass
 
-            t0 = perf_counter()
             for msg in messages:
                 kind, slot_id, index = msg[0], msg[1], msg[2]
                 slot = slots[slot_id]
@@ -549,8 +545,6 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
 
             for slot_id in range(n_workers):
                 dispatch(slot_id)
-            if run.profiler is not None:
-                run.profiler.add("pool.supervise", perf_counter() - t0)
     finally:
         for slot in slots:
             if slot.proc is not None and slot.proc.is_alive():

@@ -18,7 +18,6 @@ from typing import Any, Callable, Optional
 
 from repro.invariants.checker import NULL_CHECKER
 from repro.obs.probe import Probe
-from repro.obs.profiler import perf_counter
 from repro.obs.registry import NULL_REGISTRY
 from repro.trace.recorder import NULL_RECORDER
 from repro.why.audit import NULL_AUDIT
@@ -134,8 +133,6 @@ class Simulator:
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.audit = audit if audit is not None else NULL_AUDIT
         self.probe = Probe(self, self.trace, self.metrics, self.audit)
-        # host self-profiler (wall clock around dispatch); None when off
-        self._prof = self.metrics.profiler
 
     # ------------------------------------------------------------------
     # scheduling
@@ -205,12 +202,7 @@ class Simulator:
         callback, args = handle.callback, handle.args
         handle.cancel()  # consumed; release references
         self.events_executed += 1
-        if self._prof is None:
-            callback(*args)
-        else:
-            t0 = perf_counter()
-            callback(*args)
-            self._prof.add("sim.dispatch", perf_counter() - t0)
+        callback(*args)
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
@@ -237,7 +229,6 @@ class Simulator:
         recent: Optional[deque] = (
             deque(maxlen=5) if max_events is not None else None
         )
-        t0 = perf_counter() if self._prof is not None else 0.0
         try:
             while True:
                 nxt = self.peek_time()
@@ -259,8 +250,6 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-            if self._prof is not None:
-                self._prof.note_run(perf_counter() - t0, executed)
         if until is not None and self.now < until:
             self.now = until
 

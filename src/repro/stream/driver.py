@@ -25,9 +25,8 @@ needs:
   (see :mod:`repro.stream.checkpoint`).
 
 Instrumentation is deliberately the zero-overhead NULL stack (trace,
-invariants, metrics off): those layers cache closures and wall-clock
-profilers that must never reach a checkpoint, and the nominal path is
-bit-identical without them.
+invariants, metrics off): those layers cache closures that must never
+reach a checkpoint, and the nominal path is bit-identical without them.
 """
 
 from __future__ import annotations

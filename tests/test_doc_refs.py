@@ -1,0 +1,35 @@
+"""Every test the docs cite by node id (``tests/<file>.py::<name>``)
+exists, so a renamed or deleted test cannot leave a stale pointer in
+``README.md`` or ``docs/*.md``."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DOCS = [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]
+NODE_ID = re.compile(r"tests/([\w/]+\.py)::([\w:]+)")
+
+
+def _defines(path: Path, name: str) -> bool:
+    """True when ``name`` (``test_x``, ``TestX`` or ``TestX::test_y``)
+    is defined at the top of the module or in the named class."""
+    scope = ast.parse(path.read_text()).body
+    for part in name.split("::"):
+        node = next((n for n in scope if getattr(n, "name", None) == part
+                     and isinstance(n, (ast.FunctionDef, ast.ClassDef))),
+                    None)
+        if node is None:
+            return False
+        scope = node.body
+    return True
+
+
+def test_cited_tests_are_defined():
+    cited = {(doc.relative_to(ROOT).as_posix(), f"tests/{m[1]}", m[2])
+             for doc in DOCS for m in NODE_ID.finditer(doc.read_text())}
+    assert len(cited) >= 10, "the node-id pattern no longer matches the docs"
+    stale = sorted(f"{doc}: {path}::{name}" for doc, path, name in cited
+                   if not ((ROOT / path).is_file()
+                           and _defines(ROOT / path, name)))
+    assert stale == []

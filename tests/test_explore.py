@@ -144,13 +144,12 @@ def test_fault_windows_reach_the_page():
 
 
 def test_write_explorer_records_build_metrics(tmp_path, sfs_bundle):
-    registry = MetricsRegistry(profile=True)
+    registry = MetricsRegistry()
     n = write_explorer(tmp_path / "ex.html", [sfs_bundle],
                        metrics=registry)
     assert (tmp_path / "ex.html").stat().st_size == n
     assert registry.counter("repro_explorer_builds_total").value == 1
     assert registry.gauge("repro_explorer_bytes").last == n
-    assert "explore.build" in registry.profiler.sites
 
 
 def test_write_explorer_bundle_count_validated(tmp_path, sfs_bundle):

@@ -10,8 +10,7 @@ compared with the table below:
 
 * ``trace``  — the trace JSONL (events only; the manifest carries
   wall-clock fields);
-* ``metrics`` — the metrics JSONL with gauge series, without the
-  wall-clock profile;
+* ``metrics`` — the metrics JSONL with gauge series;
 * ``audit``  — the scheduler-decision records;
 * ``why``    — the ``repro.why/1`` JSON with every request embedded;
 * ``bundle`` — ``RunBundle.to_json()`` (wall-clock fields stripped).
@@ -72,8 +71,7 @@ def _sha(text: str) -> str:
 def _digests(result, trace, metrics, audit=None) -> Dict[str, str]:
     out = {
         "trace": _sha("\n".join(to_jsonl_lines(trace))),
-        "metrics": _sha(to_jsonl(metrics, include_profile=False,
-                                 include_series=True)),
+        "metrics": _sha(to_jsonl(metrics, include_series=True)),
         "why": _sha(why_json(build_why_doc(
             build_timelines(result.records, trace, audit=audit),
             top_blamed=0))),

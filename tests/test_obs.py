@@ -1,4 +1,4 @@
-"""Tests for repro.obs: instruments, registry, wiring, exporters, bench.
+"""Tests for repro.obs: instruments, registry, wiring, exporters, CLI.
 
 The acceptance bar for the observability layer is the same as for
 tracing and invariants: a metrics-enabled run must be *bit-identical*
@@ -14,6 +14,7 @@ import json
 import pytest
 from conftest import small_workload
 
+from repro.cli import main
 from repro.experiments.runner import RunConfig, run_workload
 from repro.machine.base import MachineParams
 from repro.obs import (
@@ -181,7 +182,7 @@ def test_metrics_identical_on_both_engines(engine):
     wl = small_workload(n_requests=150, n_cores=8, load=0.8)
     base = run_workload(wl, _cfg(engine=engine))
     metered = run_workload(wl, _cfg(engine=engine),
-                           metrics=MetricsRegistry(profile=True))
+                           metrics=MetricsRegistry())
     assert metered.records == base.records
 
 
@@ -231,18 +232,6 @@ def test_discrete_runqueue_instruments():
     picks = reg.get("repro_rq_picks_total", labels={"class": "cfs"})
     assert fair.value > 0 and picks.value > 0
     assert reg.get("repro_slice_expiries_total") is not None
-
-
-def test_profiler_records_dispatch_sites():
-    wl = small_workload(n_requests=100, n_cores=8, load=0.8)
-    reg = MetricsRegistry(profile=True)
-    run_workload(wl, _cfg(engine="discrete"), metrics=reg)
-    rep = reg.profiler.report()
-    assert rep["events_executed"] > 0
-    assert rep["events_per_sec"] > 0
-    assert "sim.dispatch" in rep["sites"]
-    assert "discrete.pick_next" in rep["sites"]
-    assert rep["sites"]["sim.dispatch"]["calls"] == rep["events_executed"]
 
 
 # ----------------------------------------------------------------------
@@ -334,3 +323,26 @@ def test_read_metrics_rejects_other_files(tmp_path):
     p.write_text('{"schema": "something/else"}\n')
     with pytest.raises(ValueError):
         read_metrics(str(p))
+
+
+# ----------------------------------------------------------------------
+# CLI
+# ----------------------------------------------------------------------
+def test_cli_report_html(tmp_path):
+    out = str(tmp_path / "report.html")
+    rc = main(["report", out, "--requests", "200", "--cores", "8",
+               "--load", "0.8", "--seed", "3"])
+    assert rc == 0
+    page = open(out).read()
+    assert page.startswith("<!doctype html>")
+    assert "Where did the latency go" in page
+
+
+def test_cli_run_metrics_dump(tmp_path):
+    out = str(tmp_path / "m.jsonl")
+    rc = main(["run", "--requests", "200", "--cores", "8",
+               "--seed", "3", "--metrics", out])
+    assert rc == 0
+    first = json.loads(open(out).readline())
+    assert first["schema"] == "repro.metrics/1"
+    assert first["instruments"] > 0

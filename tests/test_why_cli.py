@@ -98,6 +98,20 @@ def test_why_bundle_without_why_section(tmp_path, capsys):
     assert "predates repro.why" in capsys.readouterr().err
 
 
+def test_oracle_bundle_carries_no_why_section(tmp_path, capsys):
+    # the oracle machines emit no task trace, so a why section would
+    # blame every request's whole latency on a fictitious runqueue wait
+    from repro.explore import RunBundle, render_explorer
+
+    d = _bundle_dir(tmp_path, scheduler="ideal")
+    bundle = RunBundle.load(d)
+    assert bundle.data["scheduler"] == "ideal"
+    assert bundle.why is None
+    assert "Why — blame attribution" not in render_explorer(bundle)
+    assert main(["why", str(d)]) == 2
+    assert "srtf/ideal" in capsys.readouterr().err
+
+
 def test_why_bad_bundle_path(tmp_path, capsys):
     assert main(["why", str(tmp_path / "nope")]) == 2
     assert "error" in capsys.readouterr().err
