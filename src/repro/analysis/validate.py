@@ -1,37 +1,49 @@
-"""Self-validation battery: is this installation simulating correctly?
+"""Self-validation: is this installation simulating correctly?
 
-Runs a suite of cross-checks a downstream user can invoke after
-installing (``python -m repro validate`` or
-``python -m repro.analysis.validate``):
+One table of pinned cases (:func:`cases`) backs two commands:
 
-1. **conservation** — every engine serves exactly the CPU demanded;
-2. **lower bound** — no turnaround beats the zero-interference bound;
-3. **engine agreement** — fluid vs discrete CFS within tolerance, FIFO
-   exact;
-4. **oracle ordering** — IDEAL <= SRTF <= CFS on mean turnaround;
-5. **SFS contract** — at most ``n_workers`` FILTER tasks at once, every
-   submission accounted for in the outcome counters;
-6. **trace calibration** — the synthetic Azure trace hits the paper's
-   Fig 1 anchors;
-7. **determinism** — identical seeds give bit-identical results.
+* ``python -m repro validate [ROW...]`` runs every row (or the named
+  ones) and prints a pass/fail table;
+* ``python -m repro check [--quick] [--seed N]`` runs the differential
+  rows and prints each :class:`~repro.invariants.diff.DiffReport`.
 
-Each check returns a :class:`CheckResult`; the battery passes only if
-all do.  The same functions back parts of the pytest suite, so the
-shipped tests and the user-facing validator cannot drift apart.
+Each law is written once, where it belongs, and the rows only choose
+what to run it on:
+
+* **runtime invariants** (:mod:`repro.invariants.checker`) — every run
+  row arms the checker, so conservation is checked per task and SFS's
+  outcome closure (``sfs-accounting``) on every ``sfs`` row;
+* **engine agreement** (:func:`~repro.invariants.diff.diff_engines`) —
+  ``engines:*`` rows: fluid vs discrete, FIFO exact;
+* **lower bound** (:func:`~repro.invariants.diff.diff_oracle`) —
+  ``oracle:*`` rows: IDEAL is exact and no request beats it; the
+  ``:io`` and ``:load1`` rows run ``validate``'s I/O-heavy and
+  saturated workloads;
+* three whole-install rows: **oracle ordering** (IDEAL <= SRTF <= CFS
+  on mean turnaround), **trace calibration** (the synthetic Azure trace
+  hits the paper's Fig 1 anchors) and **determinism** (identical seeds
+  give bit-identical results).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.experiments.runner import RunConfig, run_workload
+from repro.faults.plan import FaultPlan
+from repro.faults.policy import RetryPolicy
+from repro.invariants.diff import DiffReport, diff_engines, diff_oracle
 from repro.machine.base import MachineParams
 from repro.workload.azure import FIG1_ANCHORS, AzureTraceSynthesizer
 from repro.workload.faasbench import FaaSBench, FaaSBenchConfig
+
+CORES = 8
+#: the workload seed of the differential rows (``repro check --seed``)
+CHECK_SEED = 21
 
 
 @dataclass
@@ -42,110 +54,42 @@ class CheckResult:
     seconds: float
 
 
-def _workload(n=400, cores=8, load=0.9, seed=7, **kw):
-    cfg = FaaSBenchConfig(n_requests=n, n_cores=cores, target_load=load, **kw)
+@dataclass(frozen=True)
+class Case:
+    """One row: what it runs, and which ``repro check`` modes show it."""
+
+    run: Callable[[], Union[DiffReport, Tuple[bool, str]]]
+    check: Tuple[str, ...] = ()
+
+
+def _workload(n: int, load: float, seed: int, io: float = 0.0):
+    cfg = FaaSBenchConfig(n_requests=n, n_cores=CORES, target_load=load,
+                          io_fraction=io)
     return FaaSBench(cfg, seed=seed).generate()
 
 
-def _run(wl, scheduler, engine="fluid", cores=8):
-    return run_workload(
-        wl,
-        RunConfig(scheduler=scheduler, engine=engine,
-                  machine=MachineParams(n_cores=cores)),
-    )
+def _config(scheduler: str, **kw) -> RunConfig:
+    return RunConfig(scheduler=scheduler,
+                     machine=MachineParams(n_cores=CORES), invariants=True,
+                     **kw)
+
+
+def _run(wl, scheduler: str):
+    return run_workload(wl, _config(scheduler))
 
 
 # ---------------------------------------------------------------------------
-# checks
+# whole-install rows
 # ---------------------------------------------------------------------------
-def check_conservation() -> CheckResult:
-    t0 = time.time()
-    wl = _workload(io_fraction=0.3)
-    failures = []
-    for sched in ("cfs", "fifo", "sfs", "srtf", "ideal"):
-        res = _run(wl, sched)
-        served = res.array("cpu_time").sum()
-        demanded = res.array("cpu_demand").sum()
-        if served != demanded:
-            failures.append(f"{sched}: served {served} != demanded {demanded}")
-    return CheckResult(
-        "conservation", not failures,
-        "; ".join(failures) or "all engines serve exactly the demand",
-        time.time() - t0,
-    )
-
-
-def check_lower_bound() -> CheckResult:
-    t0 = time.time()
-    wl = _workload(load=1.0)
-    failures = []
-    for sched in ("cfs", "sfs", "srtf"):
-        res = _run(wl, sched)
-        ideal = res.array("cpu_demand") + res.array("io_demand")
-        bad = int((res.turnarounds < ideal - 1).sum())
-        if bad:
-            failures.append(f"{sched}: {bad} requests beat isolation")
-    return CheckResult(
-        "lower-bound", not failures,
-        "; ".join(failures) or "no turnaround beats the isolated duration",
-        time.time() - t0,
-    )
-
-
-def check_engine_agreement() -> CheckResult:
-    t0 = time.time()
-    wl = _workload(load=0.9, seed=21)
-    fluid = _run(wl, "cfs", engine="fluid")
-    disc = _run(wl, "cfs", engine="discrete")
-    rel = abs(fluid.turnarounds.mean() - disc.turnarounds.mean()) / max(
-        disc.turnarounds.mean(), 1
-    )
-    fifo_f = _run(wl, "fifo", engine="fluid")
-    fifo_d = _run(wl, "fifo", engine="discrete")
-    fifo_exact = bool(np.array_equal(fifo_f.turnarounds, fifo_d.turnarounds))
-    ok = rel < 0.10 and fifo_exact
-    return CheckResult(
-        "engine-agreement", ok,
-        f"CFS mean disagreement {rel:.1%} (<10% required); "
-        f"FIFO exact: {fifo_exact}",
-        time.time() - t0,
-    )
-
-
-def check_oracle_ordering() -> CheckResult:
-    t0 = time.time()
-    wl = _workload(load=1.0, seed=3)
+def check_oracle_ordering() -> Tuple[bool, str]:
+    wl = _workload(400, 1.0, 3)
     means = {s: _run(wl, s).turnarounds.mean() for s in ("ideal", "srtf", "cfs")}
     ok = means["ideal"] <= means["srtf"] + 1 and means["srtf"] <= means["cfs"]
-    return CheckResult(
-        "oracle-ordering", ok,
-        "IDEAL <= SRTF <= CFS on mean turnaround: "
-        + ", ".join(f"{k}={v/1e3:.1f}ms" for k, v in means.items()),
-        time.time() - t0,
-    )
+    return ok, "IDEAL <= SRTF <= CFS on mean turnaround: " + ", ".join(
+        f"{k}={v/1e3:.1f}ms" for k, v in means.items())
 
 
-def check_sfs_contract() -> CheckResult:
-    t0 = time.time()
-    wl = _workload(load=1.0, seed=5)
-    res = _run(wl, "sfs")
-    s = res.sfs_stats
-    try:
-        s.check_invariants()
-        ok = True
-    except AssertionError:
-        ok = False
-    return CheckResult(
-        "sfs-contract", ok,
-        f"submitted={s.submitted} promoted={s.promoted} "
-        f"(in-slice {s.completed_in_filter}, demoted {s.demoted_slice}, "
-        f"io {s.demoted_io}), bypassed={s.bypassed_overload}",
-        time.time() - t0,
-    )
-
-
-def check_trace_calibration() -> CheckResult:
-    t0 = time.time()
+def check_trace_calibration() -> Tuple[bool, str]:
     syn = AzureTraceSynthesizer(n_apps=20_000, seed=1)
     d = syn.sample_avg_durations(20_000)
     deltas = {
@@ -153,47 +97,91 @@ def check_trace_calibration() -> CheckResult:
         for bound, target in FIG1_ANCHORS
     }
     ok = all(delta < 0.05 for delta in deltas.values())
-    return CheckResult(
-        "trace-calibration", ok,
-        ", ".join(f"<{b/1e6:g}s off by {v:.3f}" for b, v in deltas.items()),
-        time.time() - t0,
-    )
+    return ok, ", ".join(f"<{b/1e6:g}s off by {v:.3f}"
+                         for b, v in deltas.items())
 
 
-def check_determinism() -> CheckResult:
-    t0 = time.time()
-    wl = _workload(load=1.0, seed=11)
+def check_determinism() -> Tuple[bool, str]:
+    wl = _workload(400, 1.0, 11)
     a = _run(wl, "sfs")
     b = _run(wl, "sfs")
     ok = bool(
         np.array_equal(a.turnarounds, b.turnarounds)
         and np.array_equal(a.rtes, b.rtes)
     )
-    return CheckResult(
-        "determinism", ok,
-        "identical seeds give bit-identical results" if ok else "runs diverged",
-        time.time() - t0,
-    )
+    return ok, ("identical seeds give bit-identical results" if ok
+                else "runs diverged")
 
 
-ALL_CHECKS: Dict[str, Callable[[], CheckResult]] = {
-    "conservation": check_conservation,
-    "lower-bound": check_lower_bound,
-    "engine-agreement": check_engine_agreement,
-    "oracle-ordering": check_oracle_ordering,
-    "sfs-contract": check_sfs_contract,
-    "trace-calibration": check_trace_calibration,
-    "determinism": check_determinism,
-}
+# ---------------------------------------------------------------------------
+# the case table
+# ---------------------------------------------------------------------------
+QUICK = ("quick", "full")
+FULL = ("full",)
+
+
+def cases(seed: int = CHECK_SEED, quick: bool = False) -> Dict[str, Case]:
+    """Every row, by name.  ``seed`` and ``quick`` (150 instead of 400
+    requests) size the differential rows, whose order and report names
+    are ``repro check``'s output."""
+    n = 150 if quick else 400
+
+    def diff(compare, scheduler, load=0.9, seed=seed, io=0.0, **kw):
+        return lambda: compare(_workload(n, load, seed, io),
+                               _config(scheduler, **kw))
+
+    table = {
+        "engines:cfs": Case(diff(diff_engines, "cfs"), QUICK),
+        "engines:sfs": Case(diff(diff_engines, "sfs"), QUICK),
+        "oracle:cfs": Case(diff(diff_oracle, "cfs"), QUICK),
+        "oracle:sfs": Case(diff(diff_oracle, "sfs"), QUICK),
+        "engines:cfs:faulted": Case(diff(
+            diff_engines, "cfs", faults=FaultPlan(seed=seed + 1, crash_prob=0.08),
+            retry=RetryPolicy(max_attempts=3)), QUICK),
+        "engines:cfs:heavy": Case(diff(diff_engines, "cfs", 1.0, seed + 7), FULL),
+        "engines:sfs:heavy": Case(diff(diff_engines, "sfs", 1.0, seed + 7), FULL),
+        "oracle:srtf:heavy": Case(diff(diff_oracle, "srtf", 1.0, seed + 7), FULL),
+        "engines:fifo": Case(diff(diff_engines, "fifo")),
+    }
+    # validate's I/O-heavy and saturated workloads; every oracle row
+    # also runs IDEAL
+    for scheduler in ("cfs", "fifo", "sfs", "srtf"):
+        table[f"oracle:{scheduler}:io"] = Case(
+            diff(diff_oracle, scheduler, seed=7, io=0.3))
+        table[f"oracle:{scheduler}:load1"] = Case(
+            diff(diff_oracle, scheduler, 1.0, seed=7))
+    table["oracle-ordering"] = Case(check_oracle_ordering)
+    table["trace-calibration"] = Case(check_trace_calibration)
+    table["determinism"] = Case(check_determinism)
+    return table
+
+
+#: every row name, in table order (``repro validate``'s choices)
+ALL_CHECKS = tuple(cases())
+
+
+def run_check(quick: bool = False, seed: int = CHECK_SEED) -> List[DiffReport]:
+    """``repro check``: the differential rows, in table order."""
+    mode = "quick" if quick else "full"
+    return [case.run() for case in cases(seed, quick).values()
+            if mode in case.check]
 
 
 def run_battery(names: Optional[List[str]] = None) -> List[CheckResult]:
-    """Run the selected (default: all) checks."""
-    selected = names or list(ALL_CHECKS)
-    unknown = [n for n in selected if n not in ALL_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
-    return [ALL_CHECKS[n]() for n in selected]
+    """Run the selected (default: all) rows."""
+    table = cases()
+    results = []
+    for name in names or ALL_CHECKS:
+        t0 = time.time()
+        try:
+            out = table[name].run()
+        except RuntimeError as exc:  # an InvariantViolation, unfinished work
+            out = (False, f"{type(exc).__name__}: {exc}")
+        if isinstance(out, DiffReport):
+            out = (out.ok, "; ".join(out.divergences[:3])
+                   or f"{out.n_requests} requests agree")
+        results.append(CheckResult(name, *out, time.time() - t0))
+    return results
 
 
 def render(results: List[CheckResult]) -> str:
@@ -208,15 +196,3 @@ def render(results: List[CheckResult]) -> str:
     )
     return format_table(["check", "status", "time", "detail"], rows,
                         title="repro self-validation") + f"\n{verdict}"
-
-
-def main(argv=None) -> int:  # pragma: no cover - thin wrapper
-    results = run_battery()
-    print(render(results))
-    return 0 if all(r.passed for r in results) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    sys.exit(main())

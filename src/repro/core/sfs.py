@@ -42,7 +42,8 @@ class SFSStats:
     def check_invariants(self) -> None:
         """Every queue entry and every promotion has exactly one
         outcome; raises AssertionError otherwise.  Only meaningful once
-        the run has drained (queue and watch list empty)."""
+        the run has drained (queue and watch list empty).  The invariant
+        checker runs it after every checked run (``sfs-accounting``)."""
         entries = self.submitted + self.resubmitted
         outcomes = (
             self.promoted
@@ -50,13 +51,18 @@ class SFSStats:
             + self.skipped_finished
             + self.watched_at_pop
         )
-        assert entries == outcomes, (entries, outcomes)
-        assert self.promoted == (
-            self.completed_in_filter + self.demoted_slice + self.demoted_io
-        )
+        if entries != outcomes:
+            raise AssertionError(
+                f"{entries} queue entries but {outcomes} dequeue outcomes")
+        ends = self.completed_in_filter + self.demoted_slice + self.demoted_io
+        if self.promoted != ends:
+            raise AssertionError(
+                f"{self.promoted} promotions but {ends} FILTER exits")
         watches = self.watched_at_pop + (self.demoted_io - self.demoted_io_exhausted)
         resolved = self.resubmitted + self.finished_while_watched
-        assert watches == resolved, (watches, resolved)
+        if watches != resolved:
+            raise AssertionError(
+                f"{watches} watched tasks but {resolved} resolved")
 
 
 class SFS:

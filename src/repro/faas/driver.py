@@ -302,8 +302,9 @@ class Driver:
             meta["fault_stats"] = faults.stats.as_dict()
         records = build_records(pairs, faults=faults)
         if self.checker.enabled:
-            self.checker.check_accounting(workload, records,
-                                          meta.get("fault_stats"))
+            self.checker.check_accounting(
+                workload, records, meta.get("fault_stats"),
+                [host.sfs for host in hosts if host.sfs is not None])
             meta["invariant_checks"] = self.checker.summary()
         return RunResult(
             scheduler=scheduler,

@@ -34,16 +34,18 @@ asserted on configurations where it mathematically holds:
 * **reconstruction** — replay with tracing on and require that every
   request's causal timeline (:mod:`repro.why`) partitions its
   ``[arrival, finish]`` window *exactly* (the ``why-exact-sum``
-  oracle).  Applies to every single-machine case: the generator only
-  draws schedulers that emit the full ``task.*`` lifecycle.
+  oracle).  Applies to every case, cluster cases included: the
+  generator only draws schedulers that emit the full ``task.*``
+  lifecycle.
 
 * **cluster** — cases carrying a :class:`ClusterCase` run through the
   fault-tolerant serving tier instead (``cluster-exactly-once``):
   health-checked failover, hedged requests and domain outages must
   still deliver exactly one terminal outcome per request, enforced by
   the invariant checker's accounting closure on the merged records.
-  All other oracles gate on ``case.cluster is None`` — their properties
-  are stated for a single shared machine.
+  All other oracles but ``why-exact-sum`` gate on
+  ``case.cluster is None`` — their properties are stated for a single
+  shared machine.
 
 Slack constants for the inexact properties are calibrated by running a
 large campaign against the healthy tree: they are as tight as the
@@ -395,8 +397,10 @@ def _check_why_exact_sum(case: FuzzCase) -> Optional[Violation]:
 
     Applies to *every* generated case: the generator only draws from
     cfs/fifo/rr/sfs on the two engines, all of which emit the full
-    ``task.*`` lifecycle.  A gap, an overlap, or a sum mismatch means
-    either an engine dropped/duplicated a lifecycle event or the
+    ``task.*`` lifecycle.  A cluster case replays through the serving
+    tier, whose failover, hedge and ``host_lost`` segments must
+    partition the window too.  A gap, an overlap, or a sum mismatch
+    means either an engine dropped/duplicated a lifecycle event or the
     reconstruction mislabelled one — both bugs.
     """
     from repro.trace import TraceRecorder
@@ -406,7 +410,10 @@ def _check_why_exact_sum(case: FuzzCase) -> Optional[Violation]:
     trace = TraceRecorder()
     cfg = replace(case.config, invariants=False)
     try:
-        result = run_workload(case.workload, cfg, trace=trace)
+        if case.cluster is not None:
+            result = run_cluster_case(case, invariants=False, trace=trace)
+        else:
+            result = run_workload(case.workload, cfg, trace=trace)
     except (SimulationError, RuntimeError) as exc:
         return _crash_violation(name, exc)
     timelines = build_timelines(result.records, trace)
@@ -425,13 +432,13 @@ def _check_why_exact_sum(case: FuzzCase) -> Optional[Violation]:
 # ----------------------------------------------------------------------
 # cluster family
 # ----------------------------------------------------------------------
-def run_cluster_case(case: FuzzCase, invariants: bool = True):
+def run_cluster_case(case: FuzzCase, invariants: bool = True, trace=None):
     """Replay a cluster case through the resilient serving tier.
 
     The single-machine config supplies the per-host deployment (machine,
     engine, fault plan, policies); the :class:`ClusterCase` supplies the
     shape.  Failover is always on — it is the subsystem under test —
-    and hedging follows the case's draw.
+    and hedging follows the case's draw.  ``trace`` records the run.
     """
     from repro.faas.cluster import ClusterConfig, run_cluster
     from repro.faas.openlambda import OpenLambdaConfig
@@ -455,7 +462,7 @@ def run_cluster_case(case: FuzzCase, invariants: bool = True):
         case.workload,
         ClusterConfig(n_hosts=cl.n_hosts, host=host,
                       placement="least_loaded", resilience=resilience),
-        invariants=invariants,
+        trace=trace, invariants=invariants,
     )
 
 
@@ -487,8 +494,7 @@ ORACLES: Tuple[Oracle, ...] = (
     Oracle("metamorphic-scaling", _scaling_applies, _check_scaling),
     Oracle("metamorphic-drop-fault", _drop_fault_applies, _check_drop_fault),
     Oracle("metamorphic-permute", _permute_applies, _check_permute),
-    Oracle("why-exact-sum", lambda case: case.cluster is None,
-           _check_why_exact_sum),
+    Oracle("why-exact-sum", lambda case: True, _check_why_exact_sum),
     Oracle("cluster-exactly-once", lambda case: case.cluster is not None,
            _check_cluster_exactly_once),
 )

@@ -26,7 +26,10 @@ the simulation stream is bit-identical to a build without this module.
   cap or goes negative;
 * **fault-accounting closure** — post-run, every arrival is ok, failed,
   timed out or shed exactly once and the governor's counters agree with
-  the per-request records.
+  the per-request records;
+* **SFS accounting** — post-run, every SFS queue entry and every FILTER
+  promotion on every host has exactly one outcome
+  (:meth:`repro.core.sfs.SFSStats.check_invariants`).
 
 A failed check raises :class:`InvariantViolation` carrying the
 offending state, the virtual time, and the run's replay coordinates
@@ -41,7 +44,7 @@ bit-identical results to an unchecked one.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 
 def invariants_enabled_by_default() -> bool:
@@ -132,7 +135,8 @@ class NullChecker:
 
     # post-run hooks -----------------------------------------------------
     def check_accounting(self, workload: Any, records: Any,
-                         fault_stats: Optional[Dict[str, int]] = None) -> None:
+                         fault_stats: Optional[Dict[str, int]] = None,
+                         sfs_layers: Sequence[Any] = ()) -> None:
         return None
 
     def summary(self) -> Dict[str, int]:
@@ -342,16 +346,28 @@ class InvariantChecker(NullChecker):
     # post-run accounting closure
     # ------------------------------------------------------------------
     def check_accounting(self, workload: Any, records: Any,
-                         fault_stats: Optional[Dict[str, int]] = None) -> None:
-        """No-lost-tasks + fault-accounting closure over a finished run.
+                         fault_stats: Optional[Dict[str, int]] = None,
+                         sfs_layers: Sequence[Any] = ()) -> None:
+        """No-lost-tasks + fault-accounting + SFS closure over a
+        finished run.
 
         Every arrival must appear in the records exactly once; statuses
         must partition the arrivals; when a fault governor ran, its
         aggregate counters must agree with the per-request outcomes.
         This is the cluster's *exactly-once* guarantee: no matter how
         attempts were retried, failed over or hedged, each request ends
-        with one terminal status and one record.
+        with one terminal status and one record.  Each of
+        ``sfs_layers`` (one per host running SFS) must close its outcome
+        counters.
         """
+        for host, layer in enumerate(sfs_layers):
+            self._count("sfs-accounting")
+            try:
+                layer.stats.check_invariants()
+            except AssertionError as exc:
+                self._fail("sfs-accounting",
+                           f"SFS outcome counters do not close: {exc}",
+                           host=host, stats=layer.stats)
         self._count("no-lost-tasks")
         self._count("exactly-once")
         want = sorted(spec.req_id for spec in workload)

@@ -174,12 +174,3 @@ def utilization_timeline(
     if gauge is None or n_cores <= 0:
         return []
     return [(ts, (n_cores - idle) / n_cores) for ts, idle in gauge.series]
-
-
-def core_depth_timelines(registry) -> Dict[int, List[Tuple[int, float]]]:
-    """Per-core fair-runqueue depth series, keyed by core index."""
-    out: Dict[int, List[Tuple[int, float]]] = {}
-    for inst in registry.find("repro_runqueue_depth"):
-        core = int(inst.labels.get("core", -1))
-        out[core] = list(inst.series)
-    return out

@@ -13,14 +13,16 @@ from conftest import small_workload
 from repro.experiments.runner import RunConfig
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.analysis.validate import run_check
 from repro.invariants.diff import (
     DiffReport,
     DiffTolerance,
     diff_engines,
     diff_oracle,
-    run_check_battery,
 )
 from repro.machine.base import MachineParams
+from repro.machine.discrete import DiscreteMachine
+from repro.sim.task import SchedPolicy
 
 
 def _cfg(scheduler="cfs", **kw):
@@ -78,6 +80,45 @@ def test_engine_diff_detects_divergence():
     assert "FAIL" in rendered and "trace context" in rendered
 
 
+def _slow_fifo_dispatch(monkeypatch):
+    """Seeded bug: every discrete FIFO dispatch starts running 1us late."""
+    start = DiscreteMachine._start
+
+    def slow(self, core, task):
+        start(self, core, task)
+        if task.policy is SchedPolicy.FIFO:
+            core.run_start += 1
+            core.completion_handle.cancel()
+            core.completion_handle = self.sim.schedule(
+                core.run_start - self.sim.now
+                + self._wall(task.burst_remaining),
+                self._on_completion, core, task)
+
+    monkeypatch.setattr(DiscreteMachine, "_start", slow)
+
+
+def test_fifo_engines_must_agree_exactly(monkeypatch):
+    """At zero context-switch cost FIFO is exact across engines, so
+    1us of drift per dispatch is a divergence."""
+    wl = small_workload(n_requests=200, load=0.9, seed=41)
+    _slow_fifo_dispatch(monkeypatch)
+    report = diff_engines(wl, _cfg("fifo"))
+    assert not report.ok
+    assert "FIFO turnaround" in report.divergences[0]
+    assert report.trace_context
+
+
+def test_fifo_exact_law_needs_zero_ctx_cost(monkeypatch):
+    """With a context-switch cost the engines legitimately differ, so
+    the same drift stays inside the ordinary tolerance."""
+    wl = small_workload(n_requests=200, load=0.9, seed=41)
+    _slow_fifo_dispatch(monkeypatch)
+    cfg = replace(_cfg("fifo"),
+                  machine=MachineParams(n_cores=8, ctx_switch_cost=500))
+    report = diff_engines(wl, cfg)
+    assert report.ok, report.render()
+
+
 def test_tolerance_validation():
     with pytest.raises(ValueError):
         DiffTolerance(mean_rel=0.0)
@@ -95,7 +136,7 @@ def test_report_render_truncates_divergences():
 
 
 def test_quick_battery_is_clean():
-    reports = run_check_battery(quick=True, seed=21)
+    reports = run_check(quick=True, seed=21)
     assert len(reports) == 5
     for r in reports:
         assert r.ok, r.render()

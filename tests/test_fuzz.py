@@ -87,6 +87,8 @@ def test_healthy_tree_fuzzes_clean():
     assert summary.applicable["cluster-exactly-once"] > 0
     assert summary.applicable["differential-engines"] > 0
     assert summary.applicable["metamorphic-drop-fault"] > 0
+    # the reconstruction oracle covers cluster cases too
+    assert summary.applicable["why-exact-sum"] == 25
 
 
 def test_oracle_gates_track_config():
@@ -318,8 +320,7 @@ def test_cli_check_pins_exit_codes(monkeypatch, capsys):
     from repro.invariants import diff as diff_mod
 
     clean = diff_mod.DiffReport(name="engines:cfs", n_requests=3)
-    monkeypatch.setattr(diff_mod, "run_check_battery",
-                        lambda quick, seed: [clean])
+    monkeypatch.setattr(cli, "run_check", lambda quick, seed: [clean])
     assert cli.main(["check", "--quick"]) == 0
     assert "1/1 comparisons clean" in capsys.readouterr().out
 
@@ -328,8 +329,7 @@ def test_cli_check_pins_exit_codes(monkeypatch, capsys):
         divergences=["req 7: outcome fluid=ok/1 discrete=failed/2"],
         first_divergence=7,
     )
-    monkeypatch.setattr(diff_mod, "run_check_battery",
-                        lambda quick, seed: [clean, bad])
+    monkeypatch.setattr(cli, "run_check", lambda quick, seed: [clean, bad])
     assert cli.main(["check", "--quick"]) == 1
     out = capsys.readouterr().out
     assert "req 7" in out

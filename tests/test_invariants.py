@@ -16,6 +16,9 @@ import pytest
 from conftest import quick_run, small_workload
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
+from repro.core.sfs import SFSStats
+from repro.faas.cluster import ClusterConfig, run_cluster
+from repro.faas.openlambda import OpenLambdaConfig
 from repro.invariants import (
     NULL_CHECKER,
     InvariantChecker,
@@ -24,6 +27,7 @@ from repro.invariants import (
     invariants_enabled_by_default,
     resolve_checker,
 )
+from repro.machine.base import MachineParams
 from repro.sched.cfs import CfsParams, CfsRunqueue
 from repro.sim.task import Task, cpu_task
 
@@ -130,6 +134,53 @@ def test_double_finish_is_caught():
     with pytest.raises(InvariantViolation) as exc_info:
         chk.on_task_finish(t, now=100)
     assert exc_info.value.invariant == "no-lost-tasks"
+
+
+# ----------------------------------------------------------------------
+# SFS accounting: every queue entry and promotion has one outcome
+# ----------------------------------------------------------------------
+def _forget_in_slice_completions(monkeypatch):
+    """Seeded bug: SFS stops counting functions that finish inside
+    their FILTER slice."""
+    monkeypatch.setattr(SFSStats, "completed_in_filter",
+                        property(lambda self: 0, lambda self, value: None))
+
+
+def _sfs_cluster(wl):
+    config = ClusterConfig(n_hosts=2, host=OpenLambdaConfig(
+        machine=MachineParams(n_cores=4), scheduler="sfs"))
+    return run_cluster(wl, config, invariants=True)
+
+
+def test_sfs_closure_runs_on_every_sfs_host():
+    wl = small_workload(n_requests=120, load=0.9, seed=31)
+    res = quick_run(wl, "sfs", invariants=True)
+    assert res.meta["invariant_checks"]["sfs-accounting"] == 1
+    res = _sfs_cluster(wl)
+    assert res.meta["invariant_checks"]["sfs-accounting"] == 2
+    res = quick_run(wl, "cfs", invariants=True)
+    assert "sfs-accounting" not in res.meta["invariant_checks"]
+
+
+@pytest.mark.parametrize("engine", ["fluid", "discrete"])
+def test_seeded_sfs_counter_skip_is_caught(engine, monkeypatch):
+    _forget_in_slice_completions(monkeypatch)
+    wl = small_workload(n_requests=120, load=0.9, seed=31)
+    with pytest.raises(InvariantViolation) as exc_info:
+        quick_run(wl, "sfs", engine=engine, invariants=True)
+    v = exc_info.value
+    assert v.invariant == "sfs-accounting"
+    assert "promotions but" in v.detail
+    assert v.seed == wl.meta["seed"]
+
+
+def test_seeded_sfs_counter_skip_is_caught_in_cluster(monkeypatch):
+    _forget_in_slice_completions(monkeypatch)
+    wl = small_workload(n_requests=120, load=0.9, seed=31)
+    with pytest.raises(InvariantViolation) as exc_info:
+        _sfs_cluster(wl)
+    assert exc_info.value.invariant == "sfs-accounting"
+    assert "cluster" in exc_info.value.label
 
 
 # ----------------------------------------------------------------------

@@ -18,9 +18,15 @@ def test_subset_selection():
     assert results[0].name == "determinism"
 
 
-def test_unknown_check_rejected():
-    with pytest.raises(ValueError):
-        run_battery(["no-such-check"])
+def test_unknown_check_rejected(capsys):
+    """An unknown row is an argparse usage error (exit 2)."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["validate", "no-such-check"])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "invalid choice: 'no-such-check'" in err
 
 
 def test_render_reports_failures():
@@ -35,7 +41,8 @@ def test_render_reports_failures():
 def test_cli_validate_subcommand(capsys):
     from repro.cli import main
 
-    rc = main(["validate", "determinism", "sfs-contract"])
+    rc = main(["validate", "determinism", "oracle:sfs:load1"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "determinism" in out and "PASS" in out
+    assert "determinism" in out and "oracle:sfs:load1" in out
+    assert "PASS" in out and "FAIL" not in out
