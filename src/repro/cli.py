@@ -14,7 +14,7 @@ The subcommands cover the common flows without writing Python::
     python -m repro fuzz --budget 200 --seed 0 --out findings/ --workers 4
     python -m repro fuzz replay tests/corpus/case.json
     python -m repro pool replay results/quarantine.json
-    python -m repro report out.html --explore explore.html --bundle runA/
+    python -m repro report out.html --bundle runA/
     python -m repro explore runA/ runB/ -o diff.html
     python -m repro list
 
@@ -74,7 +74,7 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
                         "trace-event for Perfetto, .jsonl = JSON lines)")
     p.add_argument("--metrics", metavar="PATH", dest="metrics",
                    help="dump aggregated metrics (.jsonl = repro.metrics/1, "
-                        ".prom/.txt = Prometheus text, .html = report)")
+                        ".prom/.txt = Prometheus text)")
     p.add_argument("--gauge-interval", type=int, default=10_000,
                    help="trace gauge sampling period in us")
     p.add_argument("--faults", metavar="PLAN.json",
@@ -149,7 +149,7 @@ def _check_parent(path: str, what: str) -> None:
 
 
 def _run(args, scheduler: str, trace_path: Optional[str] = None,
-         registry=None, recorder=None):
+         registry=None, recorder=None, audit=None):
     from repro.trace import TraceRecorder, write_trace
 
     machine = MachineParams(n_cores=args.cores, ctx_switch_cost=args.ctx_cost)
@@ -164,21 +164,22 @@ def _run(args, scheduler: str, trace_path: Optional[str] = None,
     if registry is None and metrics_path:
         from repro.obs import MetricsRegistry
 
+        if metrics_path.endswith(".html"):
+            print("error: --metrics writes .jsonl or .prom/.txt; for an "
+                  "HTML view of a run use `repro report PATH.html`",
+                  file=sys.stderr)
+            raise SystemExit(2)
         _check_parent(metrics_path, "metrics")
         registry = MetricsRegistry(gauge_interval=args.gauge_interval)
-    res = run_workload(_workload(args), cfg, trace=recorder, metrics=registry)
+    res = run_workload(_workload(args), cfg, trace=recorder, metrics=registry,
+                       audit=audit)
     if trace_path:
         write_trace(trace_path, recorder, res.manifest)
         print(f"wrote {len(recorder)} trace events to {trace_path}")
     if metrics_path and registry is not None:
-        from repro.obs.export import write_html, write_metrics
+        from repro.obs.export import write_metrics
 
-        if metrics_path.endswith(".html"):
-            write_html(metrics_path, registry, records=res.records,
-                       n_cores=args.cores,
-                       title=f"{scheduler} on {args.cores} cores")
-        else:
-            write_metrics(metrics_path, registry)
+        write_metrics(metrics_path, registry)
         print(f"wrote {len(registry)} instruments to {metrics_path}")
     return res
 
@@ -392,51 +393,53 @@ def cmd_replay(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Run once with metrics on and render the observability report."""
+    """Run once with every sink on; print where the latency went and
+    write the explorer (``.html``) or the metrics dump (any other
+    suffix)."""
     from repro.obs import MetricsRegistry
-    from repro.obs.attribution import latency_table, sfs_accounting
-    from repro.obs.export import write_html, write_metrics
+    from repro.obs.export import write_metrics
+    from repro.trace import TraceRecorder
+    from repro.why import AuditLog, build_timelines, latency_by_class
 
     _check_parent(args.output, "report")
-    if args.explore:
-        _check_parent(args.explore, "explorer")
     if args.bundle:
         # the bundle path may itself name a directory to create
         _check_parent(os.path.normpath(args.bundle), "bundle")
     registry = MetricsRegistry(gauge_interval=args.gauge_interval)
-    recorder = None
-    if args.explore or args.bundle:
-        from repro.trace import TraceRecorder
-
-        recorder = TraceRecorder(gauge_interval=args.gauge_interval)
+    recorder = TraceRecorder(gauge_interval=args.gauge_interval)
+    audit = AuditLog()
     t0 = time.time()
     res = _run(args, args.scheduler, trace_path=args.trace,
-               registry=registry, recorder=recorder)
-    print(latency_table(res.records))
-    sfs = sfs_accounting(registry)
-    if sfs:
-        rows = sorted(sfs.items())
-        print()
-        print(format_table(["SFS counter", "value"], rows))
-    if recorder is not None:
+               registry=registry, recorder=recorder, audit=audit)
+    classes = latency_by_class(
+        build_timelines(res.records, recorder, audit=audit), res.records)
+    kinds = [k for k in classes["all"]["by_kind"]
+             if classes["all"]["by_kind"][k]]
+    rows = []
+    for cls, row in classes.items():
+        e2e = max(1, row["end_to_end_us"])
+        rows.append([cls, row["n"]] + [
+            f"{row['by_kind'][k] / row['n'] / 1e3:.1f} "
+            f"({row['by_kind'][k] / e2e:.0%})" for k in kinds
+        ] + [f"{row['end_to_end_us'] / row['n'] / 1e3:.1f}"])
+    print(format_table(
+        ["class", "n"] + [f"{k} (ms)" for k in kinds] + ["e2e (ms)"], rows,
+        title="latency by segment kind (mean per request, share of e2e)"))
+    if args.bundle or args.output.endswith(".html"):
         from repro.explore import RunBundle, write_explorer
 
-        bundle = RunBundle.capture(res, recorder, metrics=registry)
+        bundle = RunBundle.capture(res, recorder, metrics=registry,
+                                   audit=audit)
         if args.bundle:
-            saved = bundle.save(args.bundle)
-            print(f"\nwrote run bundle to {saved}")
-        if args.explore:
-            n = write_explorer(args.explore, [bundle], metrics=registry)
-            print(f"\nwrote explorer to {args.explore} ({n / 1e6:.2f} MB)")
-    if args.output.endswith((".jsonl", ".prom", ".txt")):
-        write_metrics(args.output, registry)
+            print(f"\nwrote run bundle to {bundle.save(args.bundle)}")
+    if args.output.endswith(".html"):
+        n = write_explorer(args.output, [bundle], metrics=registry)
+        print(f"\nwrote explorer to {args.output} ({n / 1e6:.2f} MB, "
+              f"{time.time() - t0:.1f}s)")
     else:
-        write_html(args.output, registry, records=res.records,
-                   n_cores=args.cores,
-                   title=f"{args.scheduler} on {args.cores} cores, "
-                         f"load {args.load:.0%}")
-    print(f"\nwrote {args.output} ({len(registry)} instruments, "
-          f"{time.time() - t0:.1f}s)")
+        write_metrics(args.output, registry)
+        print(f"\nwrote {args.output} ({len(registry)} instruments, "
+              f"{time.time() - t0:.1f}s)")
     return 0
 
 
@@ -494,18 +497,11 @@ def cmd_why(args) -> int:
         doc = bundle.why
         if doc is None:
             print("error: bundle has no why section: it predates "
-                  "repro.why, or its scheduler (srtf/ideal) emits no "
-                  "task trace; re-capture the run or use the fresh-run "
+                  "repro.why; re-capture the run or use the fresh-run "
                   "form (repro why --scheduler ...)", file=sys.stderr)
             return 2
         label = bundle.label
     else:
-        if args.scheduler not in ENGINE_SCHEDULERS:
-            # the oracle machines emit no task.* trace events, so there
-            # is nothing to reconstruct a timeline from
-            print("error: scheduler must be one of cfs/fifo/rr/sfs for "
-                  "why (srtf/ideal emit no task trace)", file=sys.stderr)
-            return 2
         from repro.trace import TraceRecorder
 
         machine = MachineParams(n_cores=args.cores,
@@ -932,15 +928,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="write wall-clock/RSS run stats JSON here")
     p_rp.set_defaults(func=cmd_replay)
 
-    p_rep = sub.add_parser("report", help="run with metrics and render "
-                                          "the observability report")
+    p_rep = sub.add_parser("report", help="run with every sink on, print "
+                                          "where the latency went")
     p_rep.add_argument("output", metavar="PATH",
-                       help="report artifact (.html = self-contained page, "
-                            ".jsonl = repro.metrics/1, .prom = Prometheus)")
+                       help="report artifact (.html = the interactive run "
+                            "explorer, .jsonl = repro.metrics/1, "
+                            ".prom/.txt = Prometheus)")
     p_rep.add_argument("--scheduler", choices=SCHEDULERS, default="sfs")
-    p_rep.add_argument("--explore", metavar="PATH",
-                       help="also write the interactive run explorer "
-                            "(one self-contained offline HTML)")
     p_rep.add_argument("--bundle", metavar="PATH",
                        help="also save the repro.explore/1 run bundle "
                             "(diff it later with `repro explore A B`)")

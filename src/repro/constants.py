@@ -1,7 +1,7 @@
 """Paper constants shared across layers.
 
 This module sits below everything else in the package — it imports
-nothing — so that low layers (``repro.obs``) and high layers
+nothing — so that low layers (``repro.why``) and high layers
 (``repro.experiments``) can agree on the paper's magic numbers without
 the low layer growing a dependency on the experiment stack.
 """

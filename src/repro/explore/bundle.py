@@ -175,9 +175,8 @@ def build_data(result, trace, metrics=None,
     :class:`repro.why.AuditLog` that tags the embedded ``why`` section's
     wait segments with their decision-makers.  The ``why`` section
     (schema ``repro.why/1``) is byte-deterministic: it is keyed by
-    ``req_id`` only, never raw tids.  It is *optional*: older bundles
-    load fine without it, and runs of the oracle machines (srtf/ideal),
-    which emit no task trace, carry none.
+    ``req_id`` only, never raw tids.  Every capture carries it; older
+    bundles load fine without it.
     """
     import numpy as np
 
@@ -430,15 +429,10 @@ def build_data(result, trace, metrics=None,
         "counters": counters,
         "provenance": provenance,
     }
-    from repro.faas.driver import ENGINE_SCHEDULERS, SCHEDULERS
+    from repro.why import build_timelines, build_why_doc
 
-    # the oracle machines emit no task.* trace: no timeline to blame
-    if (result.scheduler in ENGINE_SCHEDULERS
-            or result.scheduler not in SCHEDULERS):  # e.g. a variant layer
-        from repro.why import build_timelines, build_why_doc
-
-        data["why"] = build_why_doc(
-            build_timelines(records, trace, audit=audit), top_blamed=why_top)
+    data["why"] = build_why_doc(
+        build_timelines(records, trace, audit=audit), top_blamed=why_top)
     return data
 
 
@@ -467,8 +461,7 @@ class RunBundle:
 
     @property
     def why(self) -> Optional[Dict[str, object]]:
-        """The embedded ``repro.why/1`` section (None in older bundles
-        and in runs of the oracle machines)."""
+        """The embedded ``repro.why/1`` section (None in older bundles)."""
         return self.data.get("why")  # type: ignore[return-value]
 
     # ------------------------------------------------------------------

@@ -21,11 +21,10 @@ from __future__ import annotations
 import html as _html
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.explore.assets import CSS, JS
 from repro.explore.bundle import RunBundle
-from repro.obs.export import sparkline
 
 #: fixed palette slots per percentile curve (colour follows the entity)
 _PCT_SLOTS = (("p50", 0), ("p90", 2), ("p99", 7))
@@ -34,6 +33,40 @@ _MAX_DIFF_QUEUE_LABELS = 4
 
 def _esc(v: object) -> str:
     return _html.escape(str(v), quote=True)
+
+
+def sparkline(series: Sequence[Tuple[int, float]], width: int = 640,
+              height: int = 80, y_max: Optional[float] = None) -> str:
+    """A static SVG polyline of ``(ts, value)`` points: the page's
+    ``<noscript>`` fallback for the scripted charts."""
+    series = list(series)
+    if not series:
+        return "<p class=muted>no samples for a timeline</p>"
+    ys = [v for _, v in series]
+    top = y_max if y_max is not None else max(ys)
+    if top is None or top <= 0:
+        top = 1.0
+    if len(series) == 1:
+        y = height - min(ys[0], top) / top * height
+        return (
+            f'<svg width="{width}" height="{height}" '
+            f'viewBox="0 0 {width} {height}">'
+            f'<circle cx="2.0" cy="{y:.1f}" r="2.5" fill="#3366cc"/></svg>'
+        )
+    xs = [ts for ts, _ in series]
+    x0, x1 = xs[0], xs[-1]
+    span = (x1 - x0) or 1
+    pts = " ".join(
+        f"{(x - x0) / span * width:.1f},"
+        f"{height - min(y, top) / top * height:.1f}"
+        for x, y in series
+    )
+    return (
+        f'<svg width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">'
+        f'<polyline points="{pts}" fill="none" stroke="#3366cc" '
+        f'stroke-width="1.5"/></svg>'
+    )
 
 
 def _tile(value: str, key: str, sub: str = "") -> str:

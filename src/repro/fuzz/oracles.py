@@ -33,10 +33,10 @@ asserted on configurations where it mathematically holds:
 
 * **reconstruction** — replay with tracing on and require that every
   request's causal timeline (:mod:`repro.why`) partitions its
-  ``[arrival, finish]`` window *exactly* (the ``why-exact-sum``
-  oracle).  Applies to every case, cluster cases included: the
-  generator only draws schedulers that emit the full ``task.*``
-  lifecycle.
+  ``[arrival, finish]`` window *exactly* and agrees with its record on
+  wait, block and queue time (the ``why-exact-sum`` oracle).  Applies
+  to every case, cluster cases included: every machine emits the full
+  ``task.*`` lifecycle.
 
 * **cluster** — cases carrying a :class:`ClusterCase` run through the
   fault-tolerant serving tier instead (``cluster-exactly-once``):
@@ -393,18 +393,21 @@ def _check_permute(case: FuzzCase) -> Optional[Violation]:
 
 def _check_why_exact_sum(case: FuzzCase) -> Optional[Violation]:
     """Replay with tracing on; every request's causal timeline must
-    partition ``[arrival, finish]`` exactly (repro.why).
+    partition ``[arrival, finish]`` exactly, and every ok,
+    single-attempt, un-hedged request's timeline must agree with its
+    record (:func:`repro.why.disagreement`: wait, block and queue
+    time).
 
-    Applies to *every* generated case: the generator only draws from
-    cfs/fifo/rr/sfs on the two engines, all of which emit the full
-    ``task.*`` lifecycle.  A cluster case replays through the serving
-    tier, whose failover, hedge and ``host_lost`` segments must
-    partition the window too.  A gap, an overlap, or a sum mismatch
-    means either an engine dropped/duplicated a lifecycle event or the
-    reconstruction mislabelled one — both bugs.
+    Applies to *every* case: every machine emits the full ``task.*``
+    lifecycle.  A cluster case replays through the serving tier, whose
+    failover, hedge and ``host_lost`` segments must partition the
+    window too.  A gap, an overlap, a sum mismatch or a disagreement
+    means either an engine dropped/duplicated a lifecycle event (or
+    mis-stated a stay's CPU credit) or the reconstruction mislabelled
+    one — both bugs.
     """
     from repro.trace import TraceRecorder
-    from repro.why import build_timelines
+    from repro.why import build_timelines, disagreement
 
     name = "why-exact-sum"
     trace = TraceRecorder()
@@ -417,7 +420,8 @@ def _check_why_exact_sum(case: FuzzCase) -> Optional[Violation]:
     except (SimulationError, RuntimeError) as exc:
         return _crash_violation(name, exc)
     timelines = build_timelines(result.records, trace)
-    for tl in timelines.values():
+    for rec in result.records:
+        tl = timelines[rec.req_id]
         if not tl.exact:
             return Violation(
                 name,
@@ -426,6 +430,9 @@ def _check_why_exact_sum(case: FuzzCase) -> Optional[Violation]:
                 f"is {tl.end_to_end}us — the timeline must partition "
                 f"[arrival, finish] exactly",
             )
+        off = disagreement(tl, rec)
+        if off:
+            return Violation(name, f"request {tl.req_id}: {off}")
     return None
 
 

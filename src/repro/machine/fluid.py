@@ -106,8 +106,9 @@ class FluidMachine(MachineBase):
             return
 
         core: Optional[int] = None  # set when the change takes it off CPU
+        served: Optional[int] = None  # CPU credit of a pool stay
         if task.tid in self._pool:
-            self._leave_pool(task)
+            served = self._leave_pool(task)
             core = -1
         elif task.tid in self._rt_running:
             core = self._stop_rt(task, involuntary=True)
@@ -116,7 +117,7 @@ class FluidMachine(MachineBase):
             self.rt_wait.remove(task)
         if core is not None:
             if self._probe_on:
-                self._probe.reclass(task, core)
+                self._probe.reclass(task, core, served)
             task.state = TaskState.READY
             task._ready_since = self.sim.now  # type: ignore[attr-defined]
         task.rt_priority = rt_priority
@@ -128,8 +129,9 @@ class FluidMachine(MachineBase):
         if task.state is TaskState.FINISHED:
             return False
         core, off = -1, None  # trace core and deschedule reason if on CPU
+        served: Optional[int] = None
         if task.tid in self._pool:
-            self._leave_pool(task)
+            served = self._leave_pool(task)
             off = tev.DESCHED_RECLASS
         elif task.tid in self._rt_running:
             core = self._stop_rt(task, involuntary=False)
@@ -142,7 +144,7 @@ class FluidMachine(MachineBase):
                 handle.cancel()
                 task._io_handle = None  # type: ignore[attr-defined]
         if self._probe_on:
-            self._probe.kill(task, reason, core, off)
+            self._probe.kill(task, reason, core, off, served)
         self._finish_killed(task, reason)
         self._dispatch_rt()  # a freed core may admit waiting RT work
         return True
@@ -251,18 +253,26 @@ class FluidMachine(MachineBase):
         heapq.heappush(self._heap, (target, next(self._seq), task))
         self._reschedule_pool_event()
 
-    def _leave_pool(self, task: Task) -> None:
+    def _leave_pool(self, task: Task) -> int:
         """Take a task out of the pool before its burst completes
-        (re-class or kill), charging the service it received."""
+        (re-class or kill), charging the service it received.  Returns
+        the stay's CPU credit (see :meth:`_charge_pool`)."""
         self._advance()
         assert task.tid in self._pool
         del self._pool[task.tid]
         served = int(round(self._credit - task._pool_enter_credit))  # type: ignore[attr-defined]
-        self._charge_pool(task, max(0, min(served, task.burst_remaining - 1)))
+        credit = self._charge_pool(
+            task, max(0, min(served, task.burst_remaining - 1)))
         self._reschedule_pool_event()
+        return credit
 
-    def _charge_pool(self, task: Task, served: int) -> None:
-        """Charge a pool stay: ``served`` CPU us, the rest as wait."""
+    def _charge_pool(self, task: Task, served: int) -> int:
+        """Charge a pool stay: ``served`` CPU us, the rest as wait.
+
+        Returns the stay's CPU credit ``c``: of the stay's ``D`` us, ``c``
+        ran and ``D - c`` waited on the shared cores.  The probe carries
+        it on the ``task.deschedule`` that ends the stay, so
+        :mod:`repro.why` splits the stay exactly as charged here."""
         task.consume_cpu(served)
         if self._inv_on:
             self._inv.on_charge(task)
@@ -274,6 +284,7 @@ class FluidMachine(MachineBase):
         whole = int(cs)
         task.ctx_involuntary += whole
         task._cs_float = cs - whole  # type: ignore[attr-defined]
+        return min(served, elapsed)
 
     def _reschedule_pool_event(self) -> None:
         if self._pool_event is not None:
@@ -305,8 +316,8 @@ class FluidMachine(MachineBase):
             del self._pool[task.tid]
             finished.append(task)
         for task in finished:
-            self._charge_pool(task, task.burst_remaining)
-            self._complete_cpu_burst(task, -1)
+            served = self._charge_pool(task, task.burst_remaining)
+            self._complete_cpu_burst(task, -1, served)
         if self._inv_on:
             self._inv.on_fluid_pool(self)
         self._reschedule_pool_event()
@@ -408,11 +419,13 @@ class FluidMachine(MachineBase):
     # ==================================================================
     # burst lifecycle (shared)
     # ==================================================================
-    def _complete_cpu_burst(self, task: Task, core: int) -> None:
+    def _complete_cpu_burst(self, task: Task, core: int,
+                            served: Optional[int] = None) -> None:
         nxt = task.advance_burst()
         if self._probe_on:
             self._probe.burst_end(
-                task, core, blocked=nxt is not None and nxt.kind is BurstKind.IO)
+                task, core, nxt is not None and nxt.kind is BurstKind.IO,
+                served)
         if nxt is None:
             task.state = TaskState.FINISHED
             task.finish_time = self.sim.now

@@ -1,4 +1,4 @@
-"""repro.obs — unified observability: metrics, attribution, export.
+"""repro.obs — unified observability: the probe, metrics, export.
 
 Layering (mirrors ``repro.trace`` / ``repro.invariants``):
 
@@ -10,14 +10,15 @@ Layering (mirrors ``repro.trace`` / ``repro.invariants``):
 * :mod:`repro.obs.probe` — the per-simulator :class:`Probe`, the one
   instrumentation path that maps each scheduling decision onto the
   trace, this registry and the audit log (gauge path included);
-* :mod:`repro.obs.attribution` — virtual-time latency breakdown
-  ("where did the latency go") and per-core utilization timelines;
-* :mod:`repro.obs.export` — Prometheus text / JSONL / HTML exporters.
+* :mod:`repro.obs.export` — Prometheus text / JSONL exporters.
 
-Only the leaf modules are imported here: ``sim.engine`` imports this
-package for :data:`NULL_REGISTRY`, so pulling in attribution / export
-(which import machines and experiments) at package init would cycle.
-Import those submodules explicitly.
+Where the latency went is :mod:`repro.why`'s question (one timeline
+model for every engine and scheduler), and a run's HTML view is the
+explorer (:mod:`repro.explore`).
+
+Only the leaf modules are imported here (``sim.engine`` imports this
+package for :data:`NULL_REGISTRY`); import the probe and the exporters
+as submodules.
 """
 
 from repro.obs.instruments import (

@@ -1,6 +1,6 @@
-"""Metric exporters: Prometheus text, JSONL dump, HTML report.
+"""Metric exporters: Prometheus text and JSONL dump.
 
-Three formats, one registry:
+Two formats, one registry:
 
 * :func:`to_prometheus` — the text exposition format scrapers expect
   (``# HELP`` / ``# TYPE`` + sample lines; histograms exported as
@@ -8,26 +8,18 @@ Three formats, one registry:
 * :func:`to_jsonl` — one JSON object per line under the
   ``repro.metrics/1`` schema.  Deterministic by construction: sorted
   instruments, virtual timestamps only, so the same seed produces a
-  byte-identical dump;
-* :func:`to_html` — a single self-contained page (inline CSS + SVG, no
-  external assets) combining the instrument tables with the latency
-  attribution and utilization timeline from
-  :mod:`repro.obs.attribution`.
+  byte-identical dump.
 
-All three accept any registry; the null registry just exports nothing.
+Both accept any registry; the null registry just exports nothing.  The
+run's HTML view is the explorer (:mod:`repro.explore`), which embeds
+the counter snapshot.
 """
 
 from __future__ import annotations
 
-import html as _html
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-from repro.obs.attribution import (
-    attribute_records,
-    sfs_accounting,
-    utilization_timeline,
-)
 from repro.obs.instruments import _label_suffix
 
 METRICS_SCHEMA = "repro.metrics/1"
@@ -131,153 +123,3 @@ def read_metrics(path: str) -> Tuple[Dict[str, object], List[Dict[str, object]]]
     if not lines or lines[0].get("schema") != METRICS_SCHEMA:
         raise ValueError(f"{path} is not a {METRICS_SCHEMA} dump")
     return lines[0], lines[1:]
-
-
-# ----------------------------------------------------------------------
-# HTML report
-# ----------------------------------------------------------------------
-_CSS = """
-body { font: 14px/1.45 system-ui, sans-serif; margin: 2em auto;
-       max-width: 70em; color: #222; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.1em; margin-top: 1.8em; }
-table { border-collapse: collapse; margin: 0.6em 0; }
-th, td { border: 1px solid #ccc; padding: 0.25em 0.6em; text-align: right; }
-th { background: #f0f0f0; } td:first-child, th:first-child { text-align: left; }
-.muted { color: #777; font-size: 0.85em; }
-svg { border: 1px solid #ddd; background: #fafafa; }
-"""
-
-
-def _table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    head = "".join(f"<th>{_html.escape(str(h))}</th>" for h in headers)
-    body = "".join(
-        "<tr>" + "".join(f"<td>{_html.escape(str(c))}</td>" for c in row)
-        + "</tr>"
-        for row in rows
-    )
-    return f"<table><tr>{head}</tr>{body}</table>"
-
-
-def _sparkline(series: Sequence[Tuple[int, float]], width: int = 640,
-               height: int = 80, y_max: Optional[float] = None) -> str:
-    series = list(series)
-    if not series:
-        return "<p class=muted>no samples for a timeline</p>"
-    ys = [v for _, v in series]
-    top = y_max if y_max is not None else max(ys)
-    if top is None or top <= 0:
-        top = 1.0
-    if len(series) == 1:
-        y = height - min(ys[0], top) / top * height
-        return (
-            f'<svg width="{width}" height="{height}" '
-            f'viewBox="0 0 {width} {height}">'
-            f'<circle cx="2.0" cy="{y:.1f}" r="2.5" fill="#3366cc"/></svg>'
-        )
-    xs = [ts for ts, _ in series]
-    x0, x1 = xs[0], xs[-1]
-    span = (x1 - x0) or 1
-    pts = " ".join(
-        f"{(x - x0) / span * width:.1f},"
-        f"{height - min(y, top) / top * height:.1f}"
-        for x, y in series
-    )
-    return (
-        f'<svg width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
-        f'<polyline points="{pts}" fill="none" stroke="#3366cc" '
-        f'stroke-width="1.5"/></svg>'
-    )
-
-
-#: public name — the explorer's ``<noscript>`` fallback reuses this
-sparkline = _sparkline
-
-
-def _fmt_quantiles(inst) -> str:
-    if not inst.count:
-        return "-"
-    return ", ".join(
-        f"p{q * 100:g}={inst.quantile(q):,.0f}" for q in inst.quantiles)
-
-
-def to_html(registry, records: Optional[Sequence[object]] = None,
-            n_cores: int = 0, title: str = "repro metrics report") -> str:
-    """One self-contained HTML page: instruments + attribution."""
-    parts: List[str] = [
-        "<!doctype html><html><head><meta charset='utf-8'>",
-        f"<title>{_html.escape(title)}</title>",
-        f"<style>{_CSS}</style></head><body>",
-        f"<h1>{_html.escape(title)}</h1>",
-    ]
-
-    if records:
-        parts.append("<h2>Where did the latency go</h2>")
-        br = attribute_records(records)
-        rows = []
-        for cls in ("short", "long", "all"):
-            b = br[cls]
-            if not b.n:
-                continue
-            rows.append(
-                [b.label, b.n]
-                + [f"{b.mean(c) / 1e3:,.1f} ({b.share(c):.0%})"
-                   for c in ("queue", "run", "block", "wait", "overhead")]
-                + [f"{b.end_to_end / b.n / 1e3:,.1f}"]
-            )
-        parts.append(_table(
-            ["class", "n", "queue (ms)", "run (ms)", "block (ms)",
-             "wait (ms)", "overhead (ms)", "e2e (ms)"], rows))
-        parts.append("<p class=muted>mean per request; share of "
-                     "end-to-end latency in parentheses</p>")
-
-    util = utilization_timeline(registry, n_cores) if n_cores else []
-    if util:
-        parts.append("<h2>Machine utilization</h2>")
-        parts.append(_sparkline(util, y_max=1.0))
-        mean_util = sum(v for _, v in util) / len(util)
-        parts.append(f"<p class=muted>mean {mean_util:.1%} over "
-                     f"{len(util)} samples (virtual time)</p>")
-
-    sfs = sfs_accounting(registry) if registry.enabled else {}
-    if sfs:
-        parts.append("<h2>SFS boost/demote accounting</h2>")
-        parts.append(_table(["counter", "value"],
-                            [(k, f"{v:,}" if isinstance(v, int) else v)
-                             for k, v in sfs.items()]))
-
-    counters, gauges, histograms = [], [], []
-    for inst in registry:
-        label = inst.name + _label_suffix(inst.labels)
-        if inst.kind == "counter":
-            counters.append((label, f"{inst.value:,}"))
-        elif inst.kind == "gauge":
-            gauges.append((label, inst.last,
-                           inst.min if inst.min is not None else "-",
-                           inst.max if inst.max is not None else "-",
-                           inst.samples))
-        else:
-            histograms.append((label, inst.count, f"{inst.mean:,.1f}",
-                               _fmt_quantiles(inst)))
-    if counters:
-        parts.append("<h2>Counters</h2>")
-        parts.append(_table(["name", "total"], counters))
-    if histograms:
-        parts.append("<h2>Histograms</h2>")
-        parts.append(_table(["name", "count", "mean", "quantiles"],
-                            histograms))
-    if gauges:
-        parts.append("<h2>Gauges</h2>")
-        parts.append(_table(["name", "last", "min", "max", "samples"],
-                            gauges))
-
-    parts.append("</body></html>")
-    return "".join(parts)
-
-
-def write_html(path: str, registry,
-               records: Optional[Sequence[object]] = None,
-               n_cores: int = 0, title: str = "repro metrics report") -> None:
-    with open(path, "w") as fh:
-        fh.write(to_html(registry, records=records, n_cores=n_cores,
-                         title=title))

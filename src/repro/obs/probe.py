@@ -151,6 +151,13 @@ INSTRUMENTS: Dict[str, Tuple[Tuple[str, str, str, str, dict], ...]] = {
 }
 
 
+def _off(reason: str, served: Optional[int]) -> tuple:
+    """A ``task.deschedule`` payload: the reason, plus the CPU credit
+    ``served`` when a shared stay ends (fluid pool: of the stay's span,
+    ``served`` us ran and the rest waited on the shared cores)."""
+    return (reason,) if served is None else (reason, served)
+
+
 class RunqueueHook:
     """One runqueue's slice of the probe: enqueue/pick counts and the
     depth at enqueue for its scheduling class (shared by every runqueue
@@ -316,11 +323,13 @@ class Probe:
         self._rt_starts.inc()
         self.trace.emit(self.sim.now, tev.TASK_RUN, task.tid, slot)
 
-    def burst_end(self, task, core: int, blocked: bool) -> None:
-        """A CPU burst ended; ``blocked`` when I/O follows."""
+    def burst_end(self, task, core: int, blocked: bool,
+                  served: Optional[int] = None) -> None:
+        """A CPU burst ended; ``blocked`` when I/O follows.  ``served``
+        is the CPU credit of a shared (``core`` -1) stay ending here."""
         now = self.sim.now
         self.trace.emit(now, tev.TASK_DESCHEDULE, task.tid, core,
-                        (tev.DESCHED_BURST_END,))
+                        _off(tev.DESCHED_BURST_END, served))
         if blocked:
             self.trace.emit(now, tev.TASK_BLOCK, task.tid)
 
@@ -340,9 +349,11 @@ class Probe:
     # the audit record, so repro.why can join the two streams
     # ------------------------------------------------------------------
     def _deschedule(self, op: str, actor: str, task, core: int, reason: str,
-                    chosen: int = -1, arg: object = None) -> None:
+                    chosen: int = -1, arg: object = None,
+                    served: Optional[int] = None) -> None:
         now = self.sim.now
-        self.trace.emit(now, tev.TASK_DESCHEDULE, task.tid, core, (reason,))
+        self.trace.emit(now, tev.TASK_DESCHEDULE, task.tid, core,
+                        _off(reason, served))
         self.audit.record(now, op, actor, chosen=chosen, displaced=task.tid,
                           reason=reason, arg=arg)
 
@@ -369,20 +380,21 @@ class Probe:
         self._deschedule(aud.OP_THROTTLE, "rt", task, core,
                          tev.DESCHED_THROTTLE, arg=period)
 
-    def reclass(self, task, core: int) -> None:
+    def reclass(self, task, core: int, served: Optional[int] = None) -> None:
         """sched_setscheduler moved a running task between classes."""
         self._deschedule(aud.OP_RECLASS, "kernel", task, core,
-                         tev.DESCHED_RECLASS)
+                         tev.DESCHED_RECLASS, served=served)
 
     def kill(self, task, reason: str, core: int = -1,
-             off: Optional[str] = None) -> None:
+             off: Optional[str] = None, served: Optional[int] = None) -> None:
         """The fault layer killed ``task``; ``off`` is the deschedule
         reason when that took it off a CPU."""
         now = self.sim.now
         self.audit.record(now, aud.OP_KILL, "faults", displaced=task.tid,
                           reason=reason, arg=task.state.value)
         if off is not None:
-            self.trace.emit(now, tev.TASK_DESCHEDULE, task.tid, core, (off,))
+            self.trace.emit(now, tev.TASK_DESCHEDULE, task.tid, core,
+                            _off(off, served))
 
     # ------------------------------------------------------------------
     # SFS (the steps of Fig 4 in the paper)

@@ -5,6 +5,13 @@ turnaround equals its intrinsic burst sum.  The paper uses this both as
 the unreachable performance ceiling in Fig 2 and as the denominator-
 defining run for RTE (the "aggregate CPU time ... measured under the
 IDEAL scenario").
+
+Under a live probe the machine also steps each task burst by burst,
+reporting the lifecycle (run / burst end / block / wake) with core -1
+as the engines do, so ``repro why`` explains IDEAL runs too.  The
+steps only report: the finish event is still the one scheduled at
+spawn and accounting is charged there, so a traced run is
+bit-identical to a bare one.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from typing import Optional
 from repro.machine.base import MachineBase, MachineParams
 from repro.sim.engine import Simulator
 from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
+from repro.trace import events as tev
 
 
 class IdealMachine(MachineBase):
@@ -36,6 +44,12 @@ class IdealMachine(MachineBase):
         task._done_handle = self.sim.schedule(  # type: ignore[attr-defined]
             task.ideal_duration, self._on_done, task
         )
+        if self._probe_on:
+            cpu = task.bursts[0].kind is BurstKind.CPU
+            self._probe.spawn(task, blocked=not cpu)
+            if cpu:
+                self._probe.run(task, -1)
+            self._step(task, 0)
 
     def set_policy(self, task: Task, policy: SchedPolicy, rt_priority: int = 1) -> None:
         """No contention, so policies are irrelevant."""
@@ -43,10 +57,15 @@ class IdealMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
-        handle = getattr(task, "_done_handle", None)
-        if handle is not None:
-            handle.cancel()
-            task._done_handle = None  # type: ignore[attr-defined]
+        for attr in ("_done_handle", "_step_handle"):
+            handle = getattr(task, attr, None)
+            if handle is not None:
+                handle.cancel()
+                setattr(task, attr, None)
+        if self._probe_on:
+            cpu = task.bursts[task._step].kind is BurstKind.CPU  # type: ignore[attr-defined]
+            self._probe.kill(task, reason, -1,
+                             tev.DESCHED_KILL if cpu else None)
         self._active -= 1
         self._finish_killed(task, reason)
         return True
@@ -57,8 +76,30 @@ class IdealMachine(MachineBase):
     def runnable_count(self) -> int:
         return 0
 
+    def _step(self, task: Task, i: int) -> None:
+        """Traced runs: burst ``i`` is under way; arm its end unless it
+        is the last burst, whose end is :meth:`_on_done`."""
+        task._step = i  # type: ignore[attr-defined]
+        task._step_handle = None  # type: ignore[attr-defined]
+        if i + 1 < len(task.bursts):
+            task._step_handle = self.sim.schedule(  # type: ignore[attr-defined]
+                task.bursts[i].duration, self._on_step, task, i)
+
+    def _on_step(self, task: Task, i: int) -> None:
+        """Burst ``i`` ended and burst ``i + 1`` starts (traced runs)."""
+        nxt = task.bursts[i + 1].kind
+        if task.bursts[i].kind is BurstKind.CPU:
+            self._probe.burst_end(task, -1, nxt is BurstKind.IO)
+        else:
+            self._probe.wake(task)
+        if nxt is BurstKind.CPU:
+            self._probe.run(task, -1)
+        self._step(task, i + 1)
+
     def _on_done(self, task: Task) -> None:
         task._done_handle = None  # type: ignore[attr-defined]
+        if self._probe_on and task.bursts[-1].kind is BurstKind.CPU:
+            self._probe.burst_end(task, -1, False)
         # charge each burst in order so accounting matches other engines
         while True:
             burst = task.current_burst

@@ -8,7 +8,10 @@ bound SFS tries to approximate.
 
 Implemented as a machine with the standard API so drivers can swap it
 in for CFS/SFS transparently; ``set_policy`` is a no-op (the oracle
-ignores user-space hints — it already knows everything).
+ignores user-space hints — it already knows everything).  It reports
+the task lifecycle through the probe like the engines do, with core -1
+(the oracle places no task on a particular core), so ``repro why``
+explains its runs too.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from typing import Optional
 from repro.machine.base import MachineBase, MachineParams
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
+from repro.trace import events as tev
 
 
 class SRTFMachine(MachineBase):
@@ -39,6 +43,8 @@ class SRTFMachine(MachineBase):
         self.tasks_spawned += 1
         first = task.current_burst
         assert first is not None
+        if self._probe_on:
+            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
         if first.kind is BurstKind.IO:
             task.state = TaskState.BLOCKED
             task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
@@ -54,6 +60,9 @@ class SRTFMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
+        if self._probe_on:
+            off = tev.DESCHED_KILL if task.tid in self._running else None
+            self._probe.kill(task, reason, -1, off)
         if task.tid in self._running:
             handle: Optional[EventHandle] = getattr(task, "_end_handle", None)
             if handle is not None:
@@ -101,6 +110,8 @@ class SRTFMachine(MachineBase):
             return
         victim = max(self._running.values(), key=self._live_remaining)
         if task.cpu_remaining < self._live_remaining(victim):
+            if self._probe_on:
+                self._probe.preempt("srtf", task, victim, -1)
             self._preempt(victim)
             self._start(task)
         else:
@@ -117,6 +128,8 @@ class SRTFMachine(MachineBase):
             task.burst_remaining, self._on_burst_done, task
         )
         self._running[task.tid] = task
+        if self._probe_on:
+            self._probe.run(task, -1)
 
     def _preempt(self, task: Task) -> None:
         handle: Optional[EventHandle] = getattr(task, "_end_handle", None)
@@ -154,6 +167,9 @@ class SRTFMachine(MachineBase):
         self.busy_time += served
         del self._running[task.tid]
         nxt = task.advance_burst()
+        if self._probe_on:
+            self._probe.burst_end(
+                task, -1, nxt is not None and nxt.kind is BurstKind.IO)
         if nxt is None:
             task.state = TaskState.FINISHED
             task.finish_time = self.sim.now
@@ -178,5 +194,7 @@ class SRTFMachine(MachineBase):
             self._notify_finish(task)
             return
         assert nxt.kind is BurstKind.CPU
+        if self._probe_on:
+            self._probe.wake(task)
         self._make_ready(task)
         self._admit(task)

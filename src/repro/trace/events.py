@@ -51,7 +51,7 @@ class TraceEvent(NamedTuple):
         if self.core >= 0:
             d["core"] = self.core
         names = EVENT_FIELDS.get(self.kind)
-        if names is not None and len(names) == len(self.args):
+        if names is not None and len(self.args) <= len(names):
             d.update(zip(names, self.args))
         elif self.args:
             d["args"] = list(self.args)
@@ -62,7 +62,7 @@ class TraceEvent(NamedTuple):
 TASK_SPAWN = "task.spawn"            # dispatched into the OS
 TASK_RUN = "task.run"                # went on-CPU (core >= 0) / entered
 #                                      the fluid CFS pool (core == -1)
-TASK_DESCHEDULE = "task.deschedule"  # left the CPU / pool; args: why
+TASK_DESCHEDULE = "task.deschedule"  # left the CPU / pool; args: why[, served]
 TASK_BLOCK = "task.block"            # entered an I/O burst
 TASK_WAKE = "task.wake"              # I/O done, runnable again
 TASK_FINISH = "task.finish"          # process exited
@@ -126,11 +126,12 @@ GAUGE_OUTSTANDING = "gauge.outstanding"    # invocations in flight
 GAUGE_UNHEALTHY = "gauge.unhealthy_hosts"  # hosts the dispatcher avoids
 GAUGE_RETRY_TOKENS = "gauge.retry_tokens"  # retry-budget bucket level
 
-#: payload slot names per kind (tuples zip positionally with ``args``).
+#: payload slot names per kind (tuples zip positionally with ``args``;
+#: trailing slots are optional: ``served`` rides only on fluid pool exits).
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     TASK_SPAWN: ("name", "req_id"),
     TASK_RUN: (),
-    TASK_DESCHEDULE: ("reason",),
+    TASK_DESCHEDULE: ("reason", "served"),
     TASK_BLOCK: (),
     TASK_WAKE: (),
     TASK_FINISH: (),

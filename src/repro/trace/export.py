@@ -76,7 +76,7 @@ _FAULT_INSTANTS = (ev.FAULT_CRASH, ev.FAULT_COLDSTART, ev.FAULT_TIMEOUT,
 
 def _named_args(e: ev.TraceEvent) -> dict:
     names = ev.EVENT_FIELDS.get(e.kind)
-    if names is not None and len(names) == len(e.args):
+    if names is not None and len(e.args) <= len(names):
         return dict(zip(names, e.args))
     return {"args": list(e.args)} if e.args else {}
 

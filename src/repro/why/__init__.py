@@ -10,11 +10,13 @@ Three pieces, each usable alone:
   partition of each request's ``[arrival, finish]`` window into
   queue / retry / wait / run / block segments, each tagged with the
   decision (and decision-maker) that caused it.  The partition sums
-  *exactly* to the recorded end-to-end latency — enforced by the
-  ``why-exact-sum`` fuzz oracle.
+  *exactly* to the recorded end-to-end latency and agrees with the
+  request records on wait, block and queue time, on both engines and
+  every scheduler — enforced by the ``why-exact-sum`` fuzz oracle.
 * :mod:`repro.why.blame` — critical-path blame aggregation across
-  requests, the ``repro.why/1`` JSON document, and the offline
-  deschedule-reason flamegraph.
+  requests, the per-class latency breakdown ``repro report`` prints,
+  the ``repro.why/1`` JSON document, and the offline deschedule-reason
+  flamegraph.
 """
 
 from repro.why.audit import (
@@ -29,10 +31,16 @@ from repro.why.blame import (
     blame_flame,
     blame_totals,
     build_why_doc,
+    latency_by_class,
     render_flamegraph,
     why_json,
 )
-from repro.why.timeline import RequestTimeline, Segment, build_timelines
+from repro.why.timeline import (
+    RequestTimeline,
+    Segment,
+    build_timelines,
+    disagreement,
+)
 
 __all__ = [
     "AuditLog",
@@ -47,6 +55,8 @@ __all__ = [
     "blame_totals",
     "build_timelines",
     "build_why_doc",
+    "disagreement",
+    "latency_by_class",
     "render_flamegraph",
     "why_json",
 ]

@@ -22,7 +22,8 @@ import html as _html
 import json
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from repro.why.timeline import BLAME_KINDS, RequestTimeline
+from repro.constants import SHORT_CPU_BOUND_US
+from repro.why.timeline import BLAME_KINDS, SEGMENT_KINDS, RequestTimeline
 
 #: schema tag stamped on every why document.
 WHY_SCHEMA = "repro.why/1"
@@ -63,6 +64,36 @@ def blame_totals(timelines: Mapping[int, RequestTimeline]) -> dict:
     if hedged:  # key only appears in hedged runs (byte-compat)
         doc["hedged"] = dict(sorted(hedged.items()))
     return doc
+
+
+def latency_by_class(
+    timelines: Mapping[int, RequestTimeline],
+    records: Iterable,
+    short_bound: int = SHORT_CPU_BOUND_US,
+) -> Dict[str, dict]:
+    """Where the latency went, per function class.
+
+    Splits ``records`` into the paper's *short* / *long* classes at
+    ``short_bound`` us of CPU demand (Table I's empty band between the
+    400 ms and 1550 ms bins) plus *all*, and sums each class's
+    timelines per segment kind: ``{class: {"n", "end_to_end_us",
+    "by_kind": {kind: us}}}``.  A class without requests is left out.
+    Since every timeline partitions its window, ``by_kind`` sums to
+    ``end_to_end_us`` exactly.
+    """
+    out: Dict[str, dict] = {}
+    for rec in records:
+        tl = timelines[rec.req_id]
+        cls = "short" if rec.cpu_demand < short_bound else "long"
+        for key in (cls, "all"):
+            row = out.setdefault(key, {
+                "n": 0, "end_to_end_us": 0,
+                "by_kind": dict.fromkeys(SEGMENT_KINDS, 0)})
+            row["n"] += 1
+            row["end_to_end_us"] += tl.end_to_end
+            for seg in tl.segments:
+                row["by_kind"][seg.kind] += seg.dur
+    return {k: out[k] for k in ("short", "long", "all") if k in out}
 
 
 def blame_flame(timelines: Mapping[int, RequestTimeline]) -> dict:

@@ -11,6 +11,14 @@ reconstruction invariant (and the ``why-exact-sum`` fuzz oracle treats
 any mismatch as a bug in either the engines' event emission or this
 decomposition).
 
+A stay in the fluid engine's shared CFS pool is one ``task.run`` /
+``task.deschedule`` span of length D during which the task ran at a
+fractional rate; the deschedule carries the stay's CPU credit c, and
+the stay splits into ``run`` c then ``wait``/``share`` D - c.  The
+segments therefore agree with the request records on every engine:
+the ``wait`` segments sum to ``wait_time``, the ``block`` segments to
+``io_demand`` and the ``queue`` segments to ``dispatch - arrival``.
+
 Each ``wait`` segment is tagged with the deschedule reason that opened
 it (the ``why`` payload of ``task.deschedule``) and — when a
 scheduler-decision audit stream (:mod:`repro.why.audit`) was recorded —
@@ -45,7 +53,9 @@ class Segment(NamedTuple):
     dur: int         #: duration (us); always > 0 in built timelines
     kind: str        #: one of :data:`SEGMENT_KINDS`
     reason: str = ""  #: deschedule reason / gap cause ("" when n/a)
-    core: int = -1   #: core for ``run`` segments (-1 = fluid CFS pool)
+    #: core for ``run`` segments (-1 = no placed core: the fluid pool,
+    #: SRTF, IDEAL)
+    core: int = -1
     actor: str = ""  #: audited decision-maker that opened the segment
 
     @property
@@ -106,6 +116,36 @@ class RequestTimeline:
     def blamed_us(self) -> int:
         """Total time attributed to scheduling/queueing/retry, not work."""
         return sum(s.dur for s in self.segments if s.kind in BLAME_KINDS)
+
+    def by_kind(self) -> Dict[str, int]:
+        """Microseconds per segment kind (kinds with no segment absent)."""
+        out: Dict[str, int] = {}
+        for s in self.segments:
+            out[s.kind] = out.get(s.kind, 0) + s.dur
+        return out
+
+
+def disagreement(tl: RequestTimeline, rec) -> str:
+    """The agreement law between a timeline and its request record.
+
+    For an ok, single-attempt, un-hedged request the ``wait`` segments
+    sum to the record's ``wait_time``, the ``block`` segments to its
+    ``io_demand`` and the ``queue`` segments to ``dispatch - arrival``.
+    Returns the first broken clause as text, or "" when the law holds
+    or does not apply (retried and hedged requests carry several
+    attempts' stories, the record only the last attempt's).
+    """
+    if rec.status != "ok" or rec.attempts != 1 or tl.hedge:
+        return ""
+    got = tl.by_kind()
+    for kind, field, want in (
+            ("wait", "wait_time", rec.wait_time),
+            ("block", "io_demand", rec.io_demand),
+            ("queue", "dispatch - arrival", rec.dispatch - rec.arrival)):
+        if got.get(kind, 0) != want:
+            return (f"{kind} segments sum to {got.get(kind, 0)}us but the "
+                    f"record's {field} is {want}us")
+    return ""
 
 
 # ----------------------------------------------------------------------
@@ -287,8 +327,18 @@ def _walk_attempt(
         if k == tev.TASK_SPAWN:
             continue
         if e.ts > cursor:
-            segs.append(Segment(cursor, e.ts - cursor, kind, reason,
-                                core, actor))
+            if k == tev.TASK_DESCHEDULE and len(e.args) > 1:
+                # a shared stay (fluid pool) ends with its CPU credit:
+                # that much ran, the rest waited on the shared cores
+                ran = min(e.args[1], e.ts - cursor)
+                if ran > 0:
+                    segs.append(Segment(cursor, ran, kind, reason, core,
+                                        actor))
+                    cursor += ran
+                kind, reason, core, actor = "wait", "share", -1, ""
+            if e.ts > cursor:
+                segs.append(Segment(cursor, e.ts - cursor, kind, reason,
+                                    core, actor))
             cursor = e.ts
         if k == tev.TASK_RUN:
             kind, reason, core, actor = "run", "", e.core, ""

@@ -97,14 +97,11 @@ def test_cli_parser_defaults():
 @pytest.mark.parametrize("argv", [
     ["trace", "no_such_dir/out.json", "--requests", "10"],
     ["report", "no_such_dir/out.html", "--requests", "10"],
-    ["report", "out.html", "--explore", "no_such_dir/ex.html",
-     "--requests", "10"],
     ["report", "out.html", "--bundle", "no_such_dir/run/",
      "--requests", "10"],
     ["fuzz", "--budget", "1", "--out", "no_such_dir/findings"],
     ["explore", "bundle.json", "-o", "no_such_dir/out.html"],
-], ids=["trace", "report", "report-explore", "report-bundle",
-        "fuzz-out", "explore"])
+], ids=["trace", "report", "report-bundle", "fuzz-out", "explore"])
 def test_cli_missing_parent_dir_exits_2(argv, capsys, tmp_path,
                                         monkeypatch):
     """Every artifact-writing path fails fast with the same exit code."""

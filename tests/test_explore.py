@@ -12,10 +12,10 @@ from repro.explore import (
     render_explorer,
     write_explorer,
 )
+from repro.explore.page import sparkline
 from repro.faults import FaultPlan
 from repro.machine.base import MachineParams
 from repro.obs import MetricsRegistry
-from repro.obs.export import sparkline
 from repro.workload.faasbench import FaaSBench, FaaSBenchConfig
 
 
@@ -159,7 +159,7 @@ def test_write_explorer_bundle_count_validated(tmp_path, sfs_bundle):
 
 
 # ----------------------------------------------------------------------
-# sparkline guards (reused by the explorer's noscript fallback)
+# sparkline guards (the explorer's noscript fallback)
 # ----------------------------------------------------------------------
 def test_sparkline_empty_series():
     assert "no samples" in sparkline([])

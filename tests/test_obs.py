@@ -26,16 +26,9 @@ from repro.obs import (
     NullRegistry,
     QuantileSketch,
 )
-from repro.obs.attribution import (
-    attribute_records,
-    latency_table,
-    sfs_accounting,
-    utilization_timeline,
-)
 from repro.obs.export import (
     metrics_lines,
     read_metrics,
-    to_html,
     to_jsonl,
     to_prometheus,
     write_metrics,
@@ -203,13 +196,14 @@ def test_sfs_counters_match_sfs_stats():
     wl = small_workload(n_requests=300, n_cores=8, load=0.9)
     reg = MetricsRegistry()
     res = run_workload(wl, _cfg(), metrics=reg)
-    acc = sfs_accounting(reg)
     s = res.sfs_stats
-    assert acc["promoted"] == s.promoted
-    assert acc["finished_in_slice"] == s.completed_in_filter
-    assert acc["demoted_slice"] == s.demoted_slice
-    assert acc["bypassed_overload"] == s.bypassed_overload
-    assert acc["submitted"] == 300
+    value = lambda name, **labels: reg.get(name, labels=labels or None).value
+    assert value("repro_sfs_promotions_total") == s.promoted
+    assert value("repro_sfs_filter_finishes_total") == s.completed_in_filter
+    assert value("repro_sfs_demotions_total", reason="slice") == \
+        s.demoted_slice
+    assert value("repro_sfs_overload_bypass_total") == s.bypassed_overload
+    assert value("repro_sfs_submitted_total") == 300
 
 
 def test_machine_counters_and_gauges_present():
@@ -232,35 +226,6 @@ def test_discrete_runqueue_instruments():
     picks = reg.get("repro_rq_picks_total", labels={"class": "cfs"})
     assert fair.value > 0 and picks.value > 0
     assert reg.get("repro_slice_expiries_total") is not None
-
-
-# ----------------------------------------------------------------------
-# attribution
-# ----------------------------------------------------------------------
-def test_attribution_decomposition_sums_to_e2e():
-    wl = small_workload(n_requests=200, n_cores=8, load=0.9)
-    res = run_workload(wl, _cfg())
-    br = attribute_records(res.records)
-    assert br["short"].n + br["long"].n == br["all"].n == 200
-    for cls in ("short", "long", "all"):
-        b = br[cls]
-        if not b.n:
-            continue
-        assert sum(b.total.values()) == b.end_to_end  # exact, in us
-        assert abs(sum(b.share(c) for c in b.total) - 1.0) < 1e-9
-    table = latency_table(res.records)
-    assert "where did the latency go" in table
-    assert "short" in table
-
-
-def test_utilization_timeline_bounded():
-    wl = small_workload(n_requests=200, n_cores=8, load=0.9)
-    reg = MetricsRegistry()
-    run_workload(wl, _cfg(), metrics=reg)
-    util = utilization_timeline(reg, n_cores=8)
-    assert util, "no utilization samples"
-    assert all(0.0 <= u <= 1.0 for _, u in util)
-    assert max(u for _, u in util) > 0.5  # load 0.9: somebody worked
 
 
 # ----------------------------------------------------------------------
@@ -308,16 +273,6 @@ def test_jsonl_profile_excluded_by_default(metered_run):
     assert all('"profile"' not in line for line in lines)
 
 
-def test_html_report_self_contained(metered_run):
-    reg, res = metered_run
-    page = to_html(reg, records=res.records, n_cores=8, title="t")
-    assert page.startswith("<!doctype html>")
-    assert "Where did the latency go" in page
-    assert "repro_sfs_promotions_total" in page
-    assert "<svg" in page  # utilization sparkline
-    assert "http" not in page  # no external assets
-
-
 def test_read_metrics_rejects_other_files(tmp_path):
     p = tmp_path / "x.jsonl"
     p.write_text('{"schema": "something/else"}\n')
@@ -328,14 +283,43 @@ def test_read_metrics_rejects_other_files(tmp_path):
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def test_cli_report_html(tmp_path):
+def test_cli_report_html(tmp_path, capsys):
     out = str(tmp_path / "report.html")
     rc = main(["report", out, "--requests", "200", "--cores", "8",
                "--load", "0.8", "--seed", "3"])
     assert rc == 0
     page = open(out).read()
     assert page.startswith("<!doctype html>")
-    assert "Where did the latency go" in page
+    assert 'id="explore-data"' in page
+    assert "Why — blame attribution" in page
+    stdout = capsys.readouterr().out
+    assert "latency by segment kind" in stdout
+    for cell in ("class", "run (ms)", "wait (ms)", "e2e (ms)", "all"):
+        assert cell in stdout
+
+
+@pytest.mark.parametrize("suffix", [".json", ".jsonl", ".prom"])
+def test_cli_report_non_html_writes_metrics(tmp_path, capsys, suffix):
+    out = tmp_path / f"report{suffix}"
+    assert main(["report", str(out), "--requests", "60", "--cores", "4",
+                 "--seed", "3"]) == 0
+    text = out.read_text()
+    assert "<html" not in text
+    if suffix == ".prom":
+        assert "# TYPE repro_tasks_spawned_total counter" in text
+    else:
+        assert json.loads(text.splitlines()[0])["schema"] == \
+            "repro.metrics/1"
+    assert "latency by segment kind" in capsys.readouterr().out
+
+
+def test_cli_run_metrics_html_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "m.html"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--requests", "10", "--metrics", str(out)])
+    assert exc.value.code == 2
+    assert "repro report" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_run_metrics_dump(tmp_path):

@@ -12,7 +12,7 @@ from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
 from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy
+from repro.sim.task import Burst, BurstKind, SchedPolicy
 from repro.sim.units import MS, SEC
 from repro.trace import TraceRecorder
 from repro.trace import events as tev
@@ -25,6 +25,7 @@ from repro.why import (
     blame_totals,
     build_timelines,
     build_why_doc,
+    disagreement,
     render_flamegraph,
     why_json,
 )
@@ -230,7 +231,7 @@ def test_audit_does_not_change_results():
 # ----------------------------------------------------------------------
 # causal timelines: the exact-sum partition
 # ----------------------------------------------------------------------
-SCHEDULERS = ("cfs", "fifo", "rr", "sfs")
+SCHEDULERS = ("cfs", "fifo", "rr", "sfs", "srtf", "ideal")
 
 
 @pytest.mark.parametrize("engine", ["fluid", "discrete"])
@@ -243,6 +244,93 @@ def test_timelines_exact_nominal(scheduler, engine):
     for tl in tls.values():
         assert tl.exact, (
             f"req {tl.req_id}: sum {tl.total} != e2e {tl.end_to_end}")
+
+
+@pytest.mark.parametrize("engine", ["fluid", "discrete"])
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_timelines_agree_with_records(scheduler, engine):
+    """The agreement law: wait, block and queue segments equal the
+    records' wait_time, io_demand and dispatch - arrival."""
+    wl = small_workload(n_requests=80, n_cores=2, load=1.2, seed=3,
+                        io_fraction=0.3)
+    res, trace, audit = run_traced(
+        wl, scheduler=scheduler, engine=engine,
+        machine=MachineParams(n_cores=2, ctx_switch_cost=500))
+    tls = build_timelines(res.records, trace, audit=audit)
+    for rec in res.records:
+        tl = tls[rec.req_id]
+        assert tl.exact, f"req {rec.req_id}: not a partition"
+        assert disagreement(tl, rec) == "", f"req {rec.req_id}"
+    waited = sum(r.wait_time for r in res.records)
+    if scheduler == "ideal":
+        assert waited == 0
+    elif scheduler != "srtf":
+        assert waited > 0, "no contention: the law was not exercised"
+
+
+def test_fluid_pool_stay_splits_into_run_then_share():
+    """Two equal tasks share one core: each stay is half run, half wait."""
+    from repro.workload.spec import RequestSpec, Workload
+
+    burst = (Burst(BurstKind.CPU, 10 * MS),)
+    wl = Workload([RequestSpec(i, 0, burst) for i in range(2)], {})
+    res, trace, _ = run_traced(wl, scheduler="cfs", engine="fluid",
+                               n_cores=1)
+    offs = [e.args for e in trace.events if e.kind == tev.TASK_DESCHEDULE]
+    assert offs == [(tev.DESCHED_BURST_END, 10 * MS)] * 2
+    tls = build_timelines(res.records, trace)
+    for rec in res.records:
+        assert [(s.kind, s.dur, s.reason) for s in tls[rec.req_id].segments] \
+            == [("run", 10 * MS, ""), ("wait", 10 * MS, "share")]
+        assert rec.wait_time == 10 * MS
+
+
+def test_why_exact_sum_flags_an_unsplit_pool_stay(monkeypatch):
+    """Seeded defect: drop the pool stay's CPU credit from the trace, so
+    the share is folded into run again; the oracle must flag it."""
+    from repro.fuzz.generators import FuzzCase
+    from repro.fuzz.oracles import ORACLE_BY_NAME
+    from repro.obs import probe
+
+    wl = small_workload(n_requests=40, n_cores=2, load=1.2, seed=3)
+    case = FuzzCase(0, 0, wl, RunConfig(
+        scheduler="cfs", engine="fluid", machine=MachineParams(n_cores=2)))
+    oracle = ORACLE_BY_NAME["why-exact-sum"]
+    assert oracle.check(case) is None
+    monkeypatch.setattr(probe, "_off", lambda reason, served: (reason,))
+    found = oracle.check(case)
+    assert found is not None and found.oracle == "why-exact-sum"
+    assert "wait segments sum to" in found.detail
+
+
+def test_why_exact_sum_clean_on_every_corpus_case():
+    from pathlib import Path
+
+    from repro.fuzz import ReproCase
+    from repro.fuzz.oracles import ORACLE_BY_NAME
+
+    oracle = ORACLE_BY_NAME["why-exact-sum"]
+    paths = sorted((Path(__file__).parent / "corpus").glob("*.json"))
+    assert paths
+    for path in paths:
+        case = ReproCase.load(path).as_fuzz_case()
+        assert oracle.applies(case), path.name
+        assert oracle.check(case) is None, path.name
+
+
+def test_traced_oracle_runs_match_bare_runs():
+    """SRTF/IDEAL report their lifecycle without changing the run."""
+    wl = small_workload(n_requests=60, n_cores=2, load=1.2, seed=4,
+                        io_fraction=0.3)
+    key = lambda r: (r.req_id, r.dispatch, r.finish, r.cpu_time,
+                     r.wait_time, r.ctx_involuntary)
+    for scheduler in ("srtf", "ideal"):
+        cfg = RunConfig(scheduler=scheduler, engine="discrete",
+                        machine=MachineParams(n_cores=2))
+        plain = run_workload(wl, cfg)
+        traced, _, _ = run_traced(wl, scheduler=scheduler)
+        assert [key(r) for r in plain.records] == \
+               [key(r) for r in traced.records], scheduler
 
 
 def test_timelines_exact_eevdf():

@@ -44,9 +44,23 @@ def test_why_fresh_run_drilldown(capsys):
     assert "kind" in out and "reason" in out and "actor" in out
 
 
-def test_why_rejects_untraced_schedulers(capsys):
-    assert main(["why", "--scheduler", "srtf"] + WL_ARGS) == 2
-    assert "srtf/ideal" in capsys.readouterr().err
+@pytest.mark.parametrize("scheduler", ["srtf", "ideal"])
+def test_why_explains_oracle_schedulers(scheduler, tmp_path, capsys):
+    out = tmp_path / "why.json"
+    assert main(["why", "--scheduler", scheduler, "-o", str(out),
+                 "--top-blamed", "0", "--io-fraction", "0.3"]
+                + WL_ARGS) == 0
+    assert f"why: {scheduler}/discrete — 40 requests" in \
+        capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert len(doc["requests"]) == 40
+    assert all(r["exact"] for r in doc["requests"].values())
+    kinds = {s["kind"] for r in doc["requests"].values()
+             for s in r["segments"]}
+    assert {"run", "block"} <= kinds
+    if scheduler == "ideal":  # a core each: nothing ever waits
+        assert "wait" not in kinds
+        assert doc["totals"]["blamed_us"] == 0
 
 
 def test_why_output_byte_identical_across_runs(tmp_path, capsys):
@@ -98,18 +112,18 @@ def test_why_bundle_without_why_section(tmp_path, capsys):
     assert "predates repro.why" in capsys.readouterr().err
 
 
-def test_oracle_bundle_carries_no_why_section(tmp_path, capsys):
-    # the oracle machines emit no task trace, so a why section would
-    # blame every request's whole latency on a fictitious runqueue wait
+def test_ideal_bundle_carries_exact_why_section(tmp_path, capsys):
     from repro.explore import RunBundle, render_explorer
 
     d = _bundle_dir(tmp_path, scheduler="ideal")
     bundle = RunBundle.load(d)
     assert bundle.data["scheduler"] == "ideal"
-    assert bundle.why is None
-    assert "Why — blame attribution" not in render_explorer(bundle)
-    assert main(["why", str(d)]) == 2
-    assert "srtf/ideal" in capsys.readouterr().err
+    assert bundle.why is not None
+    assert all(r["exact"] for r in bundle.why["requests"].values())
+    assert bundle.why["totals"]["blamed_us"] == 0
+    assert "Why — blame attribution" in render_explorer(bundle)
+    assert main(["why", str(d)]) == 0
+    assert "ideal/discrete" in capsys.readouterr().out
 
 
 def test_why_bad_bundle_path(tmp_path, capsys):
