@@ -214,13 +214,13 @@ RUNS: Dict[str, Callable[[], Dict[str, str]]] = {
 GOLDEN: Dict[str, Dict[str, str]] = {
     'cluster-exactly-once-outage-hedge': {
         'bundle':
-            '224528ecc3c875ecbb4a102e8980007da2fadd32208e013998ac7c90a0a1f177',
+            'e077b1c60bcdada2ca3a4f2d8dc6c5ed77192c1d110979a061a10284ae28a157',
         'metrics':
             '705d3c18224e6f88247e2569f1c9e4f7273805b31b3e615273621e0c9d1d7acc',
         'trace':
-            '27ec4d424815d72c24a2d4dfffddf7d55c9c33e55908c0b179cfd8cae62fbda3',
+            'a49182808dabc63a5295eaaecd19c1ced7482280b6db0d6864f947c61f56e2e5',
         'why':
-            '722c7ffb8d5e65e8584e80a55b890baa6149b196f1a0526ae146ce5aca577e49',
+            '667c5744f41fff98dac39dc5e61e39d97a3fdf4efd8e304732dade3c5a485510',
     },
     'coverage-cfs-discrete': {
         'audit':
@@ -248,13 +248,13 @@ GOLDEN: Dict[str, Dict[str, str]] = {
     },
     'coverage-cluster-host-lost': {
         'bundle':
-            'd43a763e416262199c98de0c296766c39caf663bb9c50bb1d52488354f626b63',
+            '1196e2005da1db16ce69f763a2a51f99c191155812e09ad0173dd255761700f6',
         'metrics':
             '4231f5d929f5a87b436758a0db61c25652f83db84cd361787d9e187c193657d9',
         'trace':
-            '53c2b7326edd1eb882fe0ba3479cd01d0334fe408f588f5b5164f614da1d4ccc',
+            'a0656e96feb13369b34faa0cfc2358b3aa3283281ad40aadd2dcd45586bb1668',
         'why':
-            '97726728794bc7bad51e2225132b6d50ae3a2c5377e2dfedcfd853e43a55d846',
+            '7ce1fbae3259297449adf0dbdac3090f89f90dd153c92faa78393f8b970a1aa6',
     },
     'coverage-cluster-retry-budget': {
         'bundle':
@@ -328,25 +328,25 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'audit':
             '71d4f5c4acc66d1457857dd9b3cb724de9c864ae673cec26770f9ef2409048c8',
         'bundle':
-            '5b39bd66e0756962d366de6cf5d3dedd8252e091d061d0a1a90b8e6975366a21',
+            '37e3ab9fd5ce11ca2bfb3875d9abce2dd80391ec5d5c2a14d32921e4516febfa',
         'metrics':
             '111e1d8be66ea273a527e47414f2851a1adba19cbaa722df1f96673e2dd1c7ef',
         'trace':
-            'bdb23ebabb618a3b6ef4992179f53b55fcd55643cf4c96cc63d682e69cea34cb',
+            '9e78771ed4655ad3ef8c54702a3ca35022169f8884ef631b4a4bd6b2ab1b4e4b',
         'why':
-            '3d5e5b5d4cb128034f55d8fe27f2e92a44f55142aa7c2e5a99e065ac8328a483',
+            'a787c0eccaae6fdcc8e8bfa356dbb8bd5ee85dc7a131989e21dc7f4ddad6b611',
     },
     'coverage-sfs-fluid-faulted': {
         'audit':
             'a3c93be800cfb3f4c1bfaf3a0a6da2c82d192f2545ae1b62284e7dca7245c9e4',
         'bundle':
-            '4c023bea9968de7bebf986011e7c86b77303c03feaa97cc20890aca042f7ef1d',
+            '4f7217f702c7ea22d1c212dfd6be7775ddb534038f5b3cc7e4e5a695fd06730e',
         'metrics':
             'e7f72e6f6b0f7cec75e67a7defb3b44dacc6071d42749298615cb11b747c28ca',
         'trace':
-            '8f577f3da14a6ee7bb14dbdacfef032a3bead72fc68ff37bbdb99a0b30385d87',
+            '9dbe135cef2cad3524c9bfe19f0b21a625628f5c5e1ba062685fe96dba064233',
         'why':
-            'c461ca5fe31f3d17ad477d75b996020dc1f725546d338cb76aaca34493641f2e',
+            '4ec335affcc1b32f792c722c081ff56700a3f95a77fd05065af2150ea4cf2c23',
     },
     'diff-engines-sfs-faulted': {
         'audit':
@@ -364,13 +364,13 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'audit':
             'cbb27316ed7d1530640a485d0a5b8d06cbf815485b8f0f0533dfc6cef3fcd11f',
         'bundle':
-            '2f26e532515c9a69c08e4d962d179a8949db2d1a00f392f41c060fe232efcdd6',
+            '98d3e34cdc064283a08a93bc5b3c6f7d4e81586a09772580504b23993efe792f',
         'metrics':
             '55506304aff6b5335f7fa66720f5bd1727f0d37ef209223b13cd924d373bae3c',
         'trace':
-            'cfd72cd2be3d2bb936349e4c98b1fe8d2d053c6f130bc7252d4a4e45916d6acc',
+            '3e67f9f1b2616d05bdf4148c89bcd0b49b550990eec598a570ffe5f0fbad1096',
         'why':
-            '7dcfdc1522a97e89f6610a90c884b76ad88c49f2558dd02c9ebe57e063bd1738',
+            'b66a9a8094a32167b18db49bfc46226b30efa558dc8d77b6440fe32a1da4f277',
     },
     'invariant-sfs-eevdf-faulted': {
         'audit':
@@ -388,13 +388,13 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'audit':
             '82372d24e8a553b1bc0258dd1289590ebd1af6387c4418e57d0e42c5b8e3ba21',
         'bundle':
-            '911990def4b68b437465bdf1ef43dedbfca759a3dd405ac9ed8278433608b046',
+            'a45316bc5d9b37ff63ef8d57565d9108d213a8192cc09dd8df7262c929f9e23d',
         'metrics':
             '4e9b95aa34e2955eb7755e17aa1334bb67fc12a12705e48a39aeead2b544beee',
         'trace':
-            '67acf2607b5e866960a1e7088086e67b871c7433a26c20e6ad53e8c5dc364c99',
+            '595c3cda2526d3d20f768932abd662f37a5d1b0aadd88879a7a2725913a13c59',
         'why':
-            '9edf862503e85235fd8166e81798b15688881ab59949c1f0635891c6df4912a6',
+            '1e31a1090c9a1413bef6339aafac8f088a3d99445c8055eefafd81b3e26d9d40',
     },
     'meta-drop-fault-fifo': {
         'audit':
@@ -412,37 +412,37 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'audit':
             '0563b1912038c63253b1d176a0d36892b8808a3ea15fc57b1b95a21b29302b8f',
         'bundle':
-            'b7544279837640f58dc2e2534d02e118e63f3c1ee6e8a45d334e36a4d5012226',
+            '9252d20ff8c635d37e83baac2c1e144fd853b33d70bf73fe0c219250cae7a8bb',
         'metrics':
             'beecab55f1c3f09765ead5ad9942fbbe9bede0c850719d658956c7d1cf900654',
         'trace':
-            'fc842f67dce87e63dea7987ee5519578bb522c3ca489496a3065a4f4deffd38e',
+            'd71c145c18656ffe48f2d7277265a09c494d6a4411018f846c762c5bd9e7a55b',
         'why':
-            '2a65e17110b858d2ba2dcfa71bdc15147136d1363885a5e9eaba6982f3ce3be7',
+            '73340f0044ab33a726fbff26ecf2d7092e3bae9e66c896a3c5020a0862067721',
     },
     'meta-permute-cfs': {
         'audit':
             'cbb27316ed7d1530640a485d0a5b8d06cbf815485b8f0f0533dfc6cef3fcd11f',
         'bundle':
-            '2f26e532515c9a69c08e4d962d179a8949db2d1a00f392f41c060fe232efcdd6',
+            '98d3e34cdc064283a08a93bc5b3c6f7d4e81586a09772580504b23993efe792f',
         'metrics':
             '55506304aff6b5335f7fa66720f5bd1727f0d37ef209223b13cd924d373bae3c',
         'trace':
-            'cfd72cd2be3d2bb936349e4c98b1fe8d2d053c6f130bc7252d4a4e45916d6acc',
+            '3e67f9f1b2616d05bdf4148c89bcd0b49b550990eec598a570ffe5f0fbad1096',
         'why':
-            '7dcfdc1522a97e89f6610a90c884b76ad88c49f2558dd02c9ebe57e063bd1738',
+            'b66a9a8094a32167b18db49bfc46226b30efa558dc8d77b6440fe32a1da4f277',
     },
     'meta-scaling-cfs': {
         'audit':
             '0a2287641ae6eb768e15c3f3f3bad0c9d52c07615b1ecfee52bef5391fcb4508',
         'bundle':
-            'ad84a427ee60763afa75d2b528fa9d89841b804f63a8ff0867ee0256fb7d268f',
+            '5cfdfb2bdb404277c6e233fa8601773842d9eef5898467f4314c87828be85ca8',
         'metrics':
             'e3bde094905db60e9aec8e70602a575382d073868bbc03e154f26a25ad6bf375',
         'trace':
-            '51cc0f810d32728b66a46f2675060c9ef248d440478c7a3fc058ebc7769a6ccf',
+            '603d00d91f021e28da249b2e9f3d41c64c24523d4acddb82e4f4acb9b06c41a1',
         'why':
-            'ff861cd91e2b04a1b4cd811382e3fa3e11412c4820c6b177d50543c7f555e9ab',
+            '9a3b3fafcbd34f78087d2f809c48c4c727c3f21b806e23d1014fdc79ed8741eb',
     },
 }
 
