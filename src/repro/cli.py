@@ -161,14 +161,13 @@ def _run(args, scheduler: str, trace_path: Optional[str] = None,
         if recorder is None:
             recorder = TraceRecorder(gauge_interval=args.gauge_interval)
     metrics_path = getattr(args, "metrics", None)
+    if metrics_path and metrics_path.endswith(".html"):
+        print("error: --metrics writes .jsonl or .prom/.txt; for an HTML "
+              "view of a run use `repro report PATH.html`", file=sys.stderr)
+        raise SystemExit(2)
     if registry is None and metrics_path:
         from repro.obs import MetricsRegistry
 
-        if metrics_path.endswith(".html"):
-            print("error: --metrics writes .jsonl or .prom/.txt; for an "
-                  "HTML view of a run use `repro report PATH.html`",
-                  file=sys.stderr)
-            raise SystemExit(2)
         _check_parent(metrics_path, "metrics")
         registry = MetricsRegistry(gauge_interval=args.gauge_interval)
     res = run_workload(_workload(args), cfg, trace=recorder, metrics=registry,
@@ -425,14 +424,15 @@ def cmd_report(args) -> int:
     print(format_table(
         ["class", "n"] + [f"{k} (ms)" for k in kinds] + ["e2e (ms)"], rows,
         title="latency by segment kind (mean per request, share of e2e)"))
-    if args.bundle or args.output.endswith(".html"):
+    html = args.output.endswith(".html")
+    if args.bundle or html:
         from repro.explore import RunBundle, write_explorer
 
         bundle = RunBundle.capture(res, recorder, metrics=registry,
                                    audit=audit)
         if args.bundle:
             print(f"\nwrote run bundle to {bundle.save(args.bundle)}")
-    if args.output.endswith(".html"):
+    if html:
         n = write_explorer(args.output, [bundle], metrics=registry)
         print(f"\nwrote explorer to {args.output} ({n / 1e6:.2f} MB, "
               f"{time.time() - t0:.1f}s)")

@@ -60,8 +60,8 @@ class TraceEvent(NamedTuple):
 
 # --- task lifecycle (machine engines) ---------------------------------
 TASK_SPAWN = "task.spawn"            # dispatched into the OS
-TASK_RUN = "task.run"                # went on-CPU (core >= 0) / entered
-#                                      the fluid CFS pool (core == -1)
+TASK_RUN = "task.run"                # went on-CPU (core >= 0) / no placed
+#                                      core (-1: fluid pool, SRTF, IDEAL)
 TASK_DESCHEDULE = "task.deschedule"  # left the CPU / pool; args: why[, served]
 TASK_BLOCK = "task.block"            # entered an I/O burst
 TASK_WAKE = "task.wake"              # I/O done, runnable again

@@ -91,8 +91,8 @@ def latency_by_class(
                 "by_kind": dict.fromkeys(SEGMENT_KINDS, 0)})
             row["n"] += 1
             row["end_to_end_us"] += tl.end_to_end
-            for seg in tl.segments:
-                row["by_kind"][seg.kind] += seg.dur
+            for kind, us in tl.by_kind().items():
+                row["by_kind"][kind] += us
     return {k: out[k] for k in ("short", "long", "all") if k in out}
 
 

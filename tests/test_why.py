@@ -26,6 +26,7 @@ from repro.why import (
     build_timelines,
     build_why_doc,
     disagreement,
+    latency_by_class,
     render_flamegraph,
     why_json,
 )
@@ -266,6 +267,22 @@ def test_timelines_agree_with_records(scheduler, engine):
         assert waited == 0
     elif scheduler != "srtf":
         assert waited > 0, "no contention: the law was not exercised"
+
+
+def test_latency_by_class_partitions_end_to_end():
+    wl = small_workload(n_requests=80, n_cores=2, load=1.2, seed=3,
+                        io_fraction=0.3)
+    res, trace, _ = run_traced(wl, scheduler="sfs", engine="fluid")
+    classes = latency_by_class(build_timelines(res.records, trace),
+                               res.records)
+    assert list(classes) == ["short", "long", "all"]
+    assert classes["short"]["n"] + classes["long"]["n"] == \
+        classes["all"]["n"] == 80
+    for row in classes.values():
+        assert sum(row["by_kind"].values()) == row["end_to_end_us"]
+    all_kinds = classes["all"]["by_kind"]
+    assert all_kinds["wait"] == sum(r.wait_time for r in res.records)
+    assert all_kinds["block"] == sum(r.io_demand for r in res.records)
 
 
 def test_fluid_pool_stay_splits_into_run_then_share():
