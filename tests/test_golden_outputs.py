@@ -15,6 +15,11 @@ compared with the table below:
 * ``why``    — the ``repro.why/1`` JSON with every request embedded;
 * ``bundle`` — ``RunBundle.to_json()`` (wall-clock fields stripped).
 
+:data:`RENDERS` also pins the scaled seed-0 text of the experiments
+whose machines and schedulers a scheduler refactor touches (``fig2``
+runs every kernel class plus the srtf/ideal oracles, ``ext-predictive``
+the PredictiveSFS layer).
+
 Driver runs that take no audit log (cluster, OpenLambda) pin no
 ``audit`` digest.  Invariant checking is forced off so the bytes do not
 depend on ``REPRO_INVARIANTS``, and every run starts the process-wide
@@ -39,6 +44,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import small_workload  # noqa: E402
+from repro.experiments.registry import REGISTRY  # noqa: E402
 from repro.experiments.runner import RunConfig, run_workload  # noqa: E402
 from repro.explore import RunBundle  # noqa: E402
 from repro.faas.cluster import ClusterConfig, run_cluster  # noqa: E402
@@ -453,6 +459,25 @@ def test_golden_outputs(name, monkeypatch):
     assert RUNS[name]() == GOLDEN[name]
 
 
+RENDERS: Dict[str, str] = {
+    "ext-predictive":
+        "77fcb4a81f7e7d90d78be01a4eb424799b3ec484541d70bcfc00660b9da3ddb9",
+    "fig2":
+        "c31a84b8a6f8545c71e0ed62839ac1e6605febacdac4cc89edc56442e9000881",
+}
+
+
+def _render(exp_id: str) -> str:
+    entry = REGISTRY[exp_id]
+    return _sha(entry.render(entry.run_scaled(seed=0)))
+
+
+@pytest.mark.parametrize("exp_id", sorted(RENDERS))
+def test_golden_renders(exp_id, monkeypatch):
+    monkeypatch.setattr(task_mod, "_task_ids", itertools.count())
+    assert _render(exp_id) == RENDERS[exp_id]
+
+
 if __name__ == "__main__":
     print("GOLDEN: Dict[str, Dict[str, str]] = {")
     for key in sorted(RUNS):
@@ -461,4 +486,9 @@ if __name__ == "__main__":
         for art, digest in sorted(RUNS[key]().items()):
             print(f"        {art!r}:\n            {digest!r},")
         print("    },")
+    print("}")
+    print("RENDERS: Dict[str, str] = {")
+    for key in sorted(RENDERS):
+        task_mod._task_ids = itertools.count()
+        print(f"    {key!r}:\n        {_render(key)!r},")
     print("}")

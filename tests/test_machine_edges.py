@@ -6,6 +6,8 @@ from conftest import make_cpu_task, make_io_task
 from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
+from repro.sched.ideal import IdealMachine
+from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import Burst, BurstKind, SchedPolicy, Task
 from repro.sim.units import MS
@@ -90,9 +92,21 @@ def test_engines_agree_with_switch_cost():
 
 
 # ----------------------------------------------------------------------
-# burst-shape edge cases
+# burst-shape edge cases (every machine shares MachineBase's lifecycle)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("engine_cls", [DiscreteMachine, FluidMachine])
+MACHINES = [DiscreteMachine, FluidMachine, SRTFMachine, IdealMachine]
+
+
+@pytest.mark.parametrize("engine_cls", MACHINES)
+def test_double_spawn_rejected(engine_cls):
+    m = engine_cls(Simulator(), MachineParams(n_cores=1))
+    t = make_cpu_task(10)
+    m.spawn(t)
+    with pytest.raises(RuntimeError, match="already spawned"):
+        m.spawn(t)
+
+
+@pytest.mark.parametrize("engine_cls", MACHINES)
 def test_back_to_back_cpu_bursts(engine_cls):
     sim = Simulator()
     m = engine_cls(sim, MachineParams(n_cores=1))
@@ -104,7 +118,7 @@ def test_back_to_back_cpu_bursts(engine_cls):
     assert t.turnaround == 25 * MS
 
 
-@pytest.mark.parametrize("engine_cls", [DiscreteMachine, FluidMachine])
+@pytest.mark.parametrize("engine_cls", MACHINES)
 def test_task_ending_with_io(engine_cls):
     sim = Simulator()
     m = engine_cls(sim, MachineParams(n_cores=1))
@@ -116,7 +130,7 @@ def test_task_ending_with_io(engine_cls):
     assert t.io_time == 20 * MS
 
 
-@pytest.mark.parametrize("engine_cls", [DiscreteMachine, FluidMachine])
+@pytest.mark.parametrize("engine_cls", MACHINES)
 def test_io_only_task(engine_cls):
     sim = Simulator()
     m = engine_cls(sim, MachineParams(n_cores=1))
@@ -128,7 +142,7 @@ def test_io_only_task(engine_cls):
     assert t.cpu_time == 0
 
 
-@pytest.mark.parametrize("engine_cls", [DiscreteMachine, FluidMachine])
+@pytest.mark.parametrize("engine_cls", MACHINES)
 def test_many_alternating_bursts(engine_cls):
     sim = Simulator()
     m = engine_cls(sim, MachineParams(n_cores=1))
@@ -143,10 +157,11 @@ def test_many_alternating_bursts(engine_cls):
     assert t.cpu_time == 25 * MS
     assert t.io_time == 15 * MS
     assert t.turnaround == 40 * MS
-    assert t.ctx_voluntary == 5  # one per I/O block
+    if engine_cls is not IdealMachine:  # IDEAL never switches
+        assert t.ctx_voluntary == 5  # one per I/O block
 
 
-@pytest.mark.parametrize("engine_cls", [DiscreteMachine, FluidMachine])
+@pytest.mark.parametrize("engine_cls", MACHINES)
 def test_one_microsecond_task(engine_cls):
     sim = Simulator()
     m = engine_cls(sim, MachineParams(n_cores=1))
