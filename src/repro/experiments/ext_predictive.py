@@ -19,15 +19,11 @@ functions jump the queue); both user-space schedulers crush CFS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict
 
 from repro.analysis.report import format_cdf_probes
-from repro.core.predictive import PredictiveSFS
-from repro.core.predictor import DurationPredictor
 from repro.experiments.common import azure_sampled_workload, machine
 from repro.experiments.runner import RunConfig, run_workload
-from repro.faas.driver import run_host
 from repro.metrics.collector import RunResult
 
 
@@ -60,12 +56,12 @@ def run(config: Config, seed: int = 0) -> Result:
     runs["cfs"] = run_workload(wl, base)
     runs["srtf"] = run_workload(wl, base.with_scheduler("srtf"))
     runs["sfs"] = run_workload(wl, base.with_scheduler("sfs"))
-    predictor = DurationPredictor()
-    runs["predictive"] = run_host(
-        wl, base.with_scheduler("sfs"),
-        layer=partial(PredictiveSFS, predictor=predictor))
-    return Result(runs=runs, predictor_apps=predictor.known_apps(),
-                  config=config)
+    runs["predictive"] = run_workload(wl, base.with_scheduler("predictive"))
+    # the functions PredictiveSFS learned: every one that finished with
+    # CPU time (what its predictor observes, keyed as it keys them)
+    learned = {r.name or r.app for r in runs["predictive"].records
+               if r.cpu_time > 0}
+    return Result(runs=runs, predictor_apps=len(learned), config=config)
 
 
 def gap_closed(result: Result) -> float:

@@ -12,9 +12,9 @@ sequence once, in two classes:
   workload or a :class:`~repro.workload.stream.StreamCursor`), and the
   epilogue: run to the end, refuse unfinished work, build the records,
   check the accounting, assemble the :class:`RunResult`;
-* :class:`Host` — one FaaS server: the machine from
-  :data:`SCHEDULER_TABLE` and :data:`ENGINES`, an optional SFS-layer
-  class, and the host step — admission, ingress, provisioning, spawn,
+* :class:`Host` — one FaaS server: the machine and the optional
+  user-space layer from :data:`SCHEDULER_TABLE` and :data:`ENGINES`,
+  and the host step — admission, ingress, provisioning, spawn,
   deadline/crash arming, SFS notify and finish bookkeeping — with the
   fault wrapper written once.
 
@@ -35,6 +35,7 @@ import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
+from repro.core.predictive import PredictiveSFS
 from repro.core.sfs import SFS
 from repro.invariants.checker import resolve_checker
 from repro.machine.discrete import DiscreteMachine
@@ -48,21 +49,23 @@ from repro.trace import RunManifest
 from repro.workload.spec import RequestSpec, Workload
 
 #: scheduler -> (the kernel class its functions are spawned in, the
-#: machine replacing the engine or None).  SFS spawns in CFS and
-#: promotes functions itself; the clairvoyant srtf/ideal oracles are
-#: whole machines and serve as comparison baselines only.
+#: machine replacing the engine or None, the user-space layer or None).
+#: SFS and its size-based variant spawn in CFS and promote functions
+#: themselves; the clairvoyant srtf/ideal oracles are whole machines
+#: and serve as comparison baselines only.
 SCHEDULER_TABLE = {
-    "cfs": (SchedPolicy.CFS, None),
-    "fifo": (SchedPolicy.FIFO, None),
-    "rr": (SchedPolicy.RR, None),
-    "sfs": (SchedPolicy.CFS, None),
-    "srtf": (SchedPolicy.CFS, SRTFMachine),
-    "ideal": (SchedPolicy.CFS, IdealMachine),
+    "cfs": (SchedPolicy.CFS, None, None),
+    "fifo": (SchedPolicy.FIFO, None, None),
+    "rr": (SchedPolicy.RR, None, None),
+    "sfs": (SchedPolicy.CFS, None, SFS),
+    "predictive": (SchedPolicy.CFS, None, PredictiveSFS),
+    "srtf": (SchedPolicy.CFS, SRTFMachine, None),
+    "ideal": (SchedPolicy.CFS, IdealMachine, None),
 }
 SCHEDULERS = tuple(SCHEDULER_TABLE)
 #: the schedulers that run on an engine (the streaming replay's choices)
 ENGINE_SCHEDULERS = tuple(
-    name for name, (_, oracle) in SCHEDULER_TABLE.items() if oracle is None)
+    name for name, (_, oracle, _) in SCHEDULER_TABLE.items() if oracle is None)
 ENGINES = {"fluid": FluidMachine, "discrete": DiscreteMachine}
 
 
@@ -83,9 +86,7 @@ class Host:
     ``faults`` is the run's :class:`~repro.faults.runtime.FaultRuntime`
     governor (a cluster shares one across hosts) or None; every fault
     boundary below short-circuits on that one attribute, so a nominal
-    run takes the exact pre-fault path.  ``layer`` builds the
-    user-space scheduler when ``scheduler == "sfs"`` (``SFS`` or a
-    variant such as ``PredictiveSFS``).  ``sink`` receives each spawned
+    run takes the exact pre-fault path.  ``sink`` receives each spawned
     and each finished request (default: :class:`Pairs`).
     """
 
@@ -93,13 +94,13 @@ class Host:
     host_index = -1
 
     def __init__(self, sim: Simulator, scheduler: str, engine: str, params,
-                 sfs_config=None, layer=SFS, faults=None,
+                 sfs_config=None, faults=None,
                  notify_latency: int = 0, sink=None):
-        policy, oracle = SCHEDULER_TABLE[scheduler]
+        policy, oracle, layer = SCHEDULER_TABLE[scheduler]
         self.sim = sim
         self.policy = policy
         self.machine = (oracle or ENGINES[engine])(sim, params)
-        self.sfs = layer(self.machine, sfs_config) if scheduler == "sfs" else None
+        self.sfs = layer(self.machine, sfs_config) if layer else None
         self.faults = faults
         self.notify_latency = notify_latency
         self.sink = sink if sink is not None else Pairs()
@@ -322,11 +323,10 @@ class Driver:
         )
 
 
-def run_host(workload: Workload, cfg, trace=None, metrics=None, audit=None,
-             layer=SFS) -> RunResult:
+def run_host(workload: Workload, cfg, trace=None, metrics=None,
+             audit=None) -> RunResult:
     """Replay ``workload`` on one bare host under ``cfg`` (a
-    :class:`repro.experiments.runner.RunConfig`), with ``layer`` as the
-    user-space scheduler of an ``sfs`` run."""
+    :class:`repro.experiments.runner.RunConfig`)."""
     wall_start = time.perf_counter()
     label = f"scheduler={cfg.scheduler} engine={cfg.engine}"
     driver = Driver(label, workload.meta.get("seed"), cfg.invariants,
@@ -337,7 +337,7 @@ def run_host(workload: Workload, cfg, trace=None, metrics=None, audit=None,
         speed = cfg.faults.straggler_speed(0)
         if speed != 1.0:
             cfg = replace(cfg, machine=replace(cfg.machine, speed=speed))
-    host = Host(sim, cfg.scheduler, cfg.engine, cfg.machine, cfg.sfs, layer,
+    host = Host(sim, cfg.scheduler, cfg.engine, cfg.machine, cfg.sfs,
                 cfg.governor(sim), cfg.notify_latency)
     sim.probe.attach_sampler(host.machine, host.sfs)
     driver.feed(workload, host.arrive)
@@ -351,10 +351,5 @@ def run_host(workload: Workload, cfg, trace=None, metrics=None, audit=None,
         wall_time_s=time.perf_counter() - wall_start,
         trace=trace,
     )
-    scheduler = cfg.scheduler
-    if host.sfs is not None and type(host.sfs) is not SFS:
-        # a variant layer (e.g. PredictiveSFS) names the run it drove
-        scheduler = type(host.sfs).__name__.lower()
-        manifest = replace(manifest, scheduler=scheduler)
     return driver.result(workload, [host], host.faults, dict(workload.meta),
-                         scheduler, cfg.engine, host.sfs, manifest)
+                         cfg.scheduler, cfg.engine, host.sfs, manifest)

@@ -1,4 +1,4 @@
-"""Machine interface shared by the discrete and fluid engines.
+"""Machine interface and task lifecycle shared by every machine.
 
 The API deliberately mirrors what a *user-space* scheduler can actually
 do on Linux, because SFS is a user-space scheduler:
@@ -12,6 +12,12 @@ There is intentionally **no** ``on_block`` callback: the paper's whole
 §V-D is about SFS having to *poll* for the running→sleeping transition,
 so exposing it as a push event would erase the detection-latency effect
 the reproduction must show (Fig 11).
+
+The base class owns the task lifecycle around that API: spawn, the
+ready and run stamps, block on I/O, wake, exit, and the epilogue of a
+kill.  A machine supplies only placement — ``_enqueue`` (where a ready
+task goes), its run/preempt mechanics, its burst completion and, when
+it honours class changes, ``_reclass``.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Callable, List, Optional
 from repro.sched.cfs import CfsParams
 from repro.sched.rt import DEFAULT_RR_QUANTUM
 from repro.sim.engine import Simulator
-from repro.sim.task import SchedPolicy, Task, TaskState
+from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
 FinishCallback = Callable[[Task], None]
@@ -105,11 +111,35 @@ class MachineBase:
     # ------------------------------------------------------------------
     def spawn(self, task: Task) -> None:
         """Dispatch a process to the OS at the current virtual time."""
-        raise NotImplementedError
+        if task.state is not TaskState.CREATED:
+            raise RuntimeError(f"task {task.tid} already spawned")
+        task.dispatch_time = self.sim.now
+        self.tasks_spawned += 1
+        first = task.current_burst
+        assert first is not None
+        if self._probe_on:
+            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
+        if first.kind is BurstKind.IO:
+            self._block(task, first.duration)
+        else:
+            self._make_ready(task)
+            self._enqueue(task, wakeup=False)
 
     def set_policy(self, task: Task, policy: SchedPolicy, rt_priority: int = 1) -> None:
         """``sched_setscheduler``: re-class a live task."""
-        raise NotImplementedError
+        if task.state is TaskState.FINISHED:
+            return
+        rt_priority = rt_priority if policy is not SchedPolicy.CFS else 0
+        if task.policy is policy and task.rt_priority == rt_priority:
+            return
+        if self._probe_on:
+            self._probe.set_policy(task, policy, rt_priority)
+        if task.state in (TaskState.CREATED, TaskState.BLOCKED):
+            # takes effect at wake
+            task.rt_priority = rt_priority
+            task.record_policy_change(self.sim.now, policy)
+        else:
+            self._reclass(task, policy, rt_priority)
 
     def poll_state(self, task: Task) -> TaskState:
         """Read the kernel-visible process state (``/proc`` poll)."""
@@ -132,13 +162,91 @@ class MachineBase:
         """
         raise NotImplementedError
 
-    def _finish_killed(self, task: Task, reason: str) -> None:
-        """Shared kill epilogue: mark the exit and notify user space."""
-        task.killed = True
-        task.kill_reason = reason
+    # ------------------------------------------------------------------
+    # placement hooks (what each machine supplies)
+    # ------------------------------------------------------------------
+    def _enqueue(self, task: Task, wakeup: bool) -> None:
+        """Place a READY task: run it, preempt for it, or queue it.
+        ``wakeup`` is True when it just woke from I/O."""
+        raise NotImplementedError
+
+    def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
+        """Apply a real class change to a READY or RUNNING task."""
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # task lifecycle (shared by every machine)
+    # ------------------------------------------------------------------
+    def _make_ready(self, task: Task) -> None:
+        """The task is runnable; its wait starts now."""
+        task.state = TaskState.READY
+        task._ready_since = self.sim.now  # type: ignore[attr-defined]
+
+    def _begin_run(self, task: Task) -> None:
+        """The task got a CPU: charge the wait since it became ready."""
+        now = self.sim.now
+        task.wait_time += now - getattr(task, "_ready_since", now)
+        if task.first_run_time is None:
+            task.first_run_time = now
+        task.state = TaskState.RUNNING
+
+    def _block(self, task: Task, duration: int) -> None:
+        """Sleep on ``duration`` us of I/O; :meth:`_on_io_done` wakes it.
+        A running task gives its CPU up voluntarily."""
+        if task.state is TaskState.RUNNING:
+            task.ctx_voluntary += 1
+        task.state = TaskState.BLOCKED
+        task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
+            duration, self._on_io_done, task, duration
+        )
+
+    def _end_burst(self, task: Task, core: int = -1,
+                   served: Optional[int] = None) -> None:
+        """A CPU burst ended and the task left its CPU: exit, block on
+        the I/O that follows, or place the next CPU burst.  ``served``
+        is the CPU credit of a shared stay (see the probe's
+        ``burst_end``)."""
+        nxt = task.advance_burst()
+        if self._probe_on:
+            self._probe.burst_end(
+                task, core, nxt is not None and nxt.kind is BurstKind.IO,
+                served)
+        if nxt is None:
+            self._exit(task)
+        elif nxt.kind is BurstKind.IO:
+            self._block(task, nxt.duration)
+        else:
+            self._make_ready(task)
+            self._enqueue(task, wakeup=False)
+
+    def _on_io_done(self, task: Task, duration: int) -> None:
+        task._io_handle = None  # type: ignore[attr-defined]
+        nxt = task.complete_io()
+        if nxt is None:
+            self._exit(task)
+            return
+        assert nxt.kind is BurstKind.CPU, "consecutive I/O bursts must be merged"
+        if self._probe_on:
+            self._probe.wake(task)
+        self._make_ready(task)
+        self._enqueue(task, wakeup=True)
+
+    def _exit(self, task: Task) -> None:
+        """The process exited: stamp it and notify user space."""
         task.state = TaskState.FINISHED
         task.finish_time = self.sim.now
         self._notify_finish(task)
+
+    def _finish_killed(self, task: Task, reason: str) -> None:
+        """Shared kill epilogue: drop pending I/O, mark the exit and
+        notify user space."""
+        handle = getattr(task, "_io_handle", None)
+        if handle is not None:
+            handle.cancel()
+            task._io_handle = None  # type: ignore[attr-defined]
+        task.killed = True
+        task.kill_reason = reason
+        self._exit(task)
 
     # ------------------------------------------------------------------
     # introspection used by tests and metrics

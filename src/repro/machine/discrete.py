@@ -21,7 +21,7 @@ from repro.machine.base import MachineBase, MachineParams
 from repro.sched.cfs import CfsRunqueue
 from repro.sched.rt import RTRunqueue
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.task import Burst, BurstKind, SchedPolicy, Task, TaskState
+from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
 
@@ -91,37 +91,9 @@ class DiscreteMachine(MachineBase):
     # ==================================================================
     # public API
     # ==================================================================
-    def spawn(self, task: Task) -> None:
-        if task.state is not TaskState.CREATED:
-            raise RuntimeError(f"task {task.tid} already spawned")
-        task.dispatch_time = self.sim.now
-        self.tasks_spawned += 1
-        task._last_run_core = None  # type: ignore[attr-defined]
-        first = task.current_burst
-        assert first is not None
-        if self._probe_on:
-            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
-        if first.kind is BurstKind.IO:
-            task.state = TaskState.BLOCKED
-            task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
-                first.duration, self._on_io_done, task, first.duration
-            )
-        else:
-            self._make_ready(task)
-            self._enqueue_ready(task, wakeup=False)
-
-    def set_policy(self, task: Task, policy: SchedPolicy, rt_priority: int = 1) -> None:
-        if task.state is TaskState.FINISHED:
-            return
-        rt_priority = rt_priority if policy is not SchedPolicy.CFS else 0
-        if task.policy is policy and task.rt_priority == rt_priority:
-            return
-        if self._probe_on:
-            self._probe.set_policy(task, policy, rt_priority)
+    def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
         old_policy = task.policy
-        state = task.state
-
-        if state is TaskState.RUNNING:
+        if task.state is TaskState.RUNNING:
             core = self.cores[task._run_core]  # type: ignore[attr-defined]
             assert core.task is task
             self._charge(core)
@@ -142,8 +114,7 @@ class DiscreteMachine(MachineBase):
                     core.slice_handle = self.sim.schedule(
                         self.params.rr_quantum, self._on_quantum, core, task
                     )
-        elif state is TaskState.READY:
-            # move between runqueues
+        else:  # READY: move between runqueues
             if old_policy is SchedPolicy.CFS:
                 rq = self.cores[task._rq_core].rq  # type: ignore[attr-defined]
                 rq.dequeue(task)
@@ -151,10 +122,7 @@ class DiscreteMachine(MachineBase):
                 self.rt_rq.remove(task)
             task.rt_priority = rt_priority
             task.record_policy_change(self.sim.now, policy)
-            self._enqueue_ready(task, wakeup=False)
-        else:  # CREATED / BLOCKED: takes effect at wake
-            task.rt_priority = rt_priority
-            task.record_policy_change(self.sim.now, policy)
+            self._enqueue(task, wakeup=False)
 
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
@@ -177,11 +145,6 @@ class DiscreteMachine(MachineBase):
                 self.rt_rq.remove(task)
             else:
                 self.cores[task._rq_core].rq.dequeue(task)  # type: ignore[attr-defined]
-        elif task.state is TaskState.BLOCKED:
-            handle = getattr(task, "_io_handle", None)
-            if handle is not None:
-                handle.cancel()
-                task._io_handle = None  # type: ignore[attr-defined]
         if self._probe_on:
             self._probe.kill(task, reason)
         self._finish_killed(task, reason)
@@ -202,11 +165,7 @@ class DiscreteMachine(MachineBase):
     # ==================================================================
     # internals
     # ==================================================================
-    def _make_ready(self, task: Task) -> None:
-        task.state = TaskState.READY
-        task._ready_since = self.sim.now  # type: ignore[attr-defined]
-
-    def _enqueue_ready(self, task: Task, wakeup: bool) -> None:
+    def _enqueue(self, task: Task, wakeup: bool) -> None:
         if task.is_rt:
             self.rt_rq.enqueue(task)
             self._dispatch_rt()
@@ -363,10 +322,7 @@ class DiscreteMachine(MachineBase):
         assert burst is not None and burst.kind is BurstKind.CPU, (
             f"task {task.tid} started while not in a CPU burst"
         )
-        ready_since = getattr(task, "_ready_since", now)
-        task.wait_time += now - ready_since
-        if task.first_run_time is None:
-            task.first_run_time = now
+        self._begin_run(task)
         last = getattr(task, "_last_run_core", None)
         migrated = last is not None and last != core.index
         if migrated:
@@ -375,7 +331,6 @@ class DiscreteMachine(MachineBase):
             self._probe.run(task, core.index, last if migrated else -1)
         task._last_run_core = core.index  # type: ignore[attr-defined]
         task._run_core = core.index  # type: ignore[attr-defined]
-        task.state = TaskState.RUNNING
         core.task = task
         # context-switch cost: the core spends `cost` us switching (kernel
         # path + cache refill) before the task makes progress
@@ -504,25 +459,8 @@ class DiscreteMachine(MachineBase):
     def _complete_burst(self, core: _Core, task: Task) -> None:
         core.cancel_timers()
         nxt = task.advance_burst()
-        if self._probe_on and (nxt is None or nxt.kind is BurstKind.IO):
-            self._probe.burst_end(task, core.index, blocked=nxt is not None)
-        if nxt is None:
-            task.state = TaskState.FINISHED
-            task.finish_time = self.sim.now
-            core.task = None
-            # schedule the core before notifying user space: the finish
-            # callback (e.g. SFS) may re-enter and dispatch new RT work
-            self._pick_next(core)
-            self._notify_finish(task)
-        elif nxt.kind is BurstKind.IO:
-            task.state = TaskState.BLOCKED
-            task.ctx_voluntary += 1
-            core.task = None
-            task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
-                nxt.duration, self._on_io_done, task, nxt.duration
-            )
-            self._pick_next(core)
-        else:  # back-to-back CPU burst: keep the core, restart timers
+        if nxt is not None and nxt.kind is BurstKind.CPU:
+            # back-to-back CPU burst: keep the core, restart timers
             core.run_start = self.sim.now
             core.completion_handle = self.sim.schedule(
                 self._wall(task.burst_remaining), self._on_completion, core, task
@@ -535,20 +473,18 @@ class DiscreteMachine(MachineBase):
                 core.slice_handle = self.sim.schedule(
                     self.params.rr_quantum, self._on_quantum, core, task
                 )
-
-    def _on_io_done(self, task: Task, duration: int) -> None:
-        task._io_handle = None  # type: ignore[attr-defined]
-        nxt = task.complete_io()
-        if nxt is None:
-            task.state = TaskState.FINISHED
-            task.finish_time = self.sim.now
-            self._notify_finish(task)
             return
-        assert nxt.kind is BurstKind.CPU, "consecutive I/O bursts must be merged"
         if self._probe_on:
-            self._probe.wake(task)
-        self._make_ready(task)
-        self._enqueue_ready(task, wakeup=True)
+            self._probe.burst_end(task, core.index, blocked=nxt is not None)
+        core.task = None
+        if nxt is None:
+            # schedule the core before notifying user space: the finish
+            # callback (e.g. SFS) may re-enter and dispatch new RT work
+            self._pick_next(core)
+            self._exit(task)
+        else:
+            self._block(task, nxt.duration)
+            self._pick_next(core)
 
     def _on_rt_throttle(self, core: _Core, task: Task) -> None:
         """RT bandwidth exhausted (sched_rt_runtime_us): park the RT

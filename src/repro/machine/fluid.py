@@ -73,38 +73,7 @@ class FluidMachine(MachineBase):
     # ==================================================================
     # public API
     # ==================================================================
-    def spawn(self, task: Task) -> None:
-        if task.state is not TaskState.CREATED:
-            raise RuntimeError(f"task {task.tid} already spawned")
-        task.dispatch_time = self.sim.now
-        self.tasks_spawned += 1
-        first = task.current_burst
-        assert first is not None
-        if self._probe_on:
-            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
-        if first.kind is BurstKind.IO:
-            task.state = TaskState.BLOCKED
-            task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
-                first.duration, self._on_io_done, task, first.duration
-            )
-        else:
-            self._enqueue_ready(task)
-
-    def set_policy(self, task: Task, policy: SchedPolicy, rt_priority: int = 1) -> None:
-        if task.state is TaskState.FINISHED:
-            return
-        rt_priority = rt_priority if policy is not SchedPolicy.CFS else 0
-        if task.policy is policy and task.rt_priority == rt_priority:
-            return
-        if self._probe_on:
-            self._probe.set_policy(task, policy, rt_priority)
-        was_dedicated = self._is_dedicated(task.policy)
-
-        if task.state in (TaskState.BLOCKED, TaskState.CREATED):
-            task.rt_priority = rt_priority
-            task.record_policy_change(self.sim.now, policy)
-            return
-
+    def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
         core: Optional[int] = None  # set when the change takes it off CPU
         served: Optional[int] = None  # CPU credit of a pool stay
         if task.tid in self._pool:
@@ -112,17 +81,15 @@ class FluidMachine(MachineBase):
             core = -1
         elif task.tid in self._rt_running:
             core = self._stop_rt(task, involuntary=True)
-        elif task.state is TaskState.READY and was_dedicated:
-            # READY non-dedicated tasks are always in the pool, handled above
+        else:  # READY non-dedicated tasks are in the pool, handled above
             self.rt_wait.remove(task)
         if core is not None:
             if self._probe_on:
                 self._probe.reclass(task, core, served)
-            task.state = TaskState.READY
-            task._ready_since = self.sim.now  # type: ignore[attr-defined]
+            self._make_ready(task)
         task.rt_priority = rt_priority
         task.record_policy_change(self.sim.now, policy)
-        self._enqueue_ready(task)
+        self._enqueue(task, wakeup=False)
         self._dispatch_rt()
 
     def kill(self, task: Task, reason: str = "crash") -> bool:
@@ -138,11 +105,6 @@ class FluidMachine(MachineBase):
             off = tev.DESCHED_KILL
         elif task.state is TaskState.READY and self._is_dedicated(task.policy):
             self.rt_wait.remove(task)
-        elif task.state is TaskState.BLOCKED:
-            handle = getattr(task, "_io_handle", None)
-            if handle is not None:
-                handle.cancel()
-                task._io_handle = None  # type: ignore[attr-defined]
         if self._probe_on:
             self._probe.kill(task, reason, core, off, served)
         self._finish_killed(task, reason)
@@ -223,10 +185,7 @@ class FluidMachine(MachineBase):
         self.busy_time = int(self._busy_float)
         self._last_update = now
 
-    def _enqueue_ready(self, task: Task) -> None:
-        if not hasattr(task, "_ready_since") or task.state is not TaskState.READY:
-            task.state = TaskState.READY
-            task._ready_since = self.sim.now  # type: ignore[attr-defined]
+    def _enqueue(self, task: Task, wakeup: bool) -> None:
         if self._is_dedicated(task.policy):
             self.rt_wait.enqueue(task)
             self._dispatch_rt()
@@ -242,11 +201,8 @@ class FluidMachine(MachineBase):
         task._pool_enter_credit = self._credit  # type: ignore[attr-defined]
         task._pool_enter_time = self.sim.now    # type: ignore[attr-defined]
         task._pool_cs_enter = self._cs_credit   # type: ignore[attr-defined]
-        if task.first_run_time is None:
-            task.first_run_time = self.sim.now
         # In the fluid limit the task is immediately time-sharing the CPU.
-        task.wait_time += self.sim.now - getattr(task, "_ready_since", self.sim.now)
-        task.state = TaskState.RUNNING
+        self._begin_run(task)
         self._pool[task.tid] = task
         if self._probe_on:
             self._probe.pool_enter(task, len(self._pool))
@@ -317,7 +273,7 @@ class FluidMachine(MachineBase):
             finished.append(task)
         for task in finished:
             served = self._charge_pool(task, task.burst_remaining)
-            self._complete_cpu_burst(task, -1, served)
+            self._end_burst(task, -1, served)
         if self._inv_on:
             self._inv.on_fluid_pool(self)
         self._reschedule_pool_event()
@@ -348,18 +304,14 @@ class FluidMachine(MachineBase):
             slot = self._stop_rt(victim, involuntary=True)
             if self._probe_on:
                 self._probe.preempt("rt", nxt, victim, slot, nxt.rt_priority)
-            victim.state = TaskState.READY
-            victim._ready_since = self.sim.now  # type: ignore[attr-defined]
+            self._make_ready(victim)
             self.rt_wait.enqueue(victim)
 
     def _start_rt(self, task: Task) -> None:
         self._advance()
         burst = task.current_burst
         assert burst is not None and burst.kind is BurstKind.CPU
-        task.wait_time += self.sim.now - getattr(task, "_ready_since", self.sim.now)
-        if task.first_run_time is None:
-            task.first_run_time = self.sim.now
-        task.state = TaskState.RUNNING
+        self._begin_run(task)
         task._rt_start = self.sim.now  # type: ignore[attr-defined]
         wall = task.burst_remaining
         if self._speed != 1.0:  # straggler: the core serves CPU us slower
@@ -404,7 +356,7 @@ class FluidMachine(MachineBase):
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
-        self._complete_cpu_burst(task, self._release_slot(task.tid))
+        self._end_burst(task, self._release_slot(task.tid))
         self._dispatch_rt()
         self._reschedule_pool_event()
 
@@ -415,45 +367,3 @@ class FluidMachine(MachineBase):
         if slot >= 0:
             heapq.heappush(self._free_slots, slot)
         return slot
-
-    # ==================================================================
-    # burst lifecycle (shared)
-    # ==================================================================
-    def _complete_cpu_burst(self, task: Task, core: int,
-                            served: Optional[int] = None) -> None:
-        nxt = task.advance_burst()
-        if self._probe_on:
-            self._probe.burst_end(
-                task, core, nxt is not None and nxt.kind is BurstKind.IO,
-                served)
-        if nxt is None:
-            task.state = TaskState.FINISHED
-            task.finish_time = self.sim.now
-            self._notify_finish(task)
-        elif nxt.kind is BurstKind.IO:
-            task.state = TaskState.BLOCKED
-            task.ctx_voluntary += 1
-            task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
-                nxt.duration, self._on_io_done, task, nxt.duration
-            )
-        else:  # consecutive CPU burst: continue under the current policy
-            task.state = TaskState.READY
-            task._ready_since = self.sim.now  # type: ignore[attr-defined]
-            self._enqueue_ready(task)
-
-    def _on_io_done(self, task: Task, duration: int) -> None:
-        task._io_handle = None  # type: ignore[attr-defined]
-        nxt = task.complete_io()
-        if nxt is None:
-            task.state = TaskState.FINISHED
-            task.finish_time = self.sim.now
-            self._notify_finish(task)
-            return
-        assert nxt.kind is BurstKind.CPU, "consecutive I/O bursts must be merged"
-        if self._probe_on:
-            self._probe.wake(task)
-        task.state = TaskState.READY
-        task._ready_since = self.sim.now  # type: ignore[attr-defined]
-        self._enqueue_ready(task)
-        if self._is_dedicated(task.policy):
-            self._dispatch_rt()

@@ -37,8 +37,7 @@ class IdealMachine(MachineBase):
             raise RuntimeError(f"task {task.tid} already spawned")
         task.dispatch_time = self.sim.now
         self.tasks_spawned += 1
-        task.state = TaskState.RUNNING
-        task.first_run_time = self.sim.now
+        self._begin_run(task)  # its own core, at once
         self._active += 1
         self.peak_parallelism = max(self.peak_parallelism, self._active)
         task._done_handle = self.sim.schedule(  # type: ignore[attr-defined]
@@ -112,7 +111,5 @@ class IdealMachine(MachineBase):
                 task.io_time += burst.duration
                 task.burst_remaining = 0
             task.advance_burst()
-        task.state = TaskState.FINISHED
-        task.finish_time = self.sim.now
         self._active -= 1
-        self._notify_finish(task)
+        self._exit(task)

@@ -7,8 +7,9 @@ real scheduler has — which is exactly why the paper uses it as the
 bound SFS tries to approximate.
 
 Implemented as a machine with the standard API so drivers can swap it
-in for CFS/SFS transparently; ``set_policy`` is a no-op (the oracle
-ignores user-space hints — it already knows everything).  It reports
+in for CFS/SFS transparently: it inherits :class:`MachineBase`'s task
+lifecycle and supplies only placement.  ``set_policy`` is a no-op (the
+oracle ignores user-space hints — it already knows everything).  It reports
 the task lifecycle through the probe like the engines do, with core -1
 (the oracle places no task on a particular core), so ``repro why``
 explains its runs too.
@@ -22,7 +23,7 @@ from typing import Optional
 
 from repro.machine.base import MachineBase, MachineParams
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
+from repro.sim.task import SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
 
@@ -36,24 +37,6 @@ class SRTFMachine(MachineBase):
         self._seq = itertools.count()
 
     # ------------------------------------------------------------------
-    def spawn(self, task: Task) -> None:
-        if task.state is not TaskState.CREATED:
-            raise RuntimeError(f"task {task.tid} already spawned")
-        task.dispatch_time = self.sim.now
-        self.tasks_spawned += 1
-        first = task.current_burst
-        assert first is not None
-        if self._probe_on:
-            self._probe.spawn(task, blocked=first.kind is BurstKind.IO)
-        if first.kind is BurstKind.IO:
-            task.state = TaskState.BLOCKED
-            task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
-                first.duration, self._on_io_done, task, first.duration
-            )
-        else:
-            self._make_ready(task)
-            self._admit(task)
-
     def set_policy(self, task: Task, policy: SchedPolicy, rt_priority: int = 1) -> None:
         """The oracle ignores policy hints."""
 
@@ -73,11 +56,6 @@ class SRTFMachine(MachineBase):
             task.consume_cpu(served)
             self.busy_time += served
             del self._running[task.tid]
-        elif task.state is TaskState.BLOCKED:
-            io_handle = getattr(task, "_io_handle", None)
-            if io_handle is not None:
-                io_handle.cancel()
-                task._io_handle = None  # type: ignore[attr-defined]
         # READY tasks: the heap entry goes stale and _scrub drops it
         self._finish_killed(task, reason)
         self._fill_cores()
@@ -87,14 +65,11 @@ class SRTFMachine(MachineBase):
         return self.n_cores - len(self._running)
 
     def runnable_count(self) -> int:
-        self._scrub()
-        return len(self._ready)
+        # a killed task's stale entry may sit anywhere in the heap
+        return sum(1 for _rem, _seq, task in self._ready
+                   if task.state is TaskState.READY)
 
     # ------------------------------------------------------------------
-    def _make_ready(self, task: Task) -> None:
-        task.state = TaskState.READY
-        task._ready_since = self.sim.now  # type: ignore[attr-defined]
-
     def _live_remaining(self, task: Task) -> int:
         """Remaining CPU demand *right now*, accounting for time a
         running task has accrued since its last charge event."""
@@ -103,7 +78,7 @@ class SRTFMachine(MachineBase):
             rem -= self.sim.now - task._run_start  # type: ignore[attr-defined]
         return rem
 
-    def _admit(self, task: Task) -> None:
+    def _enqueue(self, task: Task, wakeup: bool) -> None:
         """A task became runnable: run it now, preempt, or queue."""
         if len(self._running) < self.n_cores:
             self._start(task)
@@ -118,12 +93,8 @@ class SRTFMachine(MachineBase):
             heapq.heappush(self._ready, (task.cpu_remaining, next(self._seq), task))
 
     def _start(self, task: Task) -> None:
-        now = self.sim.now
-        task.wait_time += now - getattr(task, "_ready_since", now)
-        if task.first_run_time is None:
-            task.first_run_time = now
-        task.state = TaskState.RUNNING
-        task._run_start = now  # type: ignore[attr-defined]
+        self._begin_run(task)
+        task._run_start = self.sim.now  # type: ignore[attr-defined]
         task._end_handle = self.sim.schedule(  # type: ignore[attr-defined]
             task.burst_remaining, self._on_burst_done, task
         )
@@ -166,35 +137,5 @@ class SRTFMachine(MachineBase):
         task.consume_cpu(served)
         self.busy_time += served
         del self._running[task.tid]
-        nxt = task.advance_burst()
-        if self._probe_on:
-            self._probe.burst_end(
-                task, -1, nxt is not None and nxt.kind is BurstKind.IO)
-        if nxt is None:
-            task.state = TaskState.FINISHED
-            task.finish_time = self.sim.now
-            self._notify_finish(task)
-        elif nxt.kind is BurstKind.IO:
-            task.state = TaskState.BLOCKED
-            task.ctx_voluntary += 1
-            task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
-                nxt.duration, self._on_io_done, task, nxt.duration
-            )
-        else:
-            self._make_ready(task)
-            self._admit(task)
+        self._end_burst(task)
         self._fill_cores()
-
-    def _on_io_done(self, task: Task, duration: int) -> None:
-        task._io_handle = None  # type: ignore[attr-defined]
-        nxt = task.complete_io()
-        if nxt is None:
-            task.state = TaskState.FINISHED
-            task.finish_time = self.sim.now
-            self._notify_finish(task)
-            return
-        assert nxt.kind is BurstKind.CPU
-        if self._probe_on:
-            self._probe.wake(task)
-        self._make_ready(task)
-        self._admit(task)

@@ -1,7 +1,5 @@
 """Scenario tests for the discrete (reference) machine engine."""
 
-import pytest
-
 from conftest import make_cpu_task, make_io_task
 from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
@@ -254,14 +252,6 @@ def test_migrations_counted(sim):
     sim.run()
     # with stealing enabled some tasks move cores; counter must be sane
     assert all(t.migrations >= 0 for t in tasks)
-
-
-def test_double_spawn_rejected(sim):
-    m = machine(sim)
-    t = make_cpu_task(10)
-    m.spawn(t)
-    with pytest.raises(RuntimeError):
-        m.spawn(t)
 
 
 def test_poll_state_tracks_lifecycle(sim):

@@ -1,6 +1,7 @@
-"""Every test the docs cite by node id (``tests/<file>.py::<name>``)
-exists, so a renamed or deleted test cannot leave a stale pointer in
-``README.md`` or ``docs/*.md``."""
+"""Docs cannot point at code that is gone: every test the docs cite by
+node id (``tests/<file>.py::<name>``) exists, so a renamed or deleted
+test cannot leave a stale pointer in ``README.md`` or ``docs/*.md``, and
+every module DESIGN.md's module map lists exists."""
 
 import ast
 import re
@@ -33,3 +34,23 @@ def test_cited_tests_are_defined():
                    if not ((ROOT / path).is_file()
                            and _defines(ROOT / path, name)))
     assert stale == []
+
+
+def test_module_map_files_exist():
+    """Every ``*.py`` under a ``pkg/`` heading of DESIGN.md's module map
+    exists in ``src/repro/<pkg>/``."""
+    text = (ROOT / "DESIGN.md").read_text()
+    block = text.split("## 2. System inventory (module map)", 1)[1]
+    block = block.split("```", 2)[1]
+    listed, pkg = [], None
+    for line in block.splitlines():
+        heading = re.match(r"  (\w+)/(?:\s|$)", line)
+        if heading:
+            pkg = heading[1]
+            continue
+        entry = re.match(r"    (\w+\.py)\s", line)
+        if entry and pkg is not None:
+            listed.append(f"{pkg}/{entry[1]}")
+    assert len(listed) >= 30, "the module-map pattern no longer matches"
+    missing = [p for p in listed if not (ROOT / "src/repro" / p).is_file()]
+    assert missing == []

@@ -68,9 +68,9 @@ def test_ext_predictive_closes_gap():
     assert means["predictive"] < means["sfs"]
     assert means["sfs"] < means["cfs"]
     assert ext_predictive.gap_closed(res) > 0.3
-    # the predictive run is labelled with the layer that drove it
+    # the predictive run is labelled with its registry row
     pred = res.runs["predictive"]
-    assert pred.scheduler == pred.manifest.scheduler == "predictivesfs"
+    assert pred.scheduler == pred.manifest.scheduler == "predictive"
     assert res.runs["sfs"].scheduler == "sfs"
     # SFS keeps the better median (prediction misfires hurt its p50)
     assert np.median(res.runs["sfs"].turnarounds) <= np.median(

@@ -230,6 +230,19 @@ def test_kill_blocked_task(engine):
     assert sim.now == 5 * MS  # the pending IO wake never fires
 
 
+def test_srtf_runnable_count_skips_killed_tasks():
+    # a killed READY task leaves a stale entry deep in the SRTF heap; the
+    # runnable gauge must not count it
+    sim = Simulator()
+    m = SRTFMachine(sim, MachineParams(n_cores=1))
+    tasks = [_cpu_task(ms) for ms in (100, 200, 300)]
+    for t in tasks:
+        m.spawn(t)
+    assert m.runnable_count() == 2
+    assert m.kill(tasks[2], "timeout")
+    assert m.runnable_count() == 1
+
+
 def test_kill_finished_task_is_noop():
     sim = Simulator()
     m = FluidMachine(sim, MachineParams(n_cores=1))

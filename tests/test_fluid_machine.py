@@ -1,7 +1,5 @@
 """Scenario tests for the fluid (processor-sharing) engine."""
 
-import pytest
-
 from conftest import make_cpu_task, make_io_task
 from repro.machine.base import MachineParams
 from repro.machine.fluid import FluidMachine
@@ -196,14 +194,6 @@ def test_rr_dedicated_mode(sim):
     sim.schedule_at(1 * MS, m.spawn, b)
     sim.run()
     assert a.finish_time == 100 * MS  # run-to-completion like FIFO
-
-
-def test_double_spawn_rejected(sim):
-    m = machine(sim)
-    t = make_cpu_task(10)
-    m.spawn(t)
-    with pytest.raises(RuntimeError):
-        m.spawn(t)
 
 
 def test_pool_frozen_when_all_cores_rt(sim):
