@@ -18,7 +18,8 @@ compared with the table below:
 :data:`RENDERS` also pins the scaled seed-0 text of the experiments
 whose machines and schedulers a scheduler refactor touches (``fig2``
 runs every kernel class plus the srtf/ideal oracles, ``ext-predictive``
-the PredictiveSFS layer).
+the PredictiveSFS layer, ``ext-eevdf`` the discrete engine's EEVDF fair
+class).
 
 Driver runs that take no audit log (cluster, OpenLambda) pin no
 ``audit`` digest.  Invariant checking is forced off so the bytes do not
@@ -460,6 +461,8 @@ def test_golden_outputs(name, monkeypatch):
 
 
 RENDERS: Dict[str, str] = {
+    "ext-eevdf":
+        "0c36f93a45dacf9e0b8a5b3a00b5e98044d891471e33eddf8e840dcc089b8fcc",
     "ext-predictive":
         "77fcb4a81f7e7d90d78be01a4eb424799b3ec484541d70bcfc00660b9da3ddb9",
     "fig2":
