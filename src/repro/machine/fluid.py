@@ -95,16 +95,17 @@ class FluidMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
-        core, off = -1, None  # trace core and deschedule reason if on CPU
-        served: Optional[int] = None
+        core = -1  # trace core of a dedicated CPU
+        served: Optional[int] = None  # CPU credit of a pool stay
+        off: Optional[str] = tev.DESCHED_KILL  # None unless on a CPU
         if task.tid in self._pool:
             served = self._leave_pool(task)
-            off = tev.DESCHED_RECLASS
         elif task.tid in self._rt_running:
             core = self._stop_rt(task, involuntary=False)
-            off = tev.DESCHED_KILL
-        elif task.state is TaskState.READY and self._is_dedicated(task.policy):
-            self.rt_wait.remove(task)
+        else:
+            off = None
+            if task.state is TaskState.READY and self._is_dedicated(task.policy):
+                self.rt_wait.remove(task)
         if self._probe_on:
             self._probe.kill(task, reason, core, off, served)
         self._finish_killed(task, reason)

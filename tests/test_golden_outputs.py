@@ -225,7 +225,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'metrics':
             '705d3c18224e6f88247e2569f1c9e4f7273805b31b3e615273621e0c9d1d7acc',
         'trace':
-            'a49182808dabc63a5295eaaecd19c1ced7482280b6db0d6864f947c61f56e2e5',
+            '59d8b3731a396615afa9e3831e1e71987e06363b3bee8930438a002c6e919794',
         'why':
             '667c5744f41fff98dac39dc5e61e39d97a3fdf4efd8e304732dade3c5a485510',
     },
@@ -351,7 +351,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
         'metrics':
             'e7f72e6f6b0f7cec75e67a7defb3b44dacc6071d42749298615cb11b747c28ca',
         'trace':
-            '9dbe135cef2cad3524c9bfe19f0b21a625628f5c5e1ba062685fe96dba064233',
+            'a3dcf0f3640d6f2d30b30401c7388bea227101e3164a3a6e2d0c90988a25e803',
         'why':
             '4ec335affcc1b32f792c722c081ff56700a3f95a77fd05065af2150ea4cf2c23',
     },

@@ -215,6 +215,10 @@ def test_fault_kill_audited(engine_cls):
     assert k.reason == "crash" and k.ts == 10 * MS
     assert any(e.kind == tev.TASK_FINISH and e.tid == task.tid
                for e in trace.events)
+    # the kill took the task off its CPU: the deschedule says so
+    offs = [e for e in trace.events
+            if e.kind == tev.TASK_DESCHEDULE and e.tid == task.tid]
+    assert [(e.ts, e.args[0]) for e in offs] == [(10 * MS, tev.DESCHED_KILL)]
 
 
 def test_audit_does_not_change_results():
