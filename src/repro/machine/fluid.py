@@ -42,11 +42,8 @@ _EPS = 1e-6
 class FluidMachine(MachineBase):
     """Closed-form processor-sharing engine (fast, validated)."""
 
-    def __init__(self, sim: Simulator, params: Optional[MachineParams] = None,
-                 rr_as_sharing: bool = True):
+    def __init__(self, sim: Simulator, params: Optional[MachineParams] = None):
         super().__init__(sim, params)
-        #: treat SCHED_RR as sharing with quantum-sized slices (see module doc)
-        self.rr_as_sharing = rr_as_sharing
         #: straggler speed factor; the == 1.0 guard keeps the nominal
         #: path on exact integer arithmetic (bit-identical runs)
         self._speed = self.params.speed
@@ -130,13 +127,11 @@ class FluidMachine(MachineBase):
     # ==================================================================
     # pool (CFS + RR-as-sharing) mechanics
     # ==================================================================
-    def _is_dedicated(self, policy: SchedPolicy) -> bool:
-        """Does this policy get a dedicated core (rate 1)?"""
-        if policy is SchedPolicy.FIFO:
-            return True
-        if policy is SchedPolicy.RR and not self.rr_as_sharing:
-            return True
-        return False
+    @staticmethod
+    def _is_dedicated(policy: SchedPolicy) -> bool:
+        """Does this policy get a dedicated core (rate 1)?  SCHED_RR
+        shares the pool (see module doc)."""
+        return policy is SchedPolicy.FIFO
 
     def _free_cores(self) -> int:
         return max(0, self.n_cores - len(self._rt_running))
@@ -163,15 +158,10 @@ class FluidMachine(MachineBase):
         contention = n / free
         if contention <= 1.0:
             return 0.0  # a core each: no involuntary switching
-        quantum = (
-            self.params.rr_quantum
-            if self.rr_as_sharing and any(t.policy is SchedPolicy.RR for t in self._pool.values())
-            else None
-        )
-        if quantum is None:
-            cfs = self.params.cfs
-            quantum = max(cfs.sched_latency / contention, cfs.min_granularity)
-        return 1.0 / quantum
+        if any(t.policy is SchedPolicy.RR for t in self._pool.values()):
+            return 1.0 / self.params.rr_quantum
+        cfs = self.params.cfs
+        return 1.0 / max(cfs.sched_latency / contention, cfs.min_granularity)
 
     def _advance(self) -> None:
         now = self.sim.now

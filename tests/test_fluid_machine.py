@@ -186,16 +186,6 @@ def test_rr_as_sharing_matches_cfs_rates(sim):
     assert a.finish_time == 200 * MS and b.finish_time == 200 * MS
 
 
-def test_rr_dedicated_mode(sim):
-    m = FluidMachine(sim, MachineParams(n_cores=1), rr_as_sharing=False)
-    a = make_cpu_task(100 * MS, policy=SchedPolicy.RR)
-    b = make_cpu_task(10 * MS, policy=SchedPolicy.RR)
-    m.spawn(a)
-    sim.schedule_at(1 * MS, m.spawn, b)
-    sim.run()
-    assert a.finish_time == 100 * MS  # run-to-completion like FIFO
-
-
 def test_pool_frozen_when_all_cores_rt(sim):
     m = machine(sim, cores=1)
     cfs = make_cpu_task(10 * MS)
