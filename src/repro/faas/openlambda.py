@@ -15,7 +15,7 @@ from typing import Optional
 
 from repro.core.config import SFSConfig
 from repro.faas.coldstart import ColdStartConfig, KeepAliveCache
-from repro.faas.driver import ENGINES, Driver, Host
+from repro.faas.driver import ENGINE_SCHEDULERS, ENGINES, Driver, Host
 from repro.faas.overheads import OverheadModel
 from repro.faas.sandbox import ContainerPool
 from repro.faults.plan import FaultPlan
@@ -35,7 +35,7 @@ class OpenLambdaConfig(FaultHandling):
 
     machine: MachineParams = field(default_factory=lambda: MachineParams(n_cores=72))
     engine: str = "fluid"
-    scheduler: str = "cfs"  # "cfs" or "sfs"
+    scheduler: str = "cfs"  # one of ENGINE_SCHEDULERS
     sfs: SFSConfig = field(default_factory=SFSConfig)
     overheads: OverheadModel = field(default_factory=OverheadModel)
     container_capacity: int = 10_000
@@ -55,8 +55,10 @@ class OpenLambdaConfig(FaultHandling):
     timeout: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.scheduler not in ("cfs", "sfs"):
-            raise ValueError("OpenLambda runs use 'cfs' or 'sfs'")
+        if self.scheduler not in ENGINE_SCHEDULERS:
+            raise ValueError(
+                f"unknown OpenLambda scheduler {self.scheduler!r} "
+                f"(expected one of {ENGINE_SCHEDULERS})")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}")
         if self.timeout is not None and self.timeout <= 0:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import small_workload
+from repro.faas.driver import ENGINE_SCHEDULERS, ENGINES
 from repro.faas.openlambda import OpenLambdaConfig, OpenLambdaPlatform, run_openlambda
 from repro.faas.overheads import HopLatency, OverheadModel
 from repro.faas.sandbox import ContainerPool
@@ -123,15 +124,18 @@ def test_container_capacity_limits_concurrency():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        OpenLambdaConfig(scheduler="fifo")
+        OpenLambdaConfig(scheduler="srtf")  # an oracle, not an engine row
     with pytest.raises(ValueError):
         OpenLambdaConfig(engine="quantum")
 
 
-def test_scheduler_label_in_result():
+@pytest.mark.parametrize("engine", sorted(ENGINES))
+@pytest.mark.parametrize("scheduler", ENGINE_SCHEDULERS)
+def test_scheduler_label_in_result(scheduler, engine):
     wl = small_workload(n_requests=50, n_cores=8, load=0.5)
-    res = run_openlambda(wl, ol_cfg())
-    assert res.scheduler == "openlambda+cfs"
+    res = run_openlambda(wl, ol_cfg(scheduler=scheduler, engine=engine))
+    assert res.scheduler == f"openlambda+{scheduler}"
+    assert len(res.records) == 50
 
 
 def test_deterministic_given_seed():
