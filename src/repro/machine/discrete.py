@@ -53,12 +53,16 @@ class _Core:
         self.rt_period: int = -1
 
     def cancel_timers(self) -> None:
-        if self.slice_handle is not None:
-            self.slice_handle.cancel()
-            self.slice_handle = None
         if self.completion_handle is not None:
             self.completion_handle.cancel()
             self.completion_handle = None
+        self.cancel_class_timers()
+
+    def cancel_class_timers(self) -> None:
+        """Cancel the slice/quantum and RT-throttle timers."""
+        if self.slice_handle is not None:
+            self.slice_handle.cancel()
+            self.slice_handle = None
         if self.throttle_handle is not None:
             self.throttle_handle.cancel()
             self.throttle_handle = None
@@ -96,24 +100,21 @@ class DiscreteMachine(MachineBase):
         if task.state is TaskState.RUNNING:
             core = self.cores[task._run_core]  # type: ignore[attr-defined]
             assert core.task is task
-            self._charge(core)
+            ended = self._charge(core)
             task.rt_priority = rt_priority
             task.record_policy_change(self.sim.now, policy)
             if policy is SchedPolicy.CFS and old_policy is not SchedPolicy.CFS:
-                if task.burst_remaining == 0:
+                if ended:
                     # the demotion raced with the burst's exact end
                     self._complete_burst(core, task)
                     return
                 self._demote_running(core, task)
             else:
-                # CFS->RT promotion (or FIFO<->RR): keep running, fix timers
-                if core.slice_handle is not None:
-                    core.slice_handle.cancel()
-                    core.slice_handle = None
-                if policy is SchedPolicy.RR:
-                    core.slice_handle = self.sim.schedule(
-                        self.params.rr_quantum, self._on_quantum, core, task
-                    )
+                # CFS->RT promotion (or FIFO<->RR): keep running and the
+                # completion timer; re-arm the class timers from the end
+                # of any unfinished switch window
+                core.cancel_class_timers()
+                self._arm(core, task, core.run_start - self.sim.now)
         else:  # READY: move between runqueues
             if old_policy is SchedPolicy.CFS:
                 rq = self.cores[task._rq_core].rq  # type: ignore[attr-defined]
@@ -184,17 +185,13 @@ class DiscreteMachine(MachineBase):
             and core.rq.should_preempt(task, core.task)
         ):
             victim = core.task
-            self._charge(core)
-            if victim.burst_remaining == 0:
+            if self._charge(core):
                 self._complete_burst(core, victim)
                 return
-            core.cancel_timers()
-            victim.ctx_involuntary += 1
             if self._probe_on:
                 self._probe.preempt(f"{self.params.fair_class}:{core.index}",
                                     task, victim, core.index)
-            self._make_ready(victim)
-            core.task = None
+            self._switch_out(core, victim)
             victim._rq_core = core.index  # type: ignore[attr-defined]
             core.rq.enqueue(victim, wakeup=False)
             self._pick_next(core)
@@ -238,23 +235,18 @@ class DiscreteMachine(MachineBase):
             if core is None:
                 return
             victim = core.task
-            if victim is not None:
-                self._charge(core)
-                if victim.burst_remaining == 0:
-                    # preemption raced with the exact end of the burst:
-                    # complete it; _pick_next will take the RT task
-                    self._complete_burst(core, victim)
-                    continue
+            if victim is not None and self._charge(core):
+                # preemption raced with the exact end of the burst:
+                # complete it; _pick_next will take the RT task
+                self._complete_burst(core, victim)
+                continue
             task = self.rt_rq.pop()
             assert task is nxt
             if victim is not None:
-                core.cancel_timers()
-                victim.ctx_involuntary += 1
                 if self._probe_on:
                     self._probe.preempt("rt", task, victim, core.index,
                                         task.rt_priority)
-                self._make_ready(victim)
-                core.task = None
+                self._switch_out(core, victim)
             # Start the RT task *before* re-enqueuing the victim:
             # otherwise the victim's placement can pick this very core
             # (momentarily idle) and be silently overwritten.
@@ -316,8 +308,9 @@ class DiscreteMachine(MachineBase):
     def _start(self, core: _Core, task: Task) -> None:
         now = self.sim.now
         assert core.task is None, f"core {core.index} already running {core.task}"
-        assert core.slice_handle is None or core.slice_handle.cancelled
-        assert core.completion_handle is None or core.completion_handle.cancelled
+        assert core.completion_handle is None
+        assert core.slice_handle is None
+        assert core.throttle_handle is None
         burst = task.current_burst
         assert burst is not None and burst.kind is BurstKind.CPU, (
             f"task {task.tid} started while not in a CPU burst"
@@ -339,25 +332,32 @@ class DiscreteMachine(MachineBase):
             cost = self.params.ctx_switch_cost
         core.last_tid = task.tid
         core.run_start = now + cost
-        core.completion_handle = self.sim.schedule(
-            cost + self._wall(task.burst_remaining), self._on_completion, core, task
-        )
-        if task.policy is SchedPolicy.CFS:
-            core.slice_handle = self.sim.schedule(
-                cost + core.rq.timeslice_for(task), self._on_slice_expiry, core, task
-            )
-        elif task.policy is SchedPolicy.RR:
-            core.slice_handle = self.sim.schedule(
-                cost + self.params.rr_quantum, self._on_quantum, core, task
-            )
-        else:  # FIFO: runs until it blocks, finishes, or is re-classed
-            core.slice_handle = None
-        if task.is_rt:
-            budget = self._rt_budget(core)
-            if budget is not None:
-                core.throttle_handle = self.sim.schedule(
-                    cost + budget, self._on_rt_throttle, core, task
-                )
+        self._arm(core, task, cost)
+
+    def _arm(self, core: _Core, task: Task, lead: int) -> None:
+        """Arm the timers of ``task``, running on ``core`` from ``lead``
+        us on: its completion (unless still armed), its fair slice or RR
+        quantum, and its RT throttle.  The order is the tie-break order
+        of timers that fire at one instant."""
+        sim = self.sim
+        if core.completion_handle is None:
+            core.completion_handle = sim.schedule(
+                lead + self._wall(task.burst_remaining), self._on_completion,
+                core, task)
+        policy = task.policy
+        if policy is SchedPolicy.CFS:
+            core.slice_handle = sim.schedule(
+                lead + core.rq.timeslice_for(task), self._on_slice_expiry,
+                core, task)
+            return
+        if policy is SchedPolicy.RR:
+            core.slice_handle = sim.schedule(
+                lead + self.params.rr_quantum, self._on_quantum, core, task)
+        # FIFO: runs until it blocks, finishes, is re-classed or throttled
+        budget = self._rt_budget(core)
+        if budget is not None:
+            core.throttle_handle = sim.schedule(
+                lead + budget, self._on_rt_throttle, core, task)
 
     def _wall(self, service: int) -> int:
         """Wall-clock microseconds a straggler core needs for ``service``
@@ -366,7 +366,9 @@ class DiscreteMachine(MachineBase):
             return service
         return int(math.ceil(service / self._speed))
 
-    def _charge(self, core: _Core) -> None:
+    def _charge(self, core: _Core) -> bool:
+        """Charge the running task for its time on ``core``; True when
+        that used up its burst (it ended at exactly this instant)."""
         task = core.task
         assert task is not None
         # run_start may sit in the future while the switch cost is paid
@@ -393,6 +395,15 @@ class DiscreteMachine(MachineBase):
                 core.rt_usage += elapsed
         # keep a future run_start (unfinished switch window) intact
         core.run_start = max(core.run_start, self.sim.now)
+        return task.burst_remaining == 0
+
+    def _switch_out(self, core: _Core, task: Task) -> None:
+        """Take ``task`` off ``core`` mid-burst: an involuntary switch.
+        The caller places the task and refills the core."""
+        core.cancel_timers()
+        task.ctx_involuntary += 1
+        self._make_ready(task)
+        core.task = None
 
     # ------------------------------------------------------------------
     # event handlers
@@ -400,22 +411,16 @@ class DiscreteMachine(MachineBase):
     def _on_slice_expiry(self, core: _Core, task: Task) -> None:
         assert core.task is task
         core.slice_handle = None
-        self._charge(core)
-        if task.burst_remaining == 0:
+        if self._charge(core):
             # burst ended exactly at the slice boundary
             self._complete_burst(core, task)
             return
         if len(core.rq) > 0 or self.rt_rq:
-            task.ctx_involuntary += 1
-            if core.completion_handle is not None:
-                core.completion_handle.cancel()
-                core.completion_handle = None
             if self._probe_on:
                 self._probe.slice_expiry(
                     f"{self.params.fair_class}:{core.index}", task,
                     core.index, len(core.rq))
-            self._make_ready(task)
-            core.task = None
+            self._switch_out(core, task)
             task._rq_core = core.index  # type: ignore[attr-defined]
             core.rq.enqueue(task, wakeup=False)
             self._pick_next(core)
@@ -428,20 +433,14 @@ class DiscreteMachine(MachineBase):
         """SCHED_RR quantum expiry: rotate among equal-priority RT tasks."""
         assert core.task is task
         core.slice_handle = None
-        self._charge(core)
-        if task.burst_remaining == 0:
+        if self._charge(core):
             self._complete_burst(core, task)
             return
         waiting = self.rt_rq.peek_priority()
         if waiting is not None and waiting >= task.rt_priority:
-            task.ctx_involuntary += 1
-            if core.completion_handle is not None:
-                core.completion_handle.cancel()
-                core.completion_handle = None
             if self._probe_on:
                 self._probe.quantum(task, core.index, waiting)
-            self._make_ready(task)
-            core.task = None
+            self._switch_out(core, task)
             self.rt_rq.enqueue(task)
             self._pick_next(core)
         else:
@@ -452,8 +451,8 @@ class DiscreteMachine(MachineBase):
     def _on_completion(self, core: _Core, task: Task) -> None:
         assert core.task is task
         core.completion_handle = None
-        self._charge(core)
-        assert task.burst_remaining == 0
+        ended = self._charge(core)
+        assert ended
         self._complete_burst(core, task)
 
     def _complete_burst(self, core: _Core, task: Task) -> None:
@@ -462,17 +461,7 @@ class DiscreteMachine(MachineBase):
         if nxt is not None and nxt.kind is BurstKind.CPU:
             # back-to-back CPU burst: keep the core, restart timers
             core.run_start = self.sim.now
-            core.completion_handle = self.sim.schedule(
-                self._wall(task.burst_remaining), self._on_completion, core, task
-            )
-            if task.policy is SchedPolicy.CFS:
-                core.slice_handle = self.sim.schedule(
-                    core.rq.timeslice_for(task), self._on_slice_expiry, core, task
-                )
-            elif task.policy is SchedPolicy.RR:
-                core.slice_handle = self.sim.schedule(
-                    self.params.rr_quantum, self._on_quantum, core, task
-                )
+            self._arm(core, task, 0)
             return
         if self._probe_on:
             self._probe.burst_end(task, core.index, blocked=nxt is not None)
@@ -491,17 +480,13 @@ class DiscreteMachine(MachineBase):
         task until the next period so CFS gets its guaranteed share."""
         core.throttle_handle = None
         assert core.task is task and task.is_rt
-        self._charge(core)
-        if task.burst_remaining == 0:
+        if self._charge(core):
             self._complete_burst(core, task)
             return
         _runtime, period = self.params.rt_bandwidth
-        task.ctx_involuntary += 1
-        core.cancel_timers()
         if self._probe_on:
             self._probe.throttle(task, core.index, period)
-        self._make_ready(task)
-        core.task = None
+        self._switch_out(core, task)
         self.rt_rq.enqueue(task)
         # wake the dispatcher when the next period refills the budget
         next_period_start = (self.sim.now // period + 1) * period
@@ -514,18 +499,14 @@ class DiscreteMachine(MachineBase):
 
     def _demote_running(self, core: _Core, task: Task) -> None:
         """RT -> CFS while on CPU (SFS slice-expiry demotion)."""
-        core.cancel_timers()
         if self._probe_on:
             self._probe.reclass(task, core.index)
-        self._make_ready(task)
-        core.task = None
+        self._switch_out(core, task)
         self._enqueue_cfs(task, wakeup=False)
         if core.task is None:
             self._pick_next(core)
-        # Count the switch unless the task immediately resumed on the
+        # Take the count back if the task immediately resumed on the
         # same core (then the kernel would not have switched at all).
-        if not (
-            task.state is TaskState.RUNNING
-            and getattr(task, "_run_core", None) == core.index
-        ):
-            task.ctx_involuntary += 1
+        if (task.state is TaskState.RUNNING
+                and task._run_core == core.index):  # type: ignore[attr-defined]
+            task.ctx_involuntary -= 1

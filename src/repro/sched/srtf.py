@@ -47,15 +47,7 @@ class SRTFMachine(MachineBase):
             off = tev.DESCHED_KILL if task.tid in self._running else None
             self._probe.kill(task, reason, -1, off)
         if task.tid in self._running:
-            handle: Optional[EventHandle] = getattr(task, "_end_handle", None)
-            if handle is not None:
-                handle.cancel()
-                task._end_handle = None  # type: ignore[attr-defined]
-            served = min(self.sim.now - task._run_start,  # type: ignore[attr-defined]
-                         task.burst_remaining)
-            task.consume_cpu(served)
-            self.busy_time += served
-            del self._running[task.tid]
+            self._stop(task)
         # READY tasks: the heap entry goes stale and _scrub drops it
         self._finish_killed(task, reason)
         self._fill_cores()
@@ -102,16 +94,21 @@ class SRTFMachine(MachineBase):
         if self._probe_on:
             self._probe.run(task, -1)
 
-    def _preempt(self, task: Task) -> None:
+    def _stop(self, task: Task) -> None:
+        """Take a running ``task`` off its core mid-burst and charge it
+        for the CPU it received."""
         handle: Optional[EventHandle] = getattr(task, "_end_handle", None)
         if handle is not None:
             handle.cancel()
             task._end_handle = None  # type: ignore[attr-defined]
-        served = self.sim.now - task._run_start  # type: ignore[attr-defined]
-        served = min(served, task.burst_remaining)
+        served = min(self.sim.now - task._run_start,  # type: ignore[attr-defined]
+                     task.burst_remaining)
         task.consume_cpu(served)
         self.busy_time += served
         del self._running[task.tid]
+
+    def _preempt(self, task: Task) -> None:
+        self._stop(task)
         task.ctx_involuntary += 1
         self._make_ready(task)
         heapq.heappush(self._ready, (task.cpu_remaining, next(self._seq), task))
