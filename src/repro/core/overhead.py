@@ -54,6 +54,21 @@ class OverheadMeter:
         self._poll_cost[now // self.window] += cost
         self.poll_count += 1
 
+    def record_polls(self, first: int, interval: int, n: int,
+                     cost: int) -> None:
+        """Record ``n`` polls, at ``first`` and every ``interval`` after:
+        :meth:`record_poll` at each of those instants, in bulk."""
+        self.poll_count += n
+        window = self.window
+        t = first
+        while n > 0:
+            b = t // window
+            # the polls from t up to the end of window b
+            k = min(n, ((b + 1) * window - t - 1) // interval + 1)
+            self._poll_cost[b] += k * cost
+            t += k * interval
+            n -= k
+
     def record_sched_op(self, now: int, cost: int) -> None:
         self._sched_cost[now // self.window] += cost
         self.sched_op_count += 1

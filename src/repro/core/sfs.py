@@ -10,6 +10,7 @@ paper step by step; the numbered comments below reference it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional
 
 from repro.core.config import SFSConfig
@@ -19,6 +20,7 @@ from repro.core.overhead import OverheadMeter
 from repro.core.overload import OverloadDetector
 from repro.core.worker import SFSWorker
 from repro.machine.base import MachineBase
+from repro.sim.engine import EventHandle
 from repro.sim.task import SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
@@ -65,8 +67,27 @@ class SFSStats:
                 f"{watches} watched tasks but {resolved} resolved")
 
 
+#: the idle tests run at every elided poll; a module global is cheaper
+#: to read than an enum class attribute
+_BLOCKED, _FINISHED = TaskState.BLOCKED, TaskState.FINISHED
+
+
+def _filter_poll_idle(task: Task) -> bool:
+    """Idle test of a FILTER poll: the function has neither blocked nor
+    exited, so the poll would only re-arm.  ``task.state`` is what
+    ``poll_state`` reads on every machine."""
+    state = task.state
+    return state is not _BLOCKED and state is not _FINISHED
+
+
 class SFS:
-    """User-space two-level (FILTER + CFS) function scheduler."""
+    """User-space two-level (FILTER + CFS) function scheduler.
+
+    Both status polls (4.3 and the watch list) are :meth:`Simulator.every`
+    timers: a poll that would only re-arm is elided by the event loop,
+    and :meth:`_meter_elided` records it in the overhead meter when its
+    timer is released or next acts.
+    """
 
     def __init__(self, machine: MachineBase, config: Optional[SFSConfig] = None):
         self.machine = machine
@@ -95,7 +116,8 @@ class SFS:
         self.stats = SFSStats()
         self._by_tid: Dict[int, SFSWorker] = {}
         self._watch: Dict[int, QueueEntry] = {}
-        self._watch_poll_active = False
+        self._watch_handle: Optional[EventHandle] = None
+        self._watch_polled_to = 0  # last watch poll instant metered
         self._draining = False
         machine.on_finish(self._on_task_finish)
 
@@ -212,8 +234,9 @@ class SFS:
             max(1, slice_left), self._on_slice_expiry, worker, task
         )
         if self.config.io_aware:
-            worker.poll_handle = self.sim.schedule(
-                self.config.poll_interval, self._on_worker_poll, worker, task
+            worker.poll_handle = self.sim.every(
+                self.config.poll_interval, partial(_filter_poll_idle, task),
+                self._on_worker_poll, worker, task,
             )
 
     # ==================================================================
@@ -221,7 +244,9 @@ class SFS:
     # ==================================================================
     def _on_task_finish(self, task: Task) -> None:
         """waitpid: the function returned (4.1) — release its worker."""
-        if self._watch.pop(task.tid, None) is not None:
+        if task.tid in self._watch:
+            self._meter_watch()
+            del self._watch[task.tid]
             self.stats.finished_while_watched += 1
             if self._probe_on:
                 self._probe.watch_finish(task.tid)
@@ -235,7 +260,7 @@ class SFS:
                 self.stats.completed_in_filter += 1
             if self._probe_on:
                 self._probe.filter_exit(task, worker, in_slice)
-            worker.clear()
+            self._release(worker)
             self._drain()
 
     def _on_slice_expiry(self, worker: SFSWorker, task: Task) -> None:
@@ -250,15 +275,13 @@ class SFS:
             self._probe.demote(task, worker)
         self._sched_op()
         self._by_tid.pop(task.tid, None)
-        worker.clear()
+        self._release(worker)
         self.machine.set_policy(task, SchedPolicy.CFS)
         self._drain()
 
     def _on_worker_poll(self, worker: SFSWorker, task: Task) -> None:
-        """4.3: periodic kernel-status poll of the FILTER function."""
-        worker.poll_handle = None
-        if worker.entry is None or worker.entry.task is not task:
-            return  # stale timer
+        """4.3: the periodic kernel-status poll of the FILTER function
+        found it sleeping (or exited)."""
         self.overhead.record_poll(self.sim.now, self.config.poll_cost)
         state = self.machine.poll_state(task)
         if state is TaskState.BLOCKED:
@@ -273,7 +296,7 @@ class SFS:
                 self._probe.demote(task, worker, left)
             self._sched_op()
             self._by_tid.pop(task.tid, None)
-            worker.clear()
+            self._release(worker)
             self.machine.set_policy(task, SchedPolicy.CFS)
             if left > 0:
                 self._watch_task(entry)
@@ -281,28 +304,70 @@ class SFS:
                 self.stats.demoted_io_exhausted += 1
                 task.sfs_demoted = True
             self._drain()
-        elif state is TaskState.FINISHED:  # defensive; finish cb handles it
-            worker.clear()
+        else:  # FINISHED: defensive; the finish callback handles it
+            self._release(worker)
             self._drain()
-        else:
-            worker.poll_handle = self.sim.schedule(
-                self.config.poll_interval, self._on_worker_poll, worker, task
-            )
+
+    def _release(self, worker: SFSWorker) -> None:
+        """Meter the polls the worker's timer elided, then idle it.
+
+        A FILTER poll acts at most once, and releases the worker when
+        it does, so the elided polls are the first ones after the
+        assignment."""
+        if worker.poll_handle is not None:
+            self._meter_elided(worker.poll_handle, worker.assigned_at, 1)
+        worker.clear()
+
+    def _meter_elided(self, handle: EventHandle, since: int,
+                      width: int) -> int:
+        """Record the polls of the firings ``handle`` elided after the
+        metered instant ``since`` (``width`` polls each, one per polled
+        function) and return the last instant now metered."""
+        n = handle.elided
+        if n:
+            handle.elided = 0
+            interval = handle.interval
+            for _ in range(width):
+                self.overhead.record_polls(since + interval, interval, n,
+                                           self.config.poll_cost)
+            since += n * interval
+        return since
 
     # ==================================================================
     # blocked-function watch list (§V-D)
     # ==================================================================
     def _watch_task(self, entry: QueueEntry,
                     delay: Optional[int] = None) -> None:
+        if self._watch_handle is None:
+            self._watch_handle = self.sim.every(
+                self.config.poll_interval, self._watch_idle,
+                self._on_watch_poll,
+            )
+            self._watch_polled_to = self.sim.now
+        else:
+            self._meter_watch()
         self._watch[entry.task.tid] = entry
         if self._probe_on:
             self._probe.watch(entry.task, delay)
-        if not self._watch_poll_active:
-            self._watch_poll_active = True
-            self.sim.schedule(self.config.poll_interval, self._on_watch_poll)
+
+    def _watch_idle(self) -> bool:
+        """Idle test of the watch-list poll: every watched function is
+        still sleeping."""
+        return bool(self._watch) and all(
+            e.task.state is _BLOCKED for e in self._watch.values())
+
+    def _meter_watch(self) -> None:
+        """Record the elided watch polls; called before the watch list
+        changes and before its poll acts."""
+        self._watch_polled_to = self._meter_elided(
+            self._watch_handle, self._watch_polled_to, len(self._watch))
 
     def _on_watch_poll(self) -> None:
+        """A watch-list poll found a watched function runnable or
+        exited, or the list empty."""
         now = self.sim.now
+        self._meter_watch()
+        self._watch_polled_to = now
         woke: List[QueueEntry] = []
         for tid in list(self._watch):
             entry = self._watch[tid]
@@ -328,10 +393,9 @@ class SFS:
                     resumed=True,
                 )
             )
-        if self._watch:
-            self.sim.schedule(self.config.poll_interval, self._on_watch_poll)
-        else:
-            self._watch_poll_active = False
+        if not self._watch:
+            self._watch_handle.cancel()
+            self._watch_handle = None
         if woke:
             self._drain()
 

@@ -215,7 +215,7 @@ class ResilienceRuntime:
         # sampler and this poller itself — do not count as liveness);
         # a strand always implies pending work (the stranding host's
         # recovery event), but keep the explicit check for clarity
-        if self.sim.pending_work > 0 or self._stranded:
+        if self.sim.pending_work or self._stranded:
             self.sim.schedule(self.config.health_interval, self._poll,
                               daemon=True)
 

@@ -326,6 +326,11 @@ class InvariantChecker(NullChecker):
                     f"pool task missing live heap entry (target {target})",
                     tid=tid,
                 )
+        rr = sum(1 for t in machine._pool.values() if t.policy.name == "RR")
+        if rr != machine._pool_rr:
+            self._fail("runqueue-soundness",
+                       f"pool holds {rr} SCHED_RR tasks, counted "
+                       f"{machine._pool_rr}")
 
     def on_warm_cache(self, cache: Any, app: str) -> None:
         """Keep-alive occupancy vs. sandbox lifecycle."""

@@ -49,6 +49,9 @@ class FluidMachine(MachineBase):
         self._speed = self.params.speed
         # --- CFS/RR fluid pool ---
         self._pool: dict[int, Task] = {}           # tid -> task
+        # SCHED_RR tasks in the pool; a task's policy is fixed for its
+        # whole stay (_reclass takes it out first)
+        self._pool_rr = 0
         self._heap: list[tuple[float, int, Task]] = []  # (target credit, seq, task)
         self._seq = itertools.count()
         self._credit: float = 0.0                   # global service credit
@@ -158,7 +161,7 @@ class FluidMachine(MachineBase):
         contention = n / free
         if contention <= 1.0:
             return 0.0  # a core each: no involuntary switching
-        if any(t.policy is SchedPolicy.RR for t in self._pool.values()):
+        if self._pool_rr:
             return 1.0 / self.params.rr_quantum
         cfs = self.params.cfs
         return 1.0 / max(cfs.sched_latency / contention, cfs.min_granularity)
@@ -195,6 +198,8 @@ class FluidMachine(MachineBase):
         # In the fluid limit the task is immediately time-sharing the CPU.
         self._begin_run(task)
         self._pool[task.tid] = task
+        if task.policy is SchedPolicy.RR:
+            self._pool_rr += 1
         if self._probe_on:
             self._probe.pool_enter(task, len(self._pool))
         heapq.heappush(self._heap, (target, next(self._seq), task))
@@ -207,6 +212,8 @@ class FluidMachine(MachineBase):
         self._advance()
         assert task.tid in self._pool
         del self._pool[task.tid]
+        if task.policy is SchedPolicy.RR:
+            self._pool_rr -= 1
         served = int(round(self._credit - task._pool_enter_credit))  # type: ignore[attr-defined]
         credit = self._charge_pool(
             task, max(0, min(served, task.burst_remaining - 1)))
@@ -261,6 +268,8 @@ class FluidMachine(MachineBase):
             if task.tid not in self._pool or task._pool_target != _target:  # type: ignore[attr-defined]
                 continue  # stale entry
             del self._pool[task.tid]
+            if task.policy is SchedPolicy.RR:
+                self._pool_rr -= 1
             finished.append(task)
         for task in finished:
             served = self._charge_pool(task, task.burst_remaining)

@@ -262,7 +262,7 @@ class Probe:
             now = sim.now
             for src in sources:
                 src.sample_gauges(self, now)
-            if sim.pending_work > 0:
+            if sim.pending_work:
                 sim.schedule(interval, sample, daemon=True)
 
         sim.schedule(interval, sample, daemon=True)

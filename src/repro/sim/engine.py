@@ -8,6 +8,10 @@ timestamps, which makes every run fully deterministic.
 Cancellation is *lazy*: :meth:`EventHandle.cancel` marks the handle and
 the main loop discards dead entries when they surface, which keeps both
 ``schedule`` and ``cancel`` O(log n) / O(1).
+
+A periodic timer (:meth:`Simulator.every`) keeps one handle on the heap
+and re-arms it in place at each firing; a firing its ``idle`` test
+finds idle costs no callback.
 """
 
 from __future__ import annotations
@@ -35,9 +39,14 @@ class EventHandle:
     normally but are excluded from :attr:`Simulator.pending_work`, so
     two self-rearming daemons cannot keep each other — and the run —
     alive forever.
+
+    A timer of :meth:`Simulator.every` also carries its ``interval``
+    (0 for a one-shot event), its ``idle`` test and ``elided``, the
+    number of firings it found idle (the owner may reset it).
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
+                 "interval", "idle", "elided")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., Any],
                  args: tuple, daemon: bool = False):
@@ -47,6 +56,9 @@ class EventHandle:
         self.args = args
         self.cancelled = False
         self.daemon = daemon
+        self.interval = 0
+        self.idle: Optional[Callable[[], bool]] = None
+        self.elided = 0
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly."""
@@ -55,6 +67,7 @@ class EventHandle:
         # tasks/closures for the rest of the run.
         self.callback = _noop
         self.args = ()
+        self.idle = None
 
     @property
     def active(self) -> bool:
@@ -180,6 +193,27 @@ class Simulator:
         return self.schedule_at(self.now + int(delay), callback, *args,
                                 daemon=daemon)
 
+    def every(self, interval: int, idle: Callable[[], bool],
+              callback: Callable[..., Any], *args: Any) -> EventHandle:
+        """Fire every ``interval`` microseconds from now until cancelled,
+        calling ``callback(*args)`` only at firings where ``idle()`` is
+        false.
+
+        Each firing, idle or not, re-arms the one handle ``interval``
+        later at the next tie-break rank *before* any callback runs, and
+        counts in :attr:`events_executed` and the ``max_events`` budget:
+        a callback that rescheduled itself first thing would sit at
+        exactly the same ``(time, seq)`` positions.  ``idle`` must be
+        free of side effects, and picklable (a bound method or a
+        ``functools.partial``, not a closure) for checkpointed runs.
+        """
+        if interval <= 0:
+            raise SimulationError(f"non-positive interval {interval}")
+        handle = self.schedule_at(self.now + int(interval), callback, *args)
+        handle.interval = int(interval)
+        handle.idle = idle
+        return handle
+
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -195,15 +229,32 @@ class Simulator:
         self._drop_dead()
         if not self._heap:
             return False
-        time, _seq, handle = heapq.heappop(self._heap)
+        self._fire()
+        return True
+
+    def _fire(self) -> None:
+        """Execute the event at the top of the heap, which is live."""
+        heap = self._heap
+        time, _seq, handle = heap[0]
         if self._inv_on:
             self.invariants.on_event(time, self.now)
         self.now = time
+        self.events_executed += 1
+        interval = handle.interval
+        if interval:
+            self._seq += 1
+            handle.time = time + interval
+            handle.seq = self._seq
+            heapq.heapreplace(heap, (handle.time, self._seq, handle))
+            if handle.idle():
+                handle.elided += 1
+            else:
+                handle.callback(*handle.args)
+            return
+        heapq.heappop(heap)
         callback, args = handle.callback, handle.args
         handle.cancel()  # consumed; release references
-        self.events_executed += 1
         callback(*args)
-        return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or the event
@@ -229,12 +280,13 @@ class Simulator:
         recent: Optional[deque] = (
             deque(maxlen=5) if max_events is not None else None
         )
+        heap = self._heap
         try:
             while True:
-                nxt = self.peek_time()
-                if nxt is None:
+                self._drop_dead()
+                if not heap:
                     break
-                if until is not None and nxt > until:
+                if until is not None and heap[0][0] > until:
                     break
                 if max_events is not None and executed >= max_events:
                     tail = "; ".join(recent) if recent else "(none)"
@@ -245,8 +297,8 @@ class Simulator:
                         f"{label}; last events: {tail}"
                     )
                 if recent is not None:
-                    recent.append(_describe(self._heap[0][2]))
-                self.step()
+                    recent.append(_describe(heap[0][2]))
+                self._fire()
                 executed += 1
         finally:
             self._running = False
@@ -259,13 +311,13 @@ class Simulator:
         return sum(1 for _, _, h in self._heap if not h.cancelled)
 
     @property
-    def pending_work(self) -> int:
-        """Live events that *drive* the run — daemon housekeeping
-        timers excluded.  Self-rearming daemons must gate on this, not
-        on :attr:`pending`, or any two of them would keep each other
-        alive after the real work has drained."""
-        return sum(
-            1 for _, _, h in self._heap if not h.cancelled and not h.daemon
+    def pending_work(self) -> bool:
+        """Whether a live event that *drives* the run is queued — daemon
+        housekeeping timers excluded.  Self-rearming daemons must gate
+        on this, not on :attr:`pending`, or any two of them would keep
+        each other alive after the real work has drained."""
+        return any(
+            not h.cancelled and not h.daemon for _, _, h in self._heap
         )
 
     def _drop_dead(self) -> None:

@@ -12,8 +12,9 @@ Why a single pickle instead of a bespoke schema: the simulator's
 determinism lives in object aliasing (the *same* ``EventHandle`` is
 referenced by the heap and by the SFS worker that may cancel it) and
 pickle's memo preserves aliasing exactly.  Every callback in the
-streaming driver is a bound method of a picklable object — closures
-are banned from the replay path for precisely this reason.
+streaming driver, and every idle test of a ``Simulator.every`` timer,
+is a bound method or ``functools.partial`` of picklable objects —
+closures are banned from the replay path for precisely this reason.
 
 Resume contract: ``load`` verifies the manifest hash and the config
 digest (a checkpoint from a different replay configuration is an
@@ -40,7 +41,7 @@ from repro.experiments.artifacts import (
 
 #: bumped whenever the pickled driver graph changes shape: a checkpoint
 #: of another schema cannot be resumed by this code
-CHECKPOINT_SCHEMA = "repro.stream/2"
+CHECKPOINT_SCHEMA = "repro.stream/3"
 
 #: pinned pickle protocol: checkpoints written by one interpreter
 #: version stay readable by the next (protocol 4 is universal on 3.4+)

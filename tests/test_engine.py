@@ -1,7 +1,11 @@
 """Unit tests for the discrete-event simulator kernel."""
 
+import pickle
+from functools import partial
+
 import pytest
 
+from repro.invariants.checker import InvariantChecker
 from repro.sim.engine import SimulationError, Simulator
 
 
@@ -215,3 +219,130 @@ def test_deterministic_replay():
         return order
 
     assert drive(Simulator()) == drive(Simulator())
+
+
+# ----------------------------------------------------------------------
+# every(): periodic timers whose idle firings call nothing back
+# ----------------------------------------------------------------------
+def _timeline(use_every: bool, idle_at: frozenset):
+    """Firings of a 10 us timer among same-instant events scheduled
+    before and after its previous firing; returns (log, events)."""
+    sim = Simulator()
+    log = []
+
+    def act(tag):
+        log.append((sim.now, tag))
+
+    def acted():  # what the timer's callback schedules lands after it
+        act("tick")
+        sim.schedule(10, act, "chained")
+
+    if use_every:
+        sim.every(10, lambda: sim.now in idle_at, acted)
+    else:
+        def tick():  # the literal loop: re-arm first, act when not idle
+            sim.schedule(10, tick)
+            if sim.now not in idle_at:
+                acted()
+
+        sim.schedule(10, tick)
+    sim.schedule_at(20, act, "before-20")
+    sim.schedule_at(30, act, "before-30")
+    sim.schedule_at(10, lambda: sim.schedule_at(20, act, "after-20"))
+    sim.schedule_at(25, lambda: sim.schedule_at(30, act, "after-30"))
+    sim.schedule_at(30, lambda: sim.schedule(0, act, "now-30"))
+    sim.run(until=45)
+    return log, sim.events_executed
+
+
+@pytest.mark.parametrize("idle_at", [frozenset(), frozenset({20, 30}),
+                                     frozenset({10, 20, 30, 40})])
+def test_every_orders_ties_like_a_self_rescheduling_callback(idle_at):
+    log, events = _timeline(True, idle_at)
+    assert (log, events) == _timeline(False, idle_at)
+    assert [t for t, tag in log if tag == "tick"] == sorted(
+        {10, 20, 30, 40} - idle_at)
+
+
+def test_every_cancel_stops_the_timer(sim):
+    fired = []
+    h = sim.every(10, lambda: False, lambda: fired.append(sim.now))
+    sim.schedule_at(35, h.cancel)
+    sim.run()
+    assert fired == [10, 20, 30]
+    assert sim.pending == 0 and not h.active
+
+
+def test_every_cancel_from_its_own_callback(sim):
+    fired = []
+
+    def act():
+        fired.append(sim.now)
+        if len(fired) == 2:
+            h.cancel()
+
+    h = sim.every(5, lambda: sim.now == 10, act)
+    sim.run()
+    assert fired == [5, 15]
+    assert h.elided == 1
+
+
+def test_every_elides_no_firing_past_until(sim):
+    h = sim.every(10, lambda: True, pytest.fail)
+    sim.run(until=35)
+    assert (h.elided, sim.events_executed, sim.now) == (3, 3, 35)
+    sim.run(until=50)
+    assert (h.elided, sim.events_executed, sim.now) == (5, 5, 50)
+
+
+def test_every_elided_firings_spend_the_event_budget(sim):
+    h = sim.every(10, lambda: True, pytest.fail)
+    with pytest.raises(SimulationError, match="budget exhausted"):
+        sim.run(max_events=5)
+    assert sim.events_executed == 5
+    assert h.elided == 5
+
+
+def test_every_firings_go_through_the_invariant_checker():
+    checker = InvariantChecker()
+    sim = Simulator(invariants=checker)
+    acted = []
+    h = sim.every(10, lambda: sim.now % 20 == 0, acted.append, 1)
+    sim.schedule_at(55, h.cancel)
+    sim.run()
+    assert acted == [1, 1, 1]  # at 10, 30, 50
+    assert checker.summary()["monotone-clock"] == sim.events_executed == 6
+
+
+def test_every_rejects_a_non_positive_interval(sim):
+    with pytest.raises(SimulationError):
+        sim.every(0, lambda: True, lambda: None)
+
+
+class _Ticker:
+    """Picklable owner of a timer (callbacks are bound methods)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+        self.handle = sim.every(7, partial(_quiet, self), self.act)
+
+    def act(self):
+        self.log.append(self.sim.now)
+
+
+def _quiet(ticker) -> bool:
+    return ticker.sim.now % 3 != 0
+
+
+def test_every_timer_survives_pickling_mid_run():
+    sim = Simulator()
+    ticker = _Ticker(sim)
+    sim.schedule_at(100, ticker.handle.cancel)
+    sim.run(until=40)
+    clone = pickle.loads(pickle.dumps(ticker))
+    sim.run()
+    clone.sim.run()
+    assert clone.log == ticker.log == [21, 42, 63, 84]
+    assert clone.handle.elided == ticker.handle.elided == 10
+    assert clone.sim.events_executed == sim.events_executed
