@@ -83,10 +83,13 @@ def _filter_poll_idle(task: Task) -> bool:
 class SFS:
     """User-space two-level (FILTER + CFS) function scheduler.
 
-    Both status polls (4.3 and the watch list) are :meth:`Simulator.every`
-    timers: a poll that would only re-arm is elided by the event loop,
-    and :meth:`_meter_elided` records it in the overhead meter when its
-    timer is released or next acts.
+    Both status polls (4.3 and the watch list) are parked
+    :meth:`Simulator.every` timers: a poll that would only re-arm is
+    elided, and while idle the timer stays off the event heap until
+    :meth:`_on_task_state` pokes it (the FILTER function blocked; a
+    watched function woke or exited).  :meth:`_meter_elided` records
+    the elided polls in the overhead meter when the timer is released
+    or next acts.
     """
 
     def __init__(self, machine: MachineBase, config: Optional[SFSConfig] = None):
@@ -120,6 +123,7 @@ class SFS:
         self._watch_polled_to = 0  # last watch poll instant metered
         self._draining = False
         machine.on_finish(self._on_task_finish)
+        machine.on_state_change(self._on_task_state)
 
     # ==================================================================
     # entry point (Fig 4, step 1): the FaaS server tells SFS about a
@@ -236,12 +240,24 @@ class SFS:
         if self.config.io_aware:
             worker.poll_handle = self.sim.every(
                 self.config.poll_interval, partial(_filter_poll_idle, task),
-                self._on_worker_poll, worker, task,
+                self._on_worker_poll, worker, task, park=True,
             )
 
     # ==================================================================
     # FILTER-mode lifecycle (Fig 4, steps 4.1-4.3)
     # ==================================================================
+    def _on_task_state(self, task: Task) -> None:
+        """A function blocked, woke or exited: poke the poll that may
+        now act (its FILTER poll on a block; the watch-list poll when a
+        watched function wakes or exits, which also covers the list
+        emptying)."""
+        if task.state is _BLOCKED:
+            worker = self._by_tid.get(task.tid)
+            if worker is not None and worker.poll_handle is not None:
+                self.sim.poke(worker.poll_handle)
+        elif task.tid in self._watch:
+            self.sim.poke(self._watch_handle)
+
     def _on_task_finish(self, task: Task) -> None:
         """waitpid: the function returned (4.1) — release its worker."""
         if task.tid in self._watch:
@@ -323,6 +339,7 @@ class SFS:
         """Record the polls of the firings ``handle`` elided after the
         metered instant ``since`` (``width`` polls each, one per polled
         function) and return the last instant now metered."""
+        self.sim.settle(handle)
         n = handle.elided
         if n:
             handle.elided = 0
@@ -341,7 +358,7 @@ class SFS:
         if self._watch_handle is None:
             self._watch_handle = self.sim.every(
                 self.config.poll_interval, self._watch_idle,
-                self._on_watch_poll,
+                self._on_watch_poll, park=True,
             )
             self._watch_polled_to = self.sim.now
         else:

@@ -145,13 +145,6 @@ def run(config: Config, seed: int = 0) -> Result:
     return Result(runs=runs, config=config)
 
 
-def goodput_gain(result: Result, scenario: str) -> float:
-    """SFS goodput over CFS goodput for one scenario."""
-    sfs = fault_summary(result.runs[scenario]["sfs"])
-    cfs = fault_summary(result.runs[scenario]["cfs"])
-    return sfs.goodput_rps / cfs.goodput_rps if cfs.goodput_rps else float("inf")
-
-
 # ----------------------------------------------------------------------
 # cell summaries: the one representation both the serial render and the
 # repro.pool shard artifacts are built from

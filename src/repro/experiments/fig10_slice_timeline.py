@@ -60,15 +60,6 @@ def run(config: Config, seed: int = 0) -> Result:
     )
 
 
-def window_mean_iats(result: Result, window: int = 100) -> np.ndarray:
-    """Rolling window-mean IAT at each slice recomputation point."""
-    iats = np.diff(result.arrivals)
-    if iats.size < window:
-        return np.array([iats.mean()]) if iats.size else np.array([])
-    kernel = np.ones(window) / window
-    return np.convolve(iats, kernel, mode="valid")
-
-
 def render(result: Result) -> str:
     if not result.slice_timeline:
         return "Fig 10: no slice recomputations recorded"

@@ -69,10 +69,6 @@ class FuzzCase:
     #: (repro.faas.cluster + resilience) instead of a bare machine
     cluster: Optional[ClusterCase] = None
 
-    @property
-    def case_id(self) -> Tuple[int, int]:
-        return (self.campaign_seed, self.index)
-
     def with_workload(self, workload: Workload) -> "FuzzCase":
         return replace(self, workload=workload)
 

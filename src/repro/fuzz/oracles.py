@@ -513,11 +513,3 @@ def applicable_oracles(case: FuzzCase) -> Tuple[Oracle, ...]:
     """The oracles whose gates accept this case, in registry order."""
     return tuple(o for o in ORACLES if o.applies(case))
 
-
-def check_case(case: FuzzCase) -> Optional[Violation]:
-    """Run every applicable oracle; return the first finding."""
-    for oracle in applicable_oracles(case):
-        violation = oracle.check(case)
-        if violation is not None:
-            return violation
-    return None

@@ -19,6 +19,9 @@ the simulation stream is bit-identical to a build without this module.
 * **no lost or duplicated exits** — each tid finishes exactly once;
 * **monotone clocks** — virtual time and per-task vruntime never move
   backwards;
+* **parked timers stay idle** — after every event, each timer parked
+  off the event heap still finds its firings idle, so a missed poke
+  fails at the event that owed it (``parked-idle``);
 * **structural soundness** — CFS/RT/EEVDF runqueues stay internally
   consistent (cheap checks every call, full red-black audits sampled
   every ``deep_every`` calls);
@@ -118,6 +121,12 @@ class NullChecker:
     def on_event(self, now: int, prev: int) -> None:  # pragma: no cover
         return None
 
+    def on_virtual_events(self, n: int) -> None:  # pragma: no cover
+        return None
+
+    def on_parked(self, timers: Any, now: int) -> None:  # pragma: no cover
+        return None
+
     def on_charge(self, task: Any) -> None:  # pragma: no cover
         return None
 
@@ -211,6 +220,26 @@ class InvariantChecker(NullChecker):
                        f"event at t={now} fired after clock reached {prev}",
                        now=now)
         self._last_now = now
+
+    def on_virtual_events(self, n: int) -> None:
+        """``n`` virtual firings of parked timers, which the clock passed
+        in order by construction."""
+        if n:
+            self._counts["monotone-clock"] = (
+                self._counts.get("monotone-clock", 0) + n)
+
+    def on_parked(self, timers: Any, now: int) -> None:
+        """After an event, every parked timer's ``idle`` test holds: its
+        virtual firings are idle only by its owner's promise to poke."""
+        for handle in timers:
+            self._count("parked-idle")
+            if not handle.idle():
+                name = getattr(handle.callback, "__qualname__",
+                               repr(handle.callback))
+                self._fail("parked-idle",
+                           f"timer {name} (next firing t={handle.time}) is "
+                           f"parked but its idle test is false: its owner "
+                           f"missed a poke", now=now)
 
     def on_charge(self, task: Any) -> None:
         """After any CPU-service charge: per-task accounting stays sane."""

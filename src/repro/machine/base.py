@@ -11,7 +11,10 @@ do on Linux, because SFS is a user-space scheduler:
 There is intentionally **no** ``on_block`` callback: the paper's whole
 §V-D is about SFS having to *poll* for the running→sleeping transition,
 so exposing it as a push event would erase the detection-latency effect
-the reproduction must show (Fig 11).
+the reproduction must show (Fig 11).  ``on_state_change`` is not one
+either: it only tells the simulator-side owner of a parked poll timer
+that the poll may act at its next firing, which still lands on the
+poll's own period (see :meth:`repro.sim.engine.Simulator.poke`).
 
 The base class owns the task lifecycle around that API: spawn, the
 ready and run stamps, block on I/O, wake, exit, and the epilogue of a
@@ -32,6 +35,7 @@ from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
 FinishCallback = Callable[[Task], None]
+StateCallback = Callable[[Task], None]
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,7 @@ class MachineBase:
         self.params = params or MachineParams()
         self.n_cores = self.params.n_cores
         self._finish_callbacks: List[FinishCallback] = []
+        self._state_callbacks: List[StateCallback] = []
         # observability: the simulator's probe (trace + metrics + audit)
         # and its enabled flag are cached at construction (install the
         # sinks on the Simulator first); engines name themselves as the
@@ -149,6 +154,13 @@ class MachineBase:
         """Register a process-exit observer (``waitpid`` semantics)."""
         self._finish_callbacks.append(callback)
 
+    def on_state_change(self, callback: StateCallback) -> None:
+        """Register an observer of block, wake and exit, called with the
+        task once its new state is set (exit: before ``on_finish``).
+        It must not act on the task: it is for poking parked poll
+        timers, whose polls then observe the change at their period."""
+        self._state_callbacks.append(callback)
+
     def kill(self, task: Task, reason: str = "crash") -> bool:
         """``SIGKILL``: forcibly terminate a live task.
 
@@ -199,6 +211,8 @@ class MachineBase:
         task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
             duration, self._on_io_done, task, duration
         )
+        for cb in self._state_callbacks:
+            cb(task)
 
     def _end_burst(self, task: Task, core: int = -1,
                    served: Optional[int] = None) -> None:
@@ -229,12 +243,16 @@ class MachineBase:
         if self._probe_on:
             self._probe.wake(task)
         self._make_ready(task)
+        for cb in self._state_callbacks:
+            cb(task)
         self._enqueue(task, wakeup=True)
 
     def _exit(self, task: Task) -> None:
         """The process exited: stamp it and notify user space."""
         task.state = TaskState.FINISHED
         task.finish_time = self.sim.now
+        for cb in self._state_callbacks:
+            cb(task)
         self._notify_finish(task)
 
     def _finish_killed(self, task: Task, reason: str) -> None:

@@ -49,13 +49,6 @@ def experiment_item(payload: Dict[str, Any]) -> str:
     return render_experiment(payload)
 
 
-def fuzz_case(payload: Dict[str, Any]) -> str:
-    """Run one fuzz campaign case (see ``repro.fuzz.campaign``)."""
-    from repro.fuzz.campaign import run_case_shard
-
-    return run_case_shard(payload)
-
-
 def demo_item(payload: Dict[str, Any]) -> str:
     """Deterministic toy task for tests, docs, and smoke drivers.
 

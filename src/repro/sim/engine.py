@@ -11,14 +11,31 @@ the main loop discards dead entries when they surface, which keeps both
 
 A periodic timer (:meth:`Simulator.every`) keeps one handle on the heap
 and re-arms it in place at each firing; a firing its ``idle`` test
-finds idle costs no callback.
+finds idle costs no callback.  A *parked* timer (``every(...,
+park=True)``) leaves the heap altogether while idle: its firings are
+virtual, counted by arithmetic, until its owner pokes it
+(:meth:`Simulator.poke`) because its ``idle`` test may have changed.
+
+Ranks.  Every firing of a periodic timer takes, as its next tie-break
+rank, the schedule counter at that firing: the literal re-arm consumes
+one counter value there, a parked-mode timer takes ``counter + 0.5``
+and consumes none, so the order among the other events is unchanged.
+Finding the counter at a *virtual* firing needs the history of the
+instant of the firing before it, but only when an event ran at exactly
+that instant; a ``(time, rank, key, counter)`` log of the events run
+since the oldest parked anchor answers that by bisection.  Parked-mode
+timers whose ranks tie break the tie by ``key``: a longer interval
+first (its previous firing was earlier), then an order fixed when the
+timer was armed, which the timers of one interval and phase keep for
+as long as they live.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.invariants.checker import NULL_CHECKER
 from repro.obs.probe import Probe
@@ -42,11 +59,15 @@ class EventHandle:
 
     A timer of :meth:`Simulator.every` also carries its ``interval``
     (0 for a one-shot event), its ``idle`` test and ``elided``, the
-    number of firings it found idle (the owner may reset it).
+    number of firings it found idle (the owner may reset it; read it
+    after :meth:`Simulator.settle` on a parked-mode timer).  Timers
+    alone set ``key`` (the tie-break key of a parked-mode timer, else
+    None), ``sim`` (the simulator of a parked-mode timer, else None) and
+    ``parked``; one-shot events leave those slots unset.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
-                 "interval", "idle", "elided")
+                 "interval", "idle", "elided", "key", "sim", "parked")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., Any],
                  args: tuple, daemon: bool = False):
@@ -62,12 +83,18 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly."""
+        if self.interval and self.sim is not None and not self.cancelled:
+            self.sim._retire(self)
         self.cancelled = True
         # Drop references eagerly: a long-lived heap entry must not pin
         # tasks/closures for the rest of the run.
         self.callback = _noop
         self.args = ()
         self.idle = None
+
+    def __lt__(self, other: "EventHandle") -> bool:
+        # reached only when two parked-mode timers share (time, rank)
+        return self.key < other.key
 
     @property
     def active(self) -> bool:
@@ -94,6 +121,16 @@ def _describe(handle: EventHandle) -> str:
 def _short(value: Any) -> str:
     text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+#: a position in the firing order: (time, rank, key)
+Position = Tuple[int, float, Any]
+
+_INF = float("inf")
+
+#: rank-log entries kept before every parked timer is settled to the
+#: current event and the log restarts there
+_LOG_LIMIT = 1024
 
 
 class Simulator:
@@ -140,6 +177,12 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self.events_executed: int = 0
+        # parked-mode timers: those off the heap, the rank log of the
+        # events run since the oldest parked anchor, and the live timers
+        # by (interval, phase) for tie-break keys
+        self._parked: Dict[EventHandle, None] = {}
+        self._log: List[tuple] = []
+        self._phases: Dict[Tuple[int, int], List[EventHandle]] = {}
         self.trace = trace if trace is not None else NULL_RECORDER
         self.invariants = invariants if invariants is not None else NULL_CHECKER
         self._inv_on = self.invariants.enabled
@@ -194,38 +237,71 @@ class Simulator:
                                 daemon=daemon)
 
     def every(self, interval: int, idle: Callable[[], bool],
-              callback: Callable[..., Any], *args: Any) -> EventHandle:
+              callback: Callable[..., Any], *args: Any,
+              park: bool = False) -> EventHandle:
         """Fire every ``interval`` microseconds from now until cancelled,
         calling ``callback(*args)`` only at firings where ``idle()`` is
         false.
 
-        Each firing, idle or not, re-arms the one handle ``interval``
-        later at the next tie-break rank *before* any callback runs, and
-        counts in :attr:`events_executed` and the ``max_events`` budget:
-        a callback that rescheduled itself first thing would sit at
-        exactly the same ``(time, seq)`` positions.  ``idle`` must be
-        free of side effects, and picklable (a bound method or a
-        ``functools.partial``, not a closure) for checkpointed runs.
+        Each firing, idle or not, counts in :attr:`events_executed` and
+        the ``max_events`` budget, and takes its next tie-break rank
+        *before* any callback runs: a callback that rescheduled itself
+        first thing would sit at exactly the same ``(time, seq)``
+        positions.  ``idle`` must be free of side effects, and picklable
+        (a bound method or a ``functools.partial``, not a closure) for
+        checkpointed runs.
+
+        With ``park=False`` (the literal reference) each firing re-arms
+        the one handle on the heap.  With ``park=True`` a firing that
+        finds ``idle()`` true parks the timer off the heap: its later
+        firings are virtual, each one idle by the owner's promise, and
+        cost nothing until :meth:`poke` puts the timer back on the heap
+        at its first firing after the current event.  The owner must
+        poke whenever ``idle()`` may have turned false; the invariant
+        checker's ``parked-idle`` law verifies that after every event.
+        The first firing is armed through :meth:`schedule_at`.
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval}")
         handle = self.schedule_at(self.now + int(interval), callback, *args)
         handle.interval = int(interval)
         handle.idle = idle
+        handle.key = handle.sim = None
+        handle.parked = False
+        if park:
+            self._arm_parkable(handle)
         return handle
+
+    def poke(self, handle: EventHandle) -> None:
+        """Tell a timer of :meth:`every` that its ``idle`` test may have
+        turned false.  A parked one goes back on the heap at its first
+        firing after the current event; any other is left alone."""
+        if handle.parked:
+            self._unpark(handle)
+            heapq.heappush(self._heap, (handle.time, handle.seq, handle))
+
+    def settle(self, handle: EventHandle) -> None:
+        """Count a parked timer's virtual firings up to the current
+        event into ``handle.elided`` and :attr:`events_executed`.  Call
+        it before reading ``elided`` mid-run; a no-op on any other
+        handle."""
+        if handle.parked:
+            self._settle(handle, self._position())
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[int]:
-        """Virtual time of the next live event, or None if drained."""
+        """Virtual time of the next live heap event, or None if drained
+        (the virtual firings of parked timers are not events here)."""
         self._drop_dead()
         if not self._heap:
             return None
         return self._heap[0][0]
 
     def step(self) -> bool:
-        """Execute the next live event.  Returns False when drained."""
+        """Execute the next live heap event.  Returns False when
+        drained."""
         self._drop_dead()
         if not self._heap:
             return False
@@ -235,26 +311,55 @@ class Simulator:
     def _fire(self) -> None:
         """Execute the event at the top of the heap, which is live."""
         heap = self._heap
-        time, _seq, handle = heap[0]
+        time, seq, handle = heap[0]
         if self._inv_on:
             self.invariants.on_event(time, self.now)
         self.now = time
         self.events_executed += 1
         interval = handle.interval
         if interval:
-            self._seq += 1
-            handle.time = time + interval
-            handle.seq = self._seq
-            heapq.heapreplace(heap, (handle.time, self._seq, handle))
-            if handle.idle():
-                handle.elided += 1
+            if handle.sim is None:
+                self._seq += 1
+                handle.time = time + interval
+                handle.seq = self._seq
+                heapq.heapreplace(heap, (handle.time, self._seq, handle))
+                if handle.idle():
+                    handle.elided += 1
+                else:
+                    handle.callback(*handle.args)
             else:
-                handle.callback(*handle.args)
+                self._fire_parkable(time, seq, handle)
             return
         heapq.heappop(heap)
+        if self._parked:
+            self._log_event(time, seq, 0)
         callback, args = handle.callback, handle.args
         handle.cancel()  # consumed; release references
         callback(*args)
+        if self._inv_on and self._parked:
+            self.invariants.on_parked(self._parked, time)
+
+    def _fire_parkable(self, time: int, seq: Any,
+                       handle: EventHandle) -> None:
+        """A heap firing of a parked-mode timer: park it if idle, else
+        act and stay on the heap unless now idle."""
+        heapq.heappop(self._heap)
+        handle.time = time + handle.interval
+        handle.seq = self._seq + 0.5
+        if handle.idle():
+            handle.elided += 1
+            self._park(handle)
+            return
+        if self._parked:
+            self._log_event(time, seq, handle.key)
+        handle.callback(*handle.args)
+        if not handle.cancelled:
+            if handle.idle():
+                self._park(handle)
+            else:
+                heapq.heappush(self._heap, (handle.time, handle.seq, handle))
+        if self._inv_on and self._parked:
+            self.invariants.on_parked(self._parked, time)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or the event
@@ -271,12 +376,17 @@ class Simulator:
         executed events, so a fuzz-found livelock is diagnosable from
         the exception alone.  The event descriptions are only recorded
         when a budget is armed — a guard-free run stays on the exact
-        nominal path.
+        nominal path.  Virtual firings of parked timers spend the budget
+        like any other firing.
+
+        A heap that drains while a parked timer is live, with no
+        ``until``, raises :class:`SimulationError` naming the timer: the
+        literal timer would fire forever.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
         self._running = True
-        executed = 0
+        start = self.events_executed
         recent: Optional[deque] = (
             deque(maxlen=5) if max_events is not None else None
         )
@@ -285,38 +395,62 @@ class Simulator:
             while True:
                 self._drop_dead()
                 if not heap:
+                    if self._parked and until is None:
+                        raise SimulationError(
+                            "event heap drained with parked timer(s) live, "
+                            f"which would fire forever: "
+                            f"{_describe(next(iter(self._parked)))}")
                     break
                 if until is not None and heap[0][0] > until:
                     break
-                if max_events is not None and executed >= max_events:
-                    tail = "; ".join(recent) if recent else "(none)"
-                    label = f" [{self.label}]" if self.label else ""
-                    raise SimulationError(
-                        f"event budget exhausted: {max_events} events executed "
-                        f"with {self.pending} still pending at t={self.now}"
-                        f"{label}; last events: {tail}"
-                    )
-                if recent is not None:
+                if max_events is not None:
+                    if self._parked:
+                        time, seq, handle = heap[0]
+                        self._settle_all((time, seq, handle.key
+                                          if handle.interval else 0))
+                    if self.events_executed - start >= max_events:
+                        self._budget_exhausted(start, max_events, recent)
                     recent.append(_describe(heap[0][2]))
                 self._fire()
-                executed += 1
         finally:
             self._running = False
+        if self._parked:
+            self._settle_all((until if until is not None else self.now,
+                              _INF, ()))
+            self._log.clear()
+            if max_events is not None and \
+                    self.events_executed - start > max_events:
+                self._budget_exhausted(start, max_events, recent)
         if until is not None and self.now < until:
             self.now = until
 
+    def _budget_exhausted(self, start: int, max_events: int,
+                          recent: deque) -> None:
+        # virtual firings settled past the budget did not happen
+        self.events_executed = start + max_events
+        tail = "; ".join(recent) if recent else "(none)"
+        label = f" [{self.label}]" if self.label else ""
+        raise SimulationError(
+            f"event budget exhausted: {max_events} events executed "
+            f"with {self.pending} still pending at t={self.now}"
+            f"{label}; last events: {tail}"
+        )
+
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _, _, h in self._heap if not h.cancelled)
+        """Number of live (non-cancelled) events still queued, parked
+        timers included."""
+        return len(self._parked) + sum(
+            1 for _, _, h in self._heap if not h.cancelled)
 
     @property
     def pending_work(self) -> bool:
         """Whether a live event that *drives* the run is queued — daemon
-        housekeeping timers excluded.  Self-rearming daemons must gate
-        on this, not on :attr:`pending`, or any two of them would keep
-        each other alive after the real work has drained."""
-        return any(
+        housekeeping timers excluded, parked timers included.
+        Self-rearming daemons must gate on this, not on :attr:`pending`,
+        or any two of them would keep each other alive after the real
+        work has drained."""
+        return bool(self._parked) or any(
             not h.cancelled and not h.daemon for _, _, h in self._heap
         )
 
@@ -324,3 +458,135 @@ class Simulator:
         heap = self._heap
         while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
+
+    # ------------------------------------------------------------------
+    # parked-mode timers
+    # ------------------------------------------------------------------
+    def _arm_parkable(self, handle: EventHandle) -> None:
+        """Give a new parked-mode timer its tie-break key.
+
+        The timers of one interval and phase keep one relative order
+        while they live (a tie at one firing repeats the order of the
+        one before), so each keeps the order it is given here for good.
+        The new timer's first rank was just taken at the current event,
+        so it goes after every timer of its group that fired at this
+        instant already and before the rest."""
+        handle.sim = self
+        interval = handle.interval
+        group = self._phases.setdefault(
+            (interval, handle.time % interval), [])
+        before = after = None
+        if group:
+            pos = self._position() if self._parked else None
+            for other in group:
+                if other.parked:
+                    self._settle(other, pos)
+                order = other.key[1]
+                if other.time > self.now:  # fired at this instant already
+                    if before is None or order > before:
+                        before = order
+                elif after is None or order < after:
+                    after = order
+        if after is None:
+            order = 0 if before is None else before + 1
+        elif before is None:
+            order = after - 1
+        else:  # between two live timers: a dense order is needed
+            from fractions import Fraction
+            order = Fraction(before + after) / 2
+        handle.key = (-interval, order)
+        group.append(handle)
+
+    def _retire(self, handle: EventHandle) -> None:
+        """A parked-mode timer is being cancelled."""
+        if handle.parked:
+            self._unpark(handle)
+        interval = handle.interval
+        phase = (interval, handle.time % interval)
+        group = self._phases[phase]
+        group.remove(handle)
+        if not group:
+            del self._phases[phase]
+
+    def _park(self, handle: EventHandle) -> None:
+        handle.parked = True
+        self._parked[handle] = None
+
+    def _unpark(self, handle: EventHandle) -> None:
+        self._settle(handle, self._position())
+        handle.parked = False
+        del self._parked[handle]
+        if not self._parked:
+            self._log.clear()
+
+    def _position(self) -> Position:
+        """Where the run stands: the current event (the newest log entry
+        while a timer is parked) or, between runs, after every firing at
+        the current instant."""
+        log = self._log
+        if log:
+            time, rank, key, _counter = log[-1]
+            return (time, rank, key)
+        return (self.now, _INF, ())
+
+    def _log_event(self, time: int, rank: Any, key: Any) -> None:
+        """Log the event about to run while a timer is parked.  The log
+        is bounded: when full, every parked timer is settled to this
+        event, after which no earlier entry is read."""
+        log = self._log
+        if len(log) >= _LOG_LIMIT:
+            self._settle_all((time, rank, key))
+            log.clear()
+        log.append((time, rank, key, self._seq))
+
+    def _settle_all(self, pos: Position) -> None:
+        for handle in self._parked:
+            self._settle(handle, pos)
+
+    def _settle(self, handle: EventHandle, pos: Position) -> None:
+        """Count the virtual firings of a parked timer before ``pos`` and
+        move its anchor (``time``, ``seq``) to its first firing after."""
+        time, interval, key = handle.time, handle.interval, handle.key
+        if (time, handle.seq, key) > pos:
+            return
+        now = pos[0]
+        n = (now - 1 - time) // interval + 1 if time < now else 0
+        time += n * interval
+        rank = self._rank(handle, time) if n else handle.seq
+        if time == now and (now, rank, key) < pos:
+            n += 1
+            rank = self._counter_at((now, rank, key)) + 0.5
+            time += interval
+        handle.time, handle.seq = time, rank
+        handle.elided += n
+        self.events_executed += n
+        if self._inv_on:
+            self.invariants.on_virtual_events(n)
+
+    def _rank(self, handle: EventHandle, time: int) -> float:
+        """Rank of a parked timer's virtual firing at ``time`` (a later
+        firing than its anchor).  The rank is the counter at the firing
+        before; that depends on where that firing fell only when an
+        event ran at its instant, so walk back while one did."""
+        log, interval, key = self._log, handle.interval, handle.key
+        t = time
+        while t > handle.time:
+            i = bisect_left(log, (t - interval,))
+            if i < len(log) and log[i][0] == t - interval:
+                t -= interval
+                continue
+            rank = (log[i][3] if i < len(log) else self._seq) + 0.5
+            break
+        else:
+            rank = handle.seq
+        while t < time:
+            rank = self._counter_at((t, rank, key)) + 0.5
+            t += interval
+        return rank
+
+    def _counter_at(self, pos: Position) -> int:
+        """The schedule counter at ``pos``: as the first logged event
+        after it found it, or as it stands now if none is logged."""
+        log = self._log
+        i = bisect_right(log, pos)
+        return log[i][3] if i < len(log) else self._seq

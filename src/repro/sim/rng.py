@@ -27,30 +27,6 @@ def spawn(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in rng.bit_generator.seed_seq.spawn(n)]
 
 
-def exponential_us(rng: np.random.Generator, mean_us: float, size: Optional[int] = None):
-    """Exponential inter-arrival times in integer microseconds (>= 1)."""
-    draw = rng.exponential(mean_us, size=size)
-    out = np.maximum(np.rint(draw), 1).astype(np.int64)
-    return out if size is not None else int(out)
-
-
-def uniform_us(rng: np.random.Generator, low_us: float, high_us: float, size: Optional[int] = None):
-    """Uniform durations in integer microseconds (>= 1)."""
-    draw = rng.uniform(low_us, high_us, size=size)
-    out = np.maximum(np.rint(draw), 1).astype(np.int64)
-    return out if size is not None else int(out)
-
-
-def lognormal_us(
-    rng: np.random.Generator, median_us: float, sigma: float, size: Optional[int] = None
-):
-    """Log-normal durations parameterised by *median* (us) and shape sigma."""
-    mu = np.log(median_us)
-    draw = rng.lognormal(mu, sigma, size=size)
-    out = np.maximum(np.rint(draw), 1).astype(np.int64)
-    return out if size is not None else int(out)
-
-
 def categorical(rng: np.random.Generator, probs: Sequence[float], size: Optional[int] = None):
     """Sample category indices from ``probs`` (normalised defensively)."""
     p = np.asarray(probs, dtype=float)

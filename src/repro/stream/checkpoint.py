@@ -15,6 +15,8 @@ pickle's memo preserves aliasing exactly.  Every callback in the
 streaming driver, and every idle test of a ``Simulator.every`` timer,
 is a bound method or ``functools.partial`` of picklable objects —
 closures are banned from the replay path for precisely this reason.
+Parked SFS poll timers are off the heap; the simulator's parked set,
+rank log and per-phase timer lists carry them (schema ``/4``).
 
 Resume contract: ``load`` verifies the manifest hash and the config
 digest (a checkpoint from a different replay configuration is an
@@ -41,7 +43,7 @@ from repro.experiments.artifacts import (
 
 #: bumped whenever the pickled driver graph changes shape: a checkpoint
 #: of another schema cannot be resumed by this code
-CHECKPOINT_SCHEMA = "repro.stream/3"
+CHECKPOINT_SCHEMA = "repro.stream/4"
 
 #: pinned pickle protocol: checkpoints written by one interpreter
 #: version stay readable by the next (protocol 4 is universal on 3.4+)
