@@ -61,13 +61,13 @@ class EventHandle:
     (0 for a one-shot event), its ``idle`` test and ``elided``, the
     number of firings it found idle (the owner may reset it; read it
     after :meth:`Simulator.settle` on a parked-mode timer).  Timers
-    alone set ``key`` (the tie-break key of a parked-mode timer, else
-    None), ``sim`` (the simulator of a parked-mode timer, else None) and
-    ``parked``; one-shot events leave those slots unset.
+    alone set ``park``: the :class:`_Park` state of a parked-mode timer,
+    else None; one-shot events leave it unset (one slot keeps a handle
+    in the allocator's size class of the slots before it).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
-                 "interval", "idle", "elided", "key", "sim", "parked")
+                 "interval", "idle", "elided", "park")
 
     def __init__(self, time: int, seq: int, callback: Callable[..., Any],
                  args: tuple, daemon: bool = False):
@@ -83,8 +83,8 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly."""
-        if self.interval and self.sim is not None and not self.cancelled:
-            self.sim._retire(self)
+        if self.interval and self.park is not None and not self.cancelled:
+            self.park.sim._retire(self)
         self.cancelled = True
         # Drop references eagerly: a long-lived heap entry must not pin
         # tasks/closures for the rest of the run.
@@ -94,7 +94,7 @@ class EventHandle:
 
     def __lt__(self, other: "EventHandle") -> bool:
         # reached only when two parked-mode timers share (time, rank)
-        return self.key < other.key
+        return self.park.key < other.park.key
 
     @property
     def active(self) -> bool:
@@ -104,6 +104,18 @@ class EventHandle:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time} seq={self.seq} {state}>"
+
+
+class _Park:
+    """A parked-mode timer's state: its simulator, its tie-break key
+    and whether it is parked off the heap."""
+
+    __slots__ = ("sim", "key", "parked")
+
+    def __init__(self, sim: "Simulator", key: tuple):
+        self.sim = sim
+        self.key = key
+        self.parked = False
 
 
 def _noop(*_args: Any) -> None:
@@ -130,7 +142,7 @@ _INF = float("inf")
 
 #: rank-log entries kept before every parked timer is settled to the
 #: current event and the log restarts there
-_LOG_LIMIT = 1024
+_LOG_LIMIT = 256
 
 
 class Simulator:
@@ -266,8 +278,7 @@ class Simulator:
         handle = self.schedule_at(self.now + int(interval), callback, *args)
         handle.interval = int(interval)
         handle.idle = idle
-        handle.key = handle.sim = None
-        handle.parked = False
+        handle.park = None
         if park:
             self._arm_parkable(handle)
         return handle
@@ -276,7 +287,7 @@ class Simulator:
         """Tell a timer of :meth:`every` that its ``idle`` test may have
         turned false.  A parked one goes back on the heap at its first
         firing after the current event; any other is left alone."""
-        if handle.parked:
+        if handle.park is not None and handle.park.parked:
             self._unpark(handle)
             heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
@@ -285,7 +296,7 @@ class Simulator:
         event into ``handle.elided`` and :attr:`events_executed`.  Call
         it before reading ``elided`` mid-run; a no-op on any other
         handle."""
-        if handle.parked:
+        if handle.park is not None and handle.park.parked:
             self._settle(handle, self._position())
 
     # ------------------------------------------------------------------
@@ -318,7 +329,7 @@ class Simulator:
         self.events_executed += 1
         interval = handle.interval
         if interval:
-            if handle.sim is None:
+            if handle.park is None:
                 self._seq += 1
                 handle.time = time + interval
                 handle.seq = self._seq
@@ -351,7 +362,7 @@ class Simulator:
             self._park(handle)
             return
         if self._parked:
-            self._log_event(time, seq, handle.key)
+            self._log_event(time, seq, handle.park.key)
         handle.callback(*handle.args)
         if not handle.cancelled:
             if handle.idle():
@@ -406,8 +417,9 @@ class Simulator:
                 if max_events is not None:
                     if self._parked:
                         time, seq, handle = heap[0]
-                        self._settle_all((time, seq, handle.key
-                                          if handle.interval else 0))
+                        self._settle_all((time, seq, handle.park.key
+                                          if handle.interval and handle.park
+                                          else 0))
                     if self.events_executed - start >= max_events:
                         self._budget_exhausted(start, max_events, recent)
                     recent.append(_describe(heap[0][2]))
@@ -471,7 +483,6 @@ class Simulator:
         The new timer's first rank was just taken at the current event,
         so it goes after every timer of its group that fired at this
         instant already and before the rest."""
-        handle.sim = self
         interval = handle.interval
         group = self._phases.setdefault(
             (interval, handle.time % interval), [])
@@ -479,9 +490,9 @@ class Simulator:
         if group:
             pos = self._position() if self._parked else None
             for other in group:
-                if other.parked:
+                if other.park.parked:
                     self._settle(other, pos)
-                order = other.key[1]
+                order = other.park.key[1]
                 if other.time > self.now:  # fired at this instant already
                     if before is None or order > before:
                         before = order
@@ -494,12 +505,12 @@ class Simulator:
         else:  # between two live timers: a dense order is needed
             from fractions import Fraction
             order = Fraction(before + after) / 2
-        handle.key = (-interval, order)
+        handle.park = _Park(self, (-interval, order))
         group.append(handle)
 
     def _retire(self, handle: EventHandle) -> None:
         """A parked-mode timer is being cancelled."""
-        if handle.parked:
+        if handle.park.parked:
             self._unpark(handle)
         interval = handle.interval
         phase = (interval, handle.time % interval)
@@ -509,12 +520,12 @@ class Simulator:
             del self._phases[phase]
 
     def _park(self, handle: EventHandle) -> None:
-        handle.parked = True
+        handle.park.parked = True
         self._parked[handle] = None
 
     def _unpark(self, handle: EventHandle) -> None:
         self._settle(handle, self._position())
-        handle.parked = False
+        handle.park.parked = False
         del self._parked[handle]
         if not self._parked:
             self._log.clear()
@@ -546,7 +557,7 @@ class Simulator:
     def _settle(self, handle: EventHandle, pos: Position) -> None:
         """Count the virtual firings of a parked timer before ``pos`` and
         move its anchor (``time``, ``seq``) to its first firing after."""
-        time, interval, key = handle.time, handle.interval, handle.key
+        time, interval, key = handle.time, handle.interval, handle.park.key
         if (time, handle.seq, key) > pos:
             return
         now = pos[0]
@@ -568,7 +579,7 @@ class Simulator:
         firing than its anchor).  The rank is the counter at the firing
         before; that depends on where that firing fell only when an
         event ran at its instant, so walk back while one did."""
-        log, interval, key = self._log, handle.interval, handle.key
+        log, interval, key = self._log, handle.interval, handle.park.key
         t = time
         while t > handle.time:
             i = bisect_left(log, (t - interval,))

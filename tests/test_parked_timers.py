@@ -244,7 +244,7 @@ def test_random_ties_parked_matches_literal(seed):
 def test_pending_counts_a_parked_timer_as_live_work(sim):
     h = sim.every(10, lambda: True, pytest.fail, park=True)
     sim.run(until=15)
-    assert h.parked
+    assert h.park.parked
     assert sim.pending == 1
     assert sim.pending_work
     h.cancel()
