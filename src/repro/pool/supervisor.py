@@ -43,6 +43,7 @@ import multiprocessing as mp
 import os
 import time
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.artifacts import (
@@ -281,13 +282,17 @@ def replay_quarantine(
 # the supervisor
 # ----------------------------------------------------------------------
 class _Slot:
-    """One worker slot: process + private task queue + liveness state."""
+    """One worker slot: process + private task queue + private result
+    pipe + liveness state."""
 
-    __slots__ = ("proc", "task_q", "assigned", "started", "last_seen")
+    __slots__ = ("proc", "task_q", "results", "assigned", "started",
+                 "last_seen")
 
     def __init__(self) -> None:
         self.proc = None
         self.task_q = None
+        #: read end of the worker's result pipe; None once torn
+        self.results = None
         self.assigned: Optional[int] = None  # item index
         self.started: float = 0.0
         self.last_seen: float = 0.0
@@ -408,19 +413,47 @@ def _run_serial(run: _Run, fn: Callable[[Any], Any], todo: List[int]) -> None:
         run.ok(index, result)
 
 
-def _spawn(ctx, slot: _Slot, slot_id: int, fn, result_q, cfg: PoolConfig):
+def _spawn(ctx, slot: _Slot, slot_id: int, fn, cfg: PoolConfig):
+    """Start (or restart) the slot's worker with fresh channels: a
+    worker killed mid-write can only have torn its own."""
     from repro.pool.worker import worker_main
 
+    _close_results(slot)
     slot.task_q = ctx.Queue()
+    slot.results, writer = ctx.Pipe(duplex=False)
     slot.proc = ctx.Process(
         target=worker_main,
-        args=(slot_id, fn, slot.task_q, result_q,
+        args=(slot_id, fn, slot.task_q, writer,
               cfg.heartbeat_interval, cfg.item_seconds, os.getpid()),
         daemon=True,
     )
     slot.proc.start()
+    # the worker holds the only write end, so its death reads as EOF
+    writer.close()
     slot.assigned = None
     slot.last_seen = time.monotonic()
+
+
+def _close_results(slot: _Slot) -> None:
+    if slot.results is not None:
+        slot.results.close()
+        slot.results = None
+
+
+def _receive(slots: List[_Slot]) -> List[tuple]:
+    """Every message the workers have sent, waiting up to ``_POLL_S``
+    for the first.  A pipe whose worker died (EOF, or a message cut off
+    mid-write) is closed; the liveness pass respawns its slot."""
+    live = [slot.results for slot in slots if slot.results is not None]
+    messages = []
+    for conn in wait(live, timeout=_POLL_S):
+        slot = next(s for s in slots if s.results is conn)
+        try:
+            while conn.poll():
+                messages.append(conn.recv())
+        except (EOFError, OSError):
+            _close_results(slot)
+    return messages
 
 
 def _kill_slot(slot: _Slot) -> None:
@@ -441,7 +474,6 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
     start_method = cfg.mp_start or (
         "fork" if "fork" in mp.get_all_start_methods() else "spawn")
     ctx = mp.get_context(start_method)
-    result_q = ctx.Queue()
     n_workers = max(1, min(cfg.workers, len(todo)))
     slots = [_Slot() for _ in range(n_workers)]
     #: min-heap of (ready_at, index) items awaiting a worker
@@ -476,20 +508,11 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
 
     try:
         for slot_id, slot in enumerate(slots):
-            _spawn(ctx, slot, slot_id, fn, result_q, cfg)
+            _spawn(ctx, slot, slot_id, fn, cfg)
             dispatch(slot_id)
 
         while not run.done:
-            # -- drain every queued worker message ---------------------
-            messages = []
-            try:
-                messages.append(result_q.get(timeout=_POLL_S))
-                while True:
-                    messages.append(result_q.get_nowait())
-            except Exception:  # Empty (or torn queue after a kill)
-                pass
-
-            for msg in messages:
+            for msg in _receive(slots):
                 kind, slot_id, index = msg[0], msg[1], msg[2]
                 slot = slots[slot_id]
                 if kind == "hb":
@@ -521,7 +544,7 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                             raise PoolError(
                                 f"gave up after {respawns} worker respawns "
                                 f"(last exit code {exitcode})")
-                        _spawn(ctx, slot, slot_id, fn, result_q, cfg)
+                        _spawn(ctx, slot, slot_id, fn, cfg)
                     continue
                 if slot.assigned is not None:
                     age = now - slot.last_seen
@@ -539,7 +562,7 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                             raise PoolError(
                                 f"gave up after {respawns} worker respawns "
                                 f"({why})")
-                        _spawn(ctx, slot, slot_id, fn, result_q, cfg)
+                        _spawn(ctx, slot, slot_id, fn, cfg)
             if run.g_hb_age is not None:
                 run.g_hb_age.set(oldest_age)
 
@@ -559,8 +582,7 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                                            deadline_join - time.monotonic()))
                 if slot.proc.is_alive():
                     _kill_slot(slot)
-        result_q.close()
-        result_q.cancel_join_thread()
+            _close_results(slot)
 
 
 def run_pool(

@@ -4,7 +4,7 @@ One worker process runs a tiny loop: receive an item from its private
 task queue, execute the (picklable, module-level) work function under
 the portable :func:`repro.experiments.artifacts.deadline` — **never**
 ``SIGALRM``, which children cannot rely on — and report the outcome on
-the shared result queue.  A background heartbeat thread pings the
+its private result pipe.  A background heartbeat thread pings the
 supervisor every ``heartbeat_interval`` seconds whether or not an item
 is running, so a wedged item (stuck in C code, swapping, livelocked)
 is distinguishable from a merely slow one: the slow item keeps
@@ -15,6 +15,13 @@ mid-campaign the orphaned workers exit instead of spinning on a queue
 nobody drains — ``--resume`` picks the campaign back up from the
 artifact store, not from orphan output.
 
+The pipe is private to the worker slot, and its two writers (the loop
+and the heartbeat thread) share a thread lock that dies with the
+process, so a worker SIGKILLed mid-write (OOM, the chaos hook below)
+tears only its own pipe, which the supervisor replaces at respawn.  A
+queue shared by all workers would keep its inter-process write lock
+held and wedge every other worker's results and heartbeats.
+
 Message protocol (all tuples, first element is the kind):
 
 * task queue (supervisor -> worker):
@@ -22,7 +29,7 @@ Message protocol (all tuples, first element is the kind):
   and exit).  ``kill_self`` is the chaos-monkey test hook: the worker
   SIGKILLs itself *before* touching the item, exercising the real
   worker-death path deterministically.
-* result queue (worker -> supervisor):
+* result pipe (worker -> supervisor):
   ``("hb", worker_id, index_or_None, monotonic_ts)``,
   ``("ok", worker_id, index, result)``,
   ``("err", worker_id, index, kind, message)`` with ``kind`` in
@@ -44,23 +51,28 @@ def worker_main(
     worker_id: int,
     fn: Callable[[Any], Any],
     task_q,
-    result_q,
+    result_conn,
     heartbeat_interval: float,
     item_seconds: Optional[float],
     parent_pid: int,
 ) -> None:
-    """Process entry point (module-level so ``spawn`` can pickle it)."""
+    """Process entry point (module-level so ``spawn`` can pickle it).
+    ``result_conn`` is the write end of the slot's result pipe."""
     current = {"index": None}
     stop = threading.Event()
+    send_lock = threading.Lock()
+
+    def report(msg: tuple) -> None:
+        with send_lock:
+            result_conn.send(msg)
 
     def _beat() -> None:
         while not stop.wait(heartbeat_interval):
             if os.getppid() != parent_pid:  # supervisor died; don't orphan
                 os._exit(1)
             try:
-                result_q.put(("hb", worker_id, current["index"],
-                              time.monotonic()))
-            except Exception:  # queue torn down under us
+                report(("hb", worker_id, current["index"], time.monotonic()))
+            except Exception:  # pipe torn down under us
                 os._exit(1)
 
     threading.Thread(target=_beat, daemon=True).start()
@@ -75,16 +87,18 @@ def worker_main(
             # mid-item, without having produced anything
             os.kill(os.getpid(), signal.SIGKILL)
         current["index"] = index
+        # the outcome is sent outside the deadline, whose timeout could
+        # otherwise interrupt a half-written message
         try:
             with deadline(item_seconds):
                 result = fn(payload)
-            result_q.put(("ok", worker_id, index, result))
+            outcome = ("ok", worker_id, index, result)
         except ExperimentTimeout as exc:
-            result_q.put(("err", worker_id, index, "timeout",
-                          str(exc) or f"exceeded {item_seconds}s"))
+            outcome = ("err", worker_id, index, "timeout",
+                       str(exc) or f"exceeded {item_seconds}s")
         except BaseException as exc:  # noqa: BLE001 - worker must survive
-            result_q.put(("err", worker_id, index, "exception",
-                          f"{type(exc).__name__}: {exc}"))
-        finally:
-            current["index"] = None
+            outcome = ("err", worker_id, index, "exception",
+                       f"{type(exc).__name__}: {exc}")
+        current["index"] = None
+        report(outcome)
     stop.set()

@@ -96,6 +96,63 @@ def test_worker_killed_mid_item_is_retried_then_ok():
     assert by_name["repro_pool_items_quarantined_total"].value == 0
 
 
+def _die_holding_result_lock(payload):
+    """Work function whose first call dies the way a worker SIGKILLed in
+    the middle of reporting does: holding the inter-process write lock
+    of every queue it reports on (its task queue aside)."""
+    marker, name = payload
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
+        frame = sys._getframe()
+        while frame.f_code.co_name != "worker_main":
+            frame = frame.f_back
+        task_q = frame.f_locals["task_q"]
+        for obj in frame.f_locals.values():
+            lock = getattr(obj, "_wlock", None)
+            if lock is not None and obj is not task_q:
+                lock.acquire()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return demo_item({"name": name})
+
+
+def test_worker_killed_mid_write_does_not_wedge_the_others(tmp_path):
+    # a worker killed while it holds a result channel's write lock may
+    # tear only its own channel: the other workers' results and
+    # heartbeats keep arriving, so nothing stalls or gets quarantined
+    marker = str(tmp_path / "died")
+    items = [(f"item{i}", (marker if i == 0 else None, f"item{i}"))
+             for i in range(4)]
+    report = run_pool(
+        items, _die_holding_result_lock,
+        PoolConfig(workers=2, max_retries=2, heartbeat_interval=0.05,
+                   heartbeat_grace=1.0))
+    assert os.path.exists(marker)
+    assert report.complete
+    assert report.results == _expected(4)
+    assert "worker died" in report.outcomes[0].errors[0]
+
+
+def test_torn_result_pipe_is_closed_not_read_forever():
+    # a worker killed mid-write leaves a cut-off message and no writer:
+    # the supervisor closes that pipe (the liveness pass then respawns
+    # the slot) instead of blocking on the rest of the message
+    import multiprocessing as mp
+    import struct
+
+    from repro.pool.supervisor import _receive, _Slot
+
+    whole, cut = _Slot(), _Slot()
+    whole.results, w1 = mp.Pipe(duplex=False)
+    cut.results, w2 = mp.Pipe(duplex=False)
+    w1.send(("hb", 0, None, 0.0))
+    os.write(w2.fileno(), struct.pack("!i", 100) + b"partial")
+    w2.close()
+    assert _receive([whole, cut]) == [("hb", 0, None, 0.0)]
+    assert whole.results is not None and cut.results is None
+    w1.close()
+    whole.results.close()
+
+
 def test_worker_killed_every_attempt_is_quarantined(tmp_path):
     q_path = str(tmp_path / "q.json")
     items = _items(3) + [("killer", {"name": "killer", "die": True})]
