@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -243,7 +243,7 @@ class FaultPlan:
             raise ValueError(
                 f"FaultPlan JSON must be an object, got {type(data).__name__}"
             )
-        known = {f for f in cls.__dataclass_fields__}  # type: ignore[attr-defined]
+        known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
             raise ValueError(

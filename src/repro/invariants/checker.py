@@ -348,7 +348,7 @@ class InvariantChecker(NullChecker):
             if task.state.value != "running":
                 self._fail("runqueue-soundness",
                            f"pool task in state {task.state.value}", tid=tid)
-            target = getattr(task, "_pool_target", None)
+            target = task.pool_target
             if (tid, target) not in heap_entries:
                 self._fail(
                     "runqueue-soundness",

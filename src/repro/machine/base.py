@@ -192,12 +192,13 @@ class MachineBase:
     def _make_ready(self, task: Task) -> None:
         """The task is runnable; its wait starts now."""
         task.state = TaskState.READY
-        task._ready_since = self.sim.now  # type: ignore[attr-defined]
+        task.since = self.sim.now
 
     def _begin_run(self, task: Task) -> None:
-        """The task got a CPU: charge the wait since it became ready."""
+        """The task got a CPU: charge its wait; ``since`` marks the run."""
         now = self.sim.now
-        task.wait_time += now - getattr(task, "_ready_since", now)
+        task.wait_time += now - task.since
+        task.since = now
         if task.first_run_time is None:
             task.first_run_time = now
         task.state = TaskState.RUNNING
@@ -208,7 +209,7 @@ class MachineBase:
         if task.state is TaskState.RUNNING:
             task.ctx_voluntary += 1
         task.state = TaskState.BLOCKED
-        task._io_handle = self.sim.schedule(  # type: ignore[attr-defined]
+        task.timer = self.sim.schedule(
             duration, self._on_io_done, task, duration
         )
         for cb in self._state_callbacks:
@@ -234,7 +235,7 @@ class MachineBase:
             self._enqueue(task, wakeup=False)
 
     def _on_io_done(self, task: Task, duration: int) -> None:
-        task._io_handle = None  # type: ignore[attr-defined]
+        task.timer = None
         nxt = task.complete_io()
         if nxt is None:
             self._exit(task)
@@ -255,13 +256,16 @@ class MachineBase:
             cb(task)
         self._notify_finish(task)
 
+    def _cancel_timer(self, task: Task) -> None:
+        """Cancel the task's own pending event (``Task.timer``), if any."""
+        if task.timer is not None:
+            task.timer.cancel()
+            task.timer = None
+
     def _finish_killed(self, task: Task, reason: str) -> None:
-        """Shared kill epilogue: drop pending I/O, mark the exit and
-        notify user space."""
-        handle = getattr(task, "_io_handle", None)
-        if handle is not None:
-            handle.cancel()
-            task._io_handle = None  # type: ignore[attr-defined]
+        """Shared kill epilogue: drop the task's pending event, mark the
+        exit and notify user space."""
+        self._cancel_timer(task)
         task.killed = True
         task.kill_reason = reason
         self._exit(task)

@@ -98,7 +98,7 @@ class DiscreteMachine(MachineBase):
     def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
         old_policy = task.policy
         if task.state is TaskState.RUNNING:
-            core = self.cores[task._run_core]  # type: ignore[attr-defined]
+            core = self.cores[task.core]
             assert core.task is task
             ended = self._charge(core)
             task.rt_priority = rt_priority
@@ -117,7 +117,7 @@ class DiscreteMachine(MachineBase):
                 self._arm(core, task, core.run_start - self.sim.now)
         else:  # READY: move between runqueues
             if old_policy is SchedPolicy.CFS:
-                rq = self.cores[task._rq_core].rq  # type: ignore[attr-defined]
+                rq = self.cores[task.core].rq
                 rq.dequeue(task)
             else:
                 self.rt_rq.remove(task)
@@ -129,7 +129,7 @@ class DiscreteMachine(MachineBase):
         if task.state is TaskState.FINISHED:
             return False
         if task.state is TaskState.RUNNING:
-            core = self.cores[task._run_core]  # type: ignore[attr-defined]
+            core = self.cores[task.core]
             assert core.task is task
             if self._probe_on:
                 self._probe.kill(task, reason, core.index, tev.DESCHED_KILL)
@@ -145,7 +145,7 @@ class DiscreteMachine(MachineBase):
             if task.is_rt:
                 self.rt_rq.remove(task)
             else:
-                self.cores[task._rq_core].rq.dequeue(task)  # type: ignore[attr-defined]
+                self.cores[task.core].rq.dequeue(task)
         if self._probe_on:
             self._probe.kill(task, reason)
         self._finish_killed(task, reason)
@@ -175,7 +175,7 @@ class DiscreteMachine(MachineBase):
 
     def _enqueue_cfs(self, task: Task, wakeup: bool) -> None:
         core = self._least_loaded_core()
-        task._rq_core = core.index  # type: ignore[attr-defined]
+        task.core = core.index
         core.rq.enqueue(task, wakeup=wakeup)
         if core.task is None:
             self._pick_next(core)
@@ -192,7 +192,6 @@ class DiscreteMachine(MachineBase):
                 self._probe.preempt(f"{self.params.fair_class}:{core.index}",
                                     task, victim, core.index)
             self._switch_out(core, victim)
-            victim._rq_core = core.index  # type: ignore[attr-defined]
             core.rq.enqueue(victim, wakeup=False)
             self._pick_next(core)
 
@@ -316,14 +315,14 @@ class DiscreteMachine(MachineBase):
             f"task {task.tid} started while not in a CPU burst"
         )
         self._begin_run(task)
-        last = getattr(task, "_last_run_core", None)
-        migrated = last is not None and last != core.index
+        last = task.last_core
+        migrated = last >= 0 and last != core.index
         if migrated:
             task.migrations += 1
         if self._probe_on:
             self._probe.run(task, core.index, last if migrated else -1)
-        task._last_run_core = core.index  # type: ignore[attr-defined]
-        task._run_core = core.index  # type: ignore[attr-defined]
+        task.last_core = core.index
+        task.core = core.index
         core.task = task
         # context-switch cost: the core spends `cost` us switching (kernel
         # path + cache refill) before the task makes progress
@@ -381,9 +380,9 @@ class DiscreteMachine(MachineBase):
                 # `speed`; the fractional residue is carried per task so
                 # repeated charges never under-account and the burst is
                 # exactly exhausted at its completion event.
-                credit = elapsed * self._speed + getattr(task, "_svc_residue", 0.0)
+                credit = elapsed * self._speed + task.svc_residue
                 served = min(int(credit), task.burst_remaining)
-                task._svc_residue = credit - served  # type: ignore[attr-defined]
+                task.svc_residue = credit - served
             task.consume_cpu(served)
             if self._inv_on:
                 self._inv.on_charge(task)
@@ -421,7 +420,6 @@ class DiscreteMachine(MachineBase):
                     f"{self.params.fair_class}:{core.index}", task,
                     core.index, len(core.rq))
             self._switch_out(core, task)
-            task._rq_core = core.index  # type: ignore[attr-defined]
             core.rq.enqueue(task, wakeup=False)
             self._pick_next(core)
         else:
@@ -507,6 +505,5 @@ class DiscreteMachine(MachineBase):
             self._pick_next(core)
         # Take the count back if the task immediately resumed on the
         # same core (then the kernel would not have switched at all).
-        if (task.state is TaskState.RUNNING
-                and task._run_core == core.index):  # type: ignore[attr-defined]
+        if core.task is task:
             task.ctx_involuntary -= 1

@@ -65,7 +65,6 @@ class FluidMachine(MachineBase):
         # --- tracing only: stable virtual core slots for RT tasks ---
         # (the fluid model has no real core assignment; slots give the
         # Chrome exporter per-core tracks for dedicated/FILTER tasks)
-        self._rt_slots: dict[int, int] = {}         # tid -> slot
         self._free_slots: list[int] = list(range(self.n_cores))
         self._probe.register("fluid")
         self.rt_wait.hook = self._probe.runqueue_hook("rt", "rt")
@@ -191,10 +190,9 @@ class FluidMachine(MachineBase):
         burst = task.current_burst
         assert burst is not None and burst.kind is BurstKind.CPU
         target = self._credit + task.burst_remaining
-        task._pool_target = target           # type: ignore[attr-defined]
-        task._pool_enter_credit = self._credit  # type: ignore[attr-defined]
-        task._pool_enter_time = self.sim.now    # type: ignore[attr-defined]
-        task._pool_cs_enter = self._cs_credit   # type: ignore[attr-defined]
+        task.pool_target = target
+        task.pool_credit = self._credit
+        task.pool_cs = self._cs_credit
         # In the fluid limit the task is immediately time-sharing the CPU.
         self._begin_run(task)
         self._pool[task.tid] = task
@@ -214,7 +212,7 @@ class FluidMachine(MachineBase):
         del self._pool[task.tid]
         if task.policy is SchedPolicy.RR:
             self._pool_rr -= 1
-        served = int(round(self._credit - task._pool_enter_credit))  # type: ignore[attr-defined]
+        served = int(round(self._credit - task.pool_credit))
         credit = self._charge_pool(
             task, max(0, min(served, task.burst_remaining - 1)))
         self._reschedule_pool_event()
@@ -230,14 +228,14 @@ class FluidMachine(MachineBase):
         task.consume_cpu(served)
         if self._inv_on:
             self._inv.on_charge(task)
-        elapsed = self.sim.now - task._pool_enter_time  # type: ignore[attr-defined]
+        elapsed = self.sim.now - task.since
         task.wait_time += max(0, elapsed - served)
         # fold the integrated switch-rate estimate into whole switches
-        cs = getattr(task, "_cs_float", 0.0)
-        cs += self._cs_credit - task._pool_cs_enter  # type: ignore[attr-defined]
+        cs = task.cs_residue
+        cs += self._cs_credit - task.pool_cs
         whole = int(cs)
         task.ctx_involuntary += whole
-        task._cs_float = cs - whole  # type: ignore[attr-defined]
+        task.cs_residue = cs - whole
         return min(served, elapsed)
 
     def _reschedule_pool_event(self) -> None:
@@ -247,7 +245,7 @@ class FluidMachine(MachineBase):
         # drop dead heap heads
         while self._heap and self._heap[0][2].tid not in self._pool:
             heapq.heappop(self._heap)
-        while self._heap and self._heap[0][2]._pool_target != self._heap[0][0]:  # type: ignore[attr-defined]
+        while self._heap and self._heap[0][2].pool_target != self._heap[0][0]:
             heapq.heappop(self._heap)
         if not self._heap:
             return
@@ -265,7 +263,7 @@ class FluidMachine(MachineBase):
         finished: list[Task] = []
         while self._heap and self._heap[0][0] <= self._credit + _EPS:
             _target, _seq, task = heapq.heappop(self._heap)
-            if task.tid not in self._pool or task._pool_target != _target:  # type: ignore[attr-defined]
+            if task.tid not in self._pool or task.pool_target != _target:
                 continue  # stale entry
             del self._pool[task.tid]
             if task.policy is SchedPolicy.RR:
@@ -312,18 +310,16 @@ class FluidMachine(MachineBase):
         burst = task.current_burst
         assert burst is not None and burst.kind is BurstKind.CPU
         self._begin_run(task)
-        task._rt_start = self.sim.now  # type: ignore[attr-defined]
         wall = task.burst_remaining
         if self._speed != 1.0:  # straggler: the core serves CPU us slower
             wall = int(math.ceil(wall / self._speed))
-        task._rt_end_handle = self.sim.schedule(  # type: ignore[attr-defined]
+        task.timer = self.sim.schedule(
             wall, self._on_rt_completion, task
         )
         self._rt_running[task.tid] = task
         if self._probe_on:
             slot = heapq.heappop(self._free_slots) if self._free_slots else -1
-            if slot >= 0:
-                self._rt_slots[task.tid] = slot
+            task.slot = slot
             self._probe.rt_start(task, slot)
         self._reschedule_pool_event()
 
@@ -331,11 +327,8 @@ class FluidMachine(MachineBase):
         """Take a dedicated-core task off CPU, charging service so far.
         Returns the virtual core slot it held (for the probe)."""
         self._advance()
-        handle = getattr(task, "_rt_end_handle", None)
-        if handle is not None:
-            handle.cancel()
-            task._rt_end_handle = None  # type: ignore[attr-defined]
-        served = self.sim.now - task._rt_start  # type: ignore[attr-defined]
+        self._cancel_timer(task)
+        served = self.sim.now - task.since
         if self._speed != 1.0:
             served = int(served * self._speed)
         served = min(served, task.burst_remaining)
@@ -343,7 +336,7 @@ class FluidMachine(MachineBase):
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
-        slot = self._release_slot(task.tid)
+        slot = self._release_slot(task)
         if involuntary:
             task.ctx_involuntary += 1
         self._reschedule_pool_event()
@@ -351,19 +344,19 @@ class FluidMachine(MachineBase):
 
     def _on_rt_completion(self, task: Task) -> None:
         self._advance()
-        task._rt_end_handle = None  # type: ignore[attr-defined]
+        task.timer = None
         task.consume_cpu(task.burst_remaining)
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
-        self._end_burst(task, self._release_slot(task.tid))
+        self._end_burst(task, self._release_slot(task))
         self._dispatch_rt()
         self._reschedule_pool_event()
 
-    def _release_slot(self, tid: int) -> int:
+    def _release_slot(self, task: Task) -> int:
         """Return the task's virtual core slot to the free list (-1 when
         it held none: slots are only handed out while the probe is on)."""
-        slot = self._rt_slots.pop(tid, -1)
+        slot = task.slot
         if slot >= 0:
             heapq.heappush(self._free_slots, slot)
         return slot

@@ -27,6 +27,7 @@ The class exposes the same interface as
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional
 
 from repro.sim.task import Task
@@ -44,6 +45,10 @@ class EevdfParams:
     def __post_init__(self) -> None:
         if self.base_slice <= 0:
             raise ValueError("base_slice must be positive")
+
+
+#: pick order: earliest virtual deadline, then lowest tid
+_deadline_order = attrgetter("eevdf_deadline", "tid")
 
 
 class EevdfRunqueue:
@@ -90,8 +95,8 @@ class EevdfRunqueue:
         v = self._avg_vruntime()
         if task.vruntime < v:
             task.vruntime = int(v)
-        if getattr(task, "_eevdf_deadline", None) is None or not wakeup:
-            task._eevdf_deadline = task.vruntime + self.params.base_slice  # type: ignore[attr-defined]
+        if task.eevdf_deadline is None or not wakeup:
+            task.eevdf_deadline = task.vruntime + self.params.base_slice
         self._tasks.append(task)
         self.min_vruntime = max(
             self.min_vruntime, int(min(t.vruntime for t in self._tasks))
@@ -107,25 +112,23 @@ class EevdfRunqueue:
         raise RuntimeError(f"task {task.tid} not on this runqueue")
 
     def pick_next(self) -> Optional[Task]:
-        """Earliest virtual deadline among eligible entities."""
-        if not self._tasks:
+        """Dequeue and return :meth:`peek_next`'s entity."""
+        best = self.peek_next()
+        if best is None:
             return None
-        v = self._avg_vruntime()
-        eligible = [t for t in self._tasks if t.vruntime <= v + 1e-9]
-        pool = eligible if eligible else self._tasks
-        best = min(pool, key=lambda t: (t._eevdf_deadline, t.tid))  # type: ignore[attr-defined]
         self.dequeue(best)
         if self.hook is not None:
             self.hook.on_pick(best.tid)
         return best
 
     def peek_next(self) -> Optional[Task]:
+        """Earliest virtual deadline among eligible entities."""
         if not self._tasks:
             return None
         v = self._avg_vruntime()
         eligible = [t for t in self._tasks if t.vruntime <= v + 1e-9]
         pool = eligible if eligible else self._tasks
-        return min(pool, key=lambda t: (t._eevdf_deadline, t.tid))  # type: ignore[attr-defined]
+        return min(pool, key=_deadline_order)
 
     # ------------------------------------------------------------------
     def update_curr(self, curr_vruntime: int) -> None:
@@ -135,16 +138,12 @@ class EevdfRunqueue:
         """Run until the current virtual deadline (one base_slice of
         service), independent of queue depth — EEVDF's key difference
         from CFS's latency-division rule."""
-        deadline = getattr(task, "_eevdf_deadline", None)
-        if deadline is None:
-            task._eevdf_deadline = task.vruntime + self.params.base_slice  # type: ignore[attr-defined]
-            deadline = task._eevdf_deadline  # type: ignore[attr-defined]
-        remaining = deadline - task.vruntime
-        if remaining <= 0:
-            # slice exhausted: grant the next request
-            task._eevdf_deadline = task.vruntime + self.params.base_slice  # type: ignore[attr-defined]
-            remaining = self.params.base_slice
-        return int(remaining)
+        deadline = task.eevdf_deadline
+        if deadline is None or deadline <= task.vruntime:
+            # no request yet, or the slice is exhausted: grant the next
+            deadline = task.vruntime + self.params.base_slice
+            task.eevdf_deadline = deadline
+        return int(deadline - task.vruntime)
 
     def should_preempt(self, woken: Task, curr: Task) -> bool:
         """A woken entity preempts when it is eligible and holds an
@@ -152,15 +151,10 @@ class EevdfRunqueue:
         v = self._avg_vruntime(extra=curr)
         if woken.vruntime > v:
             return False
-        wd = getattr(woken, "_eevdf_deadline", woken.vruntime + self.params.base_slice)
-        cd = getattr(curr, "_eevdf_deadline", curr.vruntime + self.params.base_slice)
-        return wd < cd
+        return woken.eevdf_deadline < curr.eevdf_deadline
 
     def tasks(self) -> List[Task]:
-        return sorted(
-            self._tasks,
-            key=lambda t: (getattr(t, "_eevdf_deadline", 0), t.tid),
-        )
+        return sorted(self._tasks, key=_deadline_order)
 
     # ------------------------------------------------------------------
     def validate(self, deep: bool = False) -> None:
@@ -178,9 +172,7 @@ class EevdfRunqueue:
         if not deep:
             return
         for t in self._tasks:
-            deadline = getattr(t, "_eevdf_deadline", None)
-            if deadline is not None:
-                assert deadline >= t.vruntime, (
-                    f"task {t.tid} deadline {deadline} behind vruntime "
-                    f"{t.vruntime}"
-                )
+            assert t.eevdf_deadline >= t.vruntime, (
+                f"task {t.tid} deadline {t.eevdf_deadline} behind vruntime "
+                f"{t.vruntime}"
+            )

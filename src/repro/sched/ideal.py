@@ -37,10 +37,11 @@ class IdealMachine(MachineBase):
             raise RuntimeError(f"task {task.tid} already spawned")
         task.dispatch_time = self.sim.now
         self.tasks_spawned += 1
-        self._begin_run(task)  # its own core, at once
+        self._make_ready(task)
+        self._begin_run(task)  # its own core, at once: zero wait
         self._active += 1
         self.peak_parallelism = max(self.peak_parallelism, self._active)
-        task._done_handle = self.sim.schedule(  # type: ignore[attr-defined]
+        task.timer = self.sim.schedule(
             task.ideal_duration, self._on_done, task
         )
         if self._probe_on:
@@ -56,13 +57,11 @@ class IdealMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
-        for attr in ("_done_handle", "_step_handle"):
-            handle = getattr(task, attr, None)
-            if handle is not None:
-                handle.cancel()
-                setattr(task, attr, None)
+        if task.step_handle is not None:
+            task.step_handle.cancel()
+            task.step_handle = None
         if self._probe_on:
-            cpu = task.bursts[task._step].kind is BurstKind.CPU  # type: ignore[attr-defined]
+            cpu = task.bursts[task.step].kind is BurstKind.CPU
             self._probe.kill(task, reason, -1,
                              tev.DESCHED_KILL if cpu else None)
         self._active -= 1
@@ -78,10 +77,10 @@ class IdealMachine(MachineBase):
     def _step(self, task: Task, i: int) -> None:
         """Traced runs: burst ``i`` is under way; arm its end unless it
         is the last burst, whose end is :meth:`_on_done`."""
-        task._step = i  # type: ignore[attr-defined]
-        task._step_handle = None  # type: ignore[attr-defined]
+        task.step = i
+        task.step_handle = None
         if i + 1 < len(task.bursts):
-            task._step_handle = self.sim.schedule(  # type: ignore[attr-defined]
+            task.step_handle = self.sim.schedule(
                 task.bursts[i].duration, self._on_step, task, i)
 
     def _on_step(self, task: Task, i: int) -> None:
@@ -96,7 +95,7 @@ class IdealMachine(MachineBase):
         self._step(task, i + 1)
 
     def _on_done(self, task: Task) -> None:
-        task._done_handle = None  # type: ignore[attr-defined]
+        task.timer = None
         if self._probe_on and task.bursts[-1].kind is BurstKind.CPU:
             self._probe.burst_end(task, -1, False)
         # charge each burst in order so accounting matches other engines

@@ -22,7 +22,7 @@ import itertools
 from typing import Optional
 
 from repro.machine.base import MachineBase, MachineParams
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.task import SchedPolicy, Task, TaskState
 from repro.trace import events as tev
 
@@ -67,7 +67,7 @@ class SRTFMachine(MachineBase):
         running task has accrued since its last charge event."""
         rem = task.cpu_remaining
         if task.state is TaskState.RUNNING:
-            rem -= self.sim.now - task._run_start  # type: ignore[attr-defined]
+            rem -= self.sim.now - task.since
         return rem
 
     def _enqueue(self, task: Task, wakeup: bool) -> None:
@@ -86,8 +86,7 @@ class SRTFMachine(MachineBase):
 
     def _start(self, task: Task) -> None:
         self._begin_run(task)
-        task._run_start = self.sim.now  # type: ignore[attr-defined]
-        task._end_handle = self.sim.schedule(  # type: ignore[attr-defined]
+        task.timer = self.sim.schedule(
             task.burst_remaining, self._on_burst_done, task
         )
         self._running[task.tid] = task
@@ -95,13 +94,10 @@ class SRTFMachine(MachineBase):
             self._probe.run(task, -1)
 
     def _stop(self, task: Task) -> None:
-        """Take a running ``task`` off its core mid-burst and charge it
-        for the CPU it received."""
-        handle: Optional[EventHandle] = getattr(task, "_end_handle", None)
-        if handle is not None:
-            handle.cancel()
-            task._end_handle = None  # type: ignore[attr-defined]
-        served = min(self.sim.now - task._run_start,  # type: ignore[attr-defined]
+        """Take a running ``task`` off its core, mid-burst or at the
+        burst's end, and charge it for the CPU it received."""
+        self._cancel_timer(task)
+        served = min(self.sim.now - task.since,
                      task.burst_remaining)
         task.consume_cpu(served)
         self.busy_time += served
@@ -129,10 +125,6 @@ class SRTFMachine(MachineBase):
 
     # ------------------------------------------------------------------
     def _on_burst_done(self, task: Task) -> None:
-        task._end_handle = None  # type: ignore[attr-defined]
-        served = task.burst_remaining
-        task.consume_cpu(served)
-        self.busy_time += served
-        del self._running[task.tid]
+        self._stop(task)
         self._end_burst(task)
         self._fill_cores()

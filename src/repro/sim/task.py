@@ -17,7 +17,10 @@ import enum
 import itertools
 import numbers
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:
+    from repro.sim.engine import EventHandle
 
 
 class BurstKind(enum.Enum):
@@ -79,7 +82,7 @@ RT_POLICIES = (SchedPolicy.FIFO, SchedPolicy.RR)
 _task_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """A schedulable process.
 
@@ -124,6 +127,23 @@ class Task:
     # --- fault accounting (written by repro.faults, read by metrics) ---
     killed: bool = False                     # terminated by machine.kill
     kill_reason: Optional[str] = None        # "crash" | "timeout" | "host"
+
+    # --- engine and policy state, one owner per field (table of owners
+    # and lifetimes: docs/architecture.md §3).  The class is slotted, so
+    # writing an undeclared attribute raises AttributeError. ----------
+    since: int = 0                           # base: READY since, run start
+    timer: Optional[EventHandle] = None      # base: I/O wake, burst/task end
+    core: int = -1                           # discrete: rq core, run core
+    last_core: int = -1                      # discrete: last run core
+    svc_residue: float = 0.0                 # discrete: straggler service
+    pool_target: float = 0.0                 # fluid: credit at burst end
+    pool_credit: float = 0.0                 # fluid: credit at entry
+    pool_cs: float = 0.0                     # fluid: switch rate at entry
+    cs_residue: float = 0.0                  # fluid: fractional switches
+    slot: int = -1                           # fluid, traced: trace core
+    step: int = 0                            # IDEAL, traced: burst index
+    step_handle: Optional[EventHandle] = None  # IDEAL, traced: burst end
+    eevdf_deadline: Optional[int] = None     # EEVDF: virtual deadline
 
     def __post_init__(self) -> None:
         if not self.bursts:

@@ -16,7 +16,9 @@ streaming driver, and every idle test of a ``Simulator.every`` timer,
 is a bound method or ``functools.partial`` of picklable objects —
 closures are banned from the replay path for precisely this reason.
 Parked SFS poll timers are off the heap; the simulator's parked set,
-rank log and per-phase timer lists carry them (schema ``/4``).
+rank log and per-phase timer lists carry them (schema ``/4``).  Tasks
+are slotted (schema ``/5``): a ``/4`` task's undeclared engine state
+cannot be loaded into them.
 
 Resume contract: ``load`` verifies the manifest hash and the config
 digest (a checkpoint from a different replay configuration is an
@@ -43,7 +45,7 @@ from repro.experiments.artifacts import (
 
 #: bumped whenever the pickled driver graph changes shape: a checkpoint
 #: of another schema cannot be resumed by this code
-CHECKPOINT_SCHEMA = "repro.stream/4"
+CHECKPOINT_SCHEMA = "repro.stream/5"
 
 #: pinned pickle protocol: checkpoints written by one interpreter
 #: version stay readable by the next (protocol 4 is universal on 3.4+)
@@ -57,11 +59,16 @@ class CheckpointError(RuntimeError):
 class CheckpointStore:
     """One directory holding the latest checkpoint + manifest.
 
-    Checkpoints are overwritten in place (atomically): for crash
-    recovery only the newest consistent state matters, and a multi-day
-    replay must not grow a checkpoint graveyard.  The manifest carries
-    enough provenance (virtual time, request counts, config digest) to
-    report progress without unpickling anything.
+    Each checkpoint replaces the previous one: for crash recovery only
+    the newest consistent state matters, and a multi-day replay must not
+    grow a checkpoint graveyard.  The manifest carries enough provenance
+    (virtual time, request counts, config digest) to report progress
+    without unpickling anything.
+
+    A payload file is named by its hash and written before the manifest
+    that names it, and the previous payload is deleted only after that
+    manifest is in place: a process killed between the two writes
+    leaves the previous, consistent pair.
     """
 
     def __init__(self, root: str):
@@ -71,7 +78,12 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     @property
     def checkpoint_path(self) -> str:
-        return os.path.join(self.root, "checkpoint.ckpt")
+        """The payload file the stored manifest names."""
+        doc = self._read_manifest() or {}
+        return self._payload_path(str(doc.get("sha256")))
+
+    def _payload_path(self, sha256: str) -> str:
+        return os.path.join(self.root, f"checkpoint-{sha256[:16]}.ckpt")
 
     @property
     def manifest_path(self) -> str:
@@ -94,11 +106,13 @@ class CheckpointStore:
             "task_ids": task_module._task_ids,
         }
         blob = pickle.dumps(payload, protocol=_PICKLE_PROTOCOL)
-        atomic_write_bytes(self.checkpoint_path, blob)
+        sha256 = hashlib.sha256(blob).hexdigest()
+        path = self._payload_path(sha256)
+        atomic_write_bytes(path, blob)
         config = driver.config_dict()
         manifest = {
             "schema": CHECKPOINT_SCHEMA,
-            "sha256": hashlib.sha256(blob).hexdigest(),
+            "sha256": sha256,
             "bytes": len(blob),
             "config": config,
             "config_digest": config_digest(config),
@@ -111,6 +125,11 @@ class CheckpointStore:
             self.manifest_path,
             json.dumps(manifest, sort_keys=True, separators=(",", ":")) + "\n",
         )
+        # the previous payload, and any a killed save left half-written
+        for name in os.listdir(self.root):
+            if (name.startswith(("checkpoint-", ".checkpoint-"))
+                    and name != os.path.basename(path)):
+                os.remove(os.path.join(self.root, name))
         driver.checkpoints_written += 1
         return manifest
 
@@ -149,15 +168,16 @@ class CheckpointStore:
                 f"{manifest.get('schema')!r}; this version resumes only "
                 f"{CHECKPOINT_SCHEMA!r} (delete {self.root} to restart "
                 f"from scratch)")
+        path = self._payload_path(str(manifest.get("sha256")))
         try:
-            with open(self.checkpoint_path, "rb") as fh:
+            with open(path, "rb") as fh:
                 blob = fh.read()
         except OSError as exc:
             raise CheckpointError(
                 f"checkpoint payload unreadable: {exc}") from None
         if hashlib.sha256(blob).hexdigest() != manifest.get("sha256"):
             raise CheckpointError(
-                f"checkpoint {self.checkpoint_path} does not match its "
+                f"checkpoint {path} does not match its "
                 f"manifest hash (torn or corrupt; delete {self.root} "
                 f"to restart from scratch)")
         if expect_config is not None:

@@ -84,14 +84,14 @@ def test_should_preempt_requires_eligibility_and_earlier_deadline():
     rq = EevdfRunqueue(params)
     curr = make_cpu_task(100 * MS)
     curr.vruntime = 10 * MS
-    curr._eevdf_deadline = 13 * MS
+    curr.eevdf_deadline = 13 * MS
     woken = make_cpu_task(10 * MS)
     woken.vruntime = 0
-    woken._eevdf_deadline = 3 * MS
+    woken.eevdf_deadline = 3 * MS
     assert rq.should_preempt(woken, curr)
     late = make_cpu_task(10 * MS)
     late.vruntime = 50 * MS  # above average: not eligible
-    late._eevdf_deadline = 1
+    late.eevdf_deadline = 1
     assert not rq.should_preempt(late, curr)
 
 

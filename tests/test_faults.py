@@ -180,21 +180,30 @@ ENGINES = {
 }
 
 
-def _cpu_task(ms=50, io_first_ms=0):
+def _cpu_task(ms=50, io_first_ms=0, policy=SchedPolicy.CFS):
     bursts = []
     if io_first_ms:
         bursts.append(Burst(BurstKind.IO, io_first_ms * MS))
     bursts.append(Burst(BurstKind.CPU, ms * MS))
-    return Task(bursts=bursts, policy=SchedPolicy.CFS)
+    return Task(bursts=bursts, policy=policy)
 
 
-@pytest.mark.parametrize("engine", list(ENGINES))
-def test_kill_running_task(engine):
+def _kill_cases(engines):
+    """Each engine with a CFS task (id: the engine) and a FIFO task
+    (id: engine-fifo), which the fluid engine runs on a dedicated core
+    whose burst-end timer the kill must cancel."""
+    return ([pytest.param(e, SchedPolicy.CFS, id=e) for e in engines]
+            + [pytest.param(e, SchedPolicy.FIFO, id=f"{e}-fifo")
+               for e in engines])
+
+
+@pytest.mark.parametrize("engine,policy", _kill_cases(list(ENGINES)))
+def test_kill_running_task(engine, policy):
     sim = Simulator()
     m = ENGINES[engine](sim, MachineParams(n_cores=1))
     finished = []
     m.on_finish(lambda t: finished.append(t.tid))
-    task = _cpu_task(50)
+    task = _cpu_task(50, policy=policy)
     m.spawn(task)
     sim.schedule(10 * MS, m.kill, task, "crash")
     sim.run()
@@ -203,6 +212,8 @@ def test_kill_running_task(engine):
     assert finished == [task.tid]
     assert task.finish_time == 10 * MS
     assert task.cpu_time <= 10 * MS  # charged only what it received
+    assert task.timer is None
+    assert sim.now == 10 * MS  # the burst end never fires
 
 
 @pytest.mark.parametrize("engine", ["fluid", "discrete", "srtf"])
@@ -218,15 +229,18 @@ def test_kill_queued_task(engine):
     assert a.finished and not a.killed  # the survivor runs to completion
 
 
-@pytest.mark.parametrize("engine", ["fluid", "discrete", "srtf"])
-def test_kill_blocked_task(engine):
+@pytest.mark.parametrize("engine,policy",
+                         _kill_cases(["fluid", "discrete", "srtf"]))
+def test_kill_blocked_task(engine, policy):
     sim = Simulator()
     m = ENGINES[engine](sim, MachineParams(n_cores=1))
-    task = _cpu_task(20, io_first_ms=50)  # blocked on IO at kill time
+    # blocked on IO at kill time
+    task = _cpu_task(20, io_first_ms=50, policy=policy)
     m.spawn(task)
     sim.schedule(5 * MS, m.kill, task, "host")
     sim.run()
     assert task.killed and task.kill_reason == "host"
+    assert task.timer is None
     assert sim.now == 5 * MS  # the pending IO wake never fires
 
 

@@ -131,7 +131,7 @@ def test_checkpoint_manifest_contents(tmp_path):
     d = _driver(checkpointer=store, checkpoint_every=10 * SEC)
     d.run(until=25 * SEC)
     m = store.manifest()
-    assert m["schema"] == "repro.stream/4"
+    assert m["schema"] == "repro.stream/5"
     assert m["virtual_time_us"] == 20 * SEC
     assert m["requests_done"] <= d.done
     assert m["config_digest"]
@@ -170,6 +170,32 @@ def test_load_rejects_corrupt_payload(tmp_path):
         fh.write(b"\xff\xff\xff")
     with pytest.raises(CheckpointError, match="manifest hash"):
         store.load()
+
+
+class _Killed(Exception):
+    """Stands in for a SIGKILL in the middle of a checkpoint save."""
+
+
+def test_save_killed_before_its_manifest_keeps_the_last_checkpoint(
+        tmp_path, monkeypatch):
+    # a save killed after writing its payload but before its manifest
+    # leaves the previous payload and manifest, still a matching pair
+    import repro.stream.checkpoint as checkpoint_module
+
+    store = CheckpointStore(str(tmp_path))
+    d = _driver(checkpointer=store, checkpoint_every=10 * SEC)
+    d.run(until=15 * SEC)
+    before = store.manifest()
+
+    def killed(*_args):
+        raise _Killed
+
+    monkeypatch.setattr(checkpoint_module, "atomic_write_text", killed)
+    with pytest.raises(_Killed):
+        d.run(until=25 * SEC)
+    monkeypatch.undo()
+    assert store.manifest() == before
+    assert store.load().sim.now == before["virtual_time_us"]
 
 
 def test_load_rejects_config_mismatch(tmp_path):

@@ -130,3 +130,15 @@ def test_initial_state():
     assert t.state is TaskState.CREATED
     assert not t.finished
     assert t.context_switches == 0
+
+
+def test_task_is_slotted():
+    # every engine's and policy's per-task state is a declared field, so
+    # a typo or a new undeclared attribute fails loudly instead of
+    # quietly adding state
+    t = cpu_task(10)
+    assert not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        t._ready_since = 0
+    t.since = 5  # declared fields stay writable
+    assert t.since == 5
