@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import SFSConfig
 from repro.core.global_queue import GlobalQueue, QueueEntry
@@ -432,8 +432,10 @@ class SFS:
     # ------------------------------------------------------------------
     # gauges
     # ------------------------------------------------------------------
-    def sample_gauges(self, probe, now: int) -> None:
-        """Emit scheduler-state gauges (called by the periodic sampler)."""
-        probe.gauge(now, tev.GAUGE_GLOBAL_QUEUE, self.queued())
-        probe.gauge(now, tev.GAUGE_WATCH_LIST, len(self._watch))
-        probe.gauge(now, tev.GAUGE_BUSY_WORKERS, self.busy_workers())
+    def gauge_keys(self) -> Tuple[Tuple[str, int], ...]:
+        """The scheduler-state gauges (see ``MachineBase.gauge_keys``)."""
+        return ((tev.GAUGE_GLOBAL_QUEUE, -1), (tev.GAUGE_WATCH_LIST, -1),
+                (tev.GAUGE_BUSY_WORKERS, -1))
+
+    def gauge_values(self, out: list) -> None:
+        out.extend((self.queued(), len(self._watch), self.busy_workers()))

@@ -70,6 +70,19 @@ _QUEUE_SERIES = (
 _MAX_QUEUE_SERIES = 4
 
 
+def _gauge_series(trace, kind: str) -> List[Tuple[int, float]]:
+    """Every ``(ts, value)`` sample of gauge ``kind`` in stream order;
+    the per-core ``gauge.runqueue`` samples of one tick timestamp are
+    summed into one point."""
+    if kind == tev.GAUGE_RUNQUEUE:
+        summed: Dict[int, float] = {}
+        for ts, _core, value in trace.gauge_samples(kind):
+            summed[ts] = summed.get(ts, 0.0) + value
+        return sorted(summed.items())
+    return [(ts, float(value)) for ts, _core, value
+            in trace.gauge_samples(kind)]
+
+
 def _decimate(series: List[Tuple[int, float]],
               budget: int = MAX_SERIES_POINTS) -> List[Tuple[int, float]]:
     """Uniform-stride decimation that always keeps the last point."""
@@ -198,7 +211,7 @@ def build_data(result, trace, metrics=None,
         r.req_id: app_idx.get(r.app or "?", other_idx) for r in records
     }
 
-    # --- walk the event stream once: lanes, names, gauges, fault marks
+    # --- walk the decision events once: lanes, names, fault marks
     reasons: List[str] = []
     reason_idx: Dict[str, int] = {}
 
@@ -230,13 +243,11 @@ def build_data(result, trace, metrics=None,
     open_worker: Dict[int, Tuple[int, int]] = {}
     open_pool: Dict[int, int] = {}
     pool_spans: List[Tuple[int, int, int]] = []
-    gauge_raw: Dict[str, List[Tuple[int, float]]] = {}
-    runqueue_at: Dict[int, float] = {}
     fault_marks: List[Tuple[int, int, int]] = []
     fault_kind_idx: Dict[str, int] = {}
     fault_kinds: List[str] = []
 
-    for e in trace.events:
+    for e in trace.decisions:
         k = e.kind
         if k == tev.TASK_RUN:
             if e.core >= 0:
@@ -271,21 +282,12 @@ def build_data(result, trace, metrics=None,
                     [start, e.ts - start, tid,
                      app_of_tid.get(tid, other_idx),
                      rid(k.split(".", 1)[1])])
-        elif k == tev.GAUGE_RUNQUEUE:
-            # per-core samples share one tick timestamp; sum them
-            runqueue_at[e.ts] = runqueue_at.get(e.ts, 0.0) + (
-                e.args[0] if e.args else 0)
-        elif k.startswith("gauge."):
-            gauge_raw.setdefault(k, []).append(
-                (e.ts, float(e.args[0]) if e.args else 0.0))
         elif k in _FAULT_MARK_KINDS:
             ki = fault_kind_idx.get(k)
             if ki is None:
                 ki = fault_kind_idx[k] = len(fault_kinds)
                 fault_kinds.append(k)
             fault_marks.append((e.ts, ki, tid_of(e.tid)))
-    if runqueue_at:
-        gauge_raw[tev.GAUGE_RUNQUEUE] = sorted(runqueue_at.items())
 
     # defensively close anything still open at end of stream
     for core, (tid, start) in sorted(open_core.items()):
@@ -348,7 +350,7 @@ def build_data(result, trace, metrics=None,
     # --- gauge series for the queue chart -----------------------------
     queue_series = []
     for kind, series_label in _QUEUE_SERIES:
-        raw = gauge_raw.get(kind)
+        raw = _gauge_series(trace, kind)
         if not raw:
             continue
         pts = [[ts, _num(v)] for ts, v in _decimate(raw)]

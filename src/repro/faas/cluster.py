@@ -140,7 +140,7 @@ class FaaSCluster:
                     sim.schedule_at(up_at, self._host_up, host)
         self._rr = 0
         for idx, host in enumerate(self.hosts):
-            host.host_index = idx  # gauge labelling (see sample_gauges)
+            host.host_index = idx  # gauge labelling (see gauge_keys)
         self._probe = sim.probe
         self._probe_on = self._probe.enabled
         self._probe.register_cluster(config.n_hosts)

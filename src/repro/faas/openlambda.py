@@ -11,7 +11,7 @@ hops; the spawn, notify and finish step is the host's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.config import SFSConfig
 from repro.faas.coldstart import ColdStartConfig, KeepAliveCache
@@ -174,17 +174,21 @@ class OpenLambdaPlatform(Host):
     # ------------------------------------------------------------------
     # structured tracing / metrics
     # ------------------------------------------------------------------
-    def sample_gauges(self, probe, now: int) -> None:
-        """Emit platform-level gauges (called by the periodic sampler).
+    def gauge_keys(self) -> Tuple[Tuple[str, int], ...]:
+        """The platform-level gauges (see ``MachineBase.gauge_keys``).
 
         ``core`` carries the cluster host index (as in ``fault.host_*``
         events); -1 on a standalone deployment.
         """
-        probe.gauge(now, tev.GAUGE_OUTSTANDING, self.outstanding,
-                    self.host_index)
+        keys = ((tev.GAUGE_OUTSTANDING, self.host_index),)
         if self.coldstart is not None:
-            probe.gauge(now, tev.GAUGE_KEEPALIVE,
-                        self.coldstart.warm_total(), self.host_index)
+            keys += ((tev.GAUGE_KEEPALIVE, self.host_index),)
+        return keys
+
+    def gauge_values(self, out: list) -> None:
+        out.append(self.outstanding)
+        if self.coldstart is not None:
+            out.append(self.coldstart.warm_total())
 
 
 def run_openlambda(workload: Workload, config: OpenLambdaConfig,

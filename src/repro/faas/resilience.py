@@ -374,8 +374,14 @@ class ResilienceRuntime:
     # ------------------------------------------------------------------
     # gauges
     # ------------------------------------------------------------------
-    def sample_gauges(self, probe, now: int) -> None:
-        unhealthy = sum(1 for ok in self.cluster._view if not ok)
-        probe.gauge(now, tev.GAUGE_UNHEALTHY, unhealthy)
+    def gauge_keys(self) -> Tuple[Tuple[str, int], ...]:
+        """The cluster-level gauges (see ``MachineBase.gauge_keys``)."""
+        keys = ((tev.GAUGE_UNHEALTHY, -1),)
         if self.config.retry_budget is not None:
-            probe.gauge(now, tev.GAUGE_RETRY_TOKENS, int(self._tokens))
+            keys += ((tev.GAUGE_RETRY_TOKENS, -1),)
+        return keys
+
+    def gauge_values(self, out: list) -> None:
+        out.append(sum(1 for ok in self.cluster._view if not ok))
+        if self.config.retry_budget is not None:
+            out.append(int(self._tokens))

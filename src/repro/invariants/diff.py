@@ -125,14 +125,14 @@ def _trace_context(workload: Workload, cfg: RunConfig, req_id: int,
     except Exception as exc:  # the replay itself may trip the checker
         return [f"(replay failed: {exc})"]
     tids = {
-        ev.tid for ev in trace.events
+        ev.tid for ev in trace.decisions
         if ev.kind == tev.TASK_SPAWN and len(ev.args) >= 2
         and ev.args[1] == req_id
     }
     if not tids:
         return ["(request never spawned a task)"]
     lines = []
-    for ev in trace.events:
+    for ev in trace.decisions:
         if ev.tid in tids:
             lines.append(
                 f"t={ev.ts} {ev.kind} tid={ev.tid}"

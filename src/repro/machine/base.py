@@ -26,7 +26,7 @@ it honours class changes, ``_reclass``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.sched.cfs import CfsParams
 from repro.sched.rt import DEFAULT_RR_QUANTUM
@@ -209,9 +209,7 @@ class MachineBase:
         if task.state is TaskState.RUNNING:
             task.ctx_voluntary += 1
         task.state = TaskState.BLOCKED
-        task.timer = self.sim.schedule(
-            duration, self._on_io_done, task, duration
-        )
+        task.timer = self.sim.schedule(duration, self._on_io_done, task)
         for cb in self._state_callbacks:
             cb(task)
 
@@ -234,7 +232,7 @@ class MachineBase:
             self._make_ready(task)
             self._enqueue(task, wakeup=False)
 
-    def _on_io_done(self, task: Task, duration: int) -> None:
+    def _on_io_done(self, task: Task) -> None:
         task.timer = None
         nxt = task.complete_io()
         if nxt is None:
@@ -289,14 +287,18 @@ class MachineBase:
     # ------------------------------------------------------------------
     # gauges
     # ------------------------------------------------------------------
-    def sample_gauges(self, probe, now: int) -> None:
-        """Emit machine-state gauges (called by the periodic sampler).
+    def gauge_keys(self) -> Tuple[Tuple[str, int], ...]:
+        """The ``(kind, core)`` machine-state gauges, fixed for the run.
 
         The base snapshot works for any machine exposing the
-        introspection API; engines override to add per-queue depth.
+        introspection API; engines extend both methods with per-queue
+        depth.
         """
-        probe.gauge(now, tev.GAUGE_RUNNABLE, self.runnable_count())
-        probe.gauge(now, tev.GAUGE_IDLE_CORES, self.idle_cores())
+        return ((tev.GAUGE_RUNNABLE, -1), (tev.GAUGE_IDLE_CORES, -1))
+
+    def gauge_values(self, out: list) -> None:
+        """Append one value per :meth:`gauge_keys` key (each sampler tick)."""
+        out.extend((self.runnable_count(), self.idle_cores()))
 
     # ------------------------------------------------------------------
     def _notify_finish(self, task: Task) -> None:

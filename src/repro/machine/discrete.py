@@ -15,7 +15,7 @@ against it and used for the large experiments.
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.machine.base import MachineBase, MachineParams
 from repro.sched.cfs import CfsRunqueue
@@ -157,11 +157,15 @@ class DiscreteMachine(MachineBase):
     def runnable_count(self) -> int:
         return sum(len(c.rq) for c in self.cores) + len(self.rt_rq)
 
-    def sample_gauges(self, probe, now: int) -> None:
-        super().sample_gauges(probe, now)
-        for core in self.cores:
-            probe.gauge(now, tev.GAUGE_RUNQUEUE, len(core.rq), core.index)
-        probe.gauge(now, tev.GAUGE_RT_QUEUE, len(self.rt_rq))
+    def gauge_keys(self) -> Tuple[Tuple[str, int], ...]:
+        return super().gauge_keys() + tuple(
+            (tev.GAUGE_RUNQUEUE, core.index) for core in self.cores
+        ) + ((tev.GAUGE_RT_QUEUE, -1),)
+
+    def gauge_values(self, out: list) -> None:
+        super().gauge_values(out)
+        out.extend([len(core.rq) for core in self.cores])
+        out.append(len(self.rt_rq))
 
     # ==================================================================
     # internals

@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.machine.base import MachineBase, MachineParams
 from repro.sched.rt import RTRunqueue
@@ -120,11 +120,15 @@ class FluidMachine(MachineBase):
         queued_pool = max(0, len(self._pool) - free)
         return len(self.rt_wait) + queued_pool
 
-    def sample_gauges(self, probe, now: int) -> None:
-        super().sample_gauges(probe, now)
-        probe.gauge(now, tev.GAUGE_POOL, len(self._pool))
-        probe.gauge(now, tev.GAUGE_RT_RUNNING, len(self._rt_running))
-        probe.gauge(now, tev.GAUGE_RT_QUEUE, len(self.rt_wait))
+    def gauge_keys(self) -> Tuple[Tuple[str, int], ...]:
+        return super().gauge_keys() + (
+            (tev.GAUGE_POOL, -1), (tev.GAUGE_RT_RUNNING, -1),
+            (tev.GAUGE_RT_QUEUE, -1))
+
+    def gauge_values(self, out: list) -> None:
+        super().gauge_values(out)
+        out.extend((len(self._pool), len(self._rt_running),
+                    len(self.rt_wait)))
 
     # ==================================================================
     # pool (CFS + RR-as-sharing) mechanics

@@ -25,11 +25,12 @@ preemption counter, so its ``preempt`` never touches
 
 Gauges answer *how deep were the queues while it happened* — the
 paper's queueing-delay story (Fig 12) is invisible without them.
-:meth:`Probe.attach_sampler` arms one self-rescheduling daemon event
-that asks the machine, SFS and FaaS sources for their ``gauge.*``
-snapshots every ``gauge_interval`` us; each sample takes
-:meth:`Probe.gauge`, the trace first (keeping the traced order), then a
-registry gauge per :data:`GAUGE_METRICS`.
+:meth:`Probe.attach_sampler` fixes the sampler's schema once, the
+``(kind, core)`` keys the machine, SFS and FaaS sources declare through
+``gauge_keys()``, and arms one self-rescheduling daemon event.  Every
+``gauge_interval`` us it collects one row of values (``gauge_values``),
+hands the row to the trace recorder as one tick, and sets the registry
+gauge of each key (:data:`GAUGE_METRICS`, resolved at the first tick).
 """
 
 from __future__ import annotations
@@ -211,8 +212,6 @@ class Probe:
         self.gauge_interval: Optional[int] = (
             trace.gauge_interval if trace.enabled
             else metrics.gauge_interval if metrics.enabled else None)
-        self._gauges: Optional[Dict[Tuple[str, int], object]] = (
-            {} if metrics.enabled else None)
         # every instrument stays null until its component registers it
         for family in INSTRUMENTS.values():
             for attr, *_ in family:
@@ -243,8 +242,9 @@ class Probe:
         return None
 
     def attach_sampler(self, *sources) -> None:
-        """Sample ``sources`` (objects with ``sample_gauges(probe, now)``;
-        None entries are skipped) every ``gauge_interval`` us, in order.
+        """Sample ``sources`` (objects with ``gauge_keys()`` and
+        ``gauge_values(out)``; None entries are skipped) every
+        ``gauge_interval`` us, in order.
 
         A no-op when no sink takes gauges.  The simulator runs until
         its heap drains, so the sampler rearms only while non-daemon
@@ -257,30 +257,37 @@ class Probe:
             return
         sim = self.sim
         sources = [src for src in sources if src is not None]
+        keys = tuple(key for src in sources for key in src.gauge_keys())
+        readers = [src.gauge_values for src in sources]
+        tick = self.trace.gauge_tick if self.trace.enabled else None
+        gauges = None if self.metrics.enabled else ()
 
         def sample() -> None:
+            nonlocal gauges
             now = sim.now
-            for src in sources:
-                src.sample_gauges(self, now)
+            out: list = []
+            for read in readers:
+                read(out)
+            values = tuple(out)
+            if tick is not None:
+                tick(now, keys, values)
+            if gauges is None:
+                gauges = self._gauges_for(keys)
+            for gauge, value in zip(gauges, values):
+                gauge.set(value, ts=now)
             if sim.pending_work:
                 sim.schedule(interval, sample, daemon=True)
 
         sim.schedule(interval, sample, daemon=True)
 
-    def gauge(self, ts: int, kind: str, value: int, core: int = -1) -> None:
-        """The gauge path: one ``gauge.*`` sample from the sampler."""
-        if self.trace.enabled:
-            self.trace.emit(ts, kind, -1, core, (value,))
-        gauges = self._gauges
-        if gauges is None:
-            return
-        gauge = gauges.get((kind, core))
-        if gauge is None:
+    def _gauges_for(self, keys) -> list:
+        """The registry gauge of each ``(kind, core)`` key, in order."""
+        gauges = []
+        for kind, core in keys:
             name, help, per_core = GAUGE_METRICS[kind]
             labels = {"core": str(core)} if per_core and core >= 0 else None
-            gauge = gauges[(kind, core)] = self.metrics.gauge(
-                name, help=help, labels=labels)
-        gauge.set(value, ts=ts)
+            gauges.append(self.metrics.gauge(name, help=help, labels=labels))
+        return gauges
 
     # ------------------------------------------------------------------
     # process lifecycle (machine engines, drivers)

@@ -238,7 +238,7 @@ def to_jsonl_lines(recorder: TraceRecorder,
     if manifest is not None:
         yield json.dumps({"type": "manifest", **manifest.to_dict()},
                          separators=(",", ":"))
-    for e in recorder.events:
+    for e in recorder.iter_events():
         yield json.dumps({"type": "event", **e.to_dict()},
                          separators=(",", ":"))
 

@@ -199,12 +199,13 @@ def build_timelines(
     """Reconstruct one :class:`RequestTimeline` per request record.
 
     ``records`` are :class:`repro.metrics.collector.RequestRecord`;
-    ``trace`` is a :class:`repro.trace.recorder.TraceRecorder` (or any
-    object with an ``events`` list) captured from the *same* run;
+    ``trace`` is a :class:`repro.trace.recorder.TraceRecorder` captured
+    from the *same* run (only its decision events are read: no gauge
+    sample shapes a timeline), or an iterable of its events;
     ``audit`` is an optional :class:`repro.why.audit.AuditLog` used to
     tag wait segments with the decision-maker that opened them.
     """
-    events = getattr(trace, "events", None)
+    events = getattr(trace, "decisions", None)
     if events is None:
         events = list(trace)
 

@@ -162,12 +162,33 @@ def test_metrics_run_bit_identical_records():
     assert len(reg) > 0  # and the registry actually measured the run
 
 
-def test_metrics_run_identical_trace_stream():
+@pytest.mark.parametrize("engine", ["fluid", "discrete"])
+def test_metrics_run_identical_trace_stream(engine):
     wl = small_workload(n_requests=150, n_cores=8, load=0.8)
     t0, t1 = TraceRecorder(), TraceRecorder()
-    run_workload(wl, _cfg(), trace=t0)
-    run_workload(wl, _cfg(), trace=t1, metrics=MetricsRegistry())
+    run_workload(wl, _cfg(engine=engine), trace=t0)
+    run_workload(wl, _cfg(engine=engine), trace=t1,
+                 metrics=MetricsRegistry())
     assert _normalize_tids(t0.events) == _normalize_tids(t1.events)
+
+
+@pytest.mark.parametrize("engine", ["fluid", "discrete"])
+def test_trace_run_identical_metrics_jsonl(engine):
+    """The converse: a recorder riding along leaves every gauge series
+    (the discrete engine's per-core runqueues too) byte-identical."""
+    wl = small_workload(n_requests=150, n_cores=8, load=0.8)
+    dumps = []
+    for trace in (None, TraceRecorder()):
+        reg = MetricsRegistry()
+        run_workload(wl, _cfg(engine=engine), trace=trace, metrics=reg)
+        dumps.append(to_jsonl(reg, include_series=True))
+    assert dumps[0] == dumps[1]
+    runqueues = [json.loads(line) for line in dumps[0].splitlines()
+                 if '"repro_runqueue_depth"' in line]
+    if engine == "discrete":
+        assert sorted(g["labels"]["core"] for g in runqueues) == [
+            str(core) for core in range(8)]
+        assert all(g["series"] for g in runqueues)
 
 
 @pytest.mark.parametrize("engine", ["fluid", "discrete"])

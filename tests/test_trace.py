@@ -234,18 +234,55 @@ def test_chrome_no_truncated_spans_on_drained_run():
 # ======================================================================
 # JSONL exporter + write_trace
 # ======================================================================
-def test_jsonl_lines_manifest_first():
-    rec, res = traced_run(n=60)
+def traced_cluster_run(n=60, seed=11):
+    """Two SFS hosts with keep-alive caches and a retry budget: the
+    host-labelled OpenLambda gauges plus the resilience gauges.  The
+    keep-alive is short because the sampler ticks until the last
+    cached container expires."""
+    from repro.faas.cluster import ClusterConfig, run_cluster
+    from repro.faas.coldstart import ColdStartConfig
+    from repro.faas.openlambda import OpenLambdaConfig
+    from repro.faas.resilience import ResilienceConfig, RetryBudget
+
+    rec = TraceRecorder()
+    host = OpenLambdaConfig(machine=MachineParams(n_cores=2),
+                            scheduler="sfs",
+                            coldstart=ColdStartConfig(keep_alive=200_000))
+    res = run_cluster(
+        make_workload(n=n, seed=seed),
+        ClusterConfig(n_hosts=2, host=host, resilience=ResilienceConfig(
+            retry_budget=RetryBudget())),
+        trace=rec)
+    return rec, res
+
+
+@pytest.mark.parametrize("run", [traced_run, traced_cluster_run],
+                         ids=["workload", "cluster"])
+def test_jsonl_lines_manifest_first(run):
+    rec, res = run(n=60)
     lines = list(to_jsonl_lines(rec, res.manifest))
-    head = json.loads(lines[0])
-    assert head["type"] == "manifest"
-    assert head["scheduler"] == "sfs"
-    assert head["seed"] == 11
-    assert len(lines) == 1 + len(rec.events)
-    for line in lines[1:]:
+    if run is traced_run:  # a cluster run carries no manifest
+        head = json.loads(lines.pop(0))
+        assert head["type"] == "manifest"
+        assert head["scheduler"] == "sfs"
+        assert head["seed"] == 11
+    assert len(lines) == len(rec.events) == len(rec)
+    assert sum(rec.kind_counts().values()) == len(rec)
+    kinds = Counter()
+    for line in lines:
         rec_obj = json.loads(line)
         assert rec_obj["type"] == "event"
         assert "ts" in rec_obj and "kind" in rec_obj
+        kinds[rec_obj["kind"]] += 1
+    assert dict(kinds) == rec.kind_counts()
+    assert any(kind.startswith("gauge.") for kind in kinds)
+    if run is traced_cluster_run:
+        hosts = {json.loads(line).get("core", -1) for line in lines
+                 if f'"kind":"{tev.GAUGE_KEEPALIVE}"' in line}
+        assert hosts == {0, 1}
+        for kind in (tev.GAUGE_OUTSTANDING, tev.GAUGE_UNHEALTHY,
+                     tev.GAUGE_RETRY_TOKENS):
+            assert kinds[kind] > 0
 
 
 def test_write_trace_dispatches_on_extension(tmp_path):
