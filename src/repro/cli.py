@@ -608,9 +608,12 @@ def cmd_experiment(args) -> int:
     if args.resume and not args.out:
         print("error: --resume requires --out DIR", file=sys.stderr)
         return 2
+    if args.chaos_kill and args.workers == 0:
+        print("error: --chaos-kill needs a worker process to kill "
+              "(--workers N, N >= 1)", file=sys.stderr)
+        return 2
     if args.out:
-        rc = (_experiment_pool_sweep(args) if args.workers > 0
-              else _experiment_sweep(args))
+        rc = _experiment_pool_sweep(args)
     else:
         rc = 0
         for exp_id in args.ids:
@@ -639,41 +642,13 @@ def _emit_point_explorers(args) -> None:
               f"{args.explore_points}")
 
 
-def _experiment_sweep(args) -> int:
-    """Crash-safe sweep: one atomic artifact + manifest per experiment,
-    ``--resume`` skipping shards whose artifacts verify."""
-    from repro.experiments.artifacts import ArtifactStore, run_sweep
-
-    store = ArtifactStore(args.out)
-
-    def produce(exp_id: str):
-        entry = REGISTRY[exp_id]
-        return lambda: entry.render(entry.run_scaled(seed=args.seed))
-
-    outcomes = run_sweep(
-        shards=[(exp_id, produce(exp_id)) for exp_id in args.ids],
-        store=store,
-        config_for=lambda exp_id: {"exp_id": exp_id, "seed": args.seed},
-        resume=args.resume,
-        watchdog_seconds=args.watchdog,
-        progress=print,
-    )
-    bad = [o for o in outcomes if o.status in ("timeout", "failed")]
-    done = sum(1 for o in outcomes if o.status == "done")
-    skipped = sum(1 for o in outcomes if o.status == "skipped")
-    print(f"\nsweep: {done} run, {skipped} resumed, {len(bad)} failed")
-    for o in bad:
-        print(f"  {o.exp_id}: {o.status} ({o.detail})", file=sys.stderr)
-    return 1 if bad else 0
-
-
 def _experiment_pool_sweep(args) -> int:
-    """``--workers N`` sweep: cell-granular pool items for shardable
+    """``--out DIR`` sweep: cell-granular pool items for shardable
     experiments (e.g. every chaos grid cell), whole-experiment items
-    otherwise, all under one :func:`repro.pool.run_pool` supervisor.
-    The per-experiment merged artifacts carry the same manifest config
-    as the serial sweep's, so ``--resume`` interoperates both ways and
-    the merged bytes are worker-count-independent.
+    otherwise, all under one :func:`repro.pool.run_pool` call with
+    ``--workers`` processes (0 = inline).  Each merged artifact's
+    manifest config is ``{"exp_id", "seed"}``, and the tree is the same
+    bytes at every worker count.
     """
     from repro.experiments.artifacts import ArtifactStore
     from repro.pool import PoolConfig, run_pool
@@ -741,9 +716,9 @@ def _experiment_pool_sweep(args) -> int:
         write_metrics(args.metrics, registry)
         print(f"wrote {len(registry)} instruments to {args.metrics}")
     if report is None:
-        print(f"\npool sweep: nothing to do ({n_resumed} resumed)")
+        print(f"\nsweep: nothing to do ({n_resumed} resumed)")
         return 0
-    print(f"\npool sweep: {report.n_ok} ok, "
+    print(f"\nsweep: {report.n_ok} ok, "
           f"{report.n_skipped + n_resumed} resumed, "
           f"{report.n_retried} retried, "
           f"{len(report.quarantined)} quarantined")
@@ -851,6 +826,13 @@ def cmd_validate(args) -> int:
     results = run_battery(args.checks or None)
     print(render(results))
     return 0 if all(r.passed for r in results) else 1
+
+
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
 
 
 def _row_name(name: str) -> str:
@@ -985,25 +967,29 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip experiments whose artifacts in --out DIR "
                             "verify against their manifests")
     p_exp.add_argument("--watchdog", type=float, metavar="SECONDS",
-                       help="wall-clock budget per experiment (sweep mode)")
-    p_exp.add_argument("--workers", type=int, default=0, metavar="N",
-                       help="shard the sweep across N supervised pool "
-                            "workers (0 = single-process)")
+                       help="--out: wall-clock budget per item (one "
+                            "experiment, or one cell of a shardable one)")
+    p_exp.add_argument("--workers", type=_worker_count, default=0,
+                       metavar="N",
+                       help="worker processes: --out runs its items on N "
+                            "supervised pool workers (0 = inline, same "
+                            "tree); without --out, the fan-out of "
+                            "experiments that support it")
     p_exp.add_argument("--max-retries", type=int, default=2, metavar="N",
-                       help="pool mode: retries per item before "
+                       help="--out: retries per failed item before "
                             "quarantine (default: %(default)s)")
     p_exp.add_argument("--quarantine", metavar="PATH",
-                       help="pool mode: quarantine report path "
+                       help="--out: quarantine report path "
                             "(default: OUT/quarantine.json)")
     p_exp.add_argument("--metrics", metavar="PATH",
-                       help="pool mode: dump supervisor counters "
+                       help="--out: dump the pool's item counters "
                             "(.jsonl/.prom)")
     p_exp.add_argument("--explore-points", metavar="DIR",
                        help="also write per-point interactive explorers "
                             "for experiments that support them (chaos)")
     p_exp.add_argument("--chaos-kill", metavar="ITEM", default=None,
                        help="test hook: SIGKILL the worker holding ITEM "
-                            "on first dispatch (pool mode)")
+                            "on first dispatch (needs --workers >= 1)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_chk = sub.add_parser(
@@ -1032,9 +1018,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="wall-clock budget per case (0 disables)")
     p_fuzz.add_argument("--metrics", metavar="PATH",
                         help="dump campaign counters (.jsonl/.prom)")
-    p_fuzz.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="shard cases across N supervised pool "
-                             "workers (summary stays byte-identical)")
+    p_fuzz.add_argument("--workers", type=_worker_count, default=0,
+                        metavar="N",
+                        help="run cases on N supervised pool workers "
+                             "(0 = inline; summary byte-identical at "
+                             "any N)")
     p_fuzz.set_defaults(func=cmd_fuzz)
     fuzz_sub = p_fuzz.add_subparsers(dest="fuzz_command")
     p_replay = fuzz_sub.add_parser(

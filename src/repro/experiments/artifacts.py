@@ -15,15 +15,16 @@ module makes the sweep restartable without trusting half-written state:
 * **deterministic bytes** — manifests contain no timestamps or host
   state, so a resumed sweep's artifacts are byte-identical to an
   uninterrupted run (pinned by the test suite);
-* **wall-clock watchdog** — :func:`watchdog` bounds each experiment
-  with ``SIGALRM`` in the single-process main-thread case and falls
-  back to the portable :func:`deadline` thread-timer everywhere else
-  (worker threads, spawned pool children), so one hung shard cannot
-  stall the sweep forever.
+* **wall-clock watchdog** — :func:`watchdog` bounds each item with
+  ``SIGALRM`` in the single-process main-thread case and falls back to
+  the portable :func:`deadline` thread-timer everywhere else (worker
+  threads, spawned pool children), so one hung shard cannot stall the
+  sweep forever.
 
-``repro experiment --out DIR --resume`` drives :func:`run_sweep`;
-``repro experiment --workers N`` shards the same stores through
-:mod:`repro.pool`.
+``repro experiment --out DIR [--resume]`` runs its items through
+:func:`repro.pool.run_pool` against an :class:`ArtifactStore`, at any
+``--workers`` (0 runs them inline, in the calling process); the pool
+owns the skip-on-resume, retry and quarantine logic.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import os
 import signal
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional
 
 #: manifest schema identifier (bump on incompatible change).
 SCHEMA = "repro.artifact/1"
@@ -232,54 +232,3 @@ class ArtifactStore:
     def read(self, exp_id: str) -> str:
         with open(self.artifact_path(exp_id)) as fh:
             return fh.read()
-
-
-@dataclass(frozen=True)
-class ShardOutcome:
-    """What happened to one experiment in a sweep."""
-
-    exp_id: str
-    #: "done" | "skipped" (resume hit) | "timeout" | "failed"
-    status: str
-    detail: str = ""
-
-
-def run_sweep(
-    shards: List[Tuple[str, Callable[[], str]]],
-    store: ArtifactStore,
-    config_for: Callable[[str], Dict[str, Any]],
-    resume: bool = False,
-    watchdog_seconds: Optional[float] = None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> List[ShardOutcome]:
-    """Run shards crash-safely, skipping verified artifacts on resume.
-
-    ``shards`` is a list of ``(exp_id, produce)`` where ``produce``
-    returns the artifact text; ``config_for`` maps an exp_id to the
-    JSON-safe configuration its manifest is keyed on.  A shard that
-    times out or raises is recorded and the sweep continues — partial
-    progress is exactly what ``--resume`` exists to pick up.
-    """
-    say = progress or (lambda _msg: None)
-    outcomes: List[ShardOutcome] = []
-    for exp_id, produce in shards:
-        config = config_for(exp_id)
-        if resume and store.verify(exp_id, config):
-            say(f"{exp_id}: verified artifact found, skipping")
-            outcomes.append(ShardOutcome(exp_id, "skipped"))
-            continue
-        try:
-            with watchdog(watchdog_seconds):
-                text = produce()
-        except ExperimentTimeout as exc:
-            say(f"{exp_id}: {exc}")
-            outcomes.append(ShardOutcome(exp_id, "timeout", str(exc)))
-            continue
-        except Exception as exc:
-            say(f"{exp_id}: failed: {exc}")
-            outcomes.append(ShardOutcome(exp_id, "failed", str(exc)))
-            continue
-        store.write(exp_id, text, config)
-        say(f"{exp_id}: wrote {store.artifact_path(exp_id)}")
-        outcomes.append(ShardOutcome(exp_id, "done"))
-    return outcomes

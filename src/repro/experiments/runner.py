@@ -88,39 +88,10 @@ def run_workload(
     return run_host(workload, cfg, trace=trace, metrics=metrics, audit=audit)
 
 
-def _pool_run_workload(payload) -> RunResult:
-    """Module-level pool task: one (workload, config) replay.
-
-    Payloads are shipped pickled, not JSON — a quarantined entry keeps
-    only its repr, so paired-run pools are supervised and retried but
-    their poison is diagnosable rather than replayable.
-    """
-    workload, cfg = payload
-    return run_workload(workload, cfg)
-
-
 def run_many(
     workload: Workload, base: RunConfig, schedulers: Tuple[str, ...],
-    workers: int = 0,
 ) -> Dict[str, RunResult]:
-    """Replay the same workload under several schedulers (paired runs).
-
-    ``workers > 0`` fans the schedulers out across a supervised
-    :func:`repro.pool.run_pool` — each replay is deterministic given
-    (workload, config), so the parallel dict equals the serial one.
-    """
-    if workers > 0 and len(schedulers) > 1:
-        from repro.pool import PoolConfig, PoolError, run_pool
-
-        report = run_pool(
-            [(s, (workload, base.with_scheduler(s))) for s in schedulers],
-            _pool_run_workload,
-            PoolConfig(workers=min(workers, len(schedulers))),
-        )
-        if not report.complete:
-            bad = ", ".join(o.item_id for o in report.quarantined)
-            raise PoolError(f"paired runs quarantined: {bad}")
-        return dict(zip(schedulers, report.results))
+    """Replay the same workload under several schedulers (paired runs)."""
     return {s: run_workload(workload, base.with_scheduler(s)) for s in schedulers}
 
 

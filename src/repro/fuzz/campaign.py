@@ -4,22 +4,21 @@ One campaign is ``budget`` cases drawn from ``(seed, 0..budget-1)``:
 generate, sweep the applicable oracles in registry order, shrink the
 first finding, and (optionally) write the minimal reproducer as a
 ``ReproCase`` JSON under ``out_dir``.  Each case runs under the
-:func:`repro.experiments.artifacts.watchdog` wall-clock bound —
-``SIGALRM`` in the single-process case, the portable thread-timer
-:func:`~repro.experiments.artifacts.deadline` in pool workers — so a
-case that is slow *in wall time* (as opposed to livelocked in virtual
-time, which the per-case ``max_events`` guard catches) is recorded as
-a timeout instead of hanging the campaign.
+portable thread-timer wall-clock bound
+:func:`repro.experiments.artifacts.deadline`, so a case that is slow
+*in wall time* (as opposed to livelocked in virtual time, which the
+per-case ``max_events`` guard catches) is recorded as a timeout instead
+of hanging the campaign.
 
+The cases are :func:`repro.pool.run_pool` items at every ``workers``
+count (0 runs them inline, in the calling process): each case digests
+to canonical JSON, and the digests merge in case-index order.
 Everything in the summary is derived from the seed and the runs — no
 wall-clock timestamps, no paths outside ``out_dir``, no process-local
 task ids — so two campaigns with the same ``(budget, seed)`` on the
-same tree render **byte-identical** summaries, *including* a campaign
-sharded across :mod:`repro.pool` workers (``workers > 0``): each case
-digests to canonical JSON in a worker, and the supervisor merges
-digests in case-index order.  That property is itself under test: it
-is what makes a campaign finding citable ("seed 7, index 23") rather
-than anecdotal.
+same tree render **byte-identical** summaries at any worker count.
+That property is itself under test: it is what makes a campaign
+finding citable ("seed 7, index 23") rather than anecdotal.
 """
 
 from __future__ import annotations
@@ -29,15 +28,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.experiments.artifacts import (
-    ExperimentTimeout,
-    deadline,
-    watchdog,
-)
+from repro.experiments.artifacts import ExperimentTimeout, deadline
 from repro.fuzz.corpus import ReproCase
 from repro.fuzz.generators import make_case, plan_component_count
 from repro.fuzz.oracles import ORACLES, applicable_oracles
 from repro.fuzz.shrink import DEFAULT_BUDGET, shrink_case
+from repro.pool import PoolConfig, run_pool
 
 #: per-case wall-clock bound (seconds) unless the caller overrides it
 DEFAULT_CASE_SECONDS = 60.0
@@ -80,8 +76,8 @@ class CampaignSummary:
     applicable: Dict[str, int] = field(default_factory=dict)
     findings: List[Finding] = field(default_factory=list)
     timeouts: List[int] = field(default_factory=list)
-    #: case indices the pool quarantined (kept crashing workers even
-    #: after retries); always empty for single-process campaigns
+    #: case indices the pool quarantined (kept failing or crashing
+    #: workers even after retries)
     quarantined: List[int] = field(default_factory=list)
 
     @property
@@ -120,16 +116,13 @@ def _case_digest(
     case_seconds: Optional[float],
     shrink_checks: int,
     want_repro: bool,
-    portable: bool = False,
 ) -> Dict[str, Any]:
     """Run one case and digest it to a JSON-safe dict.
 
     The digest is a pure function of ``(tree, seed, index, budget)`` —
     details are tid-stripped, the reproducer document is embedded
-    rather than written — so a digest computed in a pool worker merges
-    into the same summary bytes a single-process campaign produces.
-    ``portable`` selects the thread-timer deadline over the watchdog
-    (pool workers must not touch ``SIGALRM``).
+    rather than written — so a digest merges into the same summary
+    bytes whichever process computed it.
     """
     case = make_case(seed, index)
     oracles = applicable_oracles(case)
@@ -138,10 +131,9 @@ def _case_digest(
         "applicable": [o.name for o in oracles],
         "status": "clean",
     }
-    guard = deadline if portable else watchdog
     violation = hit = shrunk = None
     try:
-        with guard(case_seconds):
+        with deadline(case_seconds):
             for oracle in oracles:
                 violation = oracle.check(case)
                 if violation is not None:
@@ -186,7 +178,6 @@ def run_case_shard(payload: Dict[str, Any]) -> str:
         payload.get("case_seconds"),
         payload.get("shrink_checks", DEFAULT_BUDGET),
         payload.get("want_repro", False),
-        portable=True,
     )
     return json.dumps(digest, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -276,12 +267,12 @@ def run_campaign(
     ``progress`` an optional line sink (the CLI passes stderr printing,
     keeping stdout reserved for the deterministic summary).
 
-    ``workers > 0`` shards the cases across a supervised
-    :func:`repro.pool.run_pool`.  Case digests merge in index order,
-    so the summary (and every reproducer file) is byte-identical to
-    the single-process campaign's; a case that keeps killing workers
-    is quarantined (pool report under ``out_dir``) and listed in
-    ``summary.quarantined`` instead of aborting the campaign.
+    The cases run through :func:`repro.pool.run_pool` with
+    ``workers`` worker processes (0 = inline).  Case digests merge in
+    index order, so the summary (and every reproducer file) is
+    byte-identical at any worker count; a case that keeps failing is
+    retried, then quarantined (pool report under ``out_dir``) and
+    listed in ``summary.quarantined`` instead of aborting the campaign.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -305,31 +296,20 @@ def run_campaign(
                 "repro_fuzz_oracle_runs_total", help="oracle invocations"),
         }
 
-    if workers > 0:
-        from repro.pool import PoolConfig, run_pool
-
-        report = run_pool(
-            case_items(budget, seed, case_seconds=case_seconds,
-                       shrink_checks=shrink_checks,
-                       want_repro=out is not None),
-            run_case_shard,
-            PoolConfig(workers=workers, max_retries=max_retries),
-            quarantine_path=(str(out / "quarantine.json")
-                             if out is not None else None),
-            metrics=metrics,
-            progress=progress,
-        )
-        for index, text in enumerate(report.results):
-            if text is None:  # quarantined, not abandoned silently
-                summary.quarantined.append(index)
-                continue
-            _merge_digest(summary, json.loads(text), out, counters,
-                          progress, case_seconds)
-        return summary
-
-    for index in range(budget):
-        digest = _case_digest(seed, index, budget, case_seconds,
-                              shrink_checks, want_repro=out is not None)
-        _merge_digest(summary, digest, out, counters, progress,
-                      case_seconds)
+    report = run_pool(
+        case_items(budget, seed, case_seconds=case_seconds,
+                   shrink_checks=shrink_checks, want_repro=out is not None),
+        run_case_shard,
+        PoolConfig(workers=workers, max_retries=max_retries),
+        quarantine_path=(str(out / "quarantine.json")
+                         if out is not None else None),
+        metrics=metrics,
+        progress=progress,
+    )
+    for index, text in enumerate(report.results):
+        if text is None:  # quarantined, not abandoned silently
+            summary.quarantined.append(index)
+            continue
+        _merge_digest(summary, json.loads(text), out, counters,
+                      progress, case_seconds)
     return summary

@@ -28,7 +28,7 @@ robustness substrate built in PRs 1-6:
   even start.
 * **deterministic merge** — results are reduced in *item-index* order
   no matter which worker finished first, so the merged output of
-  ``--workers N`` is byte-identical to the serial run.  With an
+  ``--workers N`` is byte-identical to the inline run.  With an
   :class:`repro.experiments.artifacts.ArtifactStore` attached, every
   completed item is persisted incrementally (atomic write + sha256
   manifest) and ``resume=True`` skips verified items — a SIGKILLed

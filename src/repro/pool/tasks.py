@@ -19,9 +19,10 @@ from typing import Any, Dict, List, Tuple
 def render_experiment(payload: Dict[str, Any]) -> str:
     """Run one registered experiment at scaled size and render it.
 
-    Payload: ``{"exp_id": str, "seed": int}`` — the exact configuration
-    key the serial ``repro experiment --out`` sweep manifests use, so a
-    pool-produced artifact resumes a serial sweep and vice versa.
+    Payload: ``{"exp_id": str, "seed": int}``, which is also the
+    manifest config of the artifact ``repro experiment --out`` writes
+    for it (and of a shardable experiment's merged artifact), so a
+    ``--resume`` at any ``--workers`` skips it once it verifies.
     """
     from repro.experiments.registry import REGISTRY
 

@@ -36,7 +36,9 @@ class RTRunqueue:
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Task]] = []
         self._seq = itertools.count()
-        self._members: set[int] = set()
+        #: tid -> seq of the task's one live heap entry; removal is
+        #: lazy, so any other entry of that tid is stale
+        self._members: dict[int, int] = {}
         # observability: lifetime enqueue count and peak depth
         self.total_enqueued: int = 0
         self.peak_depth: int = 0
@@ -44,23 +46,19 @@ class RTRunqueue:
         self.hook = None
 
     def __len__(self) -> int:
-        live = 0
-        for _p, _s, task in self._heap:
-            if task.tid in self._members:
-                live += 1
-        return live
+        return len(self._members)
 
     def __bool__(self) -> bool:
-        self._scrub()
-        return bool(self._heap)
+        return bool(self._members)
 
     def enqueue(self, task: Task) -> None:
         if task.policy not in (SchedPolicy.FIFO, SchedPolicy.RR):
             raise ValueError(f"task {task.tid} is not RT class ({task.policy.name})")
         if task.tid in self._members:
             raise RuntimeError(f"task {task.tid} already on the RT runqueue")
-        self._members.add(task.tid)
-        heapq.heappush(self._heap, (-task.rt_priority, next(self._seq), task))
+        seq = next(self._seq)
+        self._members[task.tid] = seq
+        heapq.heappush(self._heap, (-task.rt_priority, seq, task))
         self.total_enqueued += 1
         depth = len(self._members)
         if depth > self.peak_depth:
@@ -72,7 +70,7 @@ class RTRunqueue:
         """Lazy removal (e.g. task re-classed to CFS while queued)."""
         if task.tid not in self._members:
             raise RuntimeError(f"task {task.tid} not on the RT runqueue")
-        self._members.discard(task.tid)
+        del self._members[task.tid]
 
     def pop(self) -> Optional[Task]:
         """Highest-priority, earliest-enqueued runnable RT task."""
@@ -80,7 +78,7 @@ class RTRunqueue:
         if not self._heap:
             return None
         _p, _s, task = heapq.heappop(self._heap)
-        self._members.discard(task.tid)
+        del self._members[task.tid]
         if self.hook is not None:
             self.hook.on_pick(task.tid)
         return task
@@ -94,29 +92,32 @@ class RTRunqueue:
         return None if task is None else task.rt_priority
 
     def _scrub(self) -> None:
-        heap = self._heap
-        while heap and heap[0][2].tid not in self._members:
+        heap, members = self._heap, self._members
+        while heap and members.get(heap[0][2].tid) != heap[0][1]:
             heapq.heappop(heap)
 
     def tasks(self) -> list[Task]:
         self._scrub()
-        return [t for _p, _s, t in sorted(self._heap) if t.tid in self._members]
+        members = self._members
+        return [t for _p, s, t in sorted(self._heap)
+                if members.get(t.tid) == s]
 
     # ------------------------------------------------------------------
     def validate(self, deep: bool = False) -> None:
         """Structural soundness for :mod:`repro.invariants`.
 
-        Cheap: every member tid has a heap entry and no member is
-        duplicated.  ``deep=True`` re-verifies the heap property and
-        that each live entry's priority key matches its task.  Raises
-        ``AssertionError`` on corruption.
+        Cheap: every member tid has exactly one live heap entry (the
+        one carrying its recorded seq).  ``deep=True`` re-verifies the
+        heap property and that each live entry's priority key matches
+        its task.  Raises ``AssertionError`` on corruption.
         """
+        members = self._members
         live = {}
-        for _p, _s, task in self._heap:
-            if task.tid in self._members:
+        for _p, s, task in self._heap:
+            if members.get(task.tid) == s:
                 live[task.tid] = live.get(task.tid, 0) + 1
-        assert set(live) == self._members, (
-            f"member set {sorted(self._members)} != live heap tids "
+        assert live.keys() == members.keys(), (
+            f"member set {sorted(members)} != live heap tids "
             f"{sorted(live)}"
         )
         dupes = [tid for tid, n in live.items() if n > 1]
@@ -129,8 +130,8 @@ class RTRunqueue:
             assert heap[parent][:2] <= heap[i][:2], (
                 f"heap property violated at index {i}"
             )
-        for neg_prio, _s, task in heap:
-            if task.tid in self._members:
+        for neg_prio, s, task in heap:
+            if members.get(task.tid) == s:
                 assert -neg_prio == task.rt_priority, (
                     f"task {task.tid} queued at priority {-neg_prio} but "
                     f"holds {task.rt_priority}"

@@ -21,7 +21,14 @@ Two renderings of the same event stream:
     residency);
   - process **faults** — instant events for the fault-injection and
     failure-handling lifecycle (crashes, cold-start failures, timeouts,
-    host down/up, retry backoff/exhaustion, admission sheds).
+    host down/up, retry backoff/exhaustion, admission sheds), plus
+    counters for the unhealthy-host count and the retry-budget tokens;
+  - process **platform** — per-host counters of the OpenLambda
+    invocations in flight and the warm containers cached.
+
+  Every ``gauge.*`` kind has a counter track; a per-core or per-host
+  kind gets one track per core (``runqueue.core<N>``) or host
+  (``outstanding.host<N>``).
 
 * :func:`to_jsonl_lines` — one self-describing JSON object per line
   (manifest first), for programmatic analysis with ``jq``/pandas.
@@ -46,20 +53,28 @@ PID_SFS = 2
 PID_REQUESTS = 3
 PID_POOL = 4
 PID_FAULTS = 5
+PID_PLATFORM = 6
 #: thread id of the SFS decision-instant row (after any worker row).
 SFS_QUEUE_TID = 10_000
 
 _COUNTER_GAUGES: Dict[str, tuple] = {
-    # kind -> (pid, counter name, series name)
-    ev.GAUGE_RUNNABLE: (PID_MACHINE, "runnable", "tasks"),
-    ev.GAUGE_IDLE_CORES: (PID_MACHINE, "idle_cores", "cores"),
-    ev.GAUGE_RT_QUEUE: (PID_MACHINE, "rt_queue", "tasks"),
-    ev.GAUGE_POOL: (PID_MACHINE, "cfs_pool", "tasks"),
-    ev.GAUGE_RT_RUNNING: (PID_MACHINE, "rt_running", "cores"),
-    ev.GAUGE_GLOBAL_QUEUE: (PID_SFS, "global_queue", "requests"),
-    ev.GAUGE_WATCH_LIST: (PID_SFS, "watch_list", "tasks"),
-    ev.GAUGE_BUSY_WORKERS: (PID_SFS, "busy_workers", "workers"),
-    ev.SFS_SLICE: (PID_SFS, "slice_S", "us"),
+    # kind -> (pid, counter name, series name, per-track label); a
+    # labelled kind's event ``core`` (>= 0) names its own track
+    ev.GAUGE_RUNNABLE: (PID_MACHINE, "runnable", "tasks", None),
+    ev.GAUGE_IDLE_CORES: (PID_MACHINE, "idle_cores", "cores", None),
+    ev.GAUGE_RUNQUEUE: (PID_MACHINE, "runqueue", "tasks", "core"),
+    ev.GAUGE_RT_QUEUE: (PID_MACHINE, "rt_queue", "tasks", None),
+    ev.GAUGE_POOL: (PID_MACHINE, "cfs_pool", "tasks", None),
+    ev.GAUGE_RT_RUNNING: (PID_MACHINE, "rt_running", "cores", None),
+    ev.GAUGE_GLOBAL_QUEUE: (PID_SFS, "global_queue", "requests", None),
+    ev.GAUGE_WATCH_LIST: (PID_SFS, "watch_list", "tasks", None),
+    ev.GAUGE_BUSY_WORKERS: (PID_SFS, "busy_workers", "workers", None),
+    ev.SFS_SLICE: (PID_SFS, "slice_S", "us", None),
+    ev.GAUGE_OUTSTANDING: (PID_PLATFORM, "outstanding", "invocations",
+                           "host"),
+    ev.GAUGE_KEEPALIVE: (PID_PLATFORM, "keepalive", "containers", "host"),
+    ev.GAUGE_UNHEALTHY: (PID_FAULTS, "unhealthy_hosts", "hosts", None),
+    ev.GAUGE_RETRY_TOKENS: (PID_FAULTS, "retry_tokens", "tokens", None),
 }
 
 _REQUEST_INSTANTS = (ev.TASK_BLOCK, ev.TASK_WAKE, ev.TASK_POLICY,
@@ -183,16 +198,12 @@ def to_chrome(recorder: TraceRecorder,
                 "ts": e.ts, "pid": PID_FAULTS, "tid": 0, "args": args,
             })
         elif k in _COUNTER_GAUGES:
-            pid, cname, series = _COUNTER_GAUGES[k]
+            pid, cname, series, label = _COUNTER_GAUGES[k]
+            if label is not None and e.core >= 0:
+                cname = f"{cname}.{label}{e.core}"
             out.append({
                 "name": cname, "ph": "C", "ts": e.ts, "pid": pid, "tid": 0,
                 "args": {series: e.args[0] if e.args else 0},
-            })
-        elif k == ev.GAUGE_RUNQUEUE:
-            out.append({
-                "name": f"runqueue.core{e.core}", "ph": "C", "ts": e.ts,
-                "pid": PID_MACHINE, "tid": 0,
-                "args": {"tasks": e.args[0] if e.args else 0},
             })
 
     # a drained run leaves nothing open; close defensively regardless
@@ -221,6 +232,7 @@ def to_chrome(recorder: TraceRecorder,
     _meta(PID_REQUESTS, "requests")
     _meta(PID_POOL, "cfs pool")
     _meta(PID_FAULTS, "faults")
+    _meta(PID_PLATFORM, "platform")
 
     doc = {
         "traceEvents": meta + out,

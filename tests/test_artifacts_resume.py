@@ -2,6 +2,9 @@
 
 The acceptance bar: kill a sweep mid-flight, rerun with resume, and the
 final artifact directory is byte-identical to an uninterrupted run.
+Sweeps run through :func:`repro.pool.run_pool` against an
+:class:`ArtifactStore`; the ones here run inline (``workers=0``), as
+``repro experiment --out`` does by default.
 """
 
 import json
@@ -14,27 +17,34 @@ from repro.experiments.artifacts import (
     SCHEMA,
     ArtifactStore,
     ExperimentTimeout,
-    ShardOutcome,
     atomic_write_text,
     config_digest,
     deadline,
-    run_sweep,
     watchdog,
 )
+from repro.pool import PoolConfig, run_pool
 
 
 def _cfg_for(exp_id):
     return {"exp_id": exp_id, "seed": 7}
 
 
-def _shards(calls=None):
+_IDS = ("fig2", "fig7", "fig9")
+
+
+def _produce(calls=None):
+    """An inline work function that logs which items it ran."""
     def produce(exp_id):
-        def inner():
-            if calls is not None:
-                calls.append(exp_id)
-            return f"artifact body for {exp_id}\n" * 3
-        return inner
-    return [(e, produce(e)) for e in ("fig2", "fig7", "fig9")]
+        if calls is not None:
+            calls.append(exp_id)
+        return f"artifact body for {exp_id}\n" * 3
+    return produce
+
+
+def _sweep(store, fn, ids=_IDS, **kw):
+    kw.setdefault("config_for", _cfg_for)
+    return run_pool([(exp_id, exp_id) for exp_id in ids], fn,
+                    PoolConfig(workers=0), store=store, **kw)
 
 
 def _tree_bytes(root):
@@ -196,42 +206,22 @@ def test_watchdog_delegates_off_main_thread():
 
 
 # ----------------------------------------------------------------------
-# sweeps: skip, continue-on-error, resume
+# sweeps: continue-on-error, resume (the pool's inline path)
 # ----------------------------------------------------------------------
-def test_sweep_runs_all_shards(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-    calls = []
-    outcomes = run_sweep(_shards(calls), store, _cfg_for)
-    assert [o.status for o in outcomes] == ["done"] * 3
-    assert calls == ["fig2", "fig7", "fig9"]
-    for exp_id in calls:
-        assert store.verify(exp_id, _cfg_for(exp_id))
-
-
 def test_sweep_continues_past_failures(tmp_path):
     store = ArtifactStore(str(tmp_path))
 
-    def boom():
-        raise RuntimeError("shard exploded")
+    def produce(exp_id):
+        if exp_id == "bad":
+            raise RuntimeError("shard exploded")
+        return f"{exp_id}\n"
 
-    shards = [("good", lambda: "ok\n"), ("bad", boom), ("tail", lambda: "t\n")]
-    outcomes = run_sweep(shards, store, _cfg_for)
-    assert [o.status for o in outcomes] == ["done", "failed", "done"]
-    assert "exploded" in outcomes[1].detail
+    report = _sweep(store, produce, ids=("good", "bad", "tail"))
+    assert [o.status for o in report.outcomes] == ["ok", "quarantined", "ok"]
+    assert "exploded" in report.quarantined[0].errors[-1]
     assert store.verify("tail", _cfg_for("tail"))
     assert not store.verify("bad", _cfg_for("bad"))
-
-
-def test_sweep_timeout_is_isolated(tmp_path):
-    store = ArtifactStore(str(tmp_path))
-
-    def hang():
-        time.sleep(5)
-        return "never\n"
-
-    shards = [("hung", hang), ("tail", lambda: "t\n")]
-    outcomes = run_sweep(shards, store, _cfg_for, watchdog_seconds=0.05)
-    assert [o.status for o in outcomes] == ["timeout", "done"]
+    assert os.path.exists(os.path.join(store.root, "quarantine.json"))
 
 
 def test_resume_after_midsweep_kill_is_byte_identical(tmp_path):
@@ -239,7 +229,7 @@ def test_resume_after_midsweep_kill_is_byte_identical(tmp_path):
     nastiest crash window, a written artifact with no manifest yet —
     then resume and compare against an uninterrupted sweep."""
     clean_store = ArtifactStore(str(tmp_path / "clean"))
-    run_sweep(_shards(), clean_store, _cfg_for)
+    _sweep(clean_store, _produce())
 
     crashed = ArtifactStore(str(tmp_path / "crashed"))
     # shard 1 completed before the kill
@@ -250,24 +240,27 @@ def test_resume_after_midsweep_kill_is_byte_identical(tmp_path):
     # shard 3 never started
 
     calls = []
-    outcomes = run_sweep(_shards(calls), crashed, _cfg_for, resume=True)
-    assert [o.status for o in outcomes] == ["skipped", "done", "done"]
+    report = _sweep(crashed, _produce(calls), resume=True)
+    assert [o.status for o in report.outcomes] == ["skipped", "ok", "ok"]
     assert calls == ["fig7", "fig9"]  # fig2 resumed, not recomputed
     assert _tree_bytes(crashed.root) == _tree_bytes(clean_store.root)
 
 
 def test_resume_off_recomputes_everything(tmp_path):
     store = ArtifactStore(str(tmp_path))
-    run_sweep(_shards(), store, _cfg_for)
+    _sweep(store, _produce())
     calls = []
-    outcomes = run_sweep(_shards(calls), store, _cfg_for, resume=False)
-    assert [o.status for o in outcomes] == ["done"] * 3
-    assert len(calls) == 3
+    report = _sweep(store, _produce(calls), resume=False)
+    assert [o.status for o in report.outcomes] == ["ok"] * 3
+    assert calls == list(_IDS)
 
 
 def test_sweep_progress_messages(tmp_path):
     store = ArtifactStore(str(tmp_path))
-    run_sweep(_shards(), store, _cfg_for)
     msgs = []
-    run_sweep(_shards(), store, _cfg_for, resume=True, progress=msgs.append)
-    assert any("skipping" in m for m in msgs)
+    _sweep(store, _produce(), progress=msgs.append)
+    assert msgs == [f"{exp_id}: ok (inline)" for exp_id in _IDS]
+    msgs.clear()
+    _sweep(store, _produce(), resume=True, progress=msgs.append)
+    assert msgs == [f"{exp_id}: verified artifact found, skipping"
+                    for exp_id in _IDS]

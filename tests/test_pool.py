@@ -63,14 +63,15 @@ def test_results_identical_across_worker_counts(workers):
 
 def test_store_tree_byte_identical_across_worker_counts(tmp_path):
     trees = {}
-    for workers in (1, 4):
+    for workers in (0, 1, 4):
         store = ArtifactStore(str(tmp_path / f"w{workers}"))
         report = run_pool(
             _items(6), demo_item, PoolConfig(workers=workers),
             store=store, merge_id="merged")
         assert report.merged_id == "merged"
         trees[workers] = _tree_bytes(store.root)
-    assert trees[1] == trees[4]
+    assert len(trees[0]) == 14  # 6 items + merged, each with a manifest
+    assert trees[0] == trees[1] == trees[4]
 
 
 def test_duplicate_item_ids_rejected():
@@ -303,13 +304,60 @@ def test_supervisor_sigkill_then_resume_is_byte_identical(tmp_path):
 # ----------------------------------------------------------------------
 # experiment + fuzz integration (tiny configs)
 # ----------------------------------------------------------------------
-def test_chaos_shards_render_byte_identical_to_serial():
+def _tiny_shard_configs():
+    """name -> (module, small config, the render's first words)"""
+    from repro.experiments import chaos, ext_resilience, replay_stream
+
+    return {
+        "chaos": (chaos, chaos.Config(n_requests=240, n_hosts=2,
+                                      cores_per_host=4), "chaos:"),
+        "ext_resilience": (ext_resilience, ext_resilience.Config(
+            n_requests=150, host_counts=(4,), cores_per_host=4),
+            "resilience scorecard"),
+        "replay_stream": (replay_stream, replay_stream.Config(
+            n_requests=300, n_cores=2), "streaming replay grid"),
+    }
+
+
+@pytest.mark.parametrize("name", ["chaos", "ext_resilience",
+                                  "replay_stream"])
+def test_shards_render_byte_identical_to_serial(name):
+    """Each shardable experiment: its cells, run one by one and merged
+    by ``render_shards``, render the bytes of one ``run`` + ``render``."""
+    module, cfg, heading = _tiny_shard_configs()[name]
+    serial = module.render(module.run(cfg, seed=0))
+    texts = [module.run_shard(p) for _, p in module.shards(cfg, seed=0)]
+    assert module.render_shards(texts, cfg) == serial
+    assert serial.startswith(heading)
+
+
+def test_cli_experiment_tree_identical_at_every_worker_count(
+        tmp_path, monkeypatch, capsys):
+    """``repro experiment chaos --out`` writes the same files, byte for
+    byte, inline (``--workers 0``) and on a worker process: the cell
+    artifacts, the merged artifact and every manifest."""
+    from repro.cli import main
     from repro.experiments import chaos
 
-    cfg = chaos.Config(n_requests=240, n_hosts=2, cores_per_host=4)
-    serial = chaos.render(chaos.run(cfg, seed=0))
-    texts = [chaos.run_shard(p) for _, p in chaos.shards(cfg, seed=0)]
-    assert chaos.render_shards(texts, cfg) == serial
+    _, tiny, _ = _tiny_shard_configs()["chaos"]
+    monkeypatch.setattr(chaos.Config, "scaled", classmethod(lambda cls: tiny))
+    trees = {}
+    for workers in (0, 1):
+        out = tmp_path / f"w{workers}"
+        assert main(["experiment", "chaos", "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        trees[workers] = _tree_bytes(out)
+    assert len(trees[0]) == 14  # 6 cells + merged, each with a manifest
+    assert "chaos.txt" in trees[0]
+    assert trees[0] == trees[1]
+
+
+def test_cli_chaos_kill_needs_a_worker(tmp_path, capsys):
+    from repro.cli import main
+
+    assert main(["experiment", "chaos", "--out", str(tmp_path),
+                 "--chaos-kill", "chaos.crash.sfs"]) == 2
+    assert "--chaos-kill" in capsys.readouterr().err
 
 
 def test_chaos_shard_payloads_survive_json():

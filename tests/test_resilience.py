@@ -340,18 +340,6 @@ def test_resilience_off_is_byte_identical_to_legacy():
 # ----------------------------------------------------------------------
 # the ext-resilience grid (pool-shardable scorecard)
 # ----------------------------------------------------------------------
-def test_ext_resilience_shards_render_byte_identical_to_serial():
-    from repro.experiments import ext_resilience
-
-    cfg = ext_resilience.Config(n_requests=150, host_counts=(4,),
-                                cores_per_host=4)
-    serial = ext_resilience.render(ext_resilience.run(cfg, seed=0))
-    texts = [ext_resilience.run_shard(p)
-             for _, p in ext_resilience.shards(cfg, seed=0)]
-    assert ext_resilience.render_shards(texts, cfg) == serial
-    assert "resilience scorecard" in serial
-
-
 def test_ext_resilience_shard_payloads_survive_json():
     import json as _json
 

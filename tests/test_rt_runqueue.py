@@ -79,6 +79,24 @@ def test_remove_then_reenqueue():
     assert q.pop() is t
 
 
+def test_stale_entry_stays_dead_after_reenqueue():
+    """A removed task's old heap entry, still buried behind a live
+    head, must not count again once the task re-enqueues: the task
+    queues once, behind the tasks that arrived while it was out."""
+    q = RTRunqueue()
+    a, t, b = rt_task(), rt_task(), rt_task()
+    q.enqueue(a)
+    q.enqueue(t)
+    q.remove(t)
+    q.enqueue(b)
+    q.enqueue(t)
+    assert len(q) == 3
+    q.validate(deep=True)
+    assert q.tasks() == [a, b, t]
+    assert [q.pop() for _ in range(3)] == [a, b, t]
+    assert q.pop() is None and len(q) == 0
+
+
 def test_tasks_snapshot():
     q = RTRunqueue()
     hi, lo = rt_task(prio=10), rt_task(prio=1)

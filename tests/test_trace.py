@@ -45,6 +45,28 @@ def traced_run(engine="discrete", scheduler="sfs", seed=11, **wl_kw):
     return rec, res
 
 
+def traced_cluster_run(n=60, seed=11):
+    """Two SFS hosts with keep-alive caches and a retry budget: the
+    host-labelled OpenLambda gauges plus the resilience gauges.  The
+    keep-alive is short because the sampler ticks until the last
+    cached container expires."""
+    from repro.faas.cluster import ClusterConfig, run_cluster
+    from repro.faas.coldstart import ColdStartConfig
+    from repro.faas.openlambda import OpenLambdaConfig
+    from repro.faas.resilience import ResilienceConfig, RetryBudget
+
+    rec = TraceRecorder()
+    host = OpenLambdaConfig(machine=MachineParams(n_cores=2),
+                            scheduler="sfs",
+                            coldstart=ColdStartConfig(keep_alive=200_000))
+    res = run_cluster(
+        make_workload(n=n, seed=seed),
+        ClusterConfig(n_hosts=2, host=host, resilience=ResilienceConfig(
+            retry_budget=RetryBudget())),
+        trace=rec)
+    return rec, res
+
+
 # ======================================================================
 # determinism
 # ======================================================================
@@ -172,14 +194,16 @@ def test_counters_reconcile_with_sfs_stats(engine):
 # ======================================================================
 # Chrome exporter
 # ======================================================================
-@pytest.mark.parametrize("engine", ENGINES)
-def test_chrome_schema_valid(engine):
-    rec, res = traced_run(engine=engine)
+@pytest.mark.parametrize("source", [*ENGINES, "cluster"])
+def test_chrome_schema_valid(source):
+    rec, res = (traced_cluster_run() if source == "cluster"
+                else traced_run(engine=source))
     doc = to_chrome(rec, res.manifest)
     # round-trips through JSON
     doc = json.loads(json.dumps(doc))
     assert doc["displayTimeUnit"] == "ms"
-    assert doc["metadata"]["runManifest"]["schema"] == "repro.trace/1"
+    if res.manifest is not None:  # a cluster run carries no manifest
+        assert doc["metadata"]["runManifest"]["schema"] == "repro.trace/1"
     phases = Counter()
     for e in doc["traceEvents"]:
         assert isinstance(e["ph"], str) and e["ph"]
@@ -196,6 +220,16 @@ def test_chrome_schema_valid(engine):
         assert phases[ph] > 0, f"no {ph!r} events emitted"
     # async begin/end pair up
     assert phases["b"] == phases["e"]
+    # every gauge sample of every kind (and every slice update) is one
+    # counter sample: no gauge kind goes without a track
+    counts = rec.kind_counts()
+    assert phases["C"] == counts.get(tev.SFS_SLICE, 0) + sum(
+        n for kind, n in counts.items() if kind.startswith("gauge."))
+    if source == "cluster":  # host-labelled kinds: one track per host
+        tracks = {e["name"] for e in doc["traceEvents"] if e["ph"] == "C"}
+        assert tracks == {"outstanding.host0", "outstanding.host1",
+                          "keepalive.host0", "keepalive.host1",
+                          "unhealthy_hosts", "retry_tokens"}
 
 
 def test_chrome_per_core_tracks_and_request_spans():
@@ -234,28 +268,6 @@ def test_chrome_no_truncated_spans_on_drained_run():
 # ======================================================================
 # JSONL exporter + write_trace
 # ======================================================================
-def traced_cluster_run(n=60, seed=11):
-    """Two SFS hosts with keep-alive caches and a retry budget: the
-    host-labelled OpenLambda gauges plus the resilience gauges.  The
-    keep-alive is short because the sampler ticks until the last
-    cached container expires."""
-    from repro.faas.cluster import ClusterConfig, run_cluster
-    from repro.faas.coldstart import ColdStartConfig
-    from repro.faas.openlambda import OpenLambdaConfig
-    from repro.faas.resilience import ResilienceConfig, RetryBudget
-
-    rec = TraceRecorder()
-    host = OpenLambdaConfig(machine=MachineParams(n_cores=2),
-                            scheduler="sfs",
-                            coldstart=ColdStartConfig(keep_alive=200_000))
-    res = run_cluster(
-        make_workload(n=n, seed=seed),
-        ClusterConfig(n_hosts=2, host=host, resilience=ResilienceConfig(
-            retry_budget=RetryBudget())),
-        trace=rec)
-    return rec, res
-
-
 @pytest.mark.parametrize("run", [traced_run, traced_cluster_run],
                          ids=["workload", "cluster"])
 def test_jsonl_lines_manifest_first(run):
