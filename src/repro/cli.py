@@ -669,11 +669,13 @@ def _experiment_pool_sweep(args) -> int:
     for exp_id in args.ids:
         entry = REGISTRY[exp_id]
         exp_cfg = {"exp_id": exp_id, "seed": args.seed}
-        if args.resume and store.verify(exp_id, exp_cfg):
-            n_resumed += 1
-            print(f"  [skip] {exp_id} (artifact verifies)")
-            continue
         if entry.shardable:
+            # the merged artifact is written here, not by the pool, so
+            # only here can its manifest let the whole grid be skipped
+            if args.resume and store.verify(exp_id, exp_cfg):
+                n_resumed += 1
+                print(f"  [skip] {exp_id} (artifact verifies)")
+                continue
             scaled = entry.module.Config.scaled()
             ids = []
             for item_id, payload in shardable_items(
@@ -687,37 +689,30 @@ def _experiment_pool_sweep(args) -> int:
             items.append((exp_id, {"exp_id": exp_id, "seed": args.seed}))
             configs[exp_id] = exp_cfg
 
-    report = None
-    if items:
-        report = run_pool(
-            items,
-            experiment_item,
-            PoolConfig(workers=args.workers, max_retries=args.max_retries,
-                       item_seconds=args.watchdog,
-                       chaos_kill=args.chaos_kill),
-            store=store,
-            config_for=configs.__getitem__,
-            resume=args.resume,
-            quarantine_path=args.quarantine,
-            metrics=registry,
-            progress=print,
-        )
-        result_of = dict(zip((item_id for item_id, _ in items),
-                             report.results))
-        for exp_id, (module, scaled, ids) in sharded.items():
-            texts = [result_of[i] for i in ids]
-            if all(t is not None for t in texts):
-                store.write(exp_id, module.render_shards(texts, scaled),
-                            {"exp_id": exp_id, "seed": args.seed})
+    report = run_pool(
+        items,
+        experiment_item,
+        PoolConfig(workers=args.workers, max_retries=args.max_retries,
+                   item_seconds=args.watchdog, chaos_kill=args.chaos_kill),
+        store=store,
+        config_for=configs.__getitem__,
+        resume=args.resume,
+        quarantine_path=args.quarantine,
+        metrics=registry,
+        progress=print,
+    )
+    result_of = dict(zip((item_id for item_id, _ in items), report.results))
+    for exp_id, (module, scaled, ids) in sharded.items():
+        texts = [result_of[i] for i in ids]
+        if all(t is not None for t in texts):
+            store.write(exp_id, module.render_shards(texts, scaled),
+                        {"exp_id": exp_id, "seed": args.seed})
 
     if registry is not None:
         from repro.obs.export import write_metrics
 
         write_metrics(args.metrics, registry)
         print(f"wrote {len(registry)} instruments to {args.metrics}")
-    if report is None:
-        print(f"\nsweep: nothing to do ({n_resumed} resumed)")
-        return 0
     print(f"\nsweep: {report.n_ok} ok, "
           f"{report.n_skipped + n_resumed} resumed, "
           f"{report.n_retried} retried, "
@@ -797,7 +792,8 @@ def cmd_fuzz(args) -> int:
         write_metrics(args.metrics, registry)
         print(f"wrote {len(registry)} instruments to {args.metrics}",
               file=sys.stderr)
-    return 1 if summary.findings else 0
+    # a case that kept crashing is a failure too, not a clean campaign
+    return 1 if summary.findings or summary.quarantined else 0
 
 
 def _fuzz_replay(args) -> int:

@@ -293,6 +293,23 @@ def test_cli_fuzz_finding_exits_one(monkeypatch, tmp_path, capsys):
     assert "invariant" in capsys.readouterr().out
 
 
+def test_cli_fuzz_crashing_case_exits_one(monkeypatch, capsys):
+    # a simulator bug that no oracle catches (an IndexError, say) is
+    # retried, then quarantined: the campaign must still fail
+    import repro.fuzz.campaign as campaign
+
+    def crash(seed, index):
+        raise IndexError(f"simulated bug in case {index}")
+
+    monkeypatch.setattr(campaign, "make_case", crash)
+    rc = cli.main(["fuzz", "--budget", "2", "--seed", "0",
+                   "--workers", "0"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert "quarantined case indices: [0, 1]" in captured.out
+    assert "IndexError: simulated bug in case 0" in captured.err
+
+
 def test_cli_fuzz_replay_green_corpus_exits_zero(capsys):
     paths = [str(p) for p in sorted(CORPUS_DIR.glob("*.json"))]
     assert cli.main(["fuzz", "replay"] + paths) == 0
