@@ -612,8 +612,14 @@ def cmd_experiment(args) -> int:
         print("error: --chaos-kill needs a worker process to kill "
               "(--workers N, N >= 1)", file=sys.stderr)
         return 2
+    if args.chaos_kill and not args.out:
+        print("error: --chaos-kill needs a pool sweep (--out DIR) whose "
+              "item it kills", file=sys.stderr)
+        return 2
     if args.out:
         rc = _experiment_pool_sweep(args)
+        if rc == 2:
+            return rc
     else:
         rc = 0
         for exp_id in args.ids:
@@ -665,29 +671,37 @@ def _experiment_pool_sweep(args) -> int:
     items = []
     configs = {}
     sharded = {}  # exp_id -> (module, scaled config, ordered item ids)
+    known = set()  # every item id of the sweep, resumed ones included
     n_resumed = 0
     for exp_id in args.ids:
         entry = REGISTRY[exp_id]
         exp_cfg = {"exp_id": exp_id, "seed": args.seed}
         if entry.shardable:
+            scaled = entry.module.Config.scaled()
+            shards = shardable_items(exp_id, scaled, args.seed)
+            known.update(item_id for item_id, _ in shards)
             # the merged artifact is written here, not by the pool, so
             # only here can its manifest let the whole grid be skipped
             if args.resume and store.verify(exp_id, exp_cfg):
                 n_resumed += 1
                 print(f"  [skip] {exp_id} (artifact verifies)")
                 continue
-            scaled = entry.module.Config.scaled()
             ids = []
-            for item_id, payload in shardable_items(
-                    exp_id, scaled, args.seed):
+            for item_id, payload in shards:
                 items.append((item_id, payload))
                 configs[item_id] = {"exp_id": exp_id, "shard": item_id,
                                     "seed": args.seed}
                 ids.append(item_id)
             sharded[exp_id] = (entry.module, scaled, ids)
         else:
+            known.add(exp_id)
             items.append((exp_id, {"exp_id": exp_id, "seed": args.seed}))
             configs[exp_id] = exp_cfg
+    if args.chaos_kill and args.chaos_kill not in known:
+        print(f"error: --chaos-kill {args.chaos_kill}: no such item in "
+              f"this sweep (items: {', '.join(sorted(known))})",
+              file=sys.stderr)
+        return 2
 
     report = run_pool(
         items,
@@ -985,7 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "for experiments that support them (chaos)")
     p_exp.add_argument("--chaos-kill", metavar="ITEM", default=None,
                        help="test hook: SIGKILL the worker holding ITEM "
-                            "on first dispatch (needs --workers >= 1)")
+                            "on first dispatch (needs --out and "
+                            "--workers >= 1; ITEM must be a sweep item)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_chk = sub.add_parser(

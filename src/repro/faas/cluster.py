@@ -22,6 +22,7 @@ part of our future work."  This module builds that investigation:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
@@ -34,6 +35,7 @@ from repro.metrics.collector import RunResult
 from repro.sim.engine import Simulator
 from repro.sim.task import Task
 from repro.sim.units import MS
+from repro.trace import RunManifest
 from repro.workload.spec import RequestSpec, Workload
 
 PLACEMENT_POLICIES = ("round_robin", "least_loaded", "least_work", "offload_long")
@@ -248,7 +250,10 @@ def run_cluster(workload: Workload, config: ClusterConfig,
     checker audits every host machine.  ``trace`` / ``metrics`` install
     a recorder / registry on the shared simulator; per-host gauges
     (outstanding, keep-alive occupancy) are labelled by host index.
+    The result's manifest sums the cores of every host and records the
+    :class:`ClusterConfig`.
     """
+    wall_start = time.perf_counter()
     driver = Driver(
         f"cluster[{config.placement}] scheduler={config.host.scheduler}",
         workload.meta.get("seed"), invariants, trace, metrics)
@@ -267,7 +272,17 @@ def run_cluster(workload: Workload, config: ClusterConfig,
         meta["host_speeds"] = list(config.host_speeds)
     if config.resilience is not None:
         meta["resilience"] = config.resilience.to_json()
+    scheduler = f"cluster[{config.placement}]+{config.host.scheduler}"
+    manifest = RunManifest.build(
+        run_config=config,
+        workload=workload,
+        sim=sim,
+        n_cores=sum(host.machine.n_cores for host in cluster.hosts),
+        wall_time_s=time.perf_counter() - wall_start,
+        trace=trace,
+        scheduler=scheduler,
+        engine=config.host.engine,
+    )
     return driver.result(
-        workload, cluster.hosts, cluster.faults, meta,
-        f"cluster[{config.placement}]+{config.host.scheduler}",
-        config.host.engine)
+        workload, cluster.hosts, cluster.faults, meta, scheduler,
+        config.host.engine, manifest=manifest)

@@ -33,6 +33,8 @@ class _Core:
         "run_start",
         "slice_handle",
         "completion_handle",
+        "completion_at",
+        "completion_rank",
         "throttle_handle",
         "last_tid",
         "rt_usage",
@@ -46,6 +48,10 @@ class _Core:
         self.run_start: int = 0
         self.slice_handle: Optional[EventHandle] = None
         self.completion_handle: Optional[EventHandle] = None
+        #: the running task's completion time and reserved tie-break
+        #: rank while it waits off the heap (rank 0: none waiting)
+        self.completion_at: int = 0
+        self.completion_rank: int = 0
         self.throttle_handle: Optional[EventHandle] = None
         self.last_tid: Optional[int] = None
         # RT group bandwidth accounting (sched_rt_runtime_us)
@@ -56,6 +62,7 @@ class _Core:
         if self.completion_handle is not None:
             self.completion_handle.cancel()
             self.completion_handle = None
+        self.completion_rank = 0
         self.cancel_class_timers()
 
     def cancel_class_timers(self) -> None:
@@ -311,7 +318,7 @@ class DiscreteMachine(MachineBase):
     def _start(self, core: _Core, task: Task) -> None:
         now = self.sim.now
         assert core.task is None, f"core {core.index} already running {core.task}"
-        assert core.completion_handle is None
+        assert core.completion_handle is None and not core.completion_rank
         assert core.slice_handle is None
         assert core.throttle_handle is None
         burst = task.current_burst
@@ -341,26 +348,51 @@ class DiscreteMachine(MachineBase):
         """Arm the timers of ``task``, running on ``core`` from ``lead``
         us on: its completion (unless still armed), its fair slice or RR
         quantum, and its RT throttle.  The order is the tie-break order
-        of timers that fire at one instant."""
+        of timers that fire at one instant.
+
+        The completion only reserves its rank here and goes on the heap
+        once it is due (:meth:`_push_completion`): most slices end in a
+        preemption, which would cancel it unfired."""
         sim = self.sim
-        if core.completion_handle is None:
-            core.completion_handle = sim.schedule(
-                lead + self._wall(task.burst_remaining), self._on_completion,
-                core, task)
+        if core.completion_handle is None and not core.completion_rank:
+            core.completion_at = (sim.now + lead
+                                  + self._wall(task.burst_remaining))
+            core.completion_rank = sim.reserve(1)
         policy = task.policy
         if policy is SchedPolicy.CFS:
             core.slice_handle = sim.schedule(
                 lead + core.rq.timeslice_for(task), self._on_slice_expiry,
                 core, task)
+        else:
+            if policy is SchedPolicy.RR:
+                core.slice_handle = sim.schedule(
+                    lead + self.params.rr_quantum, self._on_quantum, core,
+                    task)
+            # FIFO: runs until it blocks, finishes, is re-classed or
+            # throttled
+            budget = self._rt_budget(core)
+            if budget is not None:
+                core.throttle_handle = sim.schedule(
+                    lead + budget, self._on_rt_throttle, core, task)
+        if core.completion_rank:
+            self._push_completion(core, task)
+
+    def _push_completion(self, core: _Core, task: Task) -> None:
+        """Put the reserved completion of ``task`` on the heap if no
+        class timer of it fires first.  The completion's rank is older
+        than every class timer's, so it fires first on a tie; the class
+        timer that does fire first re-checks here when it re-arms, and
+        drops the reservation otherwise (:meth:`_Core.cancel_timers`)."""
+        at = core.completion_at
+        timer = core.slice_handle
+        if timer is not None and timer.time < at:
             return
-        if policy is SchedPolicy.RR:
-            core.slice_handle = sim.schedule(
-                lead + self.params.rr_quantum, self._on_quantum, core, task)
-        # FIFO: runs until it blocks, finishes, is re-classed or throttled
-        budget = self._rt_budget(core)
-        if budget is not None:
-            core.throttle_handle = sim.schedule(
-                lead + budget, self._on_rt_throttle, core, task)
+        timer = core.throttle_handle
+        if timer is not None and timer.time < at:
+            return
+        core.completion_handle = self.sim.schedule_ranked(
+            core.completion_rank, at, self._on_completion, core, task)
+        core.completion_rank = 0
 
     def _wall(self, service: int) -> int:
         """Wall-clock microseconds a straggler core needs for ``service``
@@ -374,9 +406,12 @@ class DiscreteMachine(MachineBase):
         that used up its burst (it ended at exactly this instant)."""
         task = core.task
         assert task is not None
-        # run_start may sit in the future while the switch cost is paid
-        elapsed = max(0, self.sim.now - core.run_start)
+        # run_start may sit in the future while the switch cost is paid;
+        # it is then kept (an unfinished switch window)
+        now = self.sim.now
+        elapsed = now - core.run_start
         if elapsed > 0:
+            core.run_start = now
             if self._speed == 1.0:
                 served = elapsed
             else:
@@ -396,8 +431,6 @@ class DiscreteMachine(MachineBase):
             elif self.params.rt_bandwidth is not None:
                 self._rt_budget(core)  # roll the period if needed
                 core.rt_usage += elapsed
-        # keep a future run_start (unfinished switch window) intact
-        core.run_start = max(core.run_start, self.sim.now)
         return task.burst_remaining == 0
 
     def _switch_out(self, core: _Core, task: Task) -> None:
@@ -430,6 +463,8 @@ class DiscreteMachine(MachineBase):
             core.slice_handle = self.sim.schedule(
                 core.rq.timeslice_for(task), self._on_slice_expiry, core, task
             )
+            if core.completion_rank:
+                self._push_completion(core, task)
 
     def _on_quantum(self, core: _Core, task: Task) -> None:
         """SCHED_RR quantum expiry: rotate among equal-priority RT tasks."""
@@ -449,6 +484,8 @@ class DiscreteMachine(MachineBase):
             core.slice_handle = self.sim.schedule(
                 self.params.rr_quantum, self._on_quantum, core, task
             )
+            if core.completion_rank:
+                self._push_completion(core, task)
 
     def _on_completion(self, core: _Core, task: Task) -> None:
         assert core.task is task

@@ -82,7 +82,7 @@ class CfsRunqueue:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._tree)
+        return self._tree._size
 
     def __contains__(self, task: Task) -> bool:
         return task.tid in self._nodes
@@ -149,23 +149,33 @@ class CfsRunqueue:
         self._refresh_min_vruntime(curr_vruntime=curr_vruntime)
 
     def _refresh_min_vruntime(self, curr_vruntime: Optional[int] = None) -> None:
-        candidates = []
-        if curr_vruntime is not None:
-            candidates.append(curr_vruntime)
-        left = self._tree.min_item()
+        """The smaller of ``curr_vruntime`` and the leftmost task's
+        vruntime, if it is ahead of ``min_vruntime``."""
+        left = self._tree._leftmost
         if left is not None:
-            candidates.append(left[1].vruntime)
-        if candidates:
-            # monotonically non-decreasing, like the kernel
-            self.min_vruntime = max(self.min_vruntime, min(candidates))
+            v = left.value.vruntime
+            if curr_vruntime is not None and curr_vruntime < v:
+                v = curr_vruntime
+        elif curr_vruntime is not None:
+            v = curr_vruntime
+        else:
+            return
+        # monotonically non-decreasing, like the kernel
+        if v > self.min_vruntime:
+            self.min_vruntime = v
 
     # ------------------------------------------------------------------
     def timeslice_for(self, task: Task, nr_extra_running: int = 1) -> int:
         """Slice for ``task`` given the queue plus ``nr_extra_running``
-        tasks currently on CPU (normally 1: the task itself)."""
-        nr = len(self._tree) + nr_extra_running
+        tasks currently on CPU (normally 1: the task itself).  This is
+        :meth:`CfsParams.timeslice` with the queue's own weight total."""
+        if nr_extra_running < 1 and self._tree._size + nr_extra_running < 1:
+            raise ValueError("nr_running must be >= 1")
+        params = self.params
         total_w = self.total_weight + nr_extra_running * NICE_0_WEIGHT
-        return self.params.timeslice(nr, task.weight, total_w)
+        share = params.sched_latency * task.weight // max(total_w, 1)
+        floor = params.min_granularity
+        return share if share > floor else floor
 
     def should_preempt(self, woken: Task, curr: Task) -> bool:
         """Wakeup preemption: does ``woken`` preempt ``curr`` now?

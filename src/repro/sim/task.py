@@ -76,6 +76,10 @@ class SchedPolicy(enum.IntEnum):
     FIFO = 2   # SCHED_FIFO
 
 
+#: consume_cpu runs at every charge; a module global is cheaper to read
+#: than an enum class attribute
+_CPU = BurstKind.CPU
+
 #: Classes that preempt CFS unconditionally.
 RT_POLICIES = (SchedPolicy.FIFO, SchedPolicy.RR)
 
@@ -227,8 +231,8 @@ class Task:
         """Charge ``amount`` us of CPU service to the current CPU burst."""
         if amount < 0:
             raise ValueError(f"negative CPU amount {amount}")
-        burst = self.current_burst
-        if burst is None or burst.kind is not BurstKind.CPU:
+        index = self.burst_index
+        if index >= len(self.bursts) or self.bursts[index].kind is not _CPU:
             raise RuntimeError(f"task {self.tid} is not in a CPU burst")
         if amount > self.burst_remaining:
             raise RuntimeError(

@@ -75,8 +75,11 @@ class RunManifest:
         n_cores: int,
         wall_time_s: float,
         trace: Any = None,
+        scheduler: Optional[str] = None,
+        engine: Optional[str] = None,
     ) -> "RunManifest":
-        """Assemble a manifest from the live objects of one run."""
+        """Assemble a manifest from the live objects of one run;
+        ``scheduler`` and ``engine`` default to ``run_config``'s."""
         from repro import __version__  # deferred: repro imports this module
 
         meta = dict(getattr(workload, "meta", {}) or {})
@@ -85,8 +88,8 @@ class RunManifest:
             schema=SCHEMA,
             version=__version__,
             created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            scheduler=run_config.scheduler,
-            engine=run_config.engine,
+            scheduler=scheduler or run_config.scheduler,
+            engine=engine or run_config.engine,
             n_cores=n_cores,
             n_requests=len(workload),
             seed=seed if isinstance(seed, int) else None,

@@ -53,8 +53,9 @@ def test_resume_without_stored_checkpoint_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("schema", ["repro.stream/1", "repro.stream/2",
                                     "repro.stream/3", "repro.stream/4",
-                                    "repro.stream/5", "repro.stream/6"],
-                         ids=["v1", "v2", "v3", "v4", "v5", "v6"])
+                                    "repro.stream/5", "repro.stream/6",
+                                    "repro.stream/7"],
+                         ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7"])
 def test_resume_of_older_checkpoint_schema_exits_2(tmp_path, capsys, schema):
     ckpt = tmp_path / "ckpt"
     args = BASE + ["--checkpoint-dir", str(ckpt), "--checkpoint-every", "5",

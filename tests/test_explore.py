@@ -59,6 +59,24 @@ def test_bundle_provenance_strips_wall_clock(sfs_bundle):
     assert prov["scheduler"] == "sfs"  # run physics stays
 
 
+def test_cluster_bundle_has_provenance():
+    from repro.faas.cluster import ClusterConfig, run_cluster
+    from repro.faas.openlambda import OpenLambdaConfig
+    from repro.trace import TraceRecorder
+
+    recorder = TraceRecorder()
+    host = OpenLambdaConfig(machine=MachineParams(n_cores=2),
+                            scheduler="sfs")
+    result = run_cluster(_workload(n=60, cores=4),
+                         ClusterConfig(n_hosts=2, host=host), trace=recorder)
+    prov = RunBundle.capture(result, recorder).data["provenance"]
+    assert prov["scheduler"] == "cluster[least_loaded]+sfs"
+    assert prov["n_cores"] == 4  # summed over the hosts
+    assert prov["config"]["n_hosts"] == 2
+    assert prov["n_requests"] == 60
+    assert "created_at" not in prov
+
+
 def test_bundle_roundtrip_file_and_dir(tmp_path, sfs_bundle):
     saved = sfs_bundle.save(tmp_path / "run" / "bundle.json")
     assert saved.read_text() == sfs_bundle.to_json()

@@ -221,7 +221,7 @@ RUNS: Dict[str, Callable[[], Dict[str, str]]] = {
 GOLDEN: Dict[str, Dict[str, str]] = {
     'cluster-exactly-once-outage-hedge': {
         'bundle':
-            'e077b1c60bcdada2ca3a4f2d8dc6c5ed77192c1d110979a061a10284ae28a157',
+            '85b4a99d204b58b6430d3f45fd402d7e4eb8448493c033e51380c39e6df825c9',
         'metrics':
             '705d3c18224e6f88247e2569f1c9e4f7273805b31b3e615273621e0c9d1d7acc',
         'trace':
@@ -255,7 +255,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
     },
     'coverage-cluster-host-lost': {
         'bundle':
-            '1196e2005da1db16ce69f763a2a51f99c191155812e09ad0173dd255761700f6',
+            '1c21f953eaded68edf5463617719b8faab61556a2337f71d5f03a9164d85110a',
         'metrics':
             '4231f5d929f5a87b436758a0db61c25652f83db84cd361787d9e187c193657d9',
         'trace':
@@ -265,7 +265,7 @@ GOLDEN: Dict[str, Dict[str, str]] = {
     },
     'coverage-cluster-retry-budget': {
         'bundle':
-            '0580028ec770c62a1953cc2f3154f49eb85a3c7905430a93e1951dc11724f7bd',
+            '675761fb62bada44e617d94e1f0fd26a4d1e93f4e08fe3fbbcc0182e60fd7c02',
         'metrics':
             'c9fadc1d83957ad8b3ed8b9af6736e556b21bfdf06712e089d6da825efb523f4',
         'trace':

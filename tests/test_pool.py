@@ -361,6 +361,32 @@ def test_cli_chaos_kill_needs_a_worker(tmp_path, capsys):
     assert "--chaos-kill" in capsys.readouterr().err
 
 
+def test_cli_chaos_kill_needs_an_out_sweep(capsys):
+    """Without --out no pool runs, so there is no worker to kill."""
+    from repro.cli import main
+
+    assert main(["experiment", "table1", "--workers", "1",
+                 "--chaos-kill", "table1"]) == 2
+    captured = capsys.readouterr()
+    assert "--out" in captured.err
+    assert "===" not in captured.out  # nothing ran
+
+
+def test_cli_chaos_kill_of_no_sweep_item_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    from repro.cli import main
+    from repro.experiments import chaos
+
+    _, tiny, _ = _tiny_shard_configs()["chaos"]
+    monkeypatch.setattr(chaos.Config, "scaled", classmethod(lambda cls: tiny))
+    out = tmp_path / "out"
+    assert main(["experiment", "chaos", "--out", str(out), "--workers", "1",
+                 "--chaos-kill", "nosuch"]) == 2
+    err = capsys.readouterr().err
+    assert "nosuch" in err and "chaos.crash.sfs" in err
+    assert not out.exists() or not any(out.iterdir())  # nothing ran
+
+
 def test_chaos_shard_payloads_survive_json():
     """Quarantined chaos cells must replay from the JSON report."""
     from repro.experiments import chaos

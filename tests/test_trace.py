@@ -202,8 +202,7 @@ def test_chrome_schema_valid(source):
     # round-trips through JSON
     doc = json.loads(json.dumps(doc))
     assert doc["displayTimeUnit"] == "ms"
-    if res.manifest is not None:  # a cluster run carries no manifest
-        assert doc["metadata"]["runManifest"]["schema"] == "repro.trace/1"
+    assert doc["metadata"]["runManifest"]["schema"] == "repro.trace/1"
     phases = Counter()
     for e in doc["traceEvents"]:
         assert isinstance(e["ph"], str) and e["ph"]
@@ -273,11 +272,16 @@ def test_chrome_no_truncated_spans_on_drained_run():
 def test_jsonl_lines_manifest_first(run):
     rec, res = run(n=60)
     lines = list(to_jsonl_lines(rec, res.manifest))
-    if run is traced_run:  # a cluster run carries no manifest
-        head = json.loads(lines.pop(0))
-        assert head["type"] == "manifest"
+    head = json.loads(lines.pop(0))
+    assert head["type"] == "manifest"
+    assert head["scheduler"] == res.scheduler
+    assert head["seed"] == 11
+    if run is traced_cluster_run:  # cores summed over the two hosts
+        assert head["scheduler"] == "cluster[least_loaded]+sfs"
+        assert head["n_cores"] == 4
+        assert head["config"]["n_hosts"] == 2
+    else:
         assert head["scheduler"] == "sfs"
-        assert head["seed"] == 11
     assert len(lines) == len(rec.events) == len(rec)
     assert sum(rec.kind_counts().values()) == len(rec)
     kinds = Counter()
