@@ -1,11 +1,12 @@
 """Pins of the discrete engine's per-core timers: completion, fair slice,
 RR quantum and RT throttle.
 
-Every CPU burst, arrival, I/O wait, slice, quantum, switch cost and
-throttle window below is a whole number of milliseconds, so a burst's
-completion keeps landing on the very instant of a slice expiry, a
-quantum rotation, a throttle or a wakeup; at such an instant the order
-of the timers decides who runs next.  Each variant adds one mechanism
+Every CPU burst, arrival, I/O wait, quantum, switch cost and throttle
+window below is a whole number of milliseconds, as is the fair slice
+(24 ms / n, at least 3 ms) of n runnable tasks for every n but 5 and
+7, so a burst's completion keeps landing on the very instant of a
+slice expiry, a quantum rotation, a throttle or a wakeup; at such an
+instant the order of the timers decides who runs next.  Each variant adds one mechanism
 that moves or replaces a running task's timers:
 
 * ``cfs``: fair slices and I/O wakeup preemption;
