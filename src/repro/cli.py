@@ -986,8 +986,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "tree); without --out, the fan-out of "
                             "experiments that support it")
     p_exp.add_argument("--max-retries", type=int, default=2, metavar="N",
-                       help="--out: retries per failed item before "
-                            "quarantine (default: %(default)s)")
+                       help="--out: retries of an item whose worker "
+                            "died or whose --watchdog fired, before "
+                            "quarantine; an item that raises is "
+                            "quarantined at once (default: %(default)s)")
     p_exp.add_argument("--quarantine", metavar="PATH",
                        help="--out: quarantine report path "
                             "(default: OUT/quarantine.json)")

@@ -144,11 +144,13 @@ def watchdog(seconds: Optional[float]) -> Iterator[None]:
     """Bound the enclosed block to ``seconds`` of wall time.
 
     In the single-process case — main thread, platform with
-    ``SIGALRM`` — it uses ``setitimer``, whose delivery does not depend
-    on the interpreter reaching a bytecode boundary.  Everywhere else
-    (worker threads, :mod:`repro.pool` children) it delegates to the
-    portable :func:`deadline` thread-timer.  ``None`` or 0 disables
-    the watchdog.
+    ``SIGALRM`` — it uses ``setitimer``.  CPython still runs the
+    Python handler only between bytecodes, just as :func:`deadline`'s
+    exception lands; the gain is that the signal interrupts a blocking
+    system call (a sleep, a read), which the thread timer waits out.
+    Everywhere else (worker threads, :mod:`repro.pool` children) it
+    delegates to the portable :func:`deadline` thread-timer.  ``None``
+    or 0 disables the watchdog.
     """
     if not seconds:
         yield

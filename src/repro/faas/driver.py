@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.predictive import PredictiveSFS
@@ -41,7 +42,6 @@ from repro.invariants.checker import resolve_checker
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
 from repro.metrics.collector import RunResult, build_records
-from repro.sched.ideal import IdealMachine
 from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import SchedPolicy, Task
@@ -52,7 +52,8 @@ from repro.workload.spec import RequestSpec, Workload
 #: machine replacing the engine or None, the user-space layer or None).
 #: SFS and its size-based variant spawn in CFS and promote functions
 #: themselves; the clairvoyant srtf/ideal oracles are whole machines
-#: and serve as comparison baselines only.
+#: and serve as comparison baselines only (IDEAL is SRTF with a core
+#: for every runnable task).
 SCHEDULER_TABLE = {
     "cfs": (SchedPolicy.CFS, None, None),
     "fifo": (SchedPolicy.FIFO, None, None),
@@ -60,7 +61,7 @@ SCHEDULER_TABLE = {
     "sfs": (SchedPolicy.CFS, None, SFS),
     "predictive": (SchedPolicy.CFS, None, PredictiveSFS),
     "srtf": (SchedPolicy.CFS, SRTFMachine, None),
-    "ideal": (SchedPolicy.CFS, IdealMachine, None),
+    "ideal": (SchedPolicy.CFS, partial(SRTFMachine, unbounded=True), None),
 }
 SCHEDULERS = tuple(SCHEDULER_TABLE)
 #: the schedulers that run on an engine (the streaming replay's choices)

@@ -76,7 +76,7 @@ class CampaignSummary:
     applicable: Dict[str, int] = field(default_factory=dict)
     findings: List[Finding] = field(default_factory=list)
     timeouts: List[int] = field(default_factory=list)
-    #: case indices the pool quarantined (kept failing or crashing
+    #: case indices the pool quarantined (raised, or kept crashing
     #: workers even after retries)
     quarantined: List[int] = field(default_factory=list)
 
@@ -270,9 +270,10 @@ def run_campaign(
     The cases run through :func:`repro.pool.run_pool` with
     ``workers`` worker processes (0 = inline).  Case digests merge in
     index order, so the summary (and every reproducer file) is
-    byte-identical at any worker count; a case that keeps failing is
-    retried, then quarantined (pool report under ``out_dir``) and
-    listed in ``summary.quarantined`` instead of aborting the campaign.
+    byte-identical at any worker count; a case that raises (or keeps
+    crashing its worker through the retries) is quarantined (pool
+    report under ``out_dir``) and listed in ``summary.quarantined``
+    instead of aborting the campaign.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")

@@ -12,13 +12,16 @@ robustness substrate built in PRs 1-6:
   :func:`repro.experiments.artifacts.deadline` inside the worker (no
   ``SIGALRM`` in children), with an optional supervisor-side hard kill
   (``kill_seconds``) as the backstop the in-process timer cannot give.
-* **bounded retries with decorrelated jitter** — a failed item is
-  retried up to ``max_retries`` times, backing off via the exact
+* **bounded retries with decorrelated jitter** — an item whose worker
+  died or whose deadline passed is retried up to ``max_retries``
+  times, backing off via the exact
   :class:`repro.faults.policy.RetryPolicy` recurrence the simulated
   platform uses: the delay is a pure function of ``(seed, index,
   attempt)``, so two supervisors retrying the same item back off
-  identically.
-* **quarantine, not abort** — an item that keeps failing is set aside
+  identically.  An item whose work function raised is not retried:
+  every item is a pure function of its payload, so it would fail the
+  same way again.
+* **quarantine, not abort** — a failed item that is not retried is set aside
   into a replayable JSON report (schema ``repro.pool/1``) and the
   campaign keeps going; ``repro pool replay`` re-runs the poisoned
   items serially under a debugger-friendly single process.
@@ -83,7 +86,8 @@ class PoolConfig:
     #: worker processes; 0 = inline serial execution in this process
     #: (same retry/quarantine semantics, no multiprocessing)
     workers: int = 1
-    #: re-executions allowed after an item's first failure
+    #: re-executions allowed after an item's worker died or its
+    #: deadline passed (an item that raised is never retried)
     max_retries: int = 2
     #: per-item wall-clock bound enforced *inside* the worker via the
     #: portable thread-timer deadline (None = unbounded)
@@ -324,7 +328,7 @@ class _Run:
                 help="pool item retries scheduled")
             self.c_quarantined = metrics.counter(
                 "repro_pool_items_quarantined_total",
-                help="pool items quarantined after max_retries")
+                help="pool items quarantined")
             self.g_hb_age = metrics.gauge(
                 "repro_pool_heartbeat_age_seconds",
                 help="oldest busy-worker heartbeat age", unit="s")
@@ -347,17 +351,19 @@ class _Run:
         self.outcomes[index] = ItemOutcome(it.item_id, index, "skipped")
         self.say(f"{it.item_id}: verified artifact found, skipping")
 
-    def fail(self, index: int, message: str) -> Optional[float]:
+    def fail(self, index: int, message: str,
+             retry: bool = True) -> Optional[float]:
         """Record one failed attempt; returns the retry delay in
         seconds, or None when the item is now quarantined.
 
         ``attempts`` counts executions *started* (incremented at
-        dispatch), so an item is quarantined once ``1 + max_retries``
-        executions have all failed.
+        dispatch), so a retried item is quarantined once
+        ``1 + max_retries`` executions have all failed; ``retry=False``
+        (the work function raised) quarantines it at once.
         """
         self.errors[index].append(message)
         it = self.items[index]
-        if self.attempts[index] <= self.cfg.max_retries:
+        if retry and self.attempts[index] <= self.cfg.max_retries:
             self.n_retried += 1
             if self.c_retried is not None:
                 self.c_retried.inc()
@@ -405,10 +411,8 @@ def _run_serial(run: _Run, fn: Callable[[Any], Any], todo: List[int]) -> None:
                 pending.insert(0, index)
             continue
         except Exception as exc:  # noqa: BLE001 - continue the campaign
-            delay = run.fail(index, f"exception: {type(exc).__name__}: {exc}")
-            if delay is not None:
-                time.sleep(delay)
-                pending.insert(0, index)
+            run.fail(index, f"exception: {type(exc).__name__}: {exc}",
+                     retry=False)
             continue
         run.ok(index, result)
 
@@ -497,12 +501,13 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
         slot.task_q.put(("run", index, it.item_id, it.payload,
                          run.take_chaos_kill(index)))
 
-    def fail_assigned(slot_id: int, message: str) -> None:
+    def fail_assigned(slot_id: int, message: str,
+                      retry: bool = True) -> None:
         slot = slots[slot_id]
         index, slot.assigned = slot.assigned, None
         if index is None or run.outcomes[index] is not None:
             return
-        delay = run.fail(index, message)
+        delay = run.fail(index, message, retry)
         if delay is not None:
             heapq.heappush(ready, (time.monotonic() + delay, index))
 
@@ -528,7 +533,8 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                     if slot.assigned != index:
                         continue  # stale report from a replaced worker
                     slot.last_seen = time.monotonic()
-                    fail_assigned(slot_id, f"{msg[3]}: {msg[4]}")
+                    fail_assigned(slot_id, f"{msg[3]}: {msg[4]}",
+                                  retry=msg[3] != "exception")
 
             # -- liveness: dead, silent, or overdue workers ------------
             now = time.monotonic()

@@ -9,8 +9,8 @@ This package implements the OS-level substrates the paper builds on:
 * :mod:`repro.sched.rt` — the POSIX real-time classes ``SCHED_FIFO``
   and ``SCHED_RR`` which preempt CFS unconditionally.
 * :mod:`repro.sched.srtf` — the offline Shortest-Remaining-Time-First
-  oracle the paper compares against.
-* :mod:`repro.sched.ideal` — the zero-contention IDEAL baseline.
+  oracle the paper compares against; on unbounded cores it is the
+  zero-contention IDEAL baseline.
 """
 
 from repro.sched.cfs import CfsParams, CfsRunqueue

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Optional
 
 from repro.machine.base import MachineBase, MachineParams
@@ -28,13 +29,17 @@ from repro.trace import events as tev
 
 
 class SRTFMachine(MachineBase):
-    """Clairvoyant preemptive shortest-remaining-time-first on c cores."""
+    """Clairvoyant preemptive shortest-remaining-time-first on c cores
+    (``unbounded``: on as many cores as there are runnable tasks)."""
 
-    def __init__(self, sim: Simulator, params: Optional[MachineParams] = None):
+    def __init__(self, sim: Simulator, params: Optional[MachineParams] = None,
+                 unbounded: bool = False):
         super().__init__(sim, params)
         self._ready: list[tuple[int, int, Task]] = []  # (cpu_remaining, seq, task)
         self._running: dict[int, Task] = {}
         self._seq = itertools.count()
+        #: how many tasks may run at once
+        self._limit = math.inf if unbounded else self.n_cores
 
     # ------------------------------------------------------------------
     def set_policy(self, task: Task, policy: SchedPolicy, rt_priority: int = 1) -> None:
@@ -54,6 +59,8 @@ class SRTFMachine(MachineBase):
         return True
 
     def idle_cores(self) -> int:
+        if self._limit == math.inf:  # a core per runnable task: none idles
+            return 0
         return self.n_cores - len(self._running)
 
     def runnable_count(self) -> int:
@@ -72,7 +79,7 @@ class SRTFMachine(MachineBase):
 
     def _enqueue(self, task: Task, wakeup: bool) -> None:
         """A task became runnable: run it now, preempt, or queue."""
-        if len(self._running) < self.n_cores:
+        if len(self._running) < self._limit:
             self._start(task)
             return
         victim = max(self._running.values(), key=self._live_remaining)
@@ -111,7 +118,7 @@ class SRTFMachine(MachineBase):
 
     def _fill_cores(self) -> None:
         self._scrub()
-        while self._ready and len(self._running) < self.n_cores:
+        while self._ready and len(self._running) < self._limit:
             _rem, _seq, task = heapq.heappop(self._ready)
             self._start(task)
 

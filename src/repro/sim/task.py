@@ -136,7 +136,7 @@ class Task:
     # and lifetimes: docs/architecture.md §3).  The class is slotted, so
     # writing an undeclared attribute raises AttributeError. ----------
     since: int = 0                           # base: READY since, run start
-    timer: Optional[EventHandle] = None      # base: I/O wake, burst/task end
+    timer: Optional[EventHandle] = None      # base: I/O wake, burst end
     core: int = -1                           # discrete: rq core, run core
     last_core: int = -1                      # discrete: last run core
     svc_residue: float = 0.0                 # discrete: straggler service
@@ -145,8 +145,6 @@ class Task:
     pool_cs: float = 0.0                     # fluid: switch rate at entry
     cs_residue: float = 0.0                  # fluid: fractional switches
     slot: int = -1                           # fluid, traced: trace core
-    step: int = 0                            # IDEAL, traced: burst index
-    step_handle: Optional[EventHandle] = None  # IDEAL, traced: burst end
     eevdf_deadline: Optional[int] = None     # EEVDF: virtual deadline
 
     def __post_init__(self) -> None:

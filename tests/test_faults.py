@@ -1,6 +1,7 @@
 """Fault injection, retries and graceful degradation (repro.faults)."""
 
 import dataclasses
+from functools import partial
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
 from repro.metrics.faults import fault_summary
-from repro.sched.ideal import IdealMachine
 from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import Burst, BurstKind, SchedPolicy, Task, TaskState
@@ -176,7 +176,7 @@ ENGINES = {
     "fluid": FluidMachine,
     "discrete": DiscreteMachine,
     "srtf": SRTFMachine,
-    "ideal": IdealMachine,
+    "ideal": partial(SRTFMachine, unbounded=True),
 }
 
 

@@ -295,7 +295,7 @@ def test_cli_fuzz_finding_exits_one(monkeypatch, tmp_path, capsys):
 
 def test_cli_fuzz_crashing_case_exits_one(monkeypatch, capsys):
     # a simulator bug that no oracle catches (an IndexError, say) is
-    # retried, then quarantined: the campaign must still fail
+    # quarantined: the campaign must still fail
     import repro.fuzz.campaign as campaign
 
     def crash(seed, index):

@@ -1,12 +1,13 @@
 """Edge cases across machine engines: switch costs, params, accounting."""
 
+from functools import partial
+
 import pytest
 
 from conftest import make_cpu_task, make_io_task
 from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
-from repro.sched.ideal import IdealMachine
 from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import Burst, BurstKind, SchedPolicy, Task
@@ -94,7 +95,9 @@ def test_engines_agree_with_switch_cost():
 # ----------------------------------------------------------------------
 # burst-shape edge cases (every machine shares MachineBase's lifecycle)
 # ----------------------------------------------------------------------
-MACHINES = [DiscreteMachine, FluidMachine, SRTFMachine, IdealMachine]
+MACHINES = [DiscreteMachine, FluidMachine, SRTFMachine,
+            pytest.param(partial(SRTFMachine, unbounded=True),
+                         id="IdealMachine")]
 
 
 @pytest.mark.parametrize("engine_cls", MACHINES)
@@ -157,8 +160,7 @@ def test_many_alternating_bursts(engine_cls):
     assert t.cpu_time == 25 * MS
     assert t.io_time == 15 * MS
     assert t.turnaround == 40 * MS
-    if engine_cls is not IdealMachine:  # IDEAL never switches
-        assert t.ctx_voluntary == 5  # one per I/O block
+    assert t.ctx_voluntary == 5  # one per I/O block
 
 
 @pytest.mark.parametrize("engine_cls", MACHINES)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import make_cpu_task, make_io_task, quick_run, small_workload
+from repro.experiments.runner import RunConfig, run_workload
 from repro.machine.base import MachineParams
-from repro.sched.ideal import IdealMachine
 from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import SchedPolicy
 from repro.sim.units import MS
+from repro.why import AuditLog
+from repro.workload.faasbench import FaaSBench, FaaSBenchConfig
 
 
 def test_srtf_prefers_shortest(sim):
@@ -88,7 +90,7 @@ def test_srtf_ignores_set_policy(sim):
 
 
 def test_ideal_turnaround_equals_demand(sim):
-    m = IdealMachine(sim)
+    m = SRTFMachine(sim, unbounded=True)
     tasks = [make_cpu_task(d * MS) for d in (5, 50, 500)]
     tasks.append(make_io_task(20 * MS, 30 * MS))
     for t in tasks:
@@ -102,13 +104,30 @@ def test_ideal_turnaround_equals_demand(sim):
 
 
 def test_ideal_unbounded_parallelism(sim):
-    m = IdealMachine(sim)
+    m = SRTFMachine(sim, unbounded=True)
     tasks = [make_cpu_task(100 * MS) for _ in range(500)]
     for t in tasks:
         m.spawn(t)
     sim.run()
-    assert sim.now == 100 * MS  # all 500 in parallel
-    assert m.peak_parallelism == 500
+    # all 500 in parallel on a 12-core host: none waits or is preempted
+    for t in tasks:
+        assert t.finish_time == 100 * MS
+        assert t.wait_time == 0
+        assert t.ctx_involuntary == 0
+    assert m.idle_cores() == 0 and m.runnable_count() == 0
+
+
+def test_ideal_bare_and_audited_runs_execute_the_same_events():
+    # IDEAL steps every burst whether or not a probe is live, so an
+    # audit (or trace) changes no event and no record
+    wl = FaaSBench(FaaSBenchConfig(n_requests=400, n_cores=8,
+                                   io_fraction=0.3), seed=3).generate()
+    cfg = RunConfig(scheduler="ideal", machine=MachineParams(n_cores=8))
+    bare = run_workload(wl, cfg)
+    audited = run_workload(wl, cfg, audit=AuditLog())
+    assert bare.manifest.events_executed == audited.manifest.events_executed
+    assert bare.records == audited.records
+    assert all(r.wait_time == 0 for r in bare.records)
 
 
 def test_ideal_lower_bounds_everyone():

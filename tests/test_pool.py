@@ -175,14 +175,19 @@ def test_worker_killed_every_attempt_is_quarantined(tmp_path):
 # ----------------------------------------------------------------------
 # quarantine: poison isolated, report replayable, merged withheld
 # ----------------------------------------------------------------------
-def test_poison_item_quarantined_and_replayable(tmp_path):
+@pytest.mark.parametrize("workers", [0, 2])
+def test_poison_item_quarantined_and_replayable(tmp_path, workers):
     store = ArtifactStore(str(tmp_path))
     items = _items(3) + [("bad", {"name": "bad", "fail": True})]
     report = run_pool(
-        items, demo_item, PoolConfig(workers=2, max_retries=2),
+        items, demo_item, PoolConfig(workers=workers, max_retries=2),
         store=store, merge_id="merged")
     assert [o.item_id for o in report.quarantined] == ["bad"]
-    assert report.quarantined[0].attempts == 3
+    # a pure function of its payload raises again: no retry, no backoff
+    assert report.quarantined[0].attempts == 1
+    assert report.quarantined[0].errors == [
+        "exception: RuntimeError: poisoned item bad"]
+    assert report.n_retried == 0
     assert report.merged_id is None  # incomplete sweeps never merge
     q_path = os.path.join(store.root, "quarantine.json")
     assert report.quarantine_path == q_path

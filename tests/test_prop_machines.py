@@ -1,6 +1,8 @@
 """Property-based tests: invariants every engine must satisfy on
 arbitrary small workloads."""
 
+from functools import partial
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from repro.core.sfs import SFS
 from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
-from repro.sched.ideal import IdealMachine
 from repro.sched.srtf import SRTFMachine
 from repro.sim.engine import Simulator
 from repro.sim.task import Burst, BurstKind, SchedPolicy, Task
@@ -51,7 +52,7 @@ def run_machine(engine, items, cores, policy=SchedPolicy.CFS, sfs=False):
         "discrete": DiscreteMachine,
         "fluid": FluidMachine,
         "srtf": SRTFMachine,
-        "ideal": IdealMachine,
+        "ideal": partial(SRTFMachine, unbounded=True),
     }[engine]
     m = cls(sim, MachineParams(n_cores=cores))
     layer = SFS(m, SFSConfig()) if sfs else None

@@ -131,7 +131,7 @@ def test_checkpoint_manifest_contents(tmp_path):
     d = _driver(checkpointer=store, checkpoint_every=10 * SEC)
     d.run(until=25 * SEC)
     m = store.manifest()
-    assert m["schema"] == "repro.stream/8"
+    assert m["schema"] == "repro.stream/9"
     assert m["virtual_time_us"] == 20 * SEC
     assert m["requests_done"] <= d.done
     assert m["config_digest"]
