@@ -22,9 +22,11 @@ The subcommands cover the common flows without writing Python::
 duration/RTE summary; both accept ``--trace PATH`` to also capture the
 structured event stream (Chrome trace-event JSON for ``.json`` paths —
 open in ui.perfetto.dev — or JSONL for ``.jsonl``).  ``trace`` is the
-capture-first spelling of ``run``; ``experiment`` executes registry
-entries at their scaled configurations and prints the rendered paper
-artifact.
+capture-first spelling of ``run``; ``experiment`` runs registry
+entries at their scaled configurations as one supervised pool sweep
+(``--workers N`` processes, 0 = inline) and prints each rendered paper
+artifact, or with ``--out DIR`` writes them as artifacts with
+manifests; the output is the same bytes at every worker count.
 """
 
 from __future__ import annotations
@@ -504,16 +506,10 @@ def cmd_why(args) -> int:
     else:
         from repro.trace import TraceRecorder
 
-        machine = MachineParams(n_cores=args.cores,
-                                ctx_switch_cost=args.ctx_cost)
-        cfg = RunConfig(scheduler=args.scheduler, engine=args.engine,
-                        machine=machine,
-                        invariants=getattr(args, "invariants", None),
-                        **_fault_config(args))
         recorder = TraceRecorder(gauge_interval=args.gauge_interval)
         audit = AuditLog()
-        res = run_workload(_workload(args), cfg, trace=recorder,
-                           audit=audit)
+        res = _run(args, args.scheduler, trace_path=args.trace,
+                   recorder=recorder, audit=audit)
         timelines = build_timelines(res.records, recorder, audit=audit)
         # embed every request when a specific one is asked for, so the
         # drill-down never misses; aggregates are identical either way
@@ -612,24 +608,8 @@ def cmd_experiment(args) -> int:
         print("error: --chaos-kill needs a worker process to kill "
               "(--workers N, N >= 1)", file=sys.stderr)
         return 2
-    if args.chaos_kill and not args.out:
-        print("error: --chaos-kill needs a pool sweep (--out DIR) whose "
-              "item it kills", file=sys.stderr)
-        return 2
-    if args.out:
-        rc = _experiment_pool_sweep(args)
-        if rc == 2:
-            return rc
-    else:
-        rc = 0
-        for exp_id in args.ids:
-            entry = REGISTRY[exp_id]
-            t0 = time.time()
-            result = entry.run_scaled(seed=args.seed, workers=args.workers)
-            print(f"\n=== {exp_id}: {entry.title} "
-                  f"({time.time() - t0:.1f}s) ===")
-            print(entry.render(result))
-    if args.explore_points:
+    rc = _experiment_sweep(args)
+    if rc != 2 and args.explore_points:
         _emit_point_explorers(args)
     return rc
 
@@ -645,22 +625,33 @@ def _emit_point_explorers(args) -> None:
         paths = module.emit_explorers(
             args.explore_points, module.Config.scaled(), seed=args.seed)
         print(f"{exp_id}: wrote {len(paths)} explorer page(s) to "
-              f"{args.explore_points}")
+              f"{args.explore_points}", file=sys.stderr)
 
 
-def _experiment_pool_sweep(args) -> int:
-    """``--out DIR`` sweep: cell-granular pool items for shardable
-    experiments (e.g. every chaos grid cell), whole-experiment items
-    otherwise, all under one :func:`repro.pool.run_pool` call with
-    ``--workers`` processes (0 = inline).  Each merged artifact's
-    manifest config is ``{"exp_id", "seed"}``, and the tree is the same
-    bytes at every worker count.
+def _experiment_sweep(args) -> int:
+    """Every requested experiment under one :func:`repro.pool.run_pool`
+    call with ``--workers`` processes (0 = inline): a shardable
+    experiment contributes one item per shard (e.g. every chaos grid
+    cell), any other one a single whole-experiment item.
+
+    Without ``--out`` each complete experiment's text is printed in id
+    order; with it, every item lands in the artifact store and each
+    shardable experiment's merged artifact is written with the manifest
+    config ``{"exp_id", "seed"}``.  Progress and the sweep summary go to
+    stderr, so stdout and the tree are the same bytes at every worker
+    count.
     """
-    from repro.experiments.artifacts import ArtifactStore
     from repro.pool import PoolConfig, run_pool
     from repro.pool.tasks import experiment_item, shardable_items
 
-    store = ArtifactStore(args.out)
+    def say(line: str) -> None:
+        print(line, file=sys.stderr)
+
+    store = None
+    if args.out:
+        from repro.experiments.artifacts import ArtifactStore
+
+        store = ArtifactStore(args.out)
     registry = None
     if args.metrics:
         from repro.obs import MetricsRegistry
@@ -670,33 +661,32 @@ def _experiment_pool_sweep(args) -> int:
 
     items = []
     configs = {}
-    sharded = {}  # exp_id -> (module, scaled config, ordered item ids)
+    parts = {}  # exp_id -> (scaled config if shardable, ordered item ids)
     known = set()  # every item id of the sweep, resumed ones included
     n_resumed = 0
-    for exp_id in args.ids:
+    for exp_id in dict.fromkeys(args.ids):
         entry = REGISTRY[exp_id]
         exp_cfg = {"exp_id": exp_id, "seed": args.seed}
-        if entry.shardable:
-            scaled = entry.module.Config.scaled()
-            shards = shardable_items(exp_id, scaled, args.seed)
-            known.update(item_id for item_id, _ in shards)
-            # the merged artifact is written here, not by the pool, so
-            # only here can its manifest let the whole grid be skipped
-            if args.resume and store.verify(exp_id, exp_cfg):
-                n_resumed += 1
-                print(f"  [skip] {exp_id} (artifact verifies)")
-                continue
-            ids = []
-            for item_id, payload in shards:
-                items.append((item_id, payload))
-                configs[item_id] = {"exp_id": exp_id, "shard": item_id,
-                                    "seed": args.seed}
-                ids.append(item_id)
-            sharded[exp_id] = (entry.module, scaled, ids)
-        else:
+        if not entry.shardable:
             known.add(exp_id)
-            items.append((exp_id, {"exp_id": exp_id, "seed": args.seed}))
+            items.append((exp_id, exp_cfg))
             configs[exp_id] = exp_cfg
+            parts[exp_id] = (None, [exp_id])
+            continue
+        scaled = entry.module.Config.scaled()
+        shards = shardable_items(exp_id, scaled, args.seed)
+        known.update(item_id for item_id, _ in shards)
+        # the merged artifact is written here, not by the pool, so only
+        # here can its manifest let the whole grid be skipped
+        if args.resume and store.verify(exp_id, exp_cfg):
+            n_resumed += 1
+            say(f"  [skip] {exp_id} (artifact verifies)")
+            continue
+        for item_id, payload in shards:
+            items.append((item_id, payload))
+            configs[item_id] = {"exp_id": exp_id, "shard": item_id,
+                                "seed": args.seed}
+        parts[exp_id] = (scaled, [item_id for item_id, _ in shards])
     if args.chaos_kill and args.chaos_kill not in known:
         print(f"error: --chaos-kill {args.chaos_kill}: no such item in "
               f"this sweep (items: {', '.join(sorted(known))})",
@@ -713,30 +703,40 @@ def _experiment_pool_sweep(args) -> int:
         resume=args.resume,
         quarantine_path=args.quarantine,
         metrics=registry,
-        progress=print,
+        progress=say,
     )
     result_of = dict(zip((item_id for item_id, _ in items), report.results))
-    for exp_id, (module, scaled, ids) in sharded.items():
+    for exp_id, (scaled, ids) in parts.items():
         texts = [result_of[i] for i in ids]
-        if all(t is not None for t in texts):
-            store.write(exp_id, module.render_shards(texts, scaled),
-                        {"exp_id": exp_id, "seed": args.seed})
+        if any(t is None for t in texts):
+            continue  # a quarantined item: the experiment has no artifact
+        entry = REGISTRY[exp_id]
+        if scaled is None:
+            text = texts[0]
+        else:
+            text = entry.module.render_shards(texts, scaled)
+            if store is not None:
+                store.write(exp_id, text, {"exp_id": exp_id,
+                                           "seed": args.seed})
+        if store is None:
+            print(f"\n=== {exp_id}: {entry.title} ===")
+            print(text)
 
     if registry is not None:
         from repro.obs.export import write_metrics
 
         write_metrics(args.metrics, registry)
-        print(f"wrote {len(registry)} instruments to {args.metrics}")
-    print(f"\nsweep: {report.n_ok} ok, "
-          f"{report.n_skipped + n_resumed} resumed, "
-          f"{report.n_retried} retried, "
-          f"{len(report.quarantined)} quarantined")
+        say(f"wrote {len(registry)} instruments to {args.metrics}")
+    say(f"\nsweep: {report.n_ok} ok, "
+        f"{report.n_skipped + n_resumed} resumed, "
+        f"{report.n_retried} retried, "
+        f"{len(report.quarantined)} quarantined")
     if report.quarantined:
         for o in report.quarantined:
-            print(f"  {o.item_id}: {o.errors[-1] if o.errors else '?'}",
-                  file=sys.stderr)
-        print(f"  quarantine report: {report.quarantine_path} "
-              f"(replay with `repro pool replay`)", file=sys.stderr)
+            say(f"  {o.item_id}: {o.errors[-1] if o.errors else '?'}")
+        if report.quarantine_path:
+            say(f"  quarantine report: {report.quarantine_path} "
+                f"(replay with `repro pool replay`)")
     return 1 if report.quarantined else 0
 
 
@@ -977,32 +977,30 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip experiments whose artifacts in --out DIR "
                             "verify against their manifests")
     p_exp.add_argument("--watchdog", type=float, metavar="SECONDS",
-                       help="--out: wall-clock budget per item (one "
-                            "experiment, or one cell of a shardable one)")
+                       help="wall-clock budget per item (one experiment, "
+                            "or one cell of a shardable one)")
     p_exp.add_argument("--workers", type=_worker_count, default=0,
                        metavar="N",
-                       help="worker processes: --out runs its items on N "
-                            "supervised pool workers (0 = inline, same "
-                            "tree); without --out, the fan-out of "
-                            "experiments that support it")
+                       help="run the sweep's items (whole experiments and "
+                            "shards) on N supervised pool workers "
+                            "(0 = inline; same output at any N)")
     p_exp.add_argument("--max-retries", type=int, default=2, metavar="N",
-                       help="--out: retries of an item whose worker "
-                            "died or whose --watchdog fired, before "
-                            "quarantine; an item that raises is "
-                            "quarantined at once (default: %(default)s)")
+                       help="retries of an item whose worker died or "
+                            "whose --watchdog fired, before quarantine; "
+                            "an item that raises is quarantined at once "
+                            "(default: %(default)s)")
     p_exp.add_argument("--quarantine", metavar="PATH",
-                       help="--out: quarantine report path "
-                            "(default: OUT/quarantine.json)")
+                       help="quarantine report path (default: "
+                            "OUT/quarantine.json with --out, else none)")
     p_exp.add_argument("--metrics", metavar="PATH",
-                       help="--out: dump the pool's item counters "
-                            "(.jsonl/.prom)")
+                       help="dump the pool's item counters (.jsonl/.prom)")
     p_exp.add_argument("--explore-points", metavar="DIR",
                        help="also write per-point interactive explorers "
                             "for experiments that support them (chaos)")
     p_exp.add_argument("--chaos-kill", metavar="ITEM", default=None,
                        help="test hook: SIGKILL the worker holding ITEM "
-                            "on first dispatch (needs --out and "
-                            "--workers >= 1; ITEM must be a sweep item)")
+                            "on first dispatch (needs --workers >= 1; "
+                            "ITEM must be a sweep item)")
     p_exp.set_defaults(func=cmd_experiment)
 
     p_chk = sub.add_parser(

@@ -13,8 +13,8 @@ different views of this single sweep:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.experiments.common import azure_sampled_workload, machine
 from repro.experiments.runner import RunConfig, run_workload
@@ -48,8 +48,7 @@ def run_cell(config: Config, seed: int, load: float,
     """One sweep cell: one load level under one scheduler.
 
     The workload is regenerated from the seed, so the cell is a pure
-    function of ``(config, seed, load, scheduler)`` — computable in a
-    pool worker with the same bytes as the serial loop."""
+    function of ``(config, seed, load, scheduler)``."""
     wl = azure_sampled_workload(
         config.n_requests, config.n_cores, load, seed=seed
     )
@@ -57,49 +56,10 @@ def run_cell(config: Config, seed: int, load: float,
     return run_workload(wl, base.with_scheduler(scheduler))
 
 
-def _coerce(config: Dict[str, Any]) -> Config:
-    """Rebuild a Config from a (possibly JSON-round-tripped) dict."""
-    return Config(**{
-        **config,
-        "loads": tuple(config["loads"]),
-        "schedulers": tuple(config["schedulers"]),
-    })
-
-
-def _pool_cell(payload: Dict[str, Any]) -> RunResult:
-    """Module-level pool task: one (load, scheduler) cell."""
-    return run_cell(_coerce(payload["config"]), payload["seed"],
-                    payload["load"], payload["scheduler"])
-
-
-def cells(config: Config, seed: int):
-    """``(cell_id, payload)`` for every sweep cell, in sweep order."""
-    return [
-        (f"load{load:g}.{sched}",
-         {"config": asdict(config), "seed": seed, "load": load,
-          "scheduler": sched})
+def run(config: Config, seed: int = 0) -> Result:
+    runs: Dict[float, Dict[str, RunResult]] = {
+        load: {sched: run_cell(config, seed, load, sched)
+               for sched in config.schedulers}
         for load in config.loads
-        for sched in config.schedulers
-    ]
-
-
-def run(config: Config, seed: int = 0, workers: int = 0) -> Result:
-    runs: Dict[float, Dict[str, RunResult]] = {}
-    if workers > 0:
-        from repro.pool import PoolConfig, PoolError, run_pool
-
-        items = cells(config, seed)
-        report = run_pool(items, _pool_cell, PoolConfig(workers=workers))
-        if not report.complete:
-            bad = ", ".join(o.item_id for o in report.quarantined)
-            raise PoolError(f"sweep cells quarantined: {bad}")
-        it = iter(report.results)
-        for load in config.loads:
-            runs[load] = {sched: next(it) for sched in config.schedulers}
-        return Result(runs=runs, config=config)
-    for load in config.loads:
-        runs[load] = {
-            sched: run_cell(config, seed, load, sched)
-            for sched in config.schedulers
-        }
+    }
     return Result(runs=runs, config=config)

@@ -15,8 +15,8 @@ OpenLambda+CFS and OpenLambda+SFS.  The paper's anchors:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Any, Dict, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from repro.experiments.common import azure_sampled_workload, machine
 from repro.faas.openlambda import OpenLambdaConfig, run_openlambda
@@ -67,44 +67,10 @@ def run_cell(config: Config, seed: int, load: float,
     return run_openlambda(wl, base.with_scheduler(scheduler))
 
 
-def _coerce(config: Dict[str, Any]) -> Config:
-    return Config(**{**config, "loads": tuple(config["loads"])})
-
-
-def _pool_cell(payload: Dict[str, Any]) -> RunResult:
-    """Module-level pool task: one (load, scheduler) cell."""
-    return run_cell(_coerce(payload["config"]), payload["seed"],
-                    payload["load"], payload["scheduler"])
-
-
-def cells(config: Config, seed: int):
-    """``(cell_id, payload)`` for every sweep cell, in sweep order."""
-    return [
-        (f"load{load:g}.{sched}",
-         {"config": asdict(config), "seed": seed, "load": load,
-          "scheduler": sched})
+def run(config: Config, seed: int = 0) -> Result:
+    runs: Dict[float, Dict[str, RunResult]] = {
+        load: {sched: run_cell(config, seed, load, sched)
+               for sched in SCHEDULERS}
         for load in config.loads
-        for sched in SCHEDULERS
-    ]
-
-
-def run(config: Config, seed: int = 0, workers: int = 0) -> Result:
-    runs: Dict[float, Dict[str, RunResult]] = {}
-    if workers > 0:
-        from repro.pool import PoolConfig, PoolError, run_pool
-
-        report = run_pool(cells(config, seed), _pool_cell,
-                          PoolConfig(workers=workers))
-        if not report.complete:
-            bad = ", ".join(o.item_id for o in report.quarantined)
-            raise PoolError(f"sweep cells quarantined: {bad}")
-        it = iter(report.results)
-        for load in config.loads:
-            runs[load] = {sched: next(it) for sched in SCHEDULERS}
-        return Result(runs=runs, config=config)
-    for load in config.loads:
-        runs[load] = {
-            sched: run_cell(config, seed, load, sched)
-            for sched in SCHEDULERS
-        }
+    }
     return Result(runs=runs, config=config)

@@ -1,7 +1,8 @@
 """Registry mapping paper artifacts to experiment modules.
 
-Used by ``repro.analysis.run_all`` (which regenerates EXPERIMENTS.md)
-and by the benchmark suite.
+Used by ``repro experiment`` (one :func:`repro.pool.run_pool` sweep
+whose items are whole experiments, or the shards of a shardable one),
+and by ``repro.analysis.run_all`` (which regenerates EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -49,21 +50,11 @@ class Entry:
     title: str
     module: ModuleType
 
-    def run_scaled(self, seed: int = 0, workers: int = 0):
-        if workers > 0 and self.parallel:
-            return self.module.run(self.module.Config.scaled(), seed=seed,
-                                   workers=workers)
+    def run_scaled(self, seed: int = 0):
         return self.module.run(self.module.Config.scaled(), seed=seed)
 
     def render(self, result) -> str:
         return self.module.render(result)
-
-    @property
-    def parallel(self) -> bool:
-        """Does this experiment's ``run`` accept ``workers=``?"""
-        import inspect
-
-        return "workers" in inspect.signature(self.module.run).parameters
 
     @property
     def shardable(self) -> bool:

@@ -29,13 +29,13 @@ robustness substrate built in PRs 1-6:
   segfault, chaos monkey) is respawned and its item reassigned;
   ``max_respawns`` bounds the pathological case where workers cannot
   even start.
-* **deterministic merge** — results are reduced in *item-index* order
-  no matter which worker finished first, so the merged output of
-  ``--workers N`` is byte-identical to the inline run.  With an
-  :class:`repro.experiments.artifacts.ArtifactStore` attached, every
-  completed item is persisted incrementally (atomic write + sha256
-  manifest) and ``resume=True`` skips verified items — a SIGKILLed
-  campaign resumed later converges to the same merged manifest.
+* **deterministic results** — results are returned in *item-index*
+  order no matter which worker finished first, so whatever a caller
+  merges from ``--workers N`` is byte-identical to the inline run.
+  With an :class:`repro.experiments.artifacts.ArtifactStore` attached,
+  every completed item is persisted incrementally (atomic write +
+  sha256 manifest) and ``resume=True`` skips verified items — a
+  SIGKILLed campaign resumed later converges to the same tree.
 """
 
 from __future__ import annotations
@@ -162,7 +162,6 @@ class PoolReport:
     n_skipped: int = 0
     n_retried: int = 0
     quarantine_path: Optional[str] = None
-    merged_id: Optional[str] = None
 
     @property
     def quarantined(self) -> List[ItemOutcome]:
@@ -598,9 +597,6 @@ def run_pool(
     store: Optional[ArtifactStore] = None,
     config_for: Optional[Callable[[str], Dict[str, Any]]] = None,
     resume: bool = False,
-    merge: Optional[Callable[[List[str]], str]] = None,
-    merge_id: Optional[str] = None,
-    merge_config: Optional[Dict[str, Any]] = None,
     quarantine_path: Optional[str] = None,
     metrics: Optional[object] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -611,12 +607,10 @@ def run_pool(
     picklable module-level callable (the workers import it by
     reference under the ``spawn`` start method).  With ``store`` set,
     results must be strings: each is persisted atomically as it
-    arrives, ``resume=True`` skips items whose artifacts verify, and
-    — when every item has a result — ``merge_id`` writes the merged
-    artifact reduced in item-index order (``merge`` defaults to plain
-    concatenation).  Items that exhaust their retries land in the
-    quarantine report instead of aborting the run; the report path
-    defaults to ``<store.root>/quarantine.json``.
+    arrives, and ``resume=True`` skips items whose artifacts verify.
+    Items that exhaust their retries land in the quarantine report
+    instead of aborting the run; the report path defaults to
+    ``<store.root>/quarantine.json``.
     """
     work = _normalise(items)
     run = _Run(work, cfg, metrics, progress)
@@ -630,36 +624,31 @@ def run_pool(
         else:
             todo.append(it.index)
 
+    if store is not None:
+        # persist incrementally: wrap ok() so every completed item
+        # lands in the store the moment it is reduced
+        plain_ok = run.ok
+
+        def persisting_ok(index: int, result: Any,
+                          worker: str = "inline") -> None:
+            already = run.outcomes[index] is not None
+            plain_ok(index, result, worker=worker)
+            if already:
+                return
+            if not isinstance(result, str):
+                raise PoolError(
+                    f"store-backed pools need str results; "
+                    f"{run.items[index].item_id} produced "
+                    f"{type(result).__name__}")
+            store.write(run.items[index].item_id, result,
+                        cfg_for(run.items[index].item_id))
+
+        run.ok = persisting_ok  # type: ignore[method-assign]
     if todo:
-        if store is None:
-            if cfg.workers <= 0:
-                _run_serial(run, fn, todo)
-            else:
-                _run_parallel(run, fn, todo)
+        if cfg.workers <= 0:
+            _run_serial(run, fn, todo)
         else:
-            # persist incrementally: wrap ok() so every completed item
-            # lands in the store the moment it is reduced
-            plain_ok = run.ok
-
-            def persisting_ok(index: int, result: Any,
-                              worker: str = "inline") -> None:
-                already = run.outcomes[index] is not None
-                plain_ok(index, result, worker=worker)
-                if already:
-                    return
-                if not isinstance(result, str):
-                    raise PoolError(
-                        f"store-backed pools need str results; "
-                        f"{run.items[index].item_id} produced "
-                        f"{type(result).__name__}")
-                store.write(run.items[index].item_id, result,
-                            cfg_for(run.items[index].item_id))
-
-            run.ok = persisting_ok  # type: ignore[method-assign]
-            if cfg.workers <= 0:
-                _run_serial(run, fn, todo)
-            else:
-                _run_parallel(run, fn, todo)
+            _run_parallel(run, fn, todo)
 
     outcomes = [o for o in run.outcomes if o is not None]
     report = PoolReport(
@@ -680,15 +669,4 @@ def run_pool(
             report.quarantine_path = q_path
         elif os.path.exists(q_path):
             os.remove(q_path)  # an earlier run's poison has been cured
-
-    if (store is not None and merge_id is not None and report.complete
-            and work):
-        texts: List[str] = list(run.results)
-        merged = merge(texts) if merge is not None else "".join(texts)
-        store.write(
-            merge_id, merged,
-            merge_config if merge_config is not None
-            else {"merge_of": [it.item_id for it in work]},
-        )
-        report.merged_id = merge_id
     return report

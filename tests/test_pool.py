@@ -65,12 +65,10 @@ def test_store_tree_byte_identical_across_worker_counts(tmp_path):
     trees = {}
     for workers in (0, 1, 4):
         store = ArtifactStore(str(tmp_path / f"w{workers}"))
-        report = run_pool(
-            _items(6), demo_item, PoolConfig(workers=workers),
-            store=store, merge_id="merged")
-        assert report.merged_id == "merged"
+        run_pool(_items(6), demo_item, PoolConfig(workers=workers),
+                 store=store)
         trees[workers] = _tree_bytes(store.root)
-    assert len(trees[0]) == 14  # 6 items + merged, each with a manifest
+    assert len(trees[0]) == 12  # 6 items, each with a manifest
     assert trees[0] == trees[1] == trees[4]
 
 
@@ -173,7 +171,7 @@ def test_worker_killed_every_attempt_is_quarantined(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# quarantine: poison isolated, report replayable, merged withheld
+# quarantine: poison isolated, report replayable
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workers", [0, 2])
 def test_poison_item_quarantined_and_replayable(tmp_path, workers):
@@ -181,14 +179,13 @@ def test_poison_item_quarantined_and_replayable(tmp_path, workers):
     items = _items(3) + [("bad", {"name": "bad", "fail": True})]
     report = run_pool(
         items, demo_item, PoolConfig(workers=workers, max_retries=2),
-        store=store, merge_id="merged")
+        store=store)
     assert [o.item_id for o in report.quarantined] == ["bad"]
     # a pure function of its payload raises again: no retry, no backoff
     assert report.quarantined[0].attempts == 1
     assert report.quarantined[0].errors == [
         "exception: RuntimeError: poisoned item bad"]
     assert report.n_retried == 0
-    assert report.merged_id is None  # incomplete sweeps never merge
     q_path = os.path.join(store.root, "quarantine.json")
     assert report.quarantine_path == q_path
 
@@ -246,10 +243,9 @@ def test_hung_item_times_out_and_quarantines(tmp_path, workers):
 # ----------------------------------------------------------------------
 def test_resume_skips_verified_items(tmp_path):
     store = ArtifactStore(str(tmp_path))
-    run_pool(_items(4), demo_item, PoolConfig(workers=0), store=store,
-             merge_id="merged")
+    run_pool(_items(4), demo_item, PoolConfig(workers=0), store=store)
     report = run_pool(_items(4), demo_item, PoolConfig(workers=0),
-                      store=store, resume=True, merge_id="merged")
+                      store=store, resume=True)
     assert report.n_skipped == 4
     assert report.n_ok == 0
     assert report.results == _expected(4)  # skipped items still reduce
@@ -265,7 +261,7 @@ from repro.pool.tasks import demo_item
 items = [(f"item{{i}}", {{"name": f"item{{i}}", "sleep_s": 0.3}})
          for i in range(8)]
 run_pool(items, demo_item, PoolConfig(workers=2), store=ArtifactStore(sys.argv[1]),
-         resume="--resume" in sys.argv, merge_id="merged")
+         resume="--resume" in sys.argv)
 """
 
 
@@ -300,7 +296,7 @@ def test_supervisor_sigkill_then_resume_is_byte_identical(tmp_path):
 
     n_before = len([f for f in os.listdir(crashed)
                     if f.endswith(".manifest.json")])
-    assert n_before < 9  # merged never happened; the kill landed mid-run
+    assert n_before < 8  # the kill landed mid-run
 
     subprocess.run([sys.executable, str(driver), str(crashed), "--resume"],
                    check=True, timeout=120)
@@ -337,16 +333,22 @@ def test_shards_render_byte_identical_to_serial(name):
     assert serial.startswith(heading)
 
 
+def _tiny_chaos(monkeypatch):
+    from repro.experiments import chaos
+
+    _, tiny, _ = _tiny_shard_configs()["chaos"]
+    monkeypatch.setattr(chaos.Config, "scaled", classmethod(lambda cls: tiny))
+    return chaos, tiny
+
+
 def test_cli_experiment_tree_identical_at_every_worker_count(
         tmp_path, monkeypatch, capsys):
     """``repro experiment chaos --out`` writes the same files, byte for
     byte, inline (``--workers 0``) and on a worker process: the cell
     artifacts, the merged artifact and every manifest."""
     from repro.cli import main
-    from repro.experiments import chaos
 
-    _, tiny, _ = _tiny_shard_configs()["chaos"]
-    monkeypatch.setattr(chaos.Config, "scaled", classmethod(lambda cls: tiny))
+    _tiny_chaos(monkeypatch)
     trees = {}
     for workers in (0, 1):
         out = tmp_path / f"w{workers}"
@@ -366,24 +368,87 @@ def test_cli_chaos_kill_needs_a_worker(tmp_path, capsys):
     assert "--chaos-kill" in capsys.readouterr().err
 
 
-def test_cli_chaos_kill_needs_an_out_sweep(capsys):
-    """Without --out no pool runs, so there is no worker to kill."""
+def test_cli_experiment_stdout_identical_at_every_worker_count(
+        monkeypatch, capsys):
+    """Without ``--out`` the same pool sweep prints each experiment's
+    text in id order: a shardable one's ``render_shards`` equals its
+    ``render(run())``, and progress stays off stdout."""
     from repro.cli import main
 
-    assert main(["experiment", "table1", "--workers", "1",
-                 "--chaos-kill", "table1"]) == 2
+    chaos, tiny = _tiny_chaos(monkeypatch)
+    outs = {}
+    for workers in (0, 1):
+        assert main(["experiment", "table1", "chaos",
+                     "--workers", str(workers)]) == 0
+        captured = capsys.readouterr()
+        assert "sweep: 7 ok" in captured.err
+        outs[workers] = captured.out
+    assert outs[0] == outs[1]
+    table1, chaos_text = outs[0].split("\n=== chaos: ")
+    assert table1.startswith("\n=== table1: duration bins / fib-N mapping "
+                             "===\n")
+    assert chaos_text == (
+        "scheduling under failure: crashes, stragglers, overload "
+        "shedding ===\n" + chaos.render(chaos.run(tiny, seed=0)) + "\n")
+
+
+def test_cli_chaos_kill_without_out_retries_the_cell(monkeypatch, capsys):
+    from repro.cli import main
+
+    _tiny_chaos(monkeypatch)
+    assert main(["experiment", "chaos", "--workers", "0"]) == 0
+    inline = capsys.readouterr().out
+    assert main(["experiment", "chaos", "--workers", "1",
+                 "--chaos-kill", "chaos.crash.sfs"]) == 0
     captured = capsys.readouterr()
-    assert "--out" in captured.err
-    assert "===" not in captured.out  # nothing ran
+    assert "chaos.crash.sfs: attempt 1 failed (worker died" in captured.err
+    assert captured.out == inline
+
+
+def test_cli_metrics_without_out_writes_pool_counters(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "m.jsonl"
+    assert main(["experiment", "table1", "--metrics", str(path)]) == 0
+    counters = {doc["name"]: doc.get("value")
+                for doc in map(json.loads, path.read_text().splitlines())
+                if "name" in doc}
+    assert counters["repro_pool_items_ok_total"] == 1
+    assert counters["repro_pool_items_quarantined_total"] == 0
+    assert "=== table1:" in capsys.readouterr().out
+
+
+def test_cli_watchdog_without_out_quarantines(tmp_path, monkeypatch,
+                                              capsys):
+    """A timed-out experiment is quarantined: no artifact text, exit 1,
+    and no quarantine file unless ``--quarantine`` names one."""
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "table1", "--watchdog", "1e-6",
+                 "--max-retries", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "table1: quarantined after 1 attempts (timeout" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_incomplete_sweep_never_merges(tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    _tiny_chaos(monkeypatch)
+    assert main(["experiment", "chaos", "--out", str(tmp_path),
+                 "--watchdog", "1e-6", "--max-retries", "0"]) == 1
+    assert "sweep: 0 ok, 0 resumed, 0 retried, 6 quarantined" in \
+        capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["quarantine.json"]
 
 
 def test_cli_chaos_kill_of_no_sweep_item_exits_2(tmp_path, capsys,
                                                  monkeypatch):
     from repro.cli import main
-    from repro.experiments import chaos
 
-    _, tiny, _ = _tiny_shard_configs()["chaos"]
-    monkeypatch.setattr(chaos.Config, "scaled", classmethod(lambda cls: tiny))
+    _tiny_chaos(monkeypatch)
     out = tmp_path / "out"
     assert main(["experiment", "chaos", "--out", str(out), "--workers", "1",
                  "--chaos-kill", "nosuch"]) == 2
@@ -401,18 +466,6 @@ def test_chaos_shard_payloads_survive_json():
     assert chaos.Config(**restored["config"]) == chaos.Config(n_requests=8)
 
 
-def test_loadsweep_parallel_equals_serial():
-    from repro.experiments import loadsweep
-
-    cfg = loadsweep.Config(n_requests=200, n_cores=2, loads=(0.5, 0.9))
-    serial = loadsweep.run(cfg, seed=0)
-    par = loadsweep.run(cfg, seed=0, workers=2)
-    for load in cfg.loads:
-        for sched in cfg.schedulers:
-            assert (serial.runs[load][sched].records
-                    == par.runs[load][sched].records), (load, sched)
-
-
 def test_fuzz_campaign_parallel_summary_byte_identical():
     from repro.fuzz.campaign import run_campaign
 
@@ -421,10 +474,8 @@ def test_fuzz_campaign_parallel_summary_byte_identical():
     assert serial.render() == par.render()
 
 
-def test_registry_exposes_parallel_and_shardable():
+def test_registry_exposes_shardable():
     from repro.experiments.registry import REGISTRY
 
     assert REGISTRY["chaos"].shardable
-    assert REGISTRY["fig6"].parallel
-    assert not REGISTRY["fig1"].parallel
     assert not REGISTRY["fig1"].shardable

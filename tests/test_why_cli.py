@@ -44,6 +44,25 @@ def test_why_fresh_run_drilldown(capsys):
     assert "kind" in out and "reason" in out and "actor" in out
 
 
+def test_why_fresh_run_writes_trace_and_metrics(tmp_path, capsys):
+    """``--trace`` and ``--metrics`` reach the fresh run and leave the
+    report unchanged: stdout is the plain run's after two 'wrote' lines."""
+    trace, metrics = tmp_path / "t.json", tmp_path / "m.jsonl"
+    assert main(["why", "--scheduler", "sfs"] + WL_ARGS) == 0
+    plain = capsys.readouterr().out
+    assert main(["why", "--scheduler", "sfs", "--trace", str(trace),
+                 "--metrics", str(metrics)] + WL_ARGS) == 0
+    wrote_trace, wrote_metrics, rest = \
+        capsys.readouterr().out.split("\n", 2)
+    assert wrote_trace.startswith("wrote ") and str(trace) in wrote_trace
+    assert wrote_metrics.startswith("wrote ") and str(metrics) in wrote_metrics
+    assert rest == plain
+    doc = json.loads(trace.read_text())
+    assert doc["metadata"]["runManifest"]["n_requests"] == 40
+    first = json.loads(metrics.read_text().splitlines()[0])
+    assert first["schema"] == "repro.metrics/1"
+
+
 @pytest.mark.parametrize("scheduler", ["srtf", "ideal"])
 def test_why_explains_oracle_schedulers(scheduler, tmp_path, capsys):
     out = tmp_path / "why.json"
