@@ -2,20 +2,21 @@
 
 Usage::
 
-    python -m repro.analysis.run_all [output_path] [--seed N]
+    python -m repro.analysis.run_all [output_path] [--seed N] [--only ID ...]
 
-Runs each registry entry at its *scaled* configuration (seconds to tens
-of seconds each; a few minutes total) and writes a Markdown report with
-the rendered table/series for every figure and table in the paper.
+Runs the entries of :data:`ORDER` at their *scaled* configurations
+through :func:`repro.experiments.registry.sweep`, inline (the same
+sweep ``repro experiment`` runs; a few minutes in all), and writes a
+Markdown report with the rendered table/series for every figure and
+table in the paper.  The report is the same bytes on every run.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import REGISTRY, sweep
 
 #: one-line paper anchors shown next to each artifact
 PAPER_ANCHORS = {
@@ -63,23 +64,18 @@ def main(argv=None) -> int:
     parser.add_argument("--only", nargs="*", help="run a subset of exp ids")
     args = parser.parse_args(argv)
 
-    ids = args.only or ORDER
-    sections = []
-    for exp_id in ids:
-        entry = REGISTRY[exp_id]
-        t0 = time.time()
-        print(f"[{exp_id}] {entry.title} ...", flush=True)
-        result = entry.run_scaled(seed=args.seed)
-        rendered = entry.render(result)
-        dt = time.time() - t0
-        print(f"[{exp_id}] done in {dt:.1f}s", flush=True)
-        sections.append(
-            f"## {exp_id}: {entry.title}\n\n"
-            f"*Paper:* {PAPER_ANCHORS.get(exp_id, '-')}\n\n"
-            f"*Runtime:* {dt:.1f}s at the scaled configuration "
-            f"(`{entry.module.__name__}.Config.scaled()`), seed {args.seed}.\n\n"
-            "```\n" + rendered + "\n```\n"
-        )
+    done = sweep(args.only or ORDER, args.seed,
+                 progress=lambda line: print(line, flush=True))
+    if done.report.quarantined:
+        for o in done.report.quarantined:
+            print(f"{o.item_id}: {o.errors[-1]}", file=sys.stderr)
+        return 1
+    sections = [
+        f"## {exp_id}: {REGISTRY[exp_id].title}\n\n"
+        f"*Paper:* {PAPER_ANCHORS.get(exp_id, '-')}\n\n"
+        "```\n" + text + "\n```\n"
+        for exp_id, text in done.texts.items()
+    ]
 
     header = (
         "# EXPERIMENTS — paper vs measured\n\n"
@@ -88,7 +84,12 @@ def main(argv=None) -> int:
         "laptop-scale configurations.  Absolute numbers are not expected to\n"
         "match the authors' EC2 testbed; orderings, ratios and crossovers\n"
         "are (see DESIGN.md §5 for the fidelity notes and known deltas).\n\n"
-        "Regenerate with `python -m repro.analysis.run_all`.\n\n"
+        "Each section is one experiment at its scaled configuration\n"
+        f"(`Config.scaled()` of its module), seed {args.seed}.  Regenerate "
+        "with\n"
+        "`python -m repro.analysis.run_all`, which runs the same sweep as\n"
+        "`repro experiment`; CI fails if this file differs from what the\n"
+        "code prints.\n\n"
     )
     with open(args.output, "w") as fh:
         fh.write(header + "\n".join(sections))

@@ -47,7 +47,7 @@ from repro.analysis.validate import (
     run_battery,
     run_check,
 )
-from repro.experiments.registry import REGISTRY
+from repro.experiments.registry import REGISTRY, sweep
 from repro.experiments.runner import RunConfig, run_workload
 from repro.faas.driver import ENGINE_SCHEDULERS, SCHEDULERS
 from repro.machine.base import MachineParams
@@ -608,41 +608,7 @@ def cmd_experiment(args) -> int:
         print("error: --chaos-kill needs a worker process to kill "
               "(--workers N, N >= 1)", file=sys.stderr)
         return 2
-    rc = _experiment_sweep(args)
-    if rc != 2 and args.explore_points:
-        _emit_point_explorers(args)
-    return rc
-
-
-def _emit_point_explorers(args) -> None:
-    """``--explore-points DIR``: per-point interactive explorers for
-    every requested experiment that exposes ``emit_explorers``."""
-    os.makedirs(args.explore_points, exist_ok=True)
-    for exp_id in args.ids:
-        module = REGISTRY[exp_id].module
-        if not hasattr(module, "emit_explorers"):
-            continue
-        paths = module.emit_explorers(
-            args.explore_points, module.Config.scaled(), seed=args.seed)
-        print(f"{exp_id}: wrote {len(paths)} explorer page(s) to "
-              f"{args.explore_points}", file=sys.stderr)
-
-
-def _experiment_sweep(args) -> int:
-    """Every requested experiment under one :func:`repro.pool.run_pool`
-    call with ``--workers`` processes (0 = inline): a shardable
-    experiment contributes one item per shard (e.g. every chaos grid
-    cell), any other one a single whole-experiment item.
-
-    Without ``--out`` each complete experiment's text is printed in id
-    order; with it, every item lands in the artifact store and each
-    shardable experiment's merged artifact is written with the manifest
-    config ``{"exp_id", "seed"}``.  Progress and the sweep summary go to
-    stderr, so stdout and the tree are the same bytes at every worker
-    count.
-    """
-    from repro.pool import PoolConfig, run_pool
-    from repro.pool.tasks import experiment_item, shardable_items
+    from repro.pool import PoolConfig
 
     def say(line: str) -> None:
         print(line, file=sys.stderr)
@@ -658,77 +624,30 @@ def _experiment_sweep(args) -> int:
 
         _check_parent(args.metrics, "metrics")
         registry = MetricsRegistry()
-
-    items = []
-    configs = {}
-    parts = {}  # exp_id -> (scaled config if shardable, ordered item ids)
-    known = set()  # every item id of the sweep, resumed ones included
-    n_resumed = 0
-    for exp_id in dict.fromkeys(args.ids):
-        entry = REGISTRY[exp_id]
-        exp_cfg = {"exp_id": exp_id, "seed": args.seed}
-        if not entry.shardable:
-            known.add(exp_id)
-            items.append((exp_id, exp_cfg))
-            configs[exp_id] = exp_cfg
-            parts[exp_id] = (None, [exp_id])
-            continue
-        scaled = entry.module.Config.scaled()
-        shards = shardable_items(exp_id, scaled, args.seed)
-        known.update(item_id for item_id, _ in shards)
-        # the merged artifact is written here, not by the pool, so only
-        # here can its manifest let the whole grid be skipped
-        if args.resume and store.verify(exp_id, exp_cfg):
-            n_resumed += 1
-            say(f"  [skip] {exp_id} (artifact verifies)")
-            continue
-        for item_id, payload in shards:
-            items.append((item_id, payload))
-            configs[item_id] = {"exp_id": exp_id, "shard": item_id,
-                                "seed": args.seed}
-        parts[exp_id] = (scaled, [item_id for item_id, _ in shards])
-    if args.chaos_kill and args.chaos_kill not in known:
-        print(f"error: --chaos-kill {args.chaos_kill}: no such item in "
-              f"this sweep (items: {', '.join(sorted(known))})",
+    try:
+        done = sweep(
+            args.ids, args.seed,
+            PoolConfig(workers=args.workers, max_retries=args.max_retries,
+                       item_seconds=args.watchdog,
+                       chaos_kill=args.chaos_kill),
+            store=store, resume=args.resume,
+            quarantine_path=args.quarantine, metrics=registry,
+            progress=say)
+    except ValueError as exc:
+        print(f"error: --chaos-kill {args.chaos_kill}: {exc}",
               file=sys.stderr)
         return 2
-
-    report = run_pool(
-        items,
-        experiment_item,
-        PoolConfig(workers=args.workers, max_retries=args.max_retries,
-                   item_seconds=args.watchdog, chaos_kill=args.chaos_kill),
-        store=store,
-        config_for=configs.__getitem__,
-        resume=args.resume,
-        quarantine_path=args.quarantine,
-        metrics=registry,
-        progress=say,
-    )
-    result_of = dict(zip((item_id for item_id, _ in items), report.results))
-    for exp_id, (scaled, ids) in parts.items():
-        texts = [result_of[i] for i in ids]
-        if any(t is None for t in texts):
-            continue  # a quarantined item: the experiment has no artifact
-        entry = REGISTRY[exp_id]
-        if scaled is None:
-            text = texts[0]
-        else:
-            text = entry.module.render_shards(texts, scaled)
-            if store is not None:
-                store.write(exp_id, text, {"exp_id": exp_id,
-                                           "seed": args.seed})
-        if store is None:
-            print(f"\n=== {exp_id}: {entry.title} ===")
+    if store is None:
+        for exp_id, text in done.texts.items():
+            print(f"\n=== {exp_id}: {REGISTRY[exp_id].title} ===")
             print(text)
-
     if registry is not None:
         from repro.obs.export import write_metrics
 
         write_metrics(args.metrics, registry)
         say(f"wrote {len(registry)} instruments to {args.metrics}")
-    say(f"\nsweep: {report.n_ok} ok, "
-        f"{report.n_skipped + n_resumed} resumed, "
+    report = done.report
+    say(f"\nsweep: {report.n_ok} ok, {done.n_resumed} resumed, "
         f"{report.n_retried} retried, "
         f"{len(report.quarantined)} quarantined")
     if report.quarantined:
@@ -737,7 +656,23 @@ def _experiment_sweep(args) -> int:
         if report.quarantine_path:
             say(f"  quarantine report: {report.quarantine_path} "
                 f"(replay with `repro pool replay`)")
+    if args.explore_points:
+        _emit_point_explorers(args)
     return 1 if report.quarantined else 0
+
+
+def _emit_point_explorers(args) -> None:
+    """``--explore-points DIR``: per-point interactive explorers for
+    every requested experiment that exposes ``emit_explorers``."""
+    os.makedirs(args.explore_points, exist_ok=True)
+    for exp_id in args.ids:
+        module = REGISTRY[exp_id].module
+        if not hasattr(module, "emit_explorers"):
+            continue
+        paths = module.emit_explorers(
+            args.explore_points, module.Config.scaled(), seed=args.seed)
+        print(f"{exp_id}: wrote {len(paths)} explorer page(s) to "
+              f"{args.explore_points}", file=sys.stderr)
 
 
 def cmd_pool(args) -> int:

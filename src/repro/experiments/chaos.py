@@ -25,13 +25,13 @@ discipline), while SFS still clears short functions faster, which under
 deadlines and admission pressure converts directly into fewer timeouts
 and sheds.
 
-The grid is *shardable*: each (scenario, scheduler) cell is an
-independent cluster run, so :func:`shards` / :func:`run_shard` /
-:func:`render_shards` expose it to the :mod:`repro.pool` supervisor
-(``repro experiment chaos --out DIR --workers N``).  A cell artifact
-is the canonical JSON of its summary metrics; the merged rendering is
-reduced in grid order, so the parallel sweep's output is byte-identical
-to the serial one.
+The grid is a *shard* experiment: each (scenario, scheduler) cell is
+an independent cluster run, so :func:`shards` / :func:`run_shard` /
+:func:`render_shards` are its whole protocol, and ``repro experiment
+chaos --workers N`` runs the cells as :mod:`repro.pool` items.  A cell
+artifact is the canonical JSON of its summary metrics; the rendering
+reduces them in grid order, so it is the same bytes at every worker
+count.
 """
 
 from __future__ import annotations
@@ -76,13 +76,6 @@ class Config:
     @classmethod
     def scaled(cls) -> "Config":
         return cls(n_requests=4_000)
-
-
-@dataclass
-class Result:
-    #: scenario -> scheduler -> run
-    runs: Dict[str, Dict[str, RunResult]]
-    config: Config
 
 
 def _scenarios(config: Config, seed: int) -> Dict[str, Tuple[float, FaultPlan, AdmissionControl]]:
@@ -135,20 +128,6 @@ def run_cell(config: Config, seed: int, scenario: str,
     )
 
 
-def run(config: Config, seed: int = 0) -> Result:
-    runs: Dict[str, Dict[str, RunResult]] = {}
-    for scenario in _scenarios(config, seed):
-        runs[scenario] = {
-            scheduler: run_cell(config, seed, scenario, scheduler)
-            for scheduler in SCHEDULERS
-        }
-    return Result(runs=runs, config=config)
-
-
-# ----------------------------------------------------------------------
-# cell summaries: the one representation both the serial render and the
-# repro.pool shard artifacts are built from
-# ----------------------------------------------------------------------
 def cell_summary(scenario: str, scheduler: str, r: RunResult,
                  ) -> Dict[str, Any]:
     """JSON-safe digest of one grid cell (plain floats round-trip
@@ -167,8 +146,9 @@ def cell_summary(scenario: str, scheduler: str, r: RunResult,
     }
 
 
-def _render_cells(cells: Sequence[Dict[str, Any]], config: Config) -> str:
-    """The chaos table + goodput gains from grid-ordered cell digests."""
+def render_shards(texts: Sequence[str], config: Config) -> str:
+    """The chaos table + goodput gains from grid-ordered cell artifacts."""
+    cells = [json.loads(t) for t in texts]
     rows = [
         (
             c["scenario"],
@@ -204,18 +184,6 @@ def _render_cells(cells: Sequence[Dict[str, Any]], config: Config) -> str:
     return table + "\n" + "\n".join(gains)
 
 
-def render(result: Result) -> str:
-    cells = [
-        cell_summary(scenario, scheduler, r)
-        for scenario, by_sched in result.runs.items()
-        for scheduler, r in by_sched.items()
-    ]
-    return _render_cells(cells, result.config)
-
-
-# ----------------------------------------------------------------------
-# repro.pool shard protocol (cell-granular parallel sweeps)
-# ----------------------------------------------------------------------
 def shards(config: Config, seed: int) -> List[Tuple[str, Dict[str, Any]]]:
     """``(shard_id, payload)`` for every grid cell, in grid order."""
     return [
@@ -235,12 +203,6 @@ def run_shard(payload: Dict[str, Any]) -> str:
                  payload["scheduler"])
     cell = cell_summary(payload["scenario"], payload["scheduler"], r)
     return json.dumps(cell, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def render_shards(texts: Sequence[str], config: Config) -> str:
-    """Merged rendering from grid-ordered cell artifacts — byte-equal
-    to :func:`render` on an equivalent serial :class:`Result`."""
-    return _render_cells([json.loads(t) for t in texts], config)
 
 
 def emit_explorers(out_dir, config: Config, seed: int = 0,

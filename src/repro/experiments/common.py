@@ -2,9 +2,9 @@
 
 Every experiment has a *paper-scale* configuration (the sizes the paper
 ran: 12-72 cores, 10k-50k requests) and a *scaled* one that finishes in
-seconds for the benchmark suite.  Shape conclusions (who wins, rough
-factors) hold at both scales; EXPERIMENTS.md records the scaled numbers
-actually measured.
+seconds, which ``repro experiment`` runs.  Shape conclusions (who wins,
+rough factors) hold at both scales; EXPERIMENTS.md records the scaled
+numbers actually measured.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Scale:
 
     @classmethod
     def bench(cls) -> "Scale":
-        """Seconds-scale sizing for pytest-benchmark."""
+        """Seconds-scale sizing."""
         return cls(n_requests=4_000, n_cores=12, engine="fluid")
 
     @classmethod
@@ -129,29 +129,42 @@ def emit_point_explorers(
 ):
     """Render explorer pages for one sweep/chaos point.
 
-    Replays ``workload`` under each scheduler with tracing on, writes
-    one self-contained explorer per scheduler into ``out_dir`` (named
-    ``{label}-{scheduler}.html``) plus, when exactly two schedulers are
-    given, the aligned A/B diff (``{label}-diff.html``).  File names are
-    deterministic so resumable sweeps overwrite in place.  Returns the
-    written paths.
+    Replays ``workload`` under each scheduler with tracing on and
+    writes the pages through :func:`write_point_pages`, each titled
+    ``{label} — {bundle label}``.  Returns the written paths.
+    """
+    from repro.experiments.runner import run_many_bundled
+
+    bundled = run_many_bundled(workload, base, tuple(schedulers))
+    return write_point_pages(
+        out_dir, label,
+        [(sched, f"{label} — {bundle.label}", bundle)
+         for sched, (_res, bundle) in bundled.items()],
+        metrics=metrics)
+
+
+def write_point_pages(out_dir, label: str, pages, metrics=None):
+    """Write one sweep point's explorer pages into ``out_dir``.
+
+    ``pages`` is a sequence of ``(scheduler, title, bundle)``: each
+    becomes a self-contained explorer named ``{label}-{scheduler}.html``
+    and, when there are exactly two, the aligned A/B diff
+    ``{label}-diff.html`` follows.  File names are deterministic so
+    resumable sweeps overwrite in place.  Returns the written paths.
     """
     from pathlib import Path
 
-    from repro.experiments.runner import run_many_bundled
     from repro.explore import write_explorer
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    bundled = run_many_bundled(workload, base, tuple(schedulers))
     paths = []
-    for sched, (_res, bundle) in bundled.items():
+    for sched, title, bundle in pages:
         path = out / f"{label}-{sched}.html"
-        write_explorer(path, [bundle], title=f"{label} — {bundle.label}",
-                       metrics=metrics)
+        write_explorer(path, [bundle], title=title, metrics=metrics)
         paths.append(path)
-    if len(schedulers) == 2:
-        a, b = (bundled[s][1] for s in schedulers)
+    if len(pages) == 2:
+        a, b = (bundle for _sched, _title, bundle in pages)
         path = out / f"{label}-diff.html"
         write_explorer(path, [a, b],
                        title=f"{label} — {a.label} vs {b.label}",

@@ -23,13 +23,12 @@ attainment (failures count as misses, :mod:`repro.metrics.slo`),
 goodput, and the resilience counters (failovers, hedges, hedge wins,
 host-lost, throttled retries).
 
-The grid is *shardable*: each (scenario, scheduler, hosts) cell is an
-independent cluster run exposed through ``shards`` / ``run_shard`` /
-``render_shards`` to the :mod:`repro.pool` supervisor
-(``repro experiment ext-resilience --out DIR --workers N``); cell
-artifacts are canonical JSON and the merged rendering is reduced in
-grid order, so a parallel sweep's output is byte-identical to the
-serial one.
+The grid is a *shard* experiment: each (scenario, scheduler, hosts)
+cell is an independent cluster run, so ``shards`` / ``run_shard`` /
+``render_shards`` are its whole protocol, and ``repro experiment
+ext-resilience --workers N`` runs the cells as :mod:`repro.pool` items.
+Cell artifacts are canonical JSON and the rendering reduces them in
+grid order, so it is the same bytes at every worker count.
 """
 
 from __future__ import annotations
@@ -86,13 +85,6 @@ class Config:
     @classmethod
     def scaled(cls) -> "Config":
         return cls(n_requests=2_000, host_counts=(4,))
-
-
-@dataclass
-class Result:
-    #: scenario -> scheduler -> n_hosts -> run
-    runs: Dict[str, Dict[str, Dict[int, RunResult]]]
-    config: Config
 
 
 def _domains(n_hosts: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -173,23 +165,6 @@ def run_cell(config: Config, seed: int, scenario: str, scheduler: str,
     )
 
 
-def run(config: Config, seed: int = 0) -> Result:
-    runs: Dict[str, Dict[str, Dict[int, RunResult]]] = {}
-    for scenario in SCENARIOS:
-        by_sched: Dict[str, Dict[int, RunResult]] = {}
-        for scheduler in SCHEDULERS:
-            by_sched[scheduler] = {
-                n: run_cell(config, seed, scenario, scheduler, n)
-                for n in config.host_counts
-            }
-        runs[scenario] = by_sched
-    return Result(runs=runs, config=config)
-
-
-# ----------------------------------------------------------------------
-# cell summaries: the one representation both the serial render and the
-# repro.pool shard artifacts are built from
-# ----------------------------------------------------------------------
 def cell_summary(scenario: str, scheduler: str, n_hosts: int,
                  r: RunResult) -> Dict[str, Any]:
     """JSON-safe digest of one grid cell (plain floats and ints
@@ -215,8 +190,9 @@ def cell_summary(scenario: str, scheduler: str, n_hosts: int,
     }
 
 
-def _render_cells(cells: Sequence[Dict[str, Any]], config: Config) -> str:
-    """The SLO-under-chaos scorecard from grid-ordered cell digests."""
+def render_shards(texts: Sequence[str], config: Config) -> str:
+    """The SLO-under-chaos scorecard from grid-ordered cell artifacts."""
+    cells = [json.loads(t) for t in texts]
     rows = [
         (
             c["scenario"],
@@ -256,19 +232,6 @@ def _render_cells(cells: Sequence[Dict[str, Any]], config: Config) -> str:
     return table + "\n" + "\n".join(lines)
 
 
-def render(result: Result) -> str:
-    cells = [
-        cell_summary(scenario, scheduler, n, r)
-        for scenario, by_sched in result.runs.items()
-        for scheduler, by_n in by_sched.items()
-        for n, r in by_n.items()
-    ]
-    return _render_cells(cells, result.config)
-
-
-# ----------------------------------------------------------------------
-# repro.pool shard protocol (cell-granular parallel sweeps)
-# ----------------------------------------------------------------------
 def shards(config: Config, seed: int) -> List[Tuple[str, Dict[str, Any]]]:
     """``(shard_id, payload)`` for every grid cell, in grid order."""
     return [
@@ -292,12 +255,6 @@ def run_shard(payload: Dict[str, Any]) -> str:
     return json.dumps(cell, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_shards(texts: Sequence[str], config: Config) -> str:
-    """Merged rendering from grid-ordered cell artifacts — byte-equal
-    to :func:`render` on an equivalent serial :class:`Result`."""
-    return _render_cells([json.loads(t) for t in texts], config)
-
-
 def emit_explorers(out_dir, config: Config, seed: int = 0,
                    scenarios: Optional[Sequence[str]] = None):
     """Per-point interactive explorers for the resilience grid.
@@ -309,13 +266,10 @@ def emit_explorers(out_dir, config: Config, seed: int = 0,
     re-dispatches, hedge launches/wins and throttle decisions.  Returns
     the written paths.
     """
-    from pathlib import Path
-
-    from repro.explore import RunBundle, write_explorer
+    from repro.experiments.common import write_point_pages
+    from repro.explore import RunBundle
     from repro.trace import TraceRecorder
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     n_hosts = min(config.host_counts)
     total_cores = n_hosts * config.cores_per_host
     paths = []
@@ -327,7 +281,7 @@ def emit_explorers(out_dir, config: Config, seed: int = 0,
         horizon = max(spec.arrival for spec in wl) + 1
         plan, admission, res = _scenario(config, seed, scenario, n_hosts,
                                          horizon)
-        bundles = {}
+        pages = []
         for scheduler in SCHEDULERS:
             trace = TraceRecorder()
             host = OpenLambdaConfig(
@@ -344,15 +298,8 @@ def emit_explorers(out_dir, config: Config, seed: int = 0,
                               placement="least_loaded", resilience=res),
                 trace=trace,
             )
-            bundle = RunBundle.capture(r, trace,
-                                       title=f"{scenario} — {scheduler}")
-            bundles[scheduler] = bundle
-            path = out / f"{scenario}-{scheduler}.html"
-            write_explorer(path, [bundle], title=f"{scenario} — {scheduler}")
-            paths.append(path)
-        a, b = (bundles[s] for s in SCHEDULERS)
-        path = out / f"{scenario}-diff.html"
-        write_explorer(path, [a, b],
-                       title=f"{scenario} — {a.label} vs {b.label}")
-        paths.append(path)
+            title = f"{scenario} — {scheduler}"
+            pages.append((scheduler, title,
+                          RunBundle.capture(r, trace, title=title)))
+        paths.extend(write_point_pages(out_dir, scenario, pages))
     return paths

@@ -9,8 +9,10 @@ workload and keep every record — this grid exercises exactly the path
 streaming aggregation or the prefetch-one arrival chain surface here
 and in CI, not three hours into a real replay.
 
-Shardable for :mod:`repro.pool`: one shard per grid cell, each cell a
-pure function of ``(config, seed)``.
+A *shard* experiment: ``shards`` / ``run_shard`` / ``render_shards``
+are its whole protocol, one shard per grid cell, each cell a pure
+function of ``(config, seed)``, so ``repro experiment replay --workers
+N`` runs the cells as :mod:`repro.pool` items.
 """
 
 from __future__ import annotations
@@ -40,13 +42,6 @@ class Config:
         return cls(n_requests=20_000)
 
 
-@dataclass
-class Result:
-    #: grid-ordered cell summaries (scheduler-major, source-minor)
-    cells: List[Dict[str, Any]]
-    config: Config
-
-
 def run_cell(config: Config, seed: int, scheduler: str,
              source: str) -> Dict[str, Any]:
     """One streaming replay; the summary doc is the cell artifact.
@@ -72,19 +67,9 @@ def run_cell(config: Config, seed: int, scheduler: str,
     return driver.run()
 
 
-def run(config: Config, seed: int = 0) -> Result:
-    cells = [
-        run_cell(config, seed, scheduler, source)
-        for scheduler in config.schedulers
-        for source in config.sources
-    ]
-    return Result(cells=cells, config=config)
-
-
-# ----------------------------------------------------------------------
-# rendering
-# ----------------------------------------------------------------------
-def _render_cells(cells: Sequence[Dict[str, Any]], config: Config) -> str:
+def render_shards(texts: Sequence[str], config: Config) -> str:
+    """The grid table and p99 ratios from grid-ordered cell artifacts."""
+    cells = [json.loads(t) for t in texts]
     lines = [
         "streaming replay grid "
         f"({config.n_requests} requests, {config.n_cores} cores, "
@@ -122,13 +107,6 @@ def _render_cells(cells: Sequence[Dict[str, Any]], config: Config) -> str:
     return "\n".join(lines)
 
 
-def render(result: Result) -> str:
-    return _render_cells(result.cells, result.config)
-
-
-# ----------------------------------------------------------------------
-# repro.pool shard protocol (cell-granular parallel replays)
-# ----------------------------------------------------------------------
 def shards(config: Config, seed: int) -> List[Tuple[str, Dict[str, Any]]]:
     """``(shard_id, payload)`` for every grid cell, in grid order."""
     return [
@@ -150,9 +128,3 @@ def run_shard(payload: Dict[str, Any]) -> str:
     cell = run_cell(config, payload["seed"], payload["scheduler"],
                     payload["source"])
     return json.dumps(cell, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def render_shards(texts: Sequence[str], config: Config) -> str:
-    """Merged rendering from grid-ordered cell artifacts — byte-equal
-    to :func:`render` on an equivalent serial :class:`Result`."""
-    return _render_cells([json.loads(t) for t in texts], config)

@@ -10,6 +10,8 @@ and series colours are assigned by *slot*, never cycled.
 
 from __future__ import annotations
 
+from repro.why.blame import ICICLE_CSS
+
 #: categorical palette slots (fixed order — the CVD-safety mechanism)
 CATEGORICAL_LIGHT = ("#2a78d6", "#eb6834", "#1baf7a", "#eda100",
                      "#e87ba4", "#008300", "#4a3aa7")
@@ -82,16 +84,7 @@ pre { background: var(--surface); border: 1px solid var(--border);
 .hint { color: var(--muted); font-size: 0.78em; margin: 0.25em 0 0; }
 .fault-note { color: var(--critical); font-size: 0.85em; }
 noscript .panel svg { border: none; background: transparent; }
-.fg { border: 1px solid var(--border); border-radius: 6px;
-      overflow: hidden; margin: 0.4em 0; }
-.fg-row { overflow: hidden; clear: both; }
-.fg-frame { box-sizing: border-box; float: left; overflow: hidden;
-            white-space: nowrap; text-overflow: ellipsis;
-            padding: 2px 5px; font-size: 0.78em; font-weight: 600;
-            color: #14161b; border-right: 1px solid var(--plane);
-            border-top: 1px solid var(--plane); }
-.fg-frame span { font-weight: 400; opacity: 0.75; }
-.fg-pad { background: transparent !important; border: none !important; }
+""" + ICICLE_CSS + """\
 .why-delta-up { color: var(--critical, #e66767); }
 .why-delta-down { color: var(--s3, #199e70); }
 """

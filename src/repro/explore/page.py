@@ -25,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.explore.assets import CSS, JS
 from repro.explore.bundle import RunBundle
+from repro.why.blame import flame_icicle
 
 #: fixed palette slots per percentile curve (colour follows the entity)
 _PCT_SLOTS = (("p50", 0), ("p90", 2), ("p99", 7))
@@ -238,30 +239,6 @@ def _fmt_ms(us: int) -> str:
     return f"{us / 1e3:,.3f}"
 
 
-def _why_flame_html(flame: Dict[str, object]) -> str:
-    """Server-rendered pure-CSS icicle (no script needed to read it)."""
-    from repro.why.blame import FLAME_COLORS, FLAME_DEFAULT_COLOR, flame_rows
-
-    parts = ['<div class="fg">']
-    for row in flame_rows(flame):
-        parts.append('<div class="fg-row">')
-        cursor = 0.0
-        for left, width, name, value, key in sorted(row):
-            pad = left - cursor
-            if pad > 1e-9:
-                parts.append(f'<div class="fg-frame fg-pad" '
-                             f'style="width:{pad:.4f}%">&nbsp;</div>')
-            color = FLAME_COLORS.get(key, FLAME_DEFAULT_COLOR)
-            parts.append(
-                f'<div class="fg-frame" style="width:{width:.4f}%;'
-                f'background:{color}" title="{_esc(name)}: {value}us">'
-                f"{_esc(name)} <span>{_fmt_ms(value)} ms</span></div>")
-            cursor = left + width
-        parts.append("</div>")
-    parts.append("</div>")
-    return "".join(parts)
-
-
 def _why_request_details(why: Dict[str, object]) -> str:
     reqs = why.get("requests") or {}
     parts: List[str] = []
@@ -316,7 +293,7 @@ def _why_section(doc: Dict[str, object], heading: str) -> str:
         f'<p class="muted">blamed {blamed / 1e6:,.3f}s of '
         f"{e2e / 1e6:,.3f}s total end-to-end ({blamed / e2e:.1%}) — "
         f"root &rarr; kind &rarr; reason &rarr; app</p>"
-        f"{_why_flame_html(why['flame'])}"
+        f"{flame_icicle(why['flame'])}"
         f'<p class="hint">{_esc(kinds) if kinds else "no blamed time"}</p>'
         f"{actors}{_why_request_details(why)}"
         f"</div></section>")

@@ -32,7 +32,7 @@ from repro.experiments.artifacts import ExperimentTimeout, deadline
 from repro.fuzz.corpus import ReproCase
 from repro.fuzz.generators import make_case, plan_component_count
 from repro.fuzz.oracles import ORACLES, applicable_oracles
-from repro.fuzz.shrink import DEFAULT_BUDGET, shrink_case
+from repro.fuzz.shrink import shrink_case
 from repro.pool import PoolConfig, run_pool
 
 #: per-case wall-clock bound (seconds) unless the caller overrides it
@@ -114,7 +114,6 @@ def _case_digest(
     index: int,
     budget: int,
     case_seconds: Optional[float],
-    shrink_checks: int,
     want_repro: bool,
 ) -> Dict[str, Any]:
     """Run one case and digest it to a JSON-safe dict.
@@ -140,7 +139,7 @@ def _case_digest(
                     hit = oracle
                     break
             if violation is not None:
-                shrunk = shrink_case(case, hit, max_checks=shrink_checks)
+                shrunk = shrink_case(case, hit)
     except ExperimentTimeout:
         digest["status"] = "timeout"
         return digest
@@ -176,7 +175,6 @@ def run_case_shard(payload: Dict[str, Any]) -> str:
         payload["index"],
         payload["budget"],
         payload.get("case_seconds"),
-        payload.get("shrink_checks", DEFAULT_BUDGET),
         payload.get("want_repro", False),
     )
     return json.dumps(digest, sort_keys=True, separators=(",", ":")) + "\n"
@@ -186,15 +184,13 @@ def case_items(
     budget: int,
     seed: int,
     case_seconds: Optional[float] = DEFAULT_CASE_SECONDS,
-    shrink_checks: int = DEFAULT_BUDGET,
     want_repro: bool = False,
 ) -> List[Tuple[str, Dict[str, Any]]]:
     """``(item_id, payload)`` pool items for one campaign."""
     return [
         (f"case{index}",
          {"seed": seed, "index": index, "budget": budget,
-          "case_seconds": case_seconds, "shrink_checks": shrink_checks,
-          "want_repro": want_repro})
+          "case_seconds": case_seconds, "want_repro": want_repro})
         for index in range(budget)
     ]
 
@@ -256,10 +252,8 @@ def run_campaign(
     out_dir: Optional[Union[str, Path]] = None,
     metrics: Optional[object] = None,
     case_seconds: Optional[float] = DEFAULT_CASE_SECONDS,
-    shrink_checks: int = DEFAULT_BUDGET,
     progress: Optional[Callable[[str], None]] = None,
     workers: int = 0,
-    max_retries: int = 2,
 ) -> CampaignSummary:
     """Fuzz ``budget`` cases from ``seed``; shrink and save findings.
 
@@ -299,9 +293,9 @@ def run_campaign(
 
     report = run_pool(
         case_items(budget, seed, case_seconds=case_seconds,
-                   shrink_checks=shrink_checks, want_repro=out is not None),
+                   want_repro=out is not None),
         run_case_shard,
-        PoolConfig(workers=workers, max_retries=max_retries),
+        PoolConfig(workers=workers),
         quarantine_path=(str(out / "quarantine.json")
                          if out is not None else None),
         metrics=metrics,

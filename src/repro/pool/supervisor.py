@@ -5,17 +5,19 @@ case indices — across N worker processes without giving up any of the
 robustness substrate built in PRs 1-6:
 
 * **heartbeats** — every worker pings the supervisor continuously; a
-  worker that goes silent past ``heartbeat_grace`` is presumed wedged
+  worker that goes silent past ``HEARTBEAT_GRACE`` is presumed wedged
   (C-level hang, swap death) and killed.  A *slow* item keeps beating
   and is left alone.
 * **portable deadlines** — each item runs under the thread-timer
   :func:`repro.experiments.artifacts.deadline` inside the worker (no
-  ``SIGALRM`` in children), with an optional supervisor-side hard kill
-  (``kill_seconds``) as the backstop the in-process timer cannot give.
+  ``SIGALRM`` in children), with a supervisor-side hard kill at
+  ``2 * item_seconds + 5`` as the backstop the in-process timer cannot
+  give.
 * **bounded retries with decorrelated jitter** — an item whose worker
   died or whose deadline passed is retried up to ``max_retries``
   times, backing off via the exact
-  :class:`repro.faults.policy.RetryPolicy` recurrence the simulated
+  :class:`repro.faults.policy.RetryPolicy` recurrence (``BACKOFF``) the
+  simulated
   platform uses: the delay is a pure function of ``(seed, index,
   attempt)``, so two supervisors retrying the same item back off
   identically.  An item whose work function raised is not retried:
@@ -27,7 +29,7 @@ robustness substrate built in PRs 1-6:
   items serially under a debugger-friendly single process.
 * **graceful degradation** — a worker that dies mid-item (OOM kill,
   segfault, chaos monkey) is respawned and its item reassigned;
-  ``max_respawns`` bounds the pathological case where workers cannot
+  ``MAX_RESPAWNS`` bounds the pathological case where workers cannot
   even start.
 * **deterministic results** — results are returned in *item-index*
   order no matter which worker finished first, so whatever a caller
@@ -63,6 +65,17 @@ SCHEMA = "repro.pool/1"
 #: how long the supervisor blocks on the result queue per pass (s).
 _POLL_S = 0.05
 
+#: worker heartbeat period (s)
+HEARTBEAT_INTERVAL = 0.25
+#: silence beyond this many seconds = wedged worker, kill it
+HEARTBEAT_GRACE = 15.0
+#: retry backoff recurrence (delays are ``BACKOFF.backoff(index,
+#: attempt)`` microseconds of wall time — decorrelated jitter)
+BACKOFF = RetryPolicy(max_attempts=64, base_backoff=20_000,
+                      max_backoff=2_000_000)
+#: total worker respawns tolerated before aborting the campaign
+MAX_RESPAWNS = 16
+
 
 class PoolError(RuntimeError):
     """The pool cannot make progress (bad items, worker spawn storm)."""
@@ -90,25 +103,9 @@ class PoolConfig:
     #: deadline passed (an item that raised is never retried)
     max_retries: int = 2
     #: per-item wall-clock bound enforced *inside* the worker via the
-    #: portable thread-timer deadline (None = unbounded)
+    #: portable thread-timer deadline (None = unbounded); the
+    #: supervisor hard-kills a worker at ``2 * item_seconds + 5``
     item_seconds: Optional[float] = None
-    #: supervisor-side hard kill for items the in-worker timer cannot
-    #: interrupt; None derives ``2 * item_seconds + 5`` when
-    #: ``item_seconds`` is set, else disables the hard kill
-    kill_seconds: Optional[float] = None
-    #: worker heartbeat period (s)
-    heartbeat_interval: float = 0.25
-    #: silence beyond this many seconds = wedged worker, kill it
-    heartbeat_grace: float = 15.0
-    #: retry backoff recurrence (delays are ``backoff.backoff(index,
-    #: attempt)`` microseconds of wall time — decorrelated jitter)
-    backoff: RetryPolicy = field(default_factory=lambda: RetryPolicy(
-        max_attempts=64, base_backoff=20_000, max_backoff=2_000_000))
-    #: multiprocessing start method; None = "fork" where available
-    #: (cheap, Linux), else "spawn" (portable)
-    mp_start: Optional[str] = None
-    #: total worker respawns tolerated before aborting the campaign
-    max_respawns: int = 16
     #: chaos-monkey test hook: SIGKILL the worker the first time this
     #: item id is dispatched (exercises death + reassignment for real)
     chaos_kill: Optional[str] = None
@@ -120,17 +117,9 @@ class PoolConfig:
             raise ValueError("max_retries must be >= 0")
         if self.item_seconds is not None and self.item_seconds <= 0:
             raise ValueError("item_seconds must be positive")
-        if self.kill_seconds is not None and self.kill_seconds <= 0:
-            raise ValueError("kill_seconds must be positive")
-        if self.heartbeat_interval <= 0 or self.heartbeat_grace <= 0:
-            raise ValueError("heartbeat settings must be positive")
-        if self.max_respawns < 0:
-            raise ValueError("max_respawns must be >= 0")
 
     @property
     def hard_kill_seconds(self) -> Optional[float]:
-        if self.kill_seconds is not None:
-            return self.kill_seconds
         if self.item_seconds is not None:
             return 2.0 * self.item_seconds + 5.0
         return None
@@ -366,8 +355,7 @@ class _Run:
             self.n_retried += 1
             if self.c_retried is not None:
                 self.c_retried.inc()
-            delay_s = self.cfg.backoff.backoff(
-                index, self.attempts[index]) / 1e6
+            delay_s = BACKOFF.backoff(index, self.attempts[index]) / 1e6
             self.say(f"{it.item_id}: attempt {self.attempts[index]} failed "
                      f"({message}); retrying in {delay_s:.3f}s")
             return delay_s
@@ -427,7 +415,7 @@ def _spawn(ctx, slot: _Slot, slot_id: int, fn, cfg: PoolConfig):
     slot.proc = ctx.Process(
         target=worker_main,
         args=(slot_id, fn, slot.task_q, writer,
-              cfg.heartbeat_interval, cfg.item_seconds, os.getpid()),
+              HEARTBEAT_INTERVAL, cfg.item_seconds, os.getpid()),
         daemon=True,
     )
     slot.proc.start()
@@ -474,8 +462,8 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                   todo: List[int]) -> None:
     """The supervisor proper: dispatch, heartbeat-watch, retry, respawn."""
     cfg = run.cfg
-    start_method = cfg.mp_start or (
-        "fork" if "fork" in mp.get_all_start_methods() else "spawn")
+    start_method = ("fork" if "fork" in mp.get_all_start_methods()
+                    else "spawn")
     ctx = mp.get_context(start_method)
     n_workers = max(1, min(cfg.workers, len(todo)))
     slots = [_Slot() for _ in range(n_workers)]
@@ -545,7 +533,7 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                                   f"worker died (exit code {exitcode})")
                     if not run.done:
                         respawns += 1
-                        if respawns > cfg.max_respawns:
+                        if respawns > MAX_RESPAWNS:
                             raise PoolError(
                                 f"gave up after {respawns} worker respawns "
                                 f"(last exit code {exitcode})")
@@ -556,14 +544,14 @@ def _run_parallel(run: _Run, fn: Callable[[Any], Any],
                     oldest_age = max(oldest_age, age)
                     overdue = (hard_kill is not None
                                and now - slot.started > hard_kill)
-                    if age > cfg.heartbeat_grace or overdue:
+                    if age > HEARTBEAT_GRACE or overdue:
                         why = (f"exceeded hard deadline {hard_kill}s"
                                if overdue else
                                f"heartbeat stalled for {age:.1f}s")
                         _kill_slot(slot)
                         fail_assigned(slot_id, why)
                         respawns += 1
-                        if respawns > cfg.max_respawns:
+                        if respawns > MAX_RESPAWNS:
                             raise PoolError(
                                 f"gave up after {respawns} worker respawns "
                                 f"({why})")

@@ -192,39 +192,48 @@ FLAME_COLORS = {
 }
 FLAME_DEFAULT_COLOR = "#81a1c1"
 
-_FLAME_CSS = """\
+#: frame rules of the icicle markup (the explorer page inlines them
+#: too); a page sets the ``--border`` and ``--plane`` colours
+ICICLE_CSS = """\
+.fg { border: 1px solid var(--border); border-radius: 6px;
+      overflow: hidden; margin: 0.4em 0; }
+.fg-row { overflow: hidden; clear: both; }
+.fg-frame { box-sizing: border-box; float: left; overflow: hidden;
+            white-space: nowrap; text-overflow: ellipsis;
+            padding: 2px 5px; font-size: 0.78em; font-weight: 600;
+            color: #14161b; border-right: 1px solid var(--plane);
+            border-top: 1px solid var(--plane); }
+.fg-frame span { font-weight: 400; opacity: 0.75; }
+.fg-pad { background: transparent !important; border: none !important; }
+"""
+
+#: the standalone page around the icicle
+_PAGE_CSS = """\
+:root{--border:#2a2e38;--plane:#14161b}
 body{background:#14161b;color:#d6d9e0;font:13px/1.45 system-ui,sans-serif;
 margin:0;padding:24px}
 h1{font-size:16px;margin:0 0 4px}
 .sub{color:#8a8f9c;margin:0 0 16px}
-.flame{border:1px solid #2a2e38;border-radius:6px;overflow:hidden}
-.frame{box-sizing:border-box;overflow:hidden;white-space:nowrap;
-text-overflow:ellipsis;padding:3px 6px;border-right:1px solid #14161b;
-border-top:1px solid #14161b;color:#14161b;font-weight:600;float:left}
-.row{overflow:hidden;clear:both}
-.frame span{font-weight:400;opacity:.75}
 """
 
 
-def _fmt_us(us: int) -> str:
-    if us >= 1_000_000:
-        return f"{us / 1_000_000:.2f}s"
-    if us >= 1_000:
-        return f"{us / 1_000:.1f}ms"
-    return f"{us}us"
+def _fmt_ms(us: int) -> str:
+    return f"{us / 1e3:,.3f} ms"
 
 
-def flame_rows(flame: dict) -> List[List[Tuple[float, float, str, int, str]]]:
-    """Icicle layout for a flame tree: one list per depth of
-    ``(left%, width%, name, value_us, palette_key)`` tuples, where
-    ``palette_key`` is the top-level blame kind the frame descends from
-    (``""`` for the root).  Shared by the standalone page and the
-    explorer's embedded panel so both render identically.
+def flame_icicle(flame: dict) -> str:
+    """A flame tree as a pure-CSS icicle (styled by :data:`ICICLE_CSS`).
+
+    Each depth is a row, each node a div whose width is its exact share
+    of the root — plain floats and percentage widths, no script, so the
+    markup is byte-deterministic.  Both ``repro why --flame`` and the
+    explorer's blame panel render it.
     """
     root_val = max(flame.get("value", 0), 1)
     rows: List[List[Tuple[float, float, str, int, str]]] = []
 
     def _place(node: dict, depth: int, left: float, palette_key: str) -> None:
+        # (left%, width%, name, value_us, top-level kind for the colour)
         while len(rows) <= depth:
             rows.append([])
         width = 100.0 * node.get("value", 0) / root_val
@@ -238,48 +247,42 @@ def flame_rows(flame: dict) -> List[List[Tuple[float, float, str, int, str]]]:
             cursor += 100.0 * child.get("value", 0) / root_val
 
     _place(flame, 0, 0.0, "")
-    return rows
-
-
-def render_flamegraph(flame: dict, title: str = "blame flamegraph") -> str:
-    """Render a flame tree as one self-contained HTML page.
-
-    Layout is the classic icicle: each depth is a row, each node a div
-    whose width is its exact share of the root — plain floats and
-    percentage widths, no script, so the page is byte-deterministic and
-    renders with every asset inline (offline-safe by construction).
-    """
-    rows = flame_rows(flame)
-    parts = [
-        "<!DOCTYPE html><html><head><meta charset=\"utf-8\">",
-        f"<title>{_html.escape(title)}</title>",
-        f"<style>{_FLAME_CSS}</style></head><body>",
-        f"<h1>{_html.escape(title)}</h1>",
-        f"<p class=\"sub\">total blamed: {_fmt_us(flame.get('value', 0))}"
-        " &mdash; width is exact share of blame; "
-        "root &rarr; kind &rarr; reason &rarr; app</p>",
-        "<div class=\"flame\">",
-    ]
+    parts = ['<div class="fg">']
     for row in rows:
-        parts.append("<div class=\"row\">")
+        parts.append('<div class="fg-row">')
         cursor = 0.0
         for left, width, name, value, key in sorted(row):
             pad = left - cursor
             if pad > 1e-9:
-                parts.append(
-                    f"<div class=\"frame\" style=\"width:{pad:.4f}%;"
-                    "background:transparent;border:none\">&nbsp;</div>")
+                parts.append(f'<div class="fg-frame fg-pad" '
+                             f'style="width:{pad:.4f}%">&nbsp;</div>')
             color = FLAME_COLORS.get(key, FLAME_DEFAULT_COLOR)
-            label = (f"{_html.escape(name)} "
-                     f"<span>{_fmt_us(value)}</span>")
             parts.append(
-                f"<div class=\"frame\" style=\"width:{width:.4f}%;"
-                f"background:{color}\" title=\"{_html.escape(name)}: "
-                f"{value}us\">{label}</div>")
+                f'<div class="fg-frame" style="width:{width:.4f}%;'
+                f'background:{color}" title="{_html.escape(name)}: '
+                f'{value}us">{_html.escape(name)} '
+                f"<span>{_fmt_ms(value)}</span></div>")
             cursor = left + width
         parts.append("</div>")
-    parts.append("</div></body></html>")
-    return "".join(parts) + "\n"
+    parts.append("</div>")
+    return "".join(parts)
+
+
+def render_flamegraph(flame: dict, title: str = "blame flamegraph") -> str:
+    """Render a flame tree as one self-contained HTML page: the
+    :func:`flame_icicle` with every style inline (offline-safe by
+    construction)."""
+    return "".join((
+        "<!DOCTYPE html><html><head><meta charset=\"utf-8\">",
+        f"<title>{_html.escape(title)}</title>",
+        f"<style>{_PAGE_CSS}{ICICLE_CSS}</style></head><body>",
+        f"<h1>{_html.escape(title)}</h1>",
+        f"<p class=\"sub\">total blamed: {_fmt_ms(flame.get('value', 0))}"
+        " &mdash; width is exact share of blame; "
+        "root &rarr; kind &rarr; reason &rarr; app</p>",
+        flame_icicle(flame),
+        "</body></html>\n",
+    ))
 
 
 def blame_diff(doc_a: dict, doc_b: dict) -> List[dict]:

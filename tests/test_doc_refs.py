@@ -54,3 +54,19 @@ def test_module_map_files_exist():
     assert len(listed) >= 30, "the module-map pattern no longer matches"
     missing = [p for p in listed if not (ROOT / "src/repro" / p).is_file()]
     assert missing == []
+
+
+def test_experiments_doc_sections_match_the_code(tmp_path):
+    """EXPERIMENTS.md is what the code prints: the cheapest sections,
+    regenerated by ``repro.analysis.run_all``, appear in the committed
+    file verbatim, and so does the header."""
+    from repro.analysis import run_all
+
+    out = tmp_path / "EXPERIMENTS.md"
+    assert run_all.main([str(out), "--only", "fig1", "table1"]) == 0
+    header, *sections = out.read_text().split("\n## ")
+    committed = (ROOT / "EXPERIMENTS.md").read_text()
+    assert committed.startswith(header + "\n## ")
+    assert [s.split(":", 1)[0] for s in sections] == ["fig1", "table1"]
+    for section in sections:
+        assert "\n## " + section in committed, section.split("\n", 1)[0]

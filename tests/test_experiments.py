@@ -151,7 +151,7 @@ def test_fig9_adaptive_beats_static():
 def test_fig10_slice_tracks_iats():
     cfg = shrink(fig10_slice_timeline.Config.scaled(), n_requests=2_000)
     res = fig10_slice_timeline.run(cfg, seed=0)
-    assert len(res.slice_timeline) >= 5
+    assert len(res.slice_timeline) > 5
     ss = [s for _t, s in res.slice_timeline[1:]]
     assert len(set(ss)) > 1  # S actually moves with the bursty arrivals
     # every recomputed S respects the clamp bounds
@@ -277,6 +277,10 @@ def test_all_renders_nonempty():
             n_apps=2000,
             n_cores=8,
         )
-        res = entry.module.run(cfg, seed=3)
-        out = entry.render(res)
+        module = entry.module
+        if entry.shardable:
+            out = module.render_shards(
+                [module.run_shard(p) for _, p in module.shards(cfg, 3)], cfg)
+        else:
+            out = module.render(module.run(cfg, seed=3))
         assert isinstance(out, str) and len(out) > 50, exp_id

@@ -501,14 +501,19 @@ def test_cluster_rejects_failure_of_unknown_host():
 # chaos experiment (scaled far down)
 # ----------------------------------------------------------------------
 def test_chaos_experiment_tiny():
+    import json
+
     from repro.experiments import chaos
 
     cfg = chaos.Config(n_requests=300, n_hosts=2, cores_per_host=4)
-    result = chaos.run(cfg, seed=0)
-    assert set(result.runs) == {"crash", "straggler", "overload"}
-    for by_sched in result.runs.values():
-        assert set(by_sched) == {"cfs", "sfs"}
-        for r in by_sched.values():
-            assert len(r.records) == 300
-    out = chaos.render(result)
+    cells = [(p["scenario"], p["scheduler"])
+             for _, p in chaos.shards(cfg, seed=0)]
+    assert cells == [(sc, s) for sc in ("crash", "straggler", "overload")
+                     for s in ("cfs", "sfs")]
+    texts = []
+    for scenario, scheduler in cells:
+        r = chaos.run_cell(cfg, 0, scenario, scheduler)
+        assert len(r.records) == 300
+        texts.append(json.dumps(chaos.cell_summary(scenario, scheduler, r)))
+    out = chaos.render_shards(texts, cfg)
     assert "goodput" in out and "crash" in out and "straggler" in out

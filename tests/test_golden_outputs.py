@@ -45,7 +45,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import small_workload  # noqa: E402
-from repro.experiments.registry import REGISTRY  # noqa: E402
+from repro.experiments.registry import run_item  # noqa: E402
 from repro.experiments.runner import RunConfig, run_workload  # noqa: E402
 from repro.explore import RunBundle  # noqa: E402
 from repro.faas.cluster import ClusterConfig, run_cluster  # noqa: E402
@@ -471,8 +471,7 @@ RENDERS: Dict[str, str] = {
 
 
 def _render(exp_id: str) -> str:
-    entry = REGISTRY[exp_id]
-    return _sha(entry.render(entry.run_scaled(seed=0)))
+    return _sha(run_item({"exp_id": exp_id, "seed": 0}))
 
 
 @pytest.mark.parametrize("exp_id", sorted(RENDERS))

@@ -114,17 +114,21 @@ def _die_holding_result_lock(payload):
     return demo_item({"name": name})
 
 
-def test_worker_killed_mid_write_does_not_wedge_the_others(tmp_path):
+def test_worker_killed_mid_write_does_not_wedge_the_others(tmp_path,
+                                                           monkeypatch):
     # a worker killed while it holds a result channel's write lock may
     # tear only its own channel: the other workers' results and
     # heartbeats keep arriving, so nothing stalls or gets quarantined
+    from repro.pool import supervisor
+
+    monkeypatch.setattr(supervisor, "HEARTBEAT_INTERVAL", 0.05)
+    monkeypatch.setattr(supervisor, "HEARTBEAT_GRACE", 1.0)
     marker = str(tmp_path / "died")
     items = [(f"item{i}", (marker if i == 0 else None, f"item{i}"))
              for i in range(4)]
     report = run_pool(
         items, _die_holding_result_lock,
-        PoolConfig(workers=2, max_retries=2, heartbeat_interval=0.05,
-                   heartbeat_grace=1.0))
+        PoolConfig(workers=2, max_retries=2))
     assert os.path.exists(marker)
     assert report.complete
     assert report.results == _expected(4)
@@ -323,14 +327,15 @@ def _tiny_shard_configs():
 
 @pytest.mark.parametrize("name", ["chaos", "ext_resilience",
                                   "replay_stream"])
-def test_shards_render_byte_identical_to_serial(name):
-    """Each shardable experiment: its cells, run one by one and merged
-    by ``render_shards``, render the bytes of one ``run`` + ``render``."""
+def test_shards_render_from_json_payloads(name):
+    """Each grid's cells run from JSON round-tripped payloads (what a
+    worker or a quarantine replay receives) and merge, in grid order,
+    into its rendering."""
     module, cfg, heading = _tiny_shard_configs()[name]
-    serial = module.render(module.run(cfg, seed=0))
-    texts = [module.run_shard(p) for _, p in module.shards(cfg, seed=0)]
-    assert module.render_shards(texts, cfg) == serial
-    assert serial.startswith(heading)
+    shards = module.shards(cfg, seed=0)
+    assert len({shard_id for shard_id, _ in shards}) == len(shards)
+    texts = [module.run_shard(json.loads(json.dumps(p))) for _, p in shards]
+    assert module.render_shards(texts, cfg).startswith(heading)
 
 
 def _tiny_chaos(monkeypatch):
@@ -371,8 +376,8 @@ def test_cli_chaos_kill_needs_a_worker(tmp_path, capsys):
 def test_cli_experiment_stdout_identical_at_every_worker_count(
         monkeypatch, capsys):
     """Without ``--out`` the same pool sweep prints each experiment's
-    text in id order: a shardable one's ``render_shards`` equals its
-    ``render(run())``, and progress stays off stdout."""
+    text in id order: a grid's is ``render_shards`` of its cells, and
+    progress stays off stdout."""
     from repro.cli import main
 
     chaos, tiny = _tiny_chaos(monkeypatch)
@@ -389,7 +394,9 @@ def test_cli_experiment_stdout_identical_at_every_worker_count(
                              "===\n")
     assert chaos_text == (
         "scheduling under failure: crashes, stragglers, overload "
-        "shedding ===\n" + chaos.render(chaos.run(tiny, seed=0)) + "\n")
+        "shedding ===\n" + chaos.render_shards(
+            [chaos.run_shard(p) for _, p in chaos.shards(tiny, seed=0)],
+            tiny) + "\n")
 
 
 def test_cli_chaos_kill_without_out_retries_the_cell(monkeypatch, capsys):
