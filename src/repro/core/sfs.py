@@ -98,6 +98,7 @@ class SFS:
         self.config = config or SFSConfig()
         n_workers = self.config.n_workers or machine.n_cores
         self.workers: List[SFSWorker] = [SFSWorker(i) for i in range(n_workers)]
+        self._idle = n_workers  # workers with no FILTER function
         if self.config.per_worker_queues:
             # multi-queue ablation (§VI): one private queue per worker,
             # round-robin request placement, no stealing
@@ -162,7 +163,8 @@ class SFS:
     # ==================================================================
     def _drain(self) -> None:
         """Let idle workers fetch from the global queue (work conserving)."""
-        if self._draining:
+        if self._draining or not self._idle or not (
+                self.config.per_worker_queues or self.queue):
             return
         self._draining = True
         try:
@@ -225,6 +227,7 @@ class SFS:
             task.sfs_slice_left = slice_left
             task.sfs_slice_granted = slice_left
         worker.entry = entry
+        self._idle -= 1
         worker.assigned_at = now
         worker.cpu_at_assign = task.cpu_time
         worker.slice_at_assign = slice_left
@@ -332,6 +335,8 @@ class SFS:
         assignment."""
         if worker.poll_handle is not None:
             self._meter_elided(worker.poll_handle, worker.assigned_at, 1)
+        if worker.entry is not None:
+            self._idle += 1
         worker.clear()
 
     def _meter_elided(self, handle: EventHandle, since: int,

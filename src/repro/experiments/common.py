@@ -9,7 +9,6 @@ numbers actually measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.constants import CTX_SWITCH_COST_US as _CTX_SWITCH_COST_US
@@ -58,31 +57,6 @@ def azure_sampled_workload(
 
 def machine(n_cores: int, ctx_switch_cost: int = CTX_SWITCH_COST) -> MachineParams:
     return MachineParams(n_cores=n_cores, ctx_switch_cost=ctx_switch_cost)
-
-
-@dataclass(frozen=True)
-class Scale:
-    """Experiment sizing knobs shared by most figures."""
-
-    n_requests: int
-    n_cores: int
-    engine: str = "fluid"
-
-    @classmethod
-    def paper(cls) -> "Scale":
-        """The paper's standalone setup: c5a.4xlarge-ish, Azure Day-1
-        sample size (downscaled trace of ~50k requests)."""
-        return cls(n_requests=49_712, n_cores=12, engine="fluid")
-
-    @classmethod
-    def bench(cls) -> "Scale":
-        """Seconds-scale sizing."""
-        return cls(n_requests=4_000, n_cores=12, engine="fluid")
-
-    @classmethod
-    def test(cls) -> "Scale":
-        """Sub-second sizing for the integration tests."""
-        return cls(n_requests=800, n_cores=8, engine="fluid")
 
 
 # ----------------------------------------------------------------------

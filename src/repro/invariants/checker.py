@@ -331,7 +331,8 @@ class InvariantChecker(NullChecker):
             self._min_vruntime[id(rq)] = min_vr
 
     def on_fluid_pool(self, machine: Any) -> None:
-        """Fluid-engine pool consistency (sampled deep cross-check)."""
+        """Fluid-engine pool consistency after every pool-completion
+        reschedule (sampled deep cross-check)."""
         self._count("fluid-pool")
         if len(machine._rt_running) > machine.n_cores:
             self._fail(
@@ -360,6 +361,19 @@ class InvariantChecker(NullChecker):
             self._fail("runqueue-soundness",
                        f"pool holds {rr} SCHED_RR tasks, counted "
                        f"{machine._pool_rr}")
+        # the cached rates, and the completion event moved at every
+        # change, must agree with a fresh computation
+        rates = machine._compute_rates()
+        if machine._rates is not None and machine._rates != rates:
+            self._fail("runqueue-soundness",
+                       f"cached pool rates {machine._rates}, fresh {rates}")
+        heap = machine._heap  # its head is what the event was keyed on
+        due = machine._pool_due(heap[0][0], rates[0]) if heap else None
+        event = machine._pool_event
+        at = None if event is None or event.cancelled else event.time
+        if at != due:
+            self._fail("runqueue-soundness",
+                       f"pool completion event at {at}, due at {due}")
 
     def on_warm_cache(self, cache: Any, app: str) -> None:
         """Keep-alive occupancy vs. sandbox lifecycle."""
@@ -402,6 +416,11 @@ class InvariantChecker(NullChecker):
                 self._fail("sfs-accounting",
                            f"SFS outcome counters do not close: {exc}",
                            host=host, stats=layer.stats)
+            idle = sum(1 for w in layer.workers if w.entry is None)
+            if layer._idle != idle:
+                self._fail("sfs-accounting",
+                           f"SFS counts {layer._idle} idle workers, "
+                           f"{idle} hold no function", host=host)
         self._count("no-lost-tasks")
         self._count("exactly-once")
         want = sorted(spec.req_id for spec in workload)

@@ -207,17 +207,17 @@ class DiscreteMachine(MachineBase):
             self._pick_next(core)
 
     def _least_loaded_core(self) -> _Core:
-        best = self.cores[0]
-        best_load = self._core_load(best)
-        for core in self.cores[1:]:
-            load = self._core_load(core)
-            if load < best_load:
+        """The first core with the fewest runnable tasks (running one
+        included)."""
+        best = None
+        best_load = 0
+        for core in self.cores:
+            load = len(core.rq)
+            if core.task is not None:
+                load += 1
+            if best is None or load < best_load:
                 best, best_load = core, load
         return best
-
-    @staticmethod
-    def _core_load(core: _Core) -> int:
-        return len(core.rq) + (1 if core.task is not None else 0)
 
     def _rt_budget(self, core: _Core) -> Optional[int]:
         """Remaining RT runtime in this core's current bandwidth period
@@ -305,8 +305,9 @@ class DiscreteMachine(MachineBase):
         for other in self.cores:
             if other is core:
                 continue
-            if len(other.rq) > busiest_len:
-                busiest, busiest_len = other, len(other.rq)
+            n = len(other.rq)
+            if n > busiest_len:
+                busiest, busiest_len = other, n
         if busiest is None:
             return None
         task = busiest.rq.pick_next()

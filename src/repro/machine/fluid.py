@@ -59,6 +59,9 @@ class FluidMachine(MachineBase):
         self._last_update: int = 0
         self._busy_float: float = 0.0
         self._pool_event: Optional[EventHandle] = None
+        # (rate, slice_rate) of the pool; None until read after a
+        # change of pool membership, _pool_rr or _rt_running
+        self._rates: Optional[Tuple[float, float]] = None
         # --- RT (FIFO) side ---
         self.rt_wait = RTRunqueue()
         self._rt_running: dict[int, Task] = {}      # tid -> task
@@ -139,45 +142,51 @@ class FluidMachine(MachineBase):
         shares the pool (see module doc)."""
         return policy is SchedPolicy.FIFO
 
-    def _free_cores(self) -> int:
-        return max(0, self.n_cores - len(self._rt_running))
+    def _pool_rates(self) -> Tuple[float, float]:
+        """The pool's ``(rate, slice_rate)``: the service rate of each
+        pool task, and the expected context switches per microsecond of
+        *service*.  Cached until the pool's membership, its RR count or
+        the dedicated cores change."""
+        rates = self._rates
+        if rates is None:
+            rates = self._rates = self._compute_rates()
+        return rates
 
-    def _rate(self) -> float:
+    def _compute_rates(self) -> Tuple[float, float]:
         n = len(self._pool)
         if n == 0:
-            return 0.0
-        raw = min(1.0, self._free_cores() / n) * self._speed
-        cost = self.params.ctx_switch_cost
-        if cost > 0 and raw > 0:
+            return 0.0, 0.0
+        free = max(0, self.n_cores - len(self._rt_running))
+        params = self.params
+        slice_rate = 0.0
+        if free > 0:
+            contention = n / free
+            if contention <= 1.0:
+                pass  # a core each: no involuntary switching
+            elif self._pool_rr:
+                slice_rate = 1.0 / params.rr_quantum
+            else:
+                cfs = params.cfs
+                slice_rate = 1.0 / max(cfs.sched_latency / contention,
+                                       cfs.min_granularity)
+        rate = min(1.0, free / n) * self._speed
+        cost = params.ctx_switch_cost
+        if cost > 0 and rate > 0:
             # each slice of useful work pays one switch: the pool's
             # effective rate shrinks by slice/(slice + cost)
-            sr = self._slice_rate()  # expected switches per us of service
-            raw /= 1.0 + cost * sr
-        return raw
-
-    def _slice_rate(self) -> float:
-        """Expected context switches per microsecond of *service*."""
-        n = len(self._pool)
-        free = self._free_cores()
-        if n == 0 or free <= 0:
-            return 0.0
-        contention = n / free
-        if contention <= 1.0:
-            return 0.0  # a core each: no involuntary switching
-        if self._pool_rr:
-            return 1.0 / self.params.rr_quantum
-        cfs = self.params.cfs
-        return 1.0 / max(cfs.sched_latency / contention, cfs.min_granularity)
+            rate /= 1.0 + cost * slice_rate
+        return rate, slice_rate
 
     def _advance(self) -> None:
         now = self.sim.now
         dt = now - self._last_update
         if dt <= 0:
             return
-        r = self._rate()
+        r, slice_rate = self._pool_rates()
         self._credit += r * dt
-        self._cs_credit += r * dt * self._slice_rate()
-        pool_usage = min(len(self._pool), self._free_cores())
+        self._cs_credit += r * dt * slice_rate
+        pool_usage = min(len(self._pool),
+                         max(0, self.n_cores - len(self._rt_running)))
         self._busy_float += dt * (pool_usage + len(self._rt_running))
         self.busy_time = int(self._busy_float)
         self._last_update = now
@@ -202,6 +211,7 @@ class FluidMachine(MachineBase):
         self._pool[task.tid] = task
         if task.policy is SchedPolicy.RR:
             self._pool_rr += 1
+        self._rates = None
         if self._probe_on:
             self._probe.pool_enter(task, len(self._pool))
         heapq.heappush(self._heap, (target, next(self._seq), task))
@@ -216,6 +226,7 @@ class FluidMachine(MachineBase):
         del self._pool[task.tid]
         if task.policy is SchedPolicy.RR:
             self._pool_rr -= 1
+        self._rates = None
         served = int(round(self._credit - task.pool_credit))
         credit = self._charge_pool(
             task, max(0, min(served, task.burst_remaining - 1)))
@@ -243,23 +254,36 @@ class FluidMachine(MachineBase):
         return min(served, elapsed)
 
     def _reschedule_pool_event(self) -> None:
-        if self._pool_event is not None:
-            self._pool_event.cancel()
-            self._pool_event = None
+        """Move the pool-completion event to the instant the pool's
+        next completion falls due (or drop it if none will)."""
+        heap, pool = self._heap, self._pool
         # drop dead heap heads
-        while self._heap and self._heap[0][2].tid not in self._pool:
-            heapq.heappop(self._heap)
-        while self._heap and self._heap[0][2].pool_target != self._heap[0][0]:
-            heapq.heappop(self._heap)
-        if not self._heap:
-            return
-        r = self._rate()
-        if r <= 0.0:
-            return  # pool frozen: all cores held by FIFO tasks
-        target = self._heap[0][0]
-        dt = (target - self._credit) / r
-        delay = max(0, int(math.ceil(dt - _EPS)))
-        self._pool_event = self.sim.schedule(delay, self._on_pool_completion)
+        while heap and heap[0][2].tid not in pool:
+            heapq.heappop(heap)
+        while heap and heap[0][2].pool_target != heap[0][0]:
+            heapq.heappop(heap)
+        due = self._pool_due(heap[0][0], self._pool_rates()[0]) \
+            if heap else None
+        event = self._pool_event
+        if due is None:
+            if event is not None:
+                event.cancel()
+                self._pool_event = None
+        elif event is None:
+            self._pool_event = self.sim.schedule_at(
+                due, self._on_pool_completion)
+        else:
+            self._pool_event = self.sim.move(event, due)
+        if self._inv_on:
+            self._inv.on_fluid_pool(self)
+
+    def _pool_due(self, target: float, rate: float) -> Optional[int]:
+        """The instant the pool's credit reaches ``target`` at ``rate``
+        (None when the pool is frozen: all cores held by FIFO tasks)."""
+        if rate <= 0.0:
+            return None
+        dt = (target - self._credit) / rate
+        return self.sim.now + max(0, int(math.ceil(dt - _EPS)))
 
     def _on_pool_completion(self) -> None:
         self._pool_event = None
@@ -273,11 +297,10 @@ class FluidMachine(MachineBase):
             if task.policy is SchedPolicy.RR:
                 self._pool_rr -= 1
             finished.append(task)
+        self._rates = None
         for task in finished:
             served = self._charge_pool(task, task.burst_remaining)
             self._end_burst(task, -1, served)
-        if self._inv_on:
-            self._inv.on_fluid_pool(self)
         self._reschedule_pool_event()
 
     # ==================================================================
@@ -321,6 +344,7 @@ class FluidMachine(MachineBase):
             wall, self._on_rt_completion, task
         )
         self._rt_running[task.tid] = task
+        self._rates = None
         if self._probe_on:
             slot = heapq.heappop(self._free_slots) if self._free_slots else -1
             task.slot = slot
@@ -340,6 +364,7 @@ class FluidMachine(MachineBase):
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
+        self._rates = None
         slot = self._release_slot(task)
         if involuntary:
             task.ctx_involuntary += 1
@@ -353,6 +378,7 @@ class FluidMachine(MachineBase):
         if self._inv_on:
             self._inv.on_charge(task)
         del self._rt_running[task.tid]
+        self._rates = None
         self._end_burst(task, self._release_slot(task))
         self._dispatch_rt()
         self._reschedule_pool_event()

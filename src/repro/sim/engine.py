@@ -7,7 +7,10 @@ timestamps, which makes every run fully deterministic.
 
 Cancellation is *lazy*: :meth:`EventHandle.cancel` marks the handle and
 the main loop discards dead entries when they surface, which keeps both
-``schedule`` and ``cancel`` O(log n) / O(1).
+``schedule`` and ``cancel`` O(log n) / O(1).  Moving an event later
+(:meth:`Simulator.move`) is lazy the same way: the handle takes its new
+``(time, seq)`` at once, and its old heap entry, a lower bound of the
+new key, is re-keyed when it surfaces.
 
 A periodic timer (:meth:`Simulator.every`) keeps one handle on the heap
 and re-arms it in place at each firing; a firing its ``idle`` test
@@ -240,6 +243,32 @@ class Simulator:
         finally:
             self._seq = seq
 
+    def move(self, handle: EventHandle, time: int) -> EventHandle:
+        """Move a pending one-shot event to absolute time ``time``, at
+        the tie-break rank a fresh :meth:`schedule_at` would take, and
+        return the handle that now holds it.
+
+        A move no earlier than the event's current time updates the
+        handle in place: its heap entry stays where it is as a lower
+        bound and is re-keyed when it surfaces (a re-key is not a
+        firing).  An earlier move cancels the handle and returns a
+        fresh one, so every handle keeps exactly one heap entry."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot move event to t={time} before now={self.now}"
+            )
+        self._seq += 1
+        time = int(time)
+        if time >= handle.time:
+            handle.time = time
+            handle.seq = self._seq
+            return handle
+        fresh = EventHandle(time, self._seq, handle.callback, handle.args,
+                            handle.daemon)
+        handle.cancel()
+        heapq.heappush(self._heap, (time, fresh.seq, fresh))
+        return fresh
+
     def schedule(self, delay: int, callback: Callable[..., Any], *args: Any,
                  daemon: bool = False) -> EventHandle:
         """Schedule ``callback(*args)`` after ``delay`` microseconds."""
@@ -467,9 +496,18 @@ class Simulator:
         )
 
     def _drop_dead(self) -> None:
+        """Pop cancelled entries off the top of the heap and re-key the
+        lower-bound entries of moved events, until the top is live and
+        exact."""
         heap = self._heap
-        while heap and heap[0][2].cancelled:
-            heapq.heappop(heap)
+        while heap:
+            _time, seq, handle = heap[0]
+            if handle.cancelled:
+                heapq.heappop(heap)
+            elif seq != handle.seq:
+                heapq.heapreplace(heap, (handle.time, handle.seq, handle))
+            else:
+                return
 
     # ------------------------------------------------------------------
     # parked-mode timers

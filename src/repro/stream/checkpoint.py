@@ -18,7 +18,8 @@ closures are banned from the replay path for precisely this reason.
 Parked SFS poll timers are off the heap; the simulator's parked set,
 rank log and per-phase timer lists carry them (schema ``/4``).  Tasks
 are slotted (schema ``/5``): a ``/4`` task's undeclared engine state
-cannot be loaded into them.
+cannot be loaded into them.  The fluid machine carries its cached pool
+rates and SFS its idle-worker count (schema ``/10``).
 
 Resume contract: ``load`` verifies the manifest hash and the config
 digest (a checkpoint from a different replay configuration is an
@@ -45,7 +46,7 @@ from repro.experiments.artifacts import (
 
 #: bumped whenever the pickled driver graph changes shape: a checkpoint
 #: of another schema cannot be resumed by this code
-CHECKPOINT_SCHEMA = "repro.stream/9"
+CHECKPOINT_SCHEMA = "repro.stream/10"
 
 #: pinned pickle protocol: checkpoints written by one interpreter
 #: version stay readable by the next (protocol 4 is universal on 3.4+)

@@ -54,9 +54,10 @@ def test_resume_without_stored_checkpoint_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("schema", ["repro.stream/1", "repro.stream/2",
                                     "repro.stream/3", "repro.stream/4",
                                     "repro.stream/5", "repro.stream/6",
-                                    "repro.stream/7", "repro.stream/8"],
+                                    "repro.stream/7", "repro.stream/8",
+                                    "repro.stream/9"],
                          ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7",
-                              "v8"])
+                              "v8", "v9"])
 def test_resume_of_older_checkpoint_schema_exits_2(tmp_path, capsys, schema):
     ckpt = tmp_path / "ckpt"
     args = BASE + ["--checkpoint-dir", str(ckpt), "--checkpoint-every", "5",

@@ -209,6 +209,145 @@ def test_pending_excludes_consumed_events(sim):
     assert sim.pending == 1
 
 
+# ----------------------------------------------------------------------
+# moved one-shot events (Simulator.move)
+# ----------------------------------------------------------------------
+def _script(sim, move):
+    """Schedule, move later, earlier and later again, with events
+    scheduled in between; ``move`` is the move under test."""
+    fired = []
+    h = sim.schedule_at(10, fired.append, "moved")
+    sim.schedule_at(30, fired.append, "a30")
+    h = move(sim, h, 30)
+    sim.schedule_at(30, fired.append, "b30")
+    sim.schedule_at(20, fired.append, "a20")
+    h = move(sim, h, 20)
+    sim.schedule_at(20, fired.append, "b20")
+    h = move(sim, h, 30)
+    sim.schedule_at(30, fired.append, "c30")
+    return fired, h
+
+
+def test_move_fires_where_a_fresh_schedule_would():
+    def fresh(sim, h, time):  # cancel() clears callback and args
+        callback, args = h.callback, h.args
+        h.cancel()
+        return sim.schedule_at(time, callback, *args)
+
+    ref = Simulator()
+    want, ref_h = _script(ref, fresh)
+    sim = Simulator()
+    got, h = _script(sim, Simulator.move)
+    assert (h.time, h.seq) == (ref_h.time, ref_h.seq) == (30, 8)
+    assert sim.reserve(0) == ref.reserve(0)  # one counter value per move
+    ref.run()
+    sim.run()
+    assert got == want == ["a20", "b20", "a30", "b30", "moved", "c30"]
+    assert sim.events_executed == ref.events_executed == 6
+
+
+def test_move_later_is_in_place_and_earlier_is_a_fresh_handle(sim):
+    h = sim.schedule_at(10, lambda: None)
+    assert sim.move(h, 20) is h and (h.time, h.seq) == (20, 2)
+    fresh = sim.move(h, 15)
+    assert fresh is not h and h.cancelled and fresh.active
+    assert (fresh.time, fresh.seq) == (15, 3)
+    assert len(sim._heap) == 2  # one entry per handle, h's now dead
+
+
+def test_move_to_the_same_instant_goes_after_earlier_events(sim):
+    fired = []
+    h = sim.schedule_at(10, fired.append, "moved")
+    sim.schedule_at(10, fired.append, "other")
+    assert sim.move(h, 10) is h
+    sim.schedule_at(10, fired.append, "late")
+    sim.run()
+    assert fired == ["other", "moved", "late"]
+
+
+def test_a_rekey_is_not_a_firing():
+    checker = InvariantChecker()
+    sim = Simulator(invariants=checker)
+    fired = []
+    h = sim.schedule_at(5, fired.append, "x")
+    for time in (10, 20, 30):
+        h = sim.move(h, time)
+    sim.schedule_at(25, fired.append, "y")
+    sim.run(max_events=2)  # re-keys spend no budget
+    assert fired == ["y", "x"]
+    assert sim.events_executed == 2
+    assert checker.summary()["monotone-clock"] == 2
+
+
+@pytest.mark.parametrize("first", [10, 20])
+def test_run_until_stops_before_a_moved_event_past_it(sim, first):
+    fired = []
+    h = sim.schedule_at(first, fired.append, "x")
+    sim.move(h, 50)
+    sim.run(until=20)  # the entry at `first` is only a lower bound
+    assert fired == [] and sim.now == 20
+    assert sim.peek_time() == 50
+    sim.run()
+    assert fired == ["x"] and sim.now == 50
+
+
+def test_move_keeps_pending_and_pending_work(sim):
+    h = sim.schedule_at(10, lambda: None)
+    d = sim.schedule_at(10, lambda: None, daemon=True)
+    assert sim.pending == 2
+    h = sim.move(h, 40)
+    assert sim.pending == 2 and sim.pending_work
+    h = sim.move(h, 20)
+    assert sim.pending == 2 and sim.pending_work
+    d = sim.move(d, 5)
+    assert d.daemon and sim.pending == 2
+    h.cancel()
+    assert sim.pending == 1 and not sim.pending_work
+
+
+class _Mover:
+    """Picklable owner of a moved event (callbacks are bound methods)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.log = []
+        self.handle = sim.schedule_at(10, self.fire, "moved")
+        sim.schedule_at(5, self.push_back)
+        sim.schedule_at(8, self.fire, "early")
+        sim.schedule_at(30, self.fire, "mid")
+
+    def push_back(self):
+        self.handle = self.sim.move(self.handle, 60)
+        self.sim.schedule_at(60, self.fire, "after")
+
+    def fire(self, tag):
+        self.log.append((self.sim.now, tag))
+
+
+def test_moved_event_survives_pickling_mid_run():
+    sim = Simulator()
+    mover = _Mover(sim)
+    sim.run(until=7)
+    # the moved event's entry at t=10 is still on the heap, unkeyed
+    assert any(seq != h.seq for _t, seq, h in sim._heap)
+    clone = pickle.loads(pickle.dumps(mover))
+    sim.run()
+    clone.sim.run()
+    assert clone.log == mover.log == [(8, "early"), (30, "mid"),
+                                      (60, "moved"), (60, "after")]
+    assert clone.sim.events_executed == sim.events_executed == 5
+
+
+def test_cannot_move_into_the_past(sim):
+    h = sim.schedule_at(50, lambda: None)
+    sim.run(until=20)
+    before = sim.reserve(0)
+    with pytest.raises(SimulationError):
+        sim.move(h, 10)
+    assert sim.reserve(0) == before  # a failed move leaves no trace
+    assert h.active and h.time == 50
+
+
 def test_deterministic_replay():
     def drive(s: Simulator):
         order = []

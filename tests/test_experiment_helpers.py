@@ -11,7 +11,6 @@ from repro.experiments import (
     fig15_ol_percentiles,
     fig16_ctx,
 )
-from repro.experiments.common import Scale
 from repro.metrics.collector import RequestRecord, RunResult
 
 
@@ -110,9 +109,3 @@ def test_ext_predictive_gap_closed_bounds():
     # no gap at all counts as fully closed
     res3 = R({"sfs": srtf, "srtf": srtf, "predictive": srtf})
     assert ext_predictive.gap_closed(res3) == 1.0
-
-
-def test_scale_presets_ordered():
-    assert Scale.test().n_requests < Scale.bench().n_requests
-    assert Scale.bench().n_requests < Scale.paper().n_requests
-    assert Scale.paper().n_requests == 49_712  # the paper's Day-1 sample

@@ -16,7 +16,7 @@ import pytest
 from conftest import quick_run, small_workload
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import RetryPolicy
-from repro.core.sfs import SFSStats
+from repro.core.sfs import SFS, SFSStats
 from repro.faas.cluster import ClusterConfig, run_cluster
 from repro.faas.openlambda import OpenLambdaConfig
 from repro.invariants import (
@@ -28,7 +28,9 @@ from repro.invariants import (
     resolve_checker,
 )
 from repro.machine.base import MachineParams
+from repro.machine.fluid import FluidMachine
 from repro.sched.cfs import CfsParams, CfsRunqueue
+from repro.sim.engine import Simulator
 from repro.sim.task import Task, cpu_task
 
 
@@ -136,6 +138,36 @@ def test_double_finish_is_caught():
     assert exc_info.value.invariant == "no-lost-tasks"
 
 
+def _busy_fluid_pool() -> FluidMachine:
+    """Three CPU tasks sharing a two-core fluid pool."""
+    machine = FluidMachine(Simulator(), MachineParams(n_cores=2))
+    for _ in range(3):
+        machine.spawn(cpu_task(5000))
+    return machine
+
+
+def test_stale_pool_rates_are_caught():
+    machine = _busy_fluid_pool()
+    chk = InvariantChecker(deep_every=1)
+    chk.on_fluid_pool(machine)  # a sound pool passes
+    rate, slice_rate = machine._pool_rates()
+    machine._rates = (rate * 2, slice_rate)  # an invalidation forgotten
+    with pytest.raises(InvariantViolation, match="cached pool rates") as e:
+        chk.on_fluid_pool(machine)
+    assert e.value.invariant == "runqueue-soundness"
+
+
+def test_misplaced_pool_completion_is_caught():
+    machine = _busy_fluid_pool()
+    chk = InvariantChecker(deep_every=1)
+    event = machine._pool_event
+    machine._pool_event = machine.sim.move(event, event.time + 1)
+    with pytest.raises(InvariantViolation,
+                       match="pool completion event at") as e:
+        chk.on_fluid_pool(machine)
+    assert e.value.invariant == "runqueue-soundness"
+
+
 # ----------------------------------------------------------------------
 # SFS accounting: every queue entry and promotion has one outcome
 # ----------------------------------------------------------------------
@@ -181,6 +213,22 @@ def test_seeded_sfs_counter_skip_is_caught_in_cluster(monkeypatch):
         _sfs_cluster(wl)
     assert exc_info.value.invariant == "sfs-accounting"
     assert "cluster" in exc_info.value.label
+
+
+def test_seeded_sfs_idle_count_drift_is_caught(monkeypatch):
+    """Seeded bug: releasing a worker counts it idle twice."""
+    real = SFS._release
+
+    def generous(self, worker):
+        real(self, worker)
+        self._idle += 1
+
+    monkeypatch.setattr(SFS, "_release", generous)
+    wl = small_workload(n_requests=120, load=0.9, seed=31)
+    with pytest.raises(InvariantViolation) as exc_info:
+        quick_run(wl, "sfs", invariants=True)
+    assert exc_info.value.invariant == "sfs-accounting"
+    assert "idle workers" in exc_info.value.detail
 
 
 # ----------------------------------------------------------------------
