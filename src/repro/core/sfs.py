@@ -162,9 +162,14 @@ class SFS:
     # worker pool (Fig 4, step 2)
     # ==================================================================
     def _drain(self) -> None:
-        """Let idle workers fetch from the global queue (work conserving)."""
-        if self._draining or not self._idle or not (
-                self.config.per_worker_queues or self.queue):
+        """Let idle workers fetch from the global queue (work conserving).
+
+        While the drain runs, only an assignment can idle a worker or
+        refill a queue, so it is over as soon as no worker is idle or
+        the single global queue is empty."""
+        single = not self.config.per_worker_queues
+        queue = self.queue
+        if self._draining or not self._idle or (single and not queue):
             return
         self._draining = True
         try:
@@ -172,9 +177,11 @@ class SFS:
             while progress:
                 progress = False
                 for worker in self.workers:
-                    if worker.idle and self.queues[worker.index]:
+                    if worker.entry is None and self.queues[worker.index]:
                         if self._assign_next(worker):
                             progress = True
+                        if not self._idle or (single and not queue):
+                            return
         finally:
             self._draining = False
 

@@ -59,9 +59,9 @@ class FluidMachine(MachineBase):
         self._last_update: int = 0
         self._busy_float: float = 0.0
         self._pool_event: Optional[EventHandle] = None
-        # (rate, slice_rate) of the pool; None until read after a
-        # change of pool membership, _pool_rr or _rt_running
-        self._rates: Optional[Tuple[float, float]] = None
+        # see _pool_rates; None until read after a change of pool
+        # membership, _pool_rr or _rt_running
+        self._rates: Optional[Tuple[float, float, int]] = None
         # --- RT (FIFO) side ---
         self.rt_wait = RTRunqueue()
         self._rt_running: dict[int, Task] = {}      # tid -> task
@@ -142,21 +142,27 @@ class FluidMachine(MachineBase):
         shares the pool (see module doc)."""
         return policy is SchedPolicy.FIFO
 
-    def _pool_rates(self) -> Tuple[float, float]:
-        """The pool's ``(rate, slice_rate)``: the service rate of each
-        pool task, and the expected context switches per microsecond of
-        *service*.  Cached until the pool's membership, its RR count or
-        the dedicated cores change."""
+    def _pool_rates(self) -> Tuple[float, float, int]:
+        """The pool's ``(rate, slice_rate, busy)``: the service rate of
+        each pool task, the expected context switches per microsecond
+        of *service*, and the cores in use (pool and dedicated).
+        Cached until the pool's membership, its RR count or the
+        dedicated cores change."""
         rates = self._rates
         if rates is None:
             rates = self._rates = self._compute_rates()
         return rates
 
-    def _compute_rates(self) -> Tuple[float, float]:
+    def _compute_rates(self) -> Tuple[float, float, int]:
+        # comparisons rather than min()/max(), which cost more than the
+        # rest of the arithmetic; the values are the same
         n = len(self._pool)
+        rt = len(self._rt_running)
         if n == 0:
-            return 0.0, 0.0
-        free = max(0, self.n_cores - len(self._rt_running))
+            return 0.0, 0.0, rt
+        free = self.n_cores - rt
+        if free < 0:
+            free = 0
         params = self.params
         slice_rate = 0.0
         if free > 0:
@@ -167,27 +173,28 @@ class FluidMachine(MachineBase):
                 slice_rate = 1.0 / params.rr_quantum
             else:
                 cfs = params.cfs
-                slice_rate = 1.0 / max(cfs.sched_latency / contention,
-                                       cfs.min_granularity)
-        rate = min(1.0, free / n) * self._speed
+                slice_len = cfs.sched_latency / contention
+                if slice_len < cfs.min_granularity:
+                    slice_len = cfs.min_granularity
+                slice_rate = 1.0 / slice_len
+        share = free / n
+        rate = (share if share < 1.0 else 1.0) * self._speed
         cost = params.ctx_switch_cost
         if cost > 0 and rate > 0:
             # each slice of useful work pays one switch: the pool's
             # effective rate shrinks by slice/(slice + cost)
             rate /= 1.0 + cost * slice_rate
-        return rate, slice_rate
+        return rate, slice_rate, (n if n < free else free) + rt
 
     def _advance(self) -> None:
         now = self.sim.now
         dt = now - self._last_update
         if dt <= 0:
             return
-        r, slice_rate = self._pool_rates()
+        r, slice_rate, busy = self._pool_rates()
         self._credit += r * dt
         self._cs_credit += r * dt * slice_rate
-        pool_usage = min(len(self._pool),
-                         max(0, self.n_cores - len(self._rt_running)))
-        self._busy_float += dt * (pool_usage + len(self._rt_running))
+        self._busy_float += dt * busy
         self.busy_time = int(self._busy_float)
         self._last_update = now
 
@@ -282,8 +289,8 @@ class FluidMachine(MachineBase):
         (None when the pool is frozen: all cores held by FIFO tasks)."""
         if rate <= 0.0:
             return None
-        dt = (target - self._credit) / rate
-        return self.sim.now + max(0, int(math.ceil(dt - _EPS)))
+        delay = math.ceil((target - self._credit) / rate - _EPS)
+        return self.sim.now + (delay if delay > 0 else 0)
 
     def _on_pool_completion(self) -> None:
         self._pool_event = None

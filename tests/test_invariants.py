@@ -150,8 +150,8 @@ def test_stale_pool_rates_are_caught():
     machine = _busy_fluid_pool()
     chk = InvariantChecker(deep_every=1)
     chk.on_fluid_pool(machine)  # a sound pool passes
-    rate, slice_rate = machine._pool_rates()
-    machine._rates = (rate * 2, slice_rate)  # an invalidation forgotten
+    rate, slice_rate, busy = machine._pool_rates()
+    machine._rates = (rate * 2, slice_rate, busy)  # a stale cache
     with pytest.raises(InvariantViolation, match="cached pool rates") as e:
         chk.on_fluid_pool(machine)
     assert e.value.invariant == "runqueue-soundness"
