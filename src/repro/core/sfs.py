@@ -433,7 +433,7 @@ class SFS:
         self.overhead.record_sched_op(self.sim.now, self.config.sched_op_cost)
 
     def busy_workers(self) -> int:
-        return sum(1 for w in self.workers if not w.idle)
+        return len(self.workers) - self._idle
 
     def queued(self) -> int:
         """Requests currently waiting across all global queue(s)."""
