@@ -78,11 +78,16 @@ class FluidMachine(MachineBase):
     def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
         core: Optional[int] = None  # set when the change takes it off CPU
         served: Optional[int] = None  # CPU credit of a pool stay
+        # the pool event is moved again below when the task re-enters
+        # the pool or a core is free for a dedicated start, so taking it
+        # off defers its move (see _reschedule_pool_event)
         if task.tid in self._pool:
-            served = self._leave_pool(task)
+            served = self._leave_pool(task, defer=(
+                not self._is_dedicated(policy)
+                or len(self._rt_running) < self.n_cores))
             core = -1
         elif task.tid in self._rt_running:
-            core = self._stop_rt(task, involuntary=True)
+            core = self._stop_rt(task, involuntary=True, defer=True)
         else:  # READY non-dedicated tasks are in the pool, handled above
             self.rt_wait.remove(task)
         if core is not None:
@@ -224,7 +229,7 @@ class FluidMachine(MachineBase):
         heapq.heappush(self._heap, (target, next(self._seq), task))
         self._reschedule_pool_event()
 
-    def _leave_pool(self, task: Task) -> int:
+    def _leave_pool(self, task: Task, defer: bool = False) -> int:
         """Take a task out of the pool before its burst completes
         (re-class or kill), charging the service it received.  Returns
         the stay's CPU credit (see :meth:`_charge_pool`)."""
@@ -237,7 +242,7 @@ class FluidMachine(MachineBase):
         served = int(round(self._credit - task.pool_credit))
         credit = self._charge_pool(
             task, max(0, min(served, task.burst_remaining - 1)))
-        self._reschedule_pool_event()
+        self._reschedule_pool_event(defer)
         return credit
 
     def _charge_pool(self, task: Task, served: int) -> int:
@@ -260,15 +265,25 @@ class FluidMachine(MachineBase):
         task.cs_residue = cs - whole
         return min(served, elapsed)
 
-    def _reschedule_pool_event(self) -> None:
+    def _reschedule_pool_event(self, defer: bool = False) -> None:
         """Move the pool-completion event to the instant the pool's
-        next completion falls due (or drop it if none will)."""
+        next completion falls due (or drop it if none will).
+
+        With ``defer`` the caller promises another reschedule before
+        anything else can read the event, so after the heap's heads are
+        dropped only the tie-break rank the move would take is
+        consumed: it takes one whenever the heap has a head (so the pool
+        a task) and a core is free (so the rate is positive)."""
         heap, pool = self._heap, self._pool
         # drop dead heap heads
         while heap and heap[0][2].tid not in pool:
             heapq.heappop(heap)
         while heap and heap[0][2].pool_target != heap[0][0]:
             heapq.heappop(heap)
+        if defer:
+            if heap and len(self._rt_running) < self.n_cores:
+                self.sim.reserve(1)
+            return
         due = self._pool_due(heap[0][0], self._pool_rates()[0]) \
             if heap else None
         event = self._pool_event
@@ -358,7 +373,8 @@ class FluidMachine(MachineBase):
             self._probe.rt_start(task, slot)
         self._reschedule_pool_event()
 
-    def _stop_rt(self, task: Task, involuntary: bool) -> int:
+    def _stop_rt(self, task: Task, involuntary: bool,
+                 defer: bool = False) -> int:
         """Take a dedicated-core task off CPU, charging service so far.
         Returns the virtual core slot it held (for the probe)."""
         self._advance()
@@ -375,7 +391,7 @@ class FluidMachine(MachineBase):
         slot = self._release_slot(task)
         if involuntary:
             task.ctx_involuntary += 1
-        self._reschedule_pool_event()
+        self._reschedule_pool_event(defer)
         return slot
 
     def _on_rt_completion(self, task: Task) -> None:
