@@ -169,16 +169,13 @@ class FluidMachine(MachineBase):
         if free < 0:
             free = 0
         params = self.params
-        slice_rate = 0.0
-        if free > 0:
-            contention = n / free
-            if contention <= 1.0:
-                pass  # a core each: no involuntary switching
-            elif self._pool_rr:
+        slice_rate = 0.0  # a core each: no involuntary switching
+        if n > free > 0:
+            if self._pool_rr:
                 slice_rate = 1.0 / params.rr_quantum
             else:
                 cfs = params.cfs
-                slice_len = cfs.sched_latency / contention
+                slice_len = cfs.sched_latency / (n / free)
                 if slice_len < cfs.min_granularity:
                     slice_len = cfs.min_granularity
                 slice_rate = 1.0 / slice_len
