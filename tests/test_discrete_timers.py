@@ -27,6 +27,14 @@ and the final clock.  A change to how
 the timers are armed or queued must leave every digest unchanged.  To
 print the digests of the current tree, run
 ``PYTHONPATH=src python tests/test_discrete_timers.py``.
+
+Every variant but ``eevdf`` also runs under
+``InvariantChecker(deep_every=8)``, which keeps the engine on its
+per-slice reference path, and must give the same digest; the ``cfs``
+variant also runs through ``Simulator.run(until=)`` in whole-ms chunks.
+The ``eevdf`` variant runs bare: its woken tasks can hold a deadline
+behind their vruntime, which the checker's deep runqueue audit
+rejects.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ import repro.sim.task as task_mod
 from repro.core.config import SFSConfig
 from repro.core.sfs import SFS
 from repro.faults.plan import FaultPlan
+from repro.invariants.checker import InvariantChecker
 from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.sim.engine import Simulator
@@ -67,6 +76,9 @@ VARIANTS: Dict[str, dict] = {
 
 #: the variants whose tasks start in an RT class a third of the time
 RT_MIX = ("rr", "throttle")
+
+#: the variants also run under the invariant checker (per-slice path)
+CHECKED = tuple(v for v in VARIANTS if v != "eevdf")
 
 
 def _bursts(rng: np.random.Generator) -> List[Burst]:
@@ -93,14 +105,20 @@ def _task(rng: np.random.Generator, variant: str) -> Task:
 
 
 @lru_cache(maxsize=None)
-def _stress(variant: str, seed: int) -> Tuple[str, Dict[str, int]]:
-    """One run: its digest text and a few coverage counts."""
+def _stress(variant: str, seed: int, mode: str = "bare"
+            ) -> Tuple[str, Dict[str, int]]:
+    """One run: its digest text and a few coverage counts.  ``mode`` is
+    ``bare``, ``checked`` (invariant checker armed) or ``chunked``
+    (run in whole-ms ``run(until=)`` chunks)."""
     rng = np.random.default_rng(seed)
     task_mod._task_ids = itertools.count()
     params = dict(VARIANTS[variant])
     if variant == "sfs" and seed % 2:
         params["ctx_switch_cost"] = 1 * MS
-    sim = Simulator()
+    checker = None
+    if mode == "checked":
+        checker = InvariantChecker(seed=seed, label=variant, deep_every=8)
+    sim = Simulator(invariants=checker)
     machine = DiscreteMachine(
         sim, MachineParams(n_cores=int(rng.integers(2, 5)), **params))
     sfs = None
@@ -127,13 +145,21 @@ def _stress(variant: str, seed: int) -> Tuple[str, Dict[str, int]]:
                 sim.schedule(after, machine.kill, task, "crash")
 
         sim.schedule_at(at, go)
-    sim.run()
+    if mode == "chunked":
+        while sim.pending_work:
+            sim.run(until=sim.now + 1 * MS)
+    else:
+        sim.run()
+    # a chunked run ends on a chunk boundary; the last event of these
+    # runs is the last task's exit
+    now = (max(t.finish_time for t in tasks) if mode == "chunked"
+           else sim.now)
     lines = [
         f"{t.finish_time} {t.wait_time} {t.ctx_voluntary} "
         f"{t.ctx_involuntary} {t.cpu_time} {t.vruntime}"
         for t in tasks
     ]
-    lines.append(f"events={sim.events_executed} now={sim.now}")
+    lines.append(f"events={sim.events_executed} now={now}")
     coverage = {
         "preempted": sum(t.ctx_involuntary > 0 for t in tasks),
         "killed_mid_run": sum(t.killed and 0 < t.cpu_time < t.cpu_demand
@@ -147,10 +173,10 @@ def _stress(variant: str, seed: int) -> Tuple[str, Dict[str, int]]:
     return "\n".join(lines), coverage
 
 
-def stress_digest(variant: str) -> str:
+def stress_digest(variant: str, mode: str = "bare") -> str:
     h = hashlib.sha256()
     for seed in SEEDS:
-        h.update(_stress(variant, seed)[0].encode())
+        h.update(_stress(variant, seed, mode)[0].encode())
     return h.hexdigest()
 
 
@@ -177,6 +203,17 @@ STRESS: Dict[str, str] = {
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_timer_tie_stress_digest(variant):
     assert stress_digest(variant) == STRESS[variant]
+
+
+@pytest.mark.parametrize("variant", sorted(CHECKED))
+def test_timer_tie_stress_digest_checked(variant):
+    """The checked run takes the per-slice path and pins the same
+    digest as the bare run."""
+    assert stress_digest(variant, "checked") == STRESS[variant]
+
+
+def test_timer_tie_stress_digest_chunked():
+    assert stress_digest("cfs", "chunked") == STRESS["cfs"]
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
