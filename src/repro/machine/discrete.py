@@ -14,15 +14,23 @@ against it and used for the large experiments.
 
 from __future__ import annotations
 
+import heapq
 import math
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.machine.base import MachineBase, MachineParams
-from repro.sched.cfs import CfsRunqueue
+from repro.sched.cfs import NICE_0_WEIGHT, CfsRunqueue
 from repro.sched.rt import RTRunqueue
-from repro.sim.engine import EventHandle, Simulator
+from repro.sim.engine import Chain, EventHandle, Position, Simulator
 from repro.sim.task import BurstKind, SchedPolicy, Task, TaskState
 from repro.trace import events as tev
+
+#: slice switches one rotation plan runs before its heap event
+_PLAN_SWITCHES = 16
+#: slices of a lone task one plan runs before its heap event
+_PLAN_LONE = 64
+
+_READY, _RUNNING = TaskState.READY, TaskState.RUNNING
 
 
 class _Core:
@@ -35,10 +43,12 @@ class _Core:
         "completion_handle",
         "completion_at",
         "completion_rank",
+        "completion_key",
         "throttle_handle",
         "last_tid",
         "rt_usage",
         "rt_period",
+        "plan",
     )
 
     def __init__(self, index: int, rq: CfsRunqueue):
@@ -51,18 +61,23 @@ class _Core:
         #: the running task's completion time and reserved tie-break
         #: rank while it waits off the heap (rank 0: none waiting)
         self.completion_at: int = 0
-        self.completion_rank: int = 0
+        self.completion_rank: Any = 0
+        #: the key of a fractional completion rank (see Chain.armed)
+        self.completion_key: Any = None
         self.throttle_handle: Optional[EventHandle] = None
         self.last_tid: Optional[int] = None
         # RT group bandwidth accounting (sched_rt_runtime_us)
         self.rt_usage: int = 0
         self.rt_period: int = -1
+        #: the pending rotation plan of the running CFS task, if any
+        self.plan: Optional[_Plan] = None
 
     def cancel_timers(self) -> None:
         if self.completion_handle is not None:
             self.completion_handle.cancel()
             self.completion_handle = None
         self.completion_rank = 0
+        self.completion_key = None
         self.cancel_class_timers()
 
     def cancel_class_timers(self) -> None:
@@ -73,6 +88,35 @@ class _Core:
         if self.throttle_handle is not None:
             self.throttle_handle.cancel()
             self.throttle_handle = None
+
+
+class _Plan(Chain):
+    """A core's CFS rotation, run ahead from the arming of its running
+    task's slice to its one heap event (see :class:`DiscreteMachine`).
+
+    ``times`` are the slice expiries it passes.  A rotation (``order``
+    set) records, per expiry, the index in ``tasks`` (the running task,
+    then the queue leftmost first) of the task it picks, the key it
+    re-enqueues the switched-out task with, and ``min_vruntime`` after
+    it; a lone task's expiries only re-arm its slice."""
+
+    __slots__ = ("machine", "core", "handle", "tasks", "order", "keys",
+                 "minv", "state", "rolled")
+
+    def __init__(self, machine: "DiscreteMachine", core: _Core,
+                 times: List[int], rank: int):
+        super().__init__(machine.sim, times, rank)
+        self.machine = machine
+        self.core = core
+        self.handle: Optional[EventHandle] = None
+        self.tasks = self.order = self.keys = self.minv = None
+        #: a rotation's loop state at its heap event, and the number of
+        #: those events it ran on from (each one also an expiry)
+        self.state: Optional[tuple] = None
+        self.rolled = 0
+
+    def settle(self, pos: Position) -> None:
+        self.machine._settle(self.core, pos)
 
 
 class DiscreteMachine(MachineBase):
@@ -95,6 +139,12 @@ class DiscreteMachine(MachineBase):
         self._speed = self.params.speed
         self._probe.register("discrete")
         fc = self.params.fair_class
+        #: rotation plans stand in for the per-slice events when nothing
+        #: observes a slice: no probe or checker, the CFS fair class,
+        #: nominal speed and no RT throttle
+        self._lazy = not (self._probe_on or self._inv_on) and (
+            fc == "cfs" and self._speed == 1.0
+            and self.params.rt_bandwidth is None)
         for core in self.cores:
             core.rq.hook = self._probe.runqueue_hook(f"{fc}:{core.index}", fc)
         self.rt_rq.hook = self._probe.runqueue_hook("rt", "rt")
@@ -102,7 +152,16 @@ class DiscreteMachine(MachineBase):
     # ==================================================================
     # public API
     # ==================================================================
+    def poll_state(self, task: Task) -> TaskState:
+        self._touch_task(task)
+        return task.state
+
+    def poll_cpu_time(self, task: Task) -> int:
+        self._touch_task(task)
+        return task.cpu_time
+
     def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
+        self._touch_task(task)
         old_policy = task.policy
         if task.state is TaskState.RUNNING:
             core = self.cores[task.core]
@@ -135,6 +194,7 @@ class DiscreteMachine(MachineBase):
     def kill(self, task: Task, reason: str = "crash") -> bool:
         if task.state is TaskState.FINISHED:
             return False
+        self._touch_task(task)
         if task.state is TaskState.RUNNING:
             core = self.cores[task.core]
             assert core.task is task
@@ -186,6 +246,8 @@ class DiscreteMachine(MachineBase):
 
     def _enqueue_cfs(self, task: Task, wakeup: bool) -> None:
         core = self._least_loaded_core()
+        if core.plan is not None:
+            self._settle(core, self.sim.position())
         task.core = core.index
         core.rq.enqueue(task, wakeup=wakeup)
         if core.task is None:
@@ -244,6 +306,8 @@ class DiscreteMachine(MachineBase):
             core = self._find_rt_target(nxt.rt_priority)
             if core is None:
                 return
+            if core.plan is not None:
+                self._settle(core, self.sim.position())
             victim = core.task
             if victim is not None and self._charge(core):
                 # preemption raced with the exact end of the burst:
@@ -310,6 +374,8 @@ class DiscreteMachine(MachineBase):
                 busiest, busiest_len = other, n
         if busiest is None:
             return None
+        if busiest.plan is not None:
+            self._settle(busiest, self.sim.position())
         task = busiest.rq.pick_next()
         assert task is not None
         if self._probe_on:
@@ -320,7 +386,7 @@ class DiscreteMachine(MachineBase):
         now = self.sim.now
         assert core.task is None, f"core {core.index} already running {core.task}"
         assert core.completion_handle is None and not core.completion_rank
-        assert core.slice_handle is None
+        assert core.slice_handle is None and core.plan is None
         assert core.throttle_handle is None
         burst = task.current_burst
         assert burst is not None and burst.kind is BurstKind.CPU, (
@@ -361,20 +427,30 @@ class DiscreteMachine(MachineBase):
             core.completion_rank = sim.reserve(1)
         policy = task.policy
         if policy is SchedPolicy.CFS:
+            self._arm_slice(core, task,
+                            sim.now + lead + core.rq.timeslice_for(task))
+            return
+        if policy is SchedPolicy.RR:
             core.slice_handle = sim.schedule(
-                lead + core.rq.timeslice_for(task), self._on_slice_expiry,
-                core, task)
-        else:
-            if policy is SchedPolicy.RR:
-                core.slice_handle = sim.schedule(
-                    lead + self.params.rr_quantum, self._on_quantum, core,
-                    task)
-            # FIFO: runs until it blocks, finishes, is re-classed or
-            # throttled
-            budget = self._rt_budget(core)
-            if budget is not None:
-                core.throttle_handle = sim.schedule(
-                    lead + budget, self._on_rt_throttle, core, task)
+                lead + self.params.rr_quantum, self._on_quantum, core, task)
+        # FIFO: runs until it blocks, finishes, is re-classed or throttled
+        budget = self._rt_budget(core)
+        if budget is not None:
+            core.throttle_handle = sim.schedule(
+                lead + budget, self._on_rt_throttle, core, task)
+        if core.completion_rank:
+            self._push_completion(core, task)
+
+    def _arm_slice(self, core: _Core, task: Task, at: int) -> None:
+        """Arm the fair slice of ``task`` expiring at ``at``, and its
+        completion if due first; on the lazy path, plan the rotation
+        from there instead."""
+        if (self._lazy and core.completion_at > at
+                and core.completion_handle is None and not self.rt_rq):
+            self._plan(core, task, at)
+            return
+        core.slice_handle = self.sim.schedule_at(
+            at, self._on_slice_expiry, core, task)
         if core.completion_rank:
             self._push_completion(core, task)
 
@@ -392,8 +468,10 @@ class DiscreteMachine(MachineBase):
         if timer is not None and timer.time < at:
             return
         core.completion_handle = self.sim.schedule_ranked(
-            core.completion_rank, at, self._on_completion, core, task)
+            core.completion_rank, at, self._on_completion, core, task,
+            key=core.completion_key)
         core.completion_rank = 0
+        core.completion_key = None
 
     def _wall(self, service: int) -> int:
         """Wall-clock microseconds a straggler core needs for ``service``
@@ -443,6 +521,231 @@ class DiscreteMachine(MachineBase):
         core.task = None
 
     # ------------------------------------------------------------------
+    # rotation plans (the lazy path)
+    # ------------------------------------------------------------------
+    def _plan(self, core: _Core, task: Task, at: int) -> None:
+        """Run the rotation of ``core`` ahead from the slice of ``task``
+        expiring at ``at`` (before its completion) to its first burst
+        completion, or its first slice expiry past the plan's bound, and
+        put that one event on the heap.  Nothing touches the core before
+        then, or it settles the plan first (:meth:`_settle`)."""
+        sim = self.sim
+        rq = core.rq
+        rank = sim.reserve(1)  # the rank of the literal slice timer
+        comp = core.completion_at
+        if not rq:
+            step = rq.timeslice_for(task)
+            n = (comp - at - 1) // step + 1  # the expiries before comp
+            plan = _Plan(self, core, range(
+                at, at + min(n, _PLAN_LONE) * step, step), rank)
+            if n <= _PLAN_LONE:
+                plan.end = None  # the completion, at its reserved rank
+                plan.handle = sim.schedule_ranked(
+                    core.completion_rank, comp, self._on_plan_end, core,
+                    key=core.completion_key)
+            else:
+                plan.end = (_PLAN_LONE - 1, 1)
+                plan.handle = sim.schedule_chained(
+                    plan, at + _PLAN_LONE * step, self._on_plan_end, core)
+        else:
+            plan = self._plan_rotation(core, task, at, rank)
+        core.plan = plan
+        sim.add_chain(plan)
+
+    def _plan_rotation(self, core: _Core, task: Task, at: int,
+                       rank: int) -> _Plan:
+        """:meth:`_plan` with tasks queued."""
+        rq = core.rq
+        keyed = rq.keyed()
+        tasks = [task] + [t for _key, t in keyed]
+        weight = [t.weight for t in tasks]
+        total = rq.total_weight + task.weight
+        cfs = rq.params
+        slices = []
+        for w in weight:  # as timeslice_for, with the task on CPU
+            share = cfs.sched_latency * w // max(total - w + NICE_0_WEIGHT, 1)
+            slices.append(max(share, cfs.min_granularity))
+        plan = _Plan(self, core, [], rank)
+        plan.tasks, plan.order, plan.keys, plan.minv = tasks, [], [], []
+        plan.state = (
+            [(key[0], key[1], i) for i, (key, _t) in enumerate(keyed, 1)],
+            [t.burst_remaining for t in tasks],
+            [t.vruntime for t in tasks], weight, slices,
+            [t.tid for t in tasks],
+            rq.min_vruntime, rq._seq, core.last_tid, 0, core.run_start, at)
+        self._roll(plan)
+        return plan
+
+    def _roll(self, plan: _Plan) -> None:
+        """Run the rotation of ``plan`` on from its next slice expiry:
+        each expiry charges the running task, re-enqueues it (as
+        :meth:`CfsRunqueue.enqueue` without wakeup) and starts the
+        leftmost task (as :meth:`CfsRunqueue.pick_next` and
+        :meth:`_start`), in locals, until a burst completes or
+        :data:`_PLAN_SWITCHES` expiries have passed; the event after the
+        last goes on the heap."""
+        (heap, rem, vrun, weight, slices, tids, min_v, seq, last, cur,
+         run_start, t) = plan.state
+        times, order, keys, minv = plan.times, plan.order, plan.keys, plan.minv
+        ctx = self.params.ctx_switch_cost
+        for _ in range(_PLAN_SWITCHES):
+            elapsed = t - run_start
+            rem[cur] -= elapsed
+            v = vrun[cur] + elapsed * NICE_0_WEIGHT // weight[cur]
+            left = heap[0][0]
+            low = v if v < left else left
+            if low > min_v:
+                min_v = low
+            if v < min_v:
+                v = min_v
+            vrun[cur] = v
+            keys.append((v, seq))
+            v, _seq, cur = heapq.heappushpop(heap, (v, seq, cur))
+            seq += 1
+            left = heap[0][0]
+            low = v if v < left else left
+            if low > min_v:
+                min_v = low
+            times.append(t)
+            order.append(cur)
+            minv.append(min_v)
+            tid = tids[cur]
+            run_start = t + (ctx if last != tid else 0)
+            last = tid
+            comp = run_start + rem[cur]
+            t = run_start + slices[cur]
+            if comp <= t:
+                plan.end = (len(times) - 1, 0)
+                t = comp
+                break
+        else:
+            plan.end = (len(times) - 1, 1)
+        plan.state = (heap, rem, vrun, weight, slices, tids, min_v, seq,
+                      last, cur, run_start, t)
+        plan.key = ()
+        plan.handle = self.sim.schedule_chained(plan, t, self._on_plan_end,
+                                                plan.core)
+
+    def _apply(self, core: _Core, plan: _Plan, m: int) -> None:
+        """Apply the first ``m`` expiries of ``plan`` to the core, its
+        runqueue and its tasks, as the per-slice path leaves them, and
+        drop the plan."""
+        core.plan = None
+        self.sim.drop_chain(plan, m - plan.rolled)
+        tasks, order, keys, minv = plan.tasks, plan.order, plan.keys, plan.minv
+        # keep only what later rank ties read: times, ranks, positions
+        plan.handle = plan.tasks = plan.order = plan.keys = None
+        plan.minv = plan.state = None
+        if not m:
+            return
+        task = core.task
+        t = plan.times[m - 1]
+        if order is None:
+            elapsed = t - core.run_start
+            if task.weight == NICE_0_WEIGHT:
+                task.consume_cpu(elapsed)
+            else:
+                first = plan.times[0] - core.run_start
+                task.consume_cpu(first)
+                for _ in range(m - 1):
+                    task.consume_cpu((elapsed - first) // (m - 1))
+            core.run_start = t
+            self.busy_time += elapsed
+            core.rq.update_curr(task.vruntime)
+            return
+        queued = [key for key, _t in core.rq.keyed()]
+        queued.insert(0, None)
+        idx = core.index
+        ctx = self.params.ctx_switch_cost
+        run_start, last = core.run_start, core.last_tid
+        busy = 0
+        cur = 0
+        for k in range(m):
+            t = plan.times[k]
+            x = tasks[cur]
+            elapsed = t - run_start
+            x.burst_remaining -= elapsed  # as consume_cpu; the plan
+            x.cpu_time += elapsed  # left the burst unfinished
+            busy += elapsed
+            x.ctx_involuntary += 1
+            x.state = _READY
+            x.since = t
+            key = keys[k]
+            x.vruntime = key[0]
+            queued[cur] = key
+            cur = order[k]
+            y = tasks[cur]
+            y.wait_time += t - y.since
+            y.since = t
+            if y.first_run_time is None:
+                y.first_run_time = t
+            y.state = _RUNNING
+            if y.last_core >= 0 and y.last_core != idx:
+                y.migrations += 1
+            y.last_core = idx
+            run_start = t + (ctx if last != y.tid else 0)
+            last = y.tid
+        core.rq.rotated([(key, tasks[i]) for i, key in enumerate(queued)
+                         if i != cur], m, minv[m - 1])
+        self.busy_time += busy
+        task = core.task = tasks[cur]
+        core.last_tid = last
+        core.run_start = run_start
+        core.completion_at = run_start + task.burst_remaining
+        core.completion_rank, core.completion_key = plan.armed(
+            m - 1, core.completion_at, 0)
+
+    def _settle(self, core: _Core, pos: Position) -> None:
+        """Apply the expiries of the plan of ``core`` before ``pos`` and
+        arm the running task's timers as the per-slice path holds them
+        there: a touch of the core is about to read or change it."""
+        plan = core.plan
+        handle = plan.handle
+        m = plan.count_before(pos)
+        self._apply(core, plan, m)
+        task = core.task
+        at = core.run_start + core.rq.timeslice_for(task)
+        if m:
+            rank, key = plan.armed(m - 1, at, 1)
+        else:
+            rank, key = plan.ranks[0], None
+        core.slice_handle = self.sim.schedule_ranked(
+            rank, at, self._on_slice_expiry, core, task, key=key)
+        if plan.end is not None:
+            handle.cancel()
+            if core.completion_rank:
+                self._push_completion(core, task)
+        else:  # a lone task's plan ends at its completion: keep it
+            handle.callback, handle.args = self._on_completion, (core, task)
+            core.completion_handle = handle
+            core.completion_rank = 0
+            core.completion_key = None
+
+    def _touch_task(self, task: Task) -> None:
+        """Settle the plan ``task`` rotates in, if any."""
+        if task.core >= 0:
+            core = self.cores[task.core]
+            if core.plan is not None and (core.task is task
+                                          or task in core.rq):
+                self._settle(core, self.sim.position())
+
+    def _on_plan_end(self, core: _Core) -> None:
+        """A plan's one heap event: the burst completion or slice expiry
+        after its last expiry."""
+        plan = core.plan
+        if plan.state is not None and plan.end[1]:
+            plan.rolled += 1  # this expiry is the plan's next one
+            self._roll(plan)
+            return
+        self._apply(core, plan, len(plan.times))
+        task = core.task
+        if core.completion_at == self.sim.now:
+            self._charge(core)
+            self._complete_burst(core, task)
+        else:
+            self._on_slice_expiry(core, task)
+
+    # ------------------------------------------------------------------
     # event handlers
     # ------------------------------------------------------------------
     def _on_slice_expiry(self, core: _Core, task: Task) -> None:
@@ -461,11 +764,8 @@ class DiscreteMachine(MachineBase):
             core.rq.enqueue(task, wakeup=False)
             self._pick_next(core)
         else:
-            core.slice_handle = self.sim.schedule(
-                core.rq.timeslice_for(task), self._on_slice_expiry, core, task
-            )
-            if core.completion_rank:
-                self._push_completion(core, task)
+            self._arm_slice(core, task,
+                            self.sim.now + core.rq.timeslice_for(task))
 
     def _on_quantum(self, core: _Core, task: Task) -> None:
         """SCHED_RR quantum expiry: rotate among equal-priority RT tasks."""

@@ -18,8 +18,8 @@ is kept so priority experiments remain possible.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from repro.sched.rbtree import RBTree
@@ -72,7 +72,8 @@ class CfsRunqueue:
         self._tree = RBTree()
         self._nodes: dict[int, object] = {}  # tid -> rbtree node
         self.min_vruntime: int = 0
-        self._seq = itertools.count()
+        #: tie-break counter of the (vruntime, seq) keys
+        self._seq: int = 0
         self.total_weight: int = 0
         # observability: lifetime enqueue count and peak depth
         self.total_enqueued: int = 0
@@ -107,7 +108,8 @@ class CfsRunqueue:
             floor -= self.params.sched_latency // 2
         if task.vruntime < floor:
             task.vruntime = floor
-        node = self._tree.insert((task.vruntime, next(self._seq)), task)
+        node = self._tree.insert((task.vruntime, self._seq), task)
+        self._seq += 1
         self._nodes[task.tid] = node
         self.total_weight += task.weight
         self.total_enqueued += 1
@@ -184,6 +186,31 @@ class CfsRunqueue:
         task's vruntime deficit exceeds ``wakeup_granularity``.
         """
         return curr.vruntime - woken.vruntime > self.params.wakeup_granularity
+
+    def keyed(self) -> list:
+        """The queued ``((vruntime, seq), task)`` pairs, leftmost first."""
+        return list(self._tree.items())
+
+    def rotated(self, keyed: list, switches: int, min_vruntime: int) -> None:
+        """Take the state ``switches`` slice rotations left, applied in
+        bulk: each re-enqueued the task it switched out (no wakeup
+        credit) and picked the leftmost one.  ``keyed`` holds the queued
+        tasks' ``((vruntime, seq), task)`` pairs, their keys as those
+        enqueues gave them."""
+        keyed.sort(key=itemgetter(0))
+        self._tree = tree = RBTree()
+        nodes = self._nodes = {}
+        weight = 0
+        for key, task in keyed:
+            nodes[task.tid] = tree.insert(key, task)
+            weight += task.weight
+        self.total_weight = weight
+        self.min_vruntime = min_vruntime
+        self._seq += switches
+        self.total_enqueued += switches
+        depth = len(keyed) + 1
+        if depth > self.peak_depth:
+            self.peak_depth = depth
 
     def tasks(self) -> list[Task]:
         """Snapshot of queued tasks in vruntime order (for inspection)."""

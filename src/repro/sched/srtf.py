@@ -20,6 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from operator import itemgetter
 from typing import Optional
 
 from repro.machine.base import MachineBase, MachineParams
@@ -36,7 +37,8 @@ class SRTFMachine(MachineBase):
                  unbounded: bool = False):
         super().__init__(sim, params)
         self._ready: list[tuple[int, int, Task]] = []  # (cpu_remaining, seq, task)
-        self._running: dict[int, Task] = {}
+        #: tid -> (the instant its CPU demand runs out, task)
+        self._running: dict[int, tuple[int, Task]] = {}
         self._seq = itertools.count()
         #: how many tasks may run at once
         self._limit = math.inf if unbounded else self.n_cores
@@ -69,21 +71,13 @@ class SRTFMachine(MachineBase):
                    if task.state is TaskState.READY)
 
     # ------------------------------------------------------------------
-    def _live_remaining(self, task: Task) -> int:
-        """Remaining CPU demand *right now*, accounting for time a
-        running task has accrued since its last charge event."""
-        rem = task.cpu_remaining
-        if task.state is TaskState.RUNNING:
-            rem -= self.sim.now - task.since
-        return rem
-
     def _enqueue(self, task: Task, wakeup: bool) -> None:
         """A task became runnable: run it now, preempt, or queue."""
         if len(self._running) < self._limit:
             self._start(task)
             return
-        victim = max(self._running.values(), key=self._live_remaining)
-        if task.cpu_remaining < self._live_remaining(victim):
+        end, victim = max(self._running.values(), key=itemgetter(0))
+        if task.cpu_remaining < end - self.sim.now:
             if self._probe_on:
                 self._probe.preempt("srtf", task, victim, -1)
             self._preempt(victim)
@@ -96,7 +90,7 @@ class SRTFMachine(MachineBase):
         task.timer = self.sim.schedule(
             task.burst_remaining, self._on_burst_done, task
         )
-        self._running[task.tid] = task
+        self._running[task.tid] = (self.sim.now + task.cpu_remaining, task)
         if self._probe_on:
             self._probe.run(task, -1)
 

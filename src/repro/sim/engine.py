@@ -31,6 +31,20 @@ timers whose ranks tie break the tie by ``key``: a longer interval
 first (its previous firing was earlier), then an order fixed when the
 timer was armed, which the timers of one interval and phase keep for
 as long as they live.
+
+Chains.  A :class:`Chain` is a run of virtual one-shot firings at
+instants its owner knows in advance (a discrete core's CFS slice
+rotation).  Its first firing holds a rank reserved when the chain was
+made; each later one, and whatever the owner arms at a firing, takes
+the counter at the firing before plus one half, with the key
+``(arm instant - instant, tie)``, where the tie orders two timers
+armed at one instant by the positions of the firings that armed them.
+The owner applies the firings in bulk when it settles (:meth:`Chain.settle`),
+and its one real event, whose rank is known only once every firing
+before it has run, goes on the heap with a lower bound of its rank
+(:meth:`Simulator.schedule_chained`) and is re-keyed when it surfaces.
+The rank log is kept while a chain is pending; when it fills, every
+pending chain resolves its ranks up to the current event first.
 """
 
 from __future__ import annotations
@@ -94,9 +108,12 @@ class EventHandle:
         self.callback = _noop
         self.args = ()
         self.idle = None
+        if self.seq is None:  # a chained event, never to be resolved
+            self.park = _UNRESOLVED
 
     def __lt__(self, other: "EventHandle") -> bool:
-        # reached only when two parked-mode timers share (time, rank)
+        # reached only when two fractional ranks tie: parked-mode
+        # timers and chained events, whose ``park`` holds their key
         return self.park.key < other.park.key
 
     @property
@@ -123,6 +140,131 @@ class _Park:
 
 def _noop(*_args: Any) -> None:
     return None
+
+
+#: the ``park`` of a cancelled chained event: its key as unresolved
+_UNRESOLVED = _Park(None, ())
+
+
+class _Tie:
+    """The last element of a chained timer's key: timers armed at one
+    instant fire in the order of the positions of the firings that
+    armed them (firing ``index`` of ``chain``), and a firing's
+    completion before its next firing (``sub`` 0, then 1).  Chained
+    timers go before parked-mode timers armed at the same instant."""
+
+    __slots__ = ("chain", "index", "sub")
+
+    def __init__(self, chain: "Chain", index: int, sub: int):
+        self.chain = chain
+        self.index = index
+        self.sub = sub
+
+    def _cmp(self, other: "_Tie") -> int:
+        """-1, 0 or 1 as ``self`` orders before, with or after
+        ``other``: compare the arming firings' positions, stepping back
+        to the firings that armed those while they tie."""
+        ca, ia, cb, ib = self.chain, self.index, other.chain, other.index
+        sa, sb = self.sub, other.sub
+        while ca is not cb:
+            ta, tb = ca.times[ia], cb.times[ib]
+            if ta != tb:
+                return -1 if ta < tb else 1
+            ra, rb = ca.ranks[ia], cb.ranks[ib]
+            if ra != rb:  # a reserved rank (firing 0) never ties
+                return -1 if ra < rb else 1
+            da, db = ca.times[ia - 1], cb.times[ib - 1]
+            if da != db:
+                return -1 if da < db else 1
+            ia, ib, sa, sb = ia - 1, ib - 1, 1, 1
+        a, b = (ia, sa), (ib, sb)
+        return -1 if a < b else (1 if b < a else 0)
+
+    def __eq__(self, other: Any) -> bool:
+        return other.__class__ is _Tie and not self._cmp(other)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __lt__(self, other: Any) -> bool:
+        return other.__class__ is not _Tie or self._cmp(other) < 0
+
+    def __gt__(self, other: Any) -> bool:
+        return other.__class__ is _Tie and self._cmp(other) > 0
+
+
+class Chain:
+    """Virtual one-shot firings at ``times`` (ascending), the first at
+    the reserved rank ``rank``, applied by their owner in bulk.
+
+    ``ranks[i]`` is the rank of firing ``i`` and ``ranks[i + 1]`` that
+    of everything armed at it, resolved from the rank log once the run
+    has passed firing ``i``.  An owner registers the chain with
+    :meth:`Simulator.add_chain` and implements :meth:`settle`; ``end``
+    is ``(i, sub)``, the firing that armed the chain's one heap event
+    (see :meth:`Simulator.schedule_chained`)."""
+
+    __slots__ = ("sim", "times", "ranks", "end", "key")
+
+    def __init__(self, sim: "Simulator", times: List[int], rank: int):
+        self.sim = sim
+        self.times = times
+        self.ranks: List[Any] = [rank]
+        self.end: Tuple[int, int] = (0, 0)
+        #: the key of the heap event once resolved; unresolved lower
+        #: bounds that tie compare equal
+        self.key: Any = ()
+
+    def settle(self, pos: "Position") -> None:
+        """Apply the firings before ``pos``, arm the owner's real timers
+        and drop the chain (:meth:`Simulator.drop_chain`)."""
+        raise NotImplementedError
+
+    def position(self, i: int) -> "Position":
+        """The position of firing ``i`` (resolved)."""
+        t = self.times[i]
+        if not i:
+            return (t, self.ranks[0], 0)
+        return (t, self.ranks[i], (self.times[i - 1] - t, _Tie(self, i - 1, 1)))
+
+    def _resolve(self, k: int) -> None:
+        """Resolve the ranks of the first ``k`` firings and of what they
+        armed (each firing one the run has passed)."""
+        ranks = self.ranks
+        sim = self.sim
+        log = sim._log
+        bound = -1  # no entry of the log lies after the last firing and
+        counter = 0  # before this instant: its counter stands
+        for i in range(len(ranks) - 1, k):
+            t = self.times[i]
+            if t >= bound:
+                j = bisect_right(log, self.position(i))
+                if j < len(log):
+                    bound, counter = log[j][0], log[j][3]
+                else:
+                    bound, counter = _INF, sim._seq
+            ranks.append(counter + 0.5)
+
+    def count_before(self, pos: "Position") -> int:
+        """The number of firings before ``pos``, resolved."""
+        times = self.times
+        m = bisect_left(times, pos[0])
+        self._resolve(m)
+        while m < len(times) and times[m] == pos[0]:
+            self._resolve(m + 1)
+            if not self.position(m) < pos:
+                break
+            m += 1
+        return m
+
+    def armed(self, i: int, time: int, sub: int) -> Tuple[float, tuple]:
+        """The rank and key of a timer at ``time`` armed at firing ``i``
+        (``sub`` 0 for a completion, 1 for the next firing)."""
+        self._resolve(i + 1)
+        return self.ranks[i + 1], (self.times[i] - time, _Tie(self, i, sub))
+
+    def _resolve_end(self, handle: EventHandle) -> None:
+        i, sub = self.end
+        handle.seq, self.key = self.armed(i, handle.time, sub)
 
 
 def _describe(handle: EventHandle) -> str:
@@ -196,6 +338,7 @@ class Simulator:
         # events run since the oldest parked anchor, and the live timers
         # by (interval, phase) for tie-break keys
         self._parked: Dict[EventHandle, None] = {}
+        self._chains: Dict[Chain, None] = {}
         self._log: List[tuple] = []
         self._phases: Dict[Tuple[int, int], List[EventHandle]] = {}
         self.trace = trace if trace is not None else NULL_RECORDER
@@ -233,15 +376,58 @@ class Simulator:
         self._seq += n
         return first
 
-    def schedule_ranked(self, rank: int, time: int,
+    def schedule_ranked(self, rank: Any, time: int,
                         callback: Callable[..., Any],
-                        *args: Any) -> EventHandle:
-        """:meth:`schedule_at` with a rank from :meth:`reserve`."""
-        seq, self._seq = self._seq, rank - 1
-        try:
-            return self.schedule_at(time, callback, *args)
-        finally:
-            self._seq = seq
+                        *args: Any, key: Any = None) -> EventHandle:
+        """:meth:`schedule_at` with a rank from :meth:`reserve`, or a
+        fractional rank from :meth:`Chain.armed` with its ``key``."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
+        handle = EventHandle(int(time), rank, callback, args)
+        if key is not None:
+            handle.park = _Park(self, key)
+        heapq.heappush(self._heap, (handle.time, rank, handle))
+        return handle
+
+    def schedule_chained(self, chain: Chain, time: int,
+                         callback: Callable[..., Any],
+                         *args: Any) -> EventHandle:
+        """Schedule the one heap event of ``chain``, armed at its firing
+        ``chain.end``.  Its rank is not known until every firing before
+        it has run, so the heap holds it at a lower bound (past the
+        counter now: the chain's firings come later) and re-keys it
+        when it surfaces, as a moved event is re-keyed."""
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
+        handle = EventHandle(int(time), None, callback, args)
+        handle.park = chain
+        heapq.heappush(self._heap, (handle.time, self._seq + 0.25, handle))
+        return handle
+
+    def add_chain(self, chain: Chain) -> None:
+        """Register a pending chain: the rank log is kept until it is
+        dropped, and a bounded run settles it at its end."""
+        self._chains[chain] = None
+
+    def drop_chain(self, chain: Chain, fired: int) -> None:
+        """The owner applied ``fired`` firings of ``chain`` and no
+        longer needs it; they count as executed events."""
+        del self._chains[chain]
+        self.events_executed += fired
+        if self._inv_on:
+            self.invariants.on_virtual_events(fired)
+        if not self._chains and not self._parked:
+            self._log.clear()
+
+    def position(self) -> Position:
+        """Where the run stands: the event now running (exact while a
+        parked timer or a chain is pending), or, between runs, after
+        every firing at the current instant."""
+        return self._position()
 
     def move(self, handle: EventHandle, time: int) -> EventHandle:
         """Move a pending one-shot event to absolute time ``time``, at
@@ -359,6 +545,8 @@ class Simulator:
         interval = handle.interval
         if interval:
             if handle.park is None:
+                if self._parked or self._chains:
+                    self._log_event(time, seq, 0)
                 self._seq += 1
                 handle.time = time + interval
                 handle.seq = self._seq
@@ -371,8 +559,9 @@ class Simulator:
                 self._fire_parkable(time, seq, handle)
             return
         heapq.heappop(heap)
-        if self._parked:
-            self._log_event(time, seq, 0)
+        if self._parked or self._chains:
+            self._log_event(time, seq, handle.park.key
+                            if seq.__class__ is float else 0)
         callback, args = handle.callback, handle.args
         handle.cancel()  # consumed; release references
         callback(*args)
@@ -390,7 +579,7 @@ class Simulator:
             handle.elided += 1
             self._park(handle)
             return
-        if self._parked:
+        if self._parked or self._chains:
             self._log_event(time, seq, handle.park.key)
         handle.callback(*handle.args)
         if not handle.cancelled:
@@ -417,7 +606,9 @@ class Simulator:
         the exception alone.  The event descriptions are only recorded
         when a budget is armed — a guard-free run stays on the exact
         nominal path.  Virtual firings of parked timers spend the budget
-        like any other firing.
+        like any other firing, and so do a chain's virtual firings: a
+        bounded run settles every pending chain before each event.
+        A run that stops at ``until`` settles every pending chain there.
 
         A heap that drains while a parked timer is live, with no
         ``until``, raises :class:`SimulationError` naming the timer: the
@@ -444,20 +635,26 @@ class Simulator:
                 if until is not None and heap[0][0] > until:
                     break
                 if max_events is not None:
-                    if self._parked:
+                    if self._parked or self._chains:
                         time, seq, handle = heap[0]
-                        self._settle_all((time, seq, handle.park.key
-                                          if handle.interval and handle.park
-                                          else 0))
+                        pos = (time, seq, handle.park.key
+                               if seq.__class__ is float else 0)
+                        if self._chains:
+                            for chain in list(self._chains):
+                                chain.settle(pos)
+                            continue  # settling re-arms real timers
+                        self._settle_all(pos)
                     if self.events_executed - start >= max_events:
                         self._budget_exhausted(start, max_events, recent)
                     recent.append(_describe(heap[0][2]))
                 self._fire()
         finally:
             self._running = False
-        if self._parked:
-            self._settle_all((until if until is not None else self.now,
-                              _INF, ()))
+        if self._parked or self._chains:
+            end = (until if until is not None else self.now, _INF, ())
+            for chain in list(self._chains):
+                chain.settle(end)
+            self._settle_all(end)
             self._log.clear()
             if max_events is not None and \
                     self.events_executed - start > max_events:
@@ -497,14 +694,16 @@ class Simulator:
 
     def _drop_dead(self) -> None:
         """Pop cancelled entries off the top of the heap and re-key the
-        lower-bound entries of moved events, until the top is live and
-        exact."""
+        lower-bound entries of moved and chained events, until the top
+        is live and exact."""
         heap = self._heap
         while heap:
             _time, seq, handle = heap[0]
             if handle.cancelled:
                 heapq.heappop(heap)
             elif seq != handle.seq:
+                if handle.seq is None:
+                    handle.park._resolve_end(handle)
                 heapq.heapreplace(heap, (handle.time, handle.seq, handle))
             else:
                 return
@@ -565,7 +764,7 @@ class Simulator:
         self._settle(handle, self._position())
         handle.park.parked = False
         del self._parked[handle]
-        if not self._parked:
+        if not self._parked and not self._chains:
             self._log.clear()
 
     def _position(self) -> Position:
@@ -579,12 +778,17 @@ class Simulator:
         return (self.now, _INF, ())
 
     def _log_event(self, time: int, rank: Any, key: Any) -> None:
-        """Log the event about to run while a timer is parked.  The log
-        is bounded: when full, every parked timer is settled to this
-        event, after which no earlier entry is read."""
+        """Log the event about to run while a timer is parked or a chain
+        is pending.  The log is bounded: when full, every parked timer
+        is settled to this event and every pending chain resolves the
+        ranks of its firings before it, after which no earlier entry is
+        read."""
         log = self._log
         if len(log) >= _LOG_LIMIT:
-            self._settle_all((time, rank, key))
+            pos = (time, rank, key)
+            self._settle_all(pos)
+            for chain in self._chains:
+                chain.count_before(pos)
             log.clear()
         log.append((time, rank, key, self._seq))
 

@@ -46,7 +46,7 @@ from repro.experiments.artifacts import (
 
 #: bumped whenever the pickled driver graph changes shape: a checkpoint
 #: of another schema cannot be resumed by this code
-CHECKPOINT_SCHEMA = "repro.stream/10"
+CHECKPOINT_SCHEMA = "repro.stream/11"
 
 #: pinned pickle protocol: checkpoints written by one interpreter
 #: version stay readable by the next (protocol 4 is universal on 3.4+)

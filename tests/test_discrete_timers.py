@@ -216,6 +216,28 @@ def test_timer_tie_stress_digest_chunked():
     assert stress_digest("cfs", "chunked") == STRESS["cfs"]
 
 
+@pytest.mark.parametrize("variant", ["cfs", "sfs"])
+def test_bare_run_rotates_without_a_heap_event_per_slice(variant,
+                                                        monkeypatch):
+    """A bare run advances most slice expiries off the heap: it calls
+    the slice-expiry handler far less often than the checked run, for
+    the same events_executed."""
+    calls = {"bare": 0, "checked": 0}
+    mode = ["bare"]
+    handler = DiscreteMachine._on_slice_expiry
+
+    def counted(self, core, task):
+        calls[mode[0]] += 1
+        handler(self, core, task)
+
+    monkeypatch.setattr(DiscreteMachine, "_on_slice_expiry", counted)
+    texts = {}
+    for mode[0] in ("bare", "checked"):
+        texts[mode[0]] = _stress.__wrapped__(variant, 0, mode[0])[0]
+    assert texts["bare"] == texts["checked"]
+    assert calls["bare"] * 2 < calls["checked"]
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_stress_exercises_its_mechanism(variant):
     """Each variant really reaches the path it is there for."""

@@ -6,7 +6,7 @@ from functools import partial
 import pytest
 
 from repro.invariants.checker import InvariantChecker
-from repro.sim.engine import SimulationError, Simulator
+from repro.sim.engine import Chain, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero(sim):
@@ -485,3 +485,193 @@ def test_every_timer_survives_pickling_mid_run():
     assert clone.log == ticker.log == [21, 42, 63, 84]
     assert clone.handle.elided == ticker.handle.elided == 10
     assert clone.sim.events_executed == sim.events_executed
+
+
+# ----------------------------------------------------------------------
+# chains: virtual one-shot firings at exact ranks
+# ----------------------------------------------------------------------
+class _RotorChain(Chain):
+    __slots__ = ("rotor",)
+
+    def settle(self, pos):
+        self.rotor.settle(pos)
+
+
+class _Rotor:
+    """Fires every ``step`` us, ``n`` times, each firing re-arming the
+    next; ``lazy`` runs all but the last as a chain's virtual firings,
+    settled when read (:meth:`read`) or when the last one fires."""
+
+    def __init__(self, sim, step, n, lazy):
+        self.sim, self.step, self.n = sim, step, n
+        self.count = 0
+        self.chain = None
+        if not lazy:
+            sim.schedule(step, self.fire)
+            return
+        rank = sim.reserve(1)  # the rank of the literal first firing
+        t0 = sim.now + step
+        chain = _RotorChain(sim, list(range(t0, t0 + (n - 1) * step, step)),
+                            rank)
+        chain.rotor = self
+        chain.end = (n - 2, 1)
+        self.chain = chain
+        self.handle = sim.schedule_chained(chain, t0 + (n - 1) * step,
+                                           self._end)
+        sim.add_chain(chain)
+
+    def fire(self):
+        self.count += 1
+        if self.count < self.n:
+            self.sim.schedule(self.step, self.fire)
+
+    def _apply(self, m):
+        chain, self.chain = self.chain, None
+        self.sim.drop_chain(chain, m)
+        self.count = m
+        return chain
+
+    def _end(self):
+        self._apply(len(self.chain.times))
+        self.fire()
+
+    def settle(self, pos):
+        self.handle.cancel()
+        chain = self._apply(self.chain.count_before(pos))
+        m = self.count
+        at = chain.times[0] + m * self.step
+        rank, key = (chain.armed(m - 1, at, 1) if m
+                     else (chain.ranks[0], None))
+        self.sim.schedule_ranked(rank, at, self.fire, key=key)
+
+    def read(self):
+        if self.chain is not None:
+            self.settle(self.sim.position())
+        return self.count
+
+
+def _rotor_run(lazy, build, until=None):
+    """Run ``build``'s script with a literal or a lazy rotor; return
+    what its touches read, the executed-event count and the clock."""
+    sim = Simulator()
+    box = {"sim": sim, "out": []}
+    build(sim, box, lazy)
+    if until is not None:
+        sim.run(until=until)
+        box["out"].append(("until", sim.now, box["rotor"].count,
+                           sim.events_executed))
+    sim.run()
+    return box["out"], sim.events_executed, sim.now
+
+
+def _start_rotor(box, step, n, lazy):
+    box["rotor"] = _Rotor(box["sim"], step, n, lazy)
+
+
+def _touch(box, name):
+    box["out"].append((name, box["sim"].now, box["rotor"].read()))
+
+
+def _touch_at(box, t, name):
+    box["sim"].schedule_at(t, _touch, box, name)
+
+
+def _relay(box, t1, t, name):
+    box["sim"].schedule_at(t1, _touch_at, box, t, name)
+
+
+def _seen(out):
+    return {name: count for name, _t, count in out}
+
+
+def test_chain_touch_at_a_virtual_firing_instant():
+    """A touch at the instant of a virtual firing (t=20) sees it iff the
+    touch was scheduled after the firing that armed it (t=10)."""
+    def build(sim, box, lazy):
+        sim.schedule_at(20, _touch, box, "before the chain")
+        sim.schedule_at(10, _touch_at, box, 20, "at 10, before it")
+
+        def start():
+            _start_rotor(box, 10, 6, lazy)
+            sim.schedule_at(20, _touch, box, "after the chain")
+            sim.schedule_at(10, _touch_at, box, 20, "at 10, after it")
+            sim.schedule_at(15, _touch_at, box, 20, "after it")
+
+        sim.schedule_at(0, start)
+
+    literal = _rotor_run(False, build)
+    assert _rotor_run(True, build) == literal
+    assert _seen(literal[0]) == {
+        "before the chain": 1, "at 10, before it": 1, "after the chain": 1,
+        "at 10, after it": 2, "after it": 2}
+
+
+def test_chain_event_ties_with_events_scheduled_around_its_arming():
+    """The chain's one heap event (the firing at 40, armed at the
+    virtual firing at 30) goes after a touch at 40 scheduled before that
+    firing and before one scheduled after it."""
+    def build(sim, box, lazy):
+        def start():
+            _start_rotor(box, 10, 4, lazy)
+            sim.schedule_at(40, _touch, box, "with the chain")
+            sim.schedule_at(25, _touch_at, box, 40, "between")
+            sim.schedule_at(25, _relay, box, 30, 40, "at 30, after it")
+
+        sim.schedule_at(30, _touch_at, box, 40, "at 30, before it")
+        sim.schedule_at(0, start)
+
+    literal = _rotor_run(False, build)
+    assert _rotor_run(True, build) == literal
+    assert _seen(literal[0]) == {
+        "at 30, before it": 3, "with the chain": 3, "between": 3,
+        "at 30, after it": 4}
+
+
+def test_chain_outlives_a_full_rank_log():
+    """More than 256 logged events while a chain is pending."""
+    def build(sim, box, lazy):
+        for t in range(1, 400):
+            sim.schedule_at(t, int)
+
+        def start():
+            _start_rotor(box, 10, 40, lazy)
+            sim.schedule_at(350, _touch, box, "with the chain")
+            sim.schedule_at(345, _touch_at, box, 350, "after 340")
+
+        sim.schedule_at(0, start)
+
+    literal = _rotor_run(False, build)
+    assert _rotor_run(True, build) == literal
+    assert _seen(literal[0]) == {"with the chain": 34, "after 340": 35}
+
+
+def test_run_until_ending_on_a_virtual_firing():
+    def build(sim, box, lazy):
+        sim.schedule_at(0, _start_rotor, box, 10, 6, lazy)
+        sim.schedule_at(45, _touch, box, "later")
+
+    literal = _rotor_run(False, build, until=30)
+    assert _rotor_run(True, build, until=30) == literal
+    assert literal[0][0] == ("until", 30, 3, 4)
+
+
+_SNAPSHOTS: list = []
+
+
+def _snapshot(box):
+    if box["rotor"].chain is not None:
+        _SNAPSHOTS.append(pickle.dumps(box))
+
+
+def test_chain_survives_pickling_mid_plan():
+    def build(sim, box, lazy):
+        sim.schedule_at(0, _start_rotor, box, 10, 8, lazy)
+        sim.schedule_at(25, _snapshot, box)
+        sim.schedule_at(55, _touch, box, "after the snapshot")
+
+    out, executed, _now = _rotor_run(True, build)
+    clone = pickle.loads(_SNAPSHOTS.pop())
+    clone["sim"]._running = False  # pickled inside an event
+    clone["sim"].run()
+    assert clone["out"] == out == _rotor_run(False, build)[0]
+    assert clone["sim"].events_executed == executed
