@@ -3,20 +3,30 @@
 Each core runs at most one task; CFS tasks live on per-core red-black
 runqueues and are preempted on slice expiry; RT (FIFO/RR) tasks live on
 a global RT runqueue and preempt CFS unconditionally.  Every context
-switch, migration, block and wake is an explicit simulator event, so
-this engine reproduces the paper's CFS pathology (short tasks waiting
-out whole scheduling cycles) mechanism-by-mechanism.
+switch, migration, block and wake is modelled exactly, so this engine
+reproduces the paper's CFS pathology (short tasks waiting out whole
+scheduling cycles) mechanism-by-mechanism.
 
-This is the *reference* engine: exact but O(events) with an event per
-slice.  The fluid engine (:mod:`repro.machine.fluid`) is validated
-against it and used for the large experiments.
+This is the *reference* engine: exact, with every slice expiry at its
+own instant and tie-break rank.  On the lazy path a core's CFS slice
+rotation between two touches is a *plan* (:class:`_Plan`): run ahead
+in locals when the slice is armed, with one heap event at its first
+burst completion (or after :data:`_PLAN_SWITCHES` switches, where it
+runs on), and settled in bulk when code touches the core
+(:meth:`DiscreteMachine._settle`).  Its slices take the ranks their
+literal timers would hold (:class:`repro.sim.engine.Chain`), so both
+paths give the same run.  The per-slice path, an event per slice, is
+taken whenever the probe or the invariant checker observes the run,
+for EEVDF, straggler speed, the RT throttle, or while RT work waits.
+The fluid engine (:mod:`repro.machine.fluid`) is validated against this
+one and used for the large experiments.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.machine.base import MachineBase, MachineParams
 from repro.sched.cfs import NICE_0_WEIGHT, CfsRunqueue
@@ -101,26 +111,24 @@ class _Plan(Chain):
     it; a lone task's expiries only re-arm its slice."""
 
     __slots__ = ("machine", "core", "handle", "tasks", "order", "keys",
-                 "minv", "state", "rolled")
+                 "minv", "state")
 
     def __init__(self, machine: "DiscreteMachine", core: _Core,
-                 times: List[int], rank: int):
+                 times: Sequence[int], rank: int):
         super().__init__(machine.sim, times, rank)
         self.machine = machine
         self.core = core
         self.handle: Optional[EventHandle] = None
         self.tasks = self.order = self.keys = self.minv = None
-        #: a rotation's loop state at its heap event, and the number of
-        #: those events it ran on from (each one also an expiry)
+        #: a rotation's loop state at its heap event
         self.state: Optional[tuple] = None
-        self.rolled = 0
 
     def settle(self, pos: Position) -> None:
         self.machine._settle(self.core, pos)
 
 
 class DiscreteMachine(MachineBase):
-    """Event-per-slice multi-core machine (the reference engine)."""
+    """Slice-exact multi-core machine (the reference engine)."""
 
     def __init__(self, sim: Simulator, params: Optional[MachineParams] = None):
         super().__init__(sim, params)
@@ -155,10 +163,6 @@ class DiscreteMachine(MachineBase):
     def poll_state(self, task: Task) -> TaskState:
         self._touch_task(task)
         return task.state
-
-    def poll_cpu_time(self, task: Task) -> int:
-        self._touch_task(task)
-        return task.cpu_time
 
     def _reclass(self, task: Task, policy: SchedPolicy, rt_priority: int) -> None:
         self._touch_task(task)
@@ -631,7 +635,7 @@ class DiscreteMachine(MachineBase):
         runqueue and its tasks, as the per-slice path leaves them, and
         drop the plan."""
         core.plan = None
-        self.sim.drop_chain(plan, m - plan.rolled)
+        self.sim.drop_chain(plan, m)
         tasks, order, keys, minv = plan.tasks, plan.order, plan.keys, plan.minv
         # keep only what later rank ties read: times, ranks, positions
         plan.handle = plan.tasks = plan.order = plan.keys = None
@@ -644,11 +648,11 @@ class DiscreteMachine(MachineBase):
             elapsed = t - core.run_start
             if task.weight == NICE_0_WEIGHT:
                 task.consume_cpu(elapsed)
-            else:
-                first = plan.times[0] - core.run_start
-                task.consume_cpu(first)
-                for _ in range(m - 1):
-                    task.consume_cpu((elapsed - first) // (m - 1))
+            else:  # the vruntime is rounded at each charge
+                start = core.run_start
+                for at in plan.times[:m]:
+                    task.consume_cpu(at - start)
+                    start = at
             core.run_start = t
             self.busy_time += elapsed
             core.rq.update_curr(task.vruntime)
@@ -734,7 +738,7 @@ class DiscreteMachine(MachineBase):
         after its last expiry."""
         plan = core.plan
         if plan.state is not None and plan.end[1]:
-            plan.rolled += 1  # this expiry is the plan's next one
+            plan.fired += 1  # this expiry is the plan's next one
             self._roll(plan)
             return
         self._apply(core, plan, len(plan.times))

@@ -52,7 +52,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.invariants.checker import NULL_CHECKER
 from repro.obs.probe import Probe
@@ -203,13 +203,16 @@ class Chain:
     is ``(i, sub)``, the firing that armed the chain's one heap event
     (see :meth:`Simulator.schedule_chained`)."""
 
-    __slots__ = ("sim", "times", "ranks", "end", "key")
+    __slots__ = ("sim", "times", "ranks", "end", "key", "fired")
 
-    def __init__(self, sim: "Simulator", times: List[int], rank: int):
+    def __init__(self, sim: "Simulator", times: Sequence[int], rank: int):
         self.sim = sim
         self.times = times
         self.ranks: List[Any] = [rank]
         self.end: Tuple[int, int] = (0, 0)
+        #: how many of the firings ran as the chain's heap event (the
+        #: owner ran the chain on from there): counted as they fired
+        self.fired = 0
         #: the key of the heap event once resolved; unresolved lower
         #: bounds that tie compare equal
         self.key: Any = ()
@@ -413,13 +416,15 @@ class Simulator:
         dropped, and a bounded run settles it at its end."""
         self._chains[chain] = None
 
-    def drop_chain(self, chain: Chain, fired: int) -> None:
-        """The owner applied ``fired`` firings of ``chain`` and no
-        longer needs it; they count as executed events."""
+    def drop_chain(self, chain: Chain, applied: int) -> None:
+        """The owner applied the first ``applied`` firings of ``chain``
+        and no longer needs it; the virtual ones count as executed
+        events."""
         del self._chains[chain]
-        self.events_executed += fired
+        n = applied - chain.fired
+        self.events_executed += n
         if self._inv_on:
-            self.invariants.on_virtual_events(fired)
+            self.invariants.on_virtual_events(n)
         if not self._chains and not self._parked:
             self._log.clear()
 
@@ -606,9 +611,10 @@ class Simulator:
         the exception alone.  The event descriptions are only recorded
         when a budget is armed — a guard-free run stays on the exact
         nominal path.  Virtual firings of parked timers spend the budget
-        like any other firing, and so do a chain's virtual firings: a
-        bounded run settles every pending chain before each event.
-        A run that stops at ``until`` settles every pending chain there.
+        like any other firing, and so do a chain's virtual firings
+        (counted, not applied, before each event; a run that stops on
+        the budget settles every pending chain).  A run that stops at
+        ``until`` settles every pending chain there.
 
         A heap that drains while a parked timer is live, with no
         ``until``, raises :class:`SimulationError` naming the timer: the
@@ -635,16 +641,18 @@ class Simulator:
                 if until is not None and heap[0][0] > until:
                     break
                 if max_events is not None:
+                    virtual = 0
                     if self._parked or self._chains:
                         time, seq, handle = heap[0]
                         pos = (time, seq, handle.park.key
-                               if seq.__class__ is float else 0)
-                        if self._chains:
-                            for chain in list(self._chains):
-                                chain.settle(pos)
-                            continue  # settling re-arms real timers
+                               if handle.interval and handle.park
+                               or seq.__class__ is float else 0)
                         self._settle_all(pos)
-                    if self.events_executed - start >= max_events:
+                        for chain in self._chains:
+                            virtual += chain.count_before(pos) - chain.fired
+                    if self.events_executed + virtual - start >= max_events:
+                        for chain in list(self._chains):
+                            chain.settle(pos)
                         self._budget_exhausted(start, max_events, recent)
                     recent.append(_describe(heap[0][2]))
                 self._fire()

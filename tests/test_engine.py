@@ -675,3 +675,17 @@ def test_chain_survives_pickling_mid_plan():
     clone["sim"].run()
     assert clone["out"] == out == _rotor_run(False, build)[0]
     assert clone["sim"].events_executed == executed
+
+
+def test_chain_firings_spend_the_event_budget():
+    results = []
+    for lazy in (False, True):
+        sim = Simulator()
+        box = {"sim": sim, "out": []}
+        sim.schedule_at(0, _start_rotor, box, 10, 20, lazy)
+        sim.schedule_at(95, _touch, box, "mid")
+        with pytest.raises(SimulationError, match="event budget exhausted"):
+            sim.run(max_events=12)
+        results.append((box["out"], sim.events_executed, sim.now,
+                        box["rotor"].count))
+    assert results[0] == results[1] == ([("mid", 95, 9)], 12, 100, 10)
