@@ -448,7 +448,8 @@ class DiscreteMachine(MachineBase):
     def _arm_slice(self, core: _Core, task: Task, at: int) -> None:
         """Arm the fair slice of ``task`` expiring at ``at``, and its
         completion if due first; on the lazy path, plan the rotation
-        from there instead."""
+        from there instead (unless a settled lone plan left the
+        completion on the heap)."""
         if (self._lazy and core.completion_at > at
                 and core.completion_handle is None and not self.rt_rq):
             self._plan(core, task, at)

@@ -428,12 +428,6 @@ class Simulator:
         if not self._chains and not self._parked:
             self._log.clear()
 
-    def position(self) -> Position:
-        """Where the run stands: the event now running (exact while a
-        parked timer or a chain is pending), or, between runs, after
-        every firing at the current instant."""
-        return self._position()
-
     def move(self, handle: EventHandle, time: int) -> EventHandle:
         """Move a pending one-shot event to absolute time ``time``, at
         the tie-break rank a fresh :meth:`schedule_at` would take, and
@@ -517,7 +511,7 @@ class Simulator:
         it before reading ``elided`` mid-run; a no-op on any other
         handle."""
         if handle.park is not None and handle.park.parked:
-            self._settle(handle, self._position())
+            self._settle(handle, self.position())
 
     # ------------------------------------------------------------------
     # execution
@@ -733,7 +727,7 @@ class Simulator:
             (interval, handle.time % interval), [])
         before = after = None
         if group:
-            pos = self._position() if self._parked else None
+            pos = self.position() if self._parked else None
             for other in group:
                 if other.park.parked:
                     self._settle(other, pos)
@@ -769,16 +763,16 @@ class Simulator:
         self._parked[handle] = None
 
     def _unpark(self, handle: EventHandle) -> None:
-        self._settle(handle, self._position())
+        self._settle(handle, self.position())
         handle.park.parked = False
         del self._parked[handle]
         if not self._parked and not self._chains:
             self._log.clear()
 
-    def _position(self) -> Position:
+    def position(self) -> Position:
         """Where the run stands: the current event (the newest log entry
-        while a timer is parked) or, between runs, after every firing at
-        the current instant."""
+        while a timer is parked or a chain is pending) or, between runs,
+        after every firing at the current instant."""
         log = self._log
         if log:
             time, rank, key, _counter = log[-1]

@@ -238,6 +238,26 @@ def test_bare_run_rotates_without_a_heap_event_per_slice(variant,
     assert calls["bare"] * 2 < calls["checked"]
 
 
+def _lone_touched(checked: bool) -> Tuple[int, int, int, int]:
+    """One task alone on one core for 100 ms of CPU, polled at 30 and
+    60 ms: each poll settles its lone plan between two slice expiries,
+    before its completion is due."""
+    task_mod._task_ids = itertools.count()
+    sim = Simulator(invariants=InvariantChecker() if checked else None)
+    machine = DiscreteMachine(sim, MachineParams(n_cores=1))
+    task = Task(bursts=[Burst(BurstKind.CPU, 100 * MS)])
+    machine.spawn(task)
+    sim.schedule_at(30 * MS, machine.poll_state, task)
+    sim.schedule_at(60 * MS, machine.poll_state, task)
+    sim.run()
+    return task.finish_time, task.cpu_time, sim.events_executed, sim.now
+
+
+def test_lone_task_settled_mid_plan_completes_once():
+    assert _lone_touched(False) == _lone_touched(True) == (
+        100 * MS, 100 * MS, 7, 100 * MS)
+
+
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_stress_exercises_its_mechanism(variant):
     """Each variant really reaches the path it is there for."""
