@@ -658,8 +658,7 @@ class DiscreteMachine(MachineBase):
             self.busy_time += elapsed
             core.rq.update_curr(task.vruntime)
             return
-        queued = [key for key, _t in core.rq.keyed()]
-        queued.insert(0, None)
+        queued = [None] + [key for key, _t in core.rq.keyed()]
         idx = core.index
         ctx = self.params.ctx_switch_cost
         run_start, last = core.run_start, core.last_tid

@@ -201,7 +201,8 @@ class Chain:
     has passed firing ``i``.  An owner registers the chain with
     :meth:`Simulator.add_chain` and implements :meth:`settle`; ``end``
     is ``(i, sub)``, the firing that armed the chain's one heap event
-    (see :meth:`Simulator.schedule_chained`)."""
+    (see :meth:`Simulator.schedule_chained`), or None when that event
+    holds a rank reserved before the chain."""
 
     __slots__ = ("sim", "times", "ranks", "end", "key", "fired")
 
@@ -209,7 +210,7 @@ class Chain:
         self.sim = sim
         self.times = times
         self.ranks: List[Any] = [rank]
-        self.end: Tuple[int, int] = (0, 0)
+        self.end: Optional[Tuple[int, int]] = (0, 0)
         #: how many of the firings ran as the chain's heap event (the
         #: owner ran the chain on from there): counted as they fired
         self.fired = 0
