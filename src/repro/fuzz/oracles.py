@@ -12,7 +12,12 @@ asserted on configurations where it mathematically holds:
   needs the ``cfs`` fair class (the fluid model has no EEVDF) and no
   timing-dependent failure handling (timeout/admission outcomes
   legitimately differ across engines); the IDEAL bound needs a nominal
-  run.
+  run.  The lazy diff (``differential-lazy``) runs a single-host
+  discrete ``cfs`` case bare, where CFS slices rotate in lazy plans
+  (:class:`repro.sim.engine.Chain`), and under the invariant checker,
+  an event per slice: records, ``events_executed`` and the final
+  runqueue enqueue counters must be equal, as the plans take the exact
+  ranks of the literal slice timers.
 * **metamorphic** — relations between *pairs* of runs:
 
   - *idle-hosts*: adding two idle cores never makes any request slower
@@ -187,6 +192,41 @@ def _check_engines(case: FuzzCase) -> Optional[Violation]:
         return None
     return Violation("differential-engines",
                      "; ".join(report.divergences[:3]))
+
+
+def _lazy_applies(case: FuzzCase) -> bool:
+    cfg = case.config
+    return (case.cluster is None and cfg.engine == "discrete"
+            and cfg.machine.fair_class == "cfs")
+
+
+def _check_lazy(case: FuzzCase) -> Optional[Violation]:
+    from repro.faas.driver import replay_host
+
+    name = "differential-lazy"
+    runs = []
+    for checked in (False, True):
+        try:
+            result, host = replay_host(
+                case.workload, replace(case.config, invariants=checked))
+        except (InvariantViolation, SimulationError, RuntimeError) as exc:
+            return _crash_violation(name, exc)
+        # the runqueues' enqueue counters order equal vruntimes; the
+        # simulator's own counter differs by design (a plan reserves one
+        # rank where the per-slice path schedules an event per slice)
+        runs.append((result.records, host.sim.events_executed,
+                     [core.rq._seq for core in host.machine.cores]))
+    (bare, bare_events, bare_seq), (checked, events, seq) = runs
+    if bare != checked:
+        diff = next(i for i, (a, b) in enumerate(zip(bare, checked))
+                    if a != b)
+        return Violation(name, f"request {bare[diff].req_id}: bare "
+                               f"{bare[diff]} but checked {checked[diff]}")
+    if (bare_events, bare_seq) != (events, seq):
+        return Violation(name, f"bare run executed {bare_events} events "
+                               f"to runqueue counters {bare_seq}, checked "
+                               f"run {events} to {seq}")
+    return None
 
 
 def _ideal_applies(case: FuzzCase) -> bool:
@@ -496,6 +536,7 @@ def _check_cluster_exactly_once(case: FuzzCase) -> Optional[Violation]:
 ORACLES: Tuple[Oracle, ...] = (
     Oracle("invariant", lambda case: case.cluster is None, _check_invariant),
     Oracle("differential-engines", _engines_applies, _check_engines),
+    Oracle("differential-lazy", _lazy_applies, _check_lazy),
     Oracle("differential-ideal", _ideal_applies, _check_ideal),
     Oracle("metamorphic-idle-hosts", _idle_hosts_applies, _check_idle_hosts),
     Oracle("metamorphic-scaling", _scaling_applies, _check_scaling),
