@@ -1,50 +1,27 @@
 """Cancellable event-heap simulator.
 
-The simulator is a classic discrete-event loop: a binary heap of
-``(time, seq, handle)`` entries.  ``seq`` is a monotonically increasing
-tie-breaker so that events scheduled earlier fire earlier at equal
-timestamps, which makes every run fully deterministic.
+A classic discrete-event loop: a binary heap of ``(time, seq, handle)``
+entries, where ``seq``, a monotonically increasing counter, makes
+events scheduled earlier fire earlier at equal timestamps.  Cancelling
+is lazy (:meth:`EventHandle.cancel` marks the handle; dead entries are
+dropped when they surface), and so is moving an event later
+(:meth:`Simulator.move`): its old entry, a lower bound of its new key,
+is re-keyed when it surfaces.
 
-Cancellation is *lazy*: :meth:`EventHandle.cancel` marks the handle and
-the main loop discards dead entries when they surface, which keeps both
-``schedule`` and ``cancel`` O(log n) / O(1).  Moving an event later
-(:meth:`Simulator.move`) is lazy the same way: the handle takes its new
-``(time, seq)`` at once, and its old heap entry, a lower bound of the
-new key, is re-keyed when it surfaces.
-
-A periodic timer (:meth:`Simulator.every`) keeps one handle on the heap
-and re-arms it in place at each firing; a firing its ``idle`` test
-finds idle costs no callback.  A *parked* timer (``every(...,
-park=True)``) leaves the heap altogether while idle: its firings are
-virtual, counted by arithmetic, until its owner pokes it
-(:meth:`Simulator.poke`) because its ``idle`` test may have changed.
-
-Ranks.  Every firing of a periodic timer takes, as its next tie-break
-rank, the schedule counter at that firing: the literal re-arm consumes
-one counter value there, a parked-mode timer takes ``counter + 0.5``
-and consumes none, so the order among the other events is unchanged.
-Finding the counter at a *virtual* firing needs the history of the
-instant of the firing before it, but only when an event ran at exactly
-that instant; a ``(time, rank, key, counter)`` log of the events run
-since the oldest parked anchor answers that by bisection.  Parked-mode
-timers whose ranks tie break the tie by ``key``: a longer interval
-first (its previous firing was earlier), then an order fixed when the
-timer was armed, which the timers of one interval and phase keep for
-as long as they live.
-
-Chains.  A :class:`Chain` is a run of virtual one-shot firings at
-instants its owner knows in advance (a discrete core's CFS slice
-rotation).  Its first firing holds a rank reserved when the chain was
-made; each later one, and whatever the owner arms at a firing, takes
-the counter at the firing before plus one half, with the key
-``(arm instant - instant, tie)``, where the tie orders two timers
-armed at one instant by the positions of the firings that armed them.
-The owner applies the firings in bulk when it settles (:meth:`Chain.settle`),
-and its one real event, whose rank is known only once every firing
-before it has run, goes on the heap with a lower bound of its rank
-(:meth:`Simulator.schedule_chained`) and is re-keyed when it surfaces.
-The rank log is kept while a chain is pending; when it fills, every
-pending chain resolves its ranks up to the current event first.
+Virtual firings.  A :class:`Chain` is a run of firings at instants
+known in advance that cost no heap event each: a parked periodic
+timer's (:meth:`Simulator.every`, an arithmetic progression) and a
+discrete core's CFS slice rotation.  What a firing arms takes, as its
+rank, the counter at that firing plus one half, read from a log of the
+events run while a chain is pending; a literal re-arm would take the
+next counter value, so the order among other events is unchanged.
+Equal fractional ranks tie-break on the key ``(arm instant - instant,
+tie)``: armed earlier first, then in the order of the firings that
+armed them, walked back through the literal arming history
+(:class:`_Tie`) to a firing whose rank was reserved and never ties.  A
+chain's owner applies its firings in bulk when it settles
+(:meth:`Chain.settle`); its one real event waits on the heap at a lower
+bound of its rank (:meth:`Simulator.schedule_chained`).
 """
 
 from __future__ import annotations
@@ -76,11 +53,12 @@ class EventHandle:
 
     A timer of :meth:`Simulator.every` also carries its ``interval``
     (0 for a one-shot event), its ``idle`` test and ``elided``, the
-    number of firings it found idle (the owner may reset it; read it
-    after :meth:`Simulator.settle` on a parked-mode timer).  Timers
-    alone set ``park``: the :class:`_Park` state of a parked-mode timer,
-    else None; one-shot events leave it unset (one slot keeps a handle
-    in the allocator's size class of the slots before it).
+    firings it found idle (read it after :meth:`Simulator.settle` on a
+    parked-mode timer).  ``park`` breaks ties of fractional ranks: a
+    parked-mode timer's :class:`_Timer` (None in literal mode), a
+    chained event's :class:`Chain` or a key from :meth:`Chain.armed`;
+    other one-shot events leave it unset (one slot keeps a handle in
+    the allocator's size class of the slots before it).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
@@ -101,7 +79,7 @@ class EventHandle:
     def cancel(self) -> None:
         """Prevent the callback from firing.  Safe to call repeatedly."""
         if self.interval and self.park is not None and not self.cancelled:
-            self.park.sim._retire(self)
+            self.park.sim._retire(self.park)
         self.cancelled = True
         # Drop references eagerly: a long-lived heap entry must not pin
         # tasks/closures for the rest of the run.
@@ -109,12 +87,11 @@ class EventHandle:
         self.args = ()
         self.idle = None
         if self.seq is None:  # a chained event, never to be resolved
-            self.park = _UNRESOLVED
+            self.park = ()
 
     def __lt__(self, other: "EventHandle") -> bool:
-        # reached only when two fractional ranks tie: parked-mode
-        # timers and chained events, whose ``park`` holds their key
-        return self.park.key < other.park.key
+        # reached only when two fractional ranks tie
+        return _key(self) < _key(other)
 
     @property
     def active(self) -> bool:
@@ -126,32 +103,21 @@ class EventHandle:
         return f"<EventHandle t={self.time} seq={self.seq} {state}>"
 
 
-class _Park:
-    """A parked-mode timer's state: its simulator, its tie-break key
-    and whether it is parked off the heap."""
-
-    __slots__ = ("sim", "key", "parked")
-
-    def __init__(self, sim: "Simulator", key: tuple):
-        self.sim = sim
-        self.key = key
-        self.parked = False
+def _key(handle: EventHandle) -> Any:
+    """The tie-break key of an event holding a fractional rank."""
+    park = handle.park
+    return park if park.__class__ is tuple else park.heap_key()
 
 
 def _noop(*_args: Any) -> None:
     return None
 
 
-#: the ``park`` of a cancelled chained event: its key as unresolved
-_UNRESOLVED = _Park(None, ())
-
-
 class _Tie:
-    """The last element of a chained timer's key: timers armed at one
+    """The last element of a virtual firing's key: timers armed at one
     instant fire in the order of the positions of the firings that
     armed them (firing ``index`` of ``chain``), and a firing's
-    completion before its next firing (``sub`` 0, then 1).  Chained
-    timers go before parked-mode timers armed at the same instant."""
+    completion before its next firing (``sub`` 0, then 1)."""
 
     __slots__ = ("chain", "index", "sub")
 
@@ -163,19 +129,19 @@ class _Tie:
     def _cmp(self, other: "_Tie") -> int:
         """-1, 0 or 1 as ``self`` orders before, with or after
         ``other``: compare the arming firings' positions, stepping back
-        to the firings that armed those while they tie."""
+        to the firings that armed those while they tie.  The walk ends
+        at a firing whose rank was reserved, which never ties, or at two
+        parked timers, whose order is fixed."""
         ca, ia, cb, ib = self.chain, self.index, other.chain, other.index
         sa, sb = self.sub, other.sub
         while ca is not cb:
-            ta, tb = ca.times[ia], cb.times[ib]
-            if ta != tb:
-                return -1 if ta < tb else 1
-            ra, rb = ca.ranks[ia], cb.ranks[ib]
-            if ra != rb:  # a reserved rank (firing 0) never ties
-                return -1 if ra < rb else 1
-            da, db = ca.times[ia - 1], cb.times[ib - 1]
-            if da != db:
-                return -1 if da < db else 1
+            if ca.__class__ is _Timer is cb.__class__:
+                return -1 if ca.order < cb.order else 1
+            # instant, rank, then the instant of the firing before
+            a = (ca.times[ia], ca.rank(ia), ca.times[ia - 1])
+            b = (cb.times[ib], cb.rank(ib), cb.times[ib - 1])
+            if a != b:
+                return -1 if a < b else 1
             ia, ib, sa, sb = ia - 1, ib - 1, 1, 1
         a, b = (ia, sa), (ib, sb)
         return -1 if a < b else (1 if b < a else 0)
@@ -183,92 +149,206 @@ class _Tie:
     def __eq__(self, other: Any) -> bool:
         return other.__class__ is _Tie and not self._cmp(other)
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __lt__(self, other: Any) -> bool:
-        return other.__class__ is not _Tie or self._cmp(other) < 0
-
-    def __gt__(self, other: Any) -> bool:
-        return other.__class__ is _Tie and self._cmp(other) > 0
+    def __lt__(self, other: "_Tie") -> bool:
+        return self._cmp(other) < 0
 
 
 class Chain:
-    """Virtual one-shot firings at ``times`` (ascending), the first at
-    the reserved rank ``rank``, applied by their owner in bulk.
-
-    ``ranks[i]`` is the rank of firing ``i`` and ``ranks[i + 1]`` that
-    of everything armed at it, resolved from the rank log once the run
-    has passed firing ``i``.  An owner registers the chain with
+    """Virtual one-shot firings at ``times`` (ascending, none before the
+    instant the chain is made), the first at the reserved rank
+    ``rank``.  Firing ``i`` takes the rank of what firing ``i - 1``
+    arms, resolved once the run has passed firing ``i - 1`` (firings
+    before ``known`` are) and stored run-length: ``ranks[j]`` from
+    firing ``marks[j]`` on.  An owner registers the chain with
     :meth:`Simulator.add_chain` and implements :meth:`settle`; ``end``
     is ``(i, sub)``, the firing that armed the chain's one heap event
-    (see :meth:`Simulator.schedule_chained`), or None when that event
-    holds a rank reserved before the chain."""
+    (:meth:`Simulator.schedule_chained`), or None when that event holds
+    a rank reserved before the chain."""
 
-    __slots__ = ("sim", "times", "ranks", "end", "key", "fired")
+    __slots__ = ("sim", "times", "ranks", "marks", "known", "end", "key",
+                 "fired")
 
-    def __init__(self, sim: "Simulator", times: Sequence[int], rank: int):
+    def __init__(self, sim: "Simulator", times: Sequence[int], rank: Any):
         self.sim = sim
         self.times = times
         self.ranks: List[Any] = [rank]
+        self.marks: List[int] = [0]
+        self.known = 1
         self.end: Optional[Tuple[int, int]] = (0, 0)
-        #: how many of the firings ran as the chain's heap event (the
-        #: owner ran the chain on from there): counted as they fired
+        #: firings run as heap events, and for a timer those counted
         self.fired = 0
-        #: the key of the heap event once resolved; unresolved lower
-        #: bounds that tie compare equal
-        self.key: Any = ()
 
     def settle(self, pos: "Position") -> None:
         """Apply the firings before ``pos``, arm the owner's real timers
         and drop the chain (:meth:`Simulator.drop_chain`)."""
         raise NotImplementedError
 
+    def heap_key(self) -> Any:
+        """The key of the chain's heap event (``()`` until resolved)."""
+        return getattr(self, "key", ())
+
+    def rank(self, i: int) -> Any:
+        """The rank of firing ``i`` (resolved; None if forgotten)."""
+        marks = self.marks
+        if i >= marks[-1]:
+            return self.ranks[-1]
+        j = bisect_right(marks, i) - 1
+        return self.ranks[j] if j >= 0 else None
+
     def position(self, i: int) -> "Position":
         """The position of firing ``i`` (resolved)."""
         t = self.times[i]
         if not i:
-            return (t, self.ranks[0], 0)
-        return (t, self.ranks[i], (self.times[i - 1] - t, _Tie(self, i - 1, 1)))
+            return (t, self.rank(0), 0)
+        return (t, self.rank(i), (self.times[i - 1] - t, _Tie(self, i - 1, 1)))
+
+    def _before(self, t: float) -> int:
+        """The number of firings before instant ``t``."""
+        return bisect_left(self.times, t)
+
+    #: whether ties read only the firings :meth:`_wanted` names
+    _sparse = False
+
+    def _wanted(self, i: int, k: int) -> Sequence[int]:
+        """The firings up to ``k`` from ``i`` a tie may read, ascending."""
+        return (k,)
 
     def _resolve(self, k: int) -> None:
-        """Resolve the ranks of the first ``k`` firings and of what they
-        armed (each firing one the run has passed)."""
-        ranks = self.ranks
+        """Resolve the rank of firing ``k`` (the run passed those before)
+        and of those before it :meth:`_wanted` names: the counter of the
+        first logged event after firing ``s - 1``, plus one half, for
+        firing ``s`` (its instant alone decides unless an event ran
+        there), standing while no logged event lies in between."""
+        s = self.known
+        if s > k:
+            return
         sim = self.sim
-        log = sim._log
-        bound = -1  # no entry of the log lies after the last firing and
-        counter = 0  # before this instant: its counter stands
-        for i in range(len(ranks) - 1, k):
-            t = self.times[i]
-            if t >= bound:
-                j = bisect_right(log, self.position(i))
-                if j < len(log):
-                    bound, counter = log[j][0], log[j][3]
-                else:
-                    bound, counter = _INF, sim._seq
-            ranks.append(counter + 0.5)
+        log, times, marks, ranks = sim._log, self.times, self.marks, self.ranks
+        n = len(log)
+        bound = -1
+        for want in self._wanted(s, k):
+            if want > s and self._sparse:  # firings no tie reads are
+                i, s = s, want  # left unresolved, back to one whose
+                while s > i:  # previous instant no event ran at
+                    t = times[s - 1]
+                    j = bisect_left(log, (t,))
+                    if j == n or log[j][0] != t:
+                        marks.append(i)
+                        ranks.append(None)
+                        bound, counter = ((log[j][0], log[j][3]) if j < n
+                                          else (_INF, sim._seq))
+                        break
+                    s -= 1
+            while s <= want:
+                t = times[s - 1]
+                if t >= bound:
+                    j = bisect_left(log, (t,))
+                    if j < n and log[j][0] == t:
+                        j = bisect_right(log, self.position(s - 1))
+                    bound, counter = ((log[j][0], log[j][3]) if j < n
+                                      else (_INF, sim._seq))
+                if counter + 0.5 != ranks[-1]:
+                    marks.append(s)
+                    ranks.append(counter + 0.5)
+                s += 1
+        self.known = k + 1
+        if len(marks) > _LOG_LIMIT and self._sparse:
+            self._forget()
 
     def count_before(self, pos: "Position") -> int:
-        """The number of firings before ``pos``, resolved."""
+        """The number of firings before ``pos``, resolved (at least
+        those run or counted: a run that stopped at an instant counted
+        the firings there, before any event armed later)."""
         times = self.times
-        m = bisect_left(times, pos[0])
+        m = max(self._before(pos[0]), self.fired)
         self._resolve(m)
-        while m < len(times) and times[m] == pos[0]:
-            self._resolve(m + 1)
-            if not self.position(m) < pos:
-                break
+        while m < len(times) and times[m] == pos[0] and self.position(m) < pos:
             m += 1
+            self._resolve(m)
         return m
 
     def armed(self, i: int, time: int, sub: int) -> Tuple[float, tuple]:
         """The rank and key of a timer at ``time`` armed at firing ``i``
         (``sub`` 0 for a completion, 1 for the next firing)."""
         self._resolve(i + 1)
-        return self.ranks[i + 1], (self.times[i] - time, _Tie(self, i, sub))
+        sim = self.sim
+        if time - self.times[i] in sim._grids:  # a parked timer may tie
+            sim._armed[self] = max(time, sim._armed.get(self, time))
+        return self.rank(i + 1), (self.times[i] - time, _Tie(self, i, sub))
 
     def _resolve_end(self, handle: EventHandle) -> None:
         i, sub = self.end
         handle.seq, self.key = self.armed(i, handle.time, sub)
+
+
+class _Timer(Chain):
+    """A parked-mode timer of :meth:`Simulator.every`, pending while
+    ``parked``: ``handle`` holds its next firing and ``order`` its
+    place among the timers of its interval and phase.  It resolves and
+    keeps only the ranks a tie with a chain may read (:meth:`_wanted`)."""
+
+    __slots__ = ("handle", "order", "parked")
+    _sparse = True
+
+    def settle(self, pos: "Position") -> None:
+        """Count the virtual firings before ``pos`` into ``elided`` and
+        the executed events, and move the handle to the first firing
+        after."""
+        m = self.count_before(pos)
+        n = m - self.fired
+        if n:
+            sim = self.sim
+            self.fired = m
+            handle = self.handle
+            handle.elided += n
+            sim.events_executed += n
+            if sim._inv_on:
+                sim.invariants.on_virtual_events(n)
+            handle.time, handle.seq = self.times[m], self.rank(m)
+
+    def count_before(self, pos: "Position") -> int:
+        if self.handle.time > pos[0]:  # its next firing is later
+            return self.fired
+        return Chain.count_before(self, pos)
+
+    def heap_key(self) -> Any:
+        """The key of the next firing."""
+        i = self.fired
+        return (-self.times.step, _Tie(self, i - 1, 1)) if i else 0
+
+    def _before(self, t: float) -> int:
+        times = self.times
+        if t == _INF:
+            return len(times)
+        return max(0, -((times.start - t) // times.step))
+
+    def _wanted(self, i: int, k: int) -> Sequence[int]:
+        # a tie with a chain pending, or one that armed an event one
+        # interval after a firing, walks back through its firings on
+        # this timer's grid only
+        sim = self.sim
+        if i == k or not (sim._chains or sim._armed):
+            return (k,)
+        times = self.times
+        start, step = times.start, times.step
+        lo, hi = times[i], times[k]
+        wanted = {k}
+        for chain in (*sim._chains, *sim._armed):
+            ts = chain.times
+            if not ts or ts[-1] < lo or ts[0] >= hi:
+                continue
+            for j in range(bisect_left(ts, lo), bisect_left(ts, hi)):
+                if not (ts[j] - start) % step:
+                    wanted.add((ts[j] - start) // step)
+        return sorted(wanted)
+
+    def _forget(self) -> None:
+        sim = self.sim
+        first = min((c.times[0] for c in (*sim._chains, *sim._armed)),
+                    default=_INF)
+        j = bisect_right(self.marks, min(self._before(first), self.fired)) - 1
+        if j > 0:
+            del self.marks[:j], self.ranks[:j]
 
 
 def _describe(handle: EventHandle) -> str:
@@ -289,9 +369,11 @@ Position = Tuple[int, float, Any]
 
 _INF = float("inf")
 
-#: rank-log entries kept before every parked timer is settled to the
-#: current event and the log restarts there
+#: the rank-log entries, and a parked timer's stored ranks, kept before
+#: the log restarts or the timer forgets the ranks no tie reads
 _LOG_LIMIT = 256
+#: firings in a parked timer's progression (unbounded in practice)
+_SPAN = 1 << 40
 
 
 class Simulator:
@@ -306,25 +388,16 @@ class Simulator:
     Time never flows backwards; callbacks run at exactly their scheduled
     virtual time and may schedule further events (including at ``now``).
 
-    ``trace``, ``metrics`` and ``audit`` are the observability sinks:
-    a :class:`repro.trace.TraceRecorder`, a
-    :class:`repro.obs.MetricsRegistry` and a
-    :class:`repro.why.AuditLog`, each defaulting to its shared no-op
-    null.  The simulator wraps them in one :class:`repro.obs.probe.Probe`
-    (``sim.probe``), the single instrumentation path every machine,
-    scheduler, SFS and FaaS component caches — with its ``enabled``
-    flag — at construction.  Install the sinks here *before* building
-    those components.  The probe is read-only with respect to virtual
-    time, so an instrumented run is bit-identical to a bare one.
-
-    ``invariants`` is the runtime invariant checker
-    (:mod:`repro.invariants`), defaulting to the shared no-op
-    :data:`repro.invariants.checker.NULL_CHECKER`; it validates state
-    rather than recording decisions, so components cache it (and its
-    ``enabled`` flag) separately, under the same install-first rule.
-
-    ``label`` names the run in diagnostics (e.g. the scheduler/engine
-    pair); it is only ever read when an error message is built.
+    ``trace``, ``metrics`` and ``audit`` are the observability sinks (a
+    :class:`repro.trace.TraceRecorder`, a
+    :class:`repro.obs.MetricsRegistry` and a :class:`repro.why.AuditLog`,
+    each defaulting to its no-op null), wrapped in one read-only
+    :class:`repro.obs.probe.Probe` (``sim.probe``) that every component
+    caches, with its ``enabled`` flag, at construction: install them
+    *before* building those components.  ``invariants`` is the runtime
+    checker (:mod:`repro.invariants`, default
+    :data:`repro.invariants.checker.NULL_CHECKER`), cached the same way.
+    ``label`` names the run in error messages.
     """
 
     def __init__(self, trace: Optional[Any] = None,
@@ -338,13 +411,15 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self.events_executed: int = 0
-        # parked-mode timers: those off the heap, the rank log of the
-        # events run since the oldest parked anchor, and the live timers
-        # by (interval, phase) for tie-break keys
-        self._parked: Dict[EventHandle, None] = {}
+        # pending chains, parked timers, the rank log, live parked-mode
+        # timers by (interval, phase), their intervals, and the chains
+        # that armed an event one such interval after a firing
         self._chains: Dict[Chain, None] = {}
+        self._parked: Dict[_Timer, None] = {}
         self._log: List[tuple] = []
-        self._phases: Dict[Tuple[int, int], List[EventHandle]] = {}
+        self._phases: Dict[Tuple[int, int], List[_Timer]] = {}
+        self._grids: set = set()
+        self._armed: Dict[Chain, int] = {}
         self.trace = trace if trace is not None else NULL_RECORDER
         self.invariants = invariants if invariants is not None else NULL_CHECKER
         self._inv_on = self.invariants.enabled
@@ -357,10 +432,8 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any,
                     daemon: bool = False) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
-
-        ``daemon=True`` marks a housekeeping timer excluded from
-        :attr:`pending_work` (see :class:`EventHandle`)."""
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``
+        (``daemon``: see :class:`EventHandle`)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
@@ -371,11 +444,9 @@ class Simulator:
         return handle
 
     def reserve(self, n: int) -> int:
-        """Reserve the next ``n`` tie-break ranks and return the first.
-
-        An event later scheduled with :meth:`schedule_ranked` at one of
-        them fires, among the events at its timestamp, where it would
-        have fired had it been scheduled at reservation time."""
+        """Reserve the next ``n`` tie-break ranks and return the first:
+        an event :meth:`schedule_ranked` at one fires where it would
+        have, had it been scheduled at reservation time."""
         first = self._seq + 1
         self._seq += n
         return first
@@ -391,7 +462,7 @@ class Simulator:
             )
         handle = EventHandle(int(time), rank, callback, args)
         if key is not None:
-            handle.park = _Park(self, key)
+            handle.park = key
         heapq.heappush(self._heap, (handle.time, rank, handle))
         return handle
 
@@ -399,10 +470,8 @@ class Simulator:
                          callback: Callable[..., Any],
                          *args: Any) -> EventHandle:
         """Schedule the one heap event of ``chain``, armed at its firing
-        ``chain.end``.  Its rank is not known until every firing before
-        it has run, so the heap holds it at a lower bound (past the
-        counter now: the chain's firings come later) and re-keys it
-        when it surfaces, as a moved event is re-keyed."""
+        ``chain.end``, at a lower bound of its rank (the counter now),
+        re-keyed when it surfaces once every firing before it ran."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
@@ -427,18 +496,14 @@ class Simulator:
         if self._inv_on:
             self.invariants.on_virtual_events(n)
         if not self._chains and not self._parked:
-            self._log.clear()
+            self._restart_log()
 
     def move(self, handle: EventHandle, time: int) -> EventHandle:
         """Move a pending one-shot event to absolute time ``time``, at
-        the tie-break rank a fresh :meth:`schedule_at` would take, and
-        return the handle that now holds it.
-
-        A move no earlier than the event's current time updates the
-        handle in place: its heap entry stays where it is as a lower
-        bound and is re-keyed when it surfaces (a re-key is not a
-        firing).  An earlier move cancels the handle and returns a
-        fresh one, so every handle keeps exactly one heap entry."""
+        the rank a fresh :meth:`schedule_at` would take, and return the
+        handle that now holds it: the same one, whose heap entry is
+        re-keyed when it surfaces, unless the move is earlier, which
+        cancels it for a fresh one."""
         if time < self.now:
             raise SimulationError(
                 f"cannot move event to t={time} before now={self.now}"
@@ -471,22 +536,15 @@ class Simulator:
         false.
 
         Each firing, idle or not, counts in :attr:`events_executed` and
-        the ``max_events`` budget, and takes its next tie-break rank
-        *before* any callback runs: a callback that rescheduled itself
-        first thing would sit at exactly the same ``(time, seq)``
-        positions.  ``idle`` must be free of side effects, and picklable
-        (a bound method or a ``functools.partial``, not a closure) for
-        checkpointed runs.
-
-        With ``park=False`` (the literal reference) each firing re-arms
-        the one handle on the heap.  With ``park=True`` a firing that
-        finds ``idle()`` true parks the timer off the heap: its later
-        firings are virtual, each one idle by the owner's promise, and
-        cost nothing until :meth:`poke` puts the timer back on the heap
-        at its first firing after the current event.  The owner must
-        poke whenever ``idle()`` may have turned false; the invariant
-        checker's ``parked-idle`` law verifies that after every event.
-        The first firing is armed through :meth:`schedule_at`.
+        the ``max_events`` budget, and takes its next rank *before* any
+        callback runs, as a callback rescheduling itself first thing
+        would.  ``idle`` must be free of side effects, and picklable for
+        checkpointed runs.  With ``park=False`` (the literal reference)
+        each firing re-arms the one handle on the heap.  With
+        ``park=True`` an idle firing parks the timer off the heap: its
+        later firings are virtual, idle by the owner's promise to
+        :meth:`poke` it whenever ``idle()`` may have turned false (the
+        checker's ``parked-idle`` law verifies it after every event).
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval}")
@@ -502,35 +560,39 @@ class Simulator:
         """Tell a timer of :meth:`every` that its ``idle`` test may have
         turned false.  A parked one goes back on the heap at its first
         firing after the current event; any other is left alone."""
-        if handle.park is not None and handle.park.parked:
-            self._unpark(handle)
+        if handle.interval and handle.park is not None and handle.park.parked:
+            self._unpark(handle.park)
             heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
     def settle(self, handle: EventHandle) -> None:
         """Count a parked timer's virtual firings up to the current
-        event into ``handle.elided`` and :attr:`events_executed`.  Call
-        it before reading ``elided`` mid-run; a no-op on any other
-        handle."""
-        if handle.park is not None and handle.park.parked:
-            self._settle(handle, self.position())
+        event into ``handle.elided`` and :attr:`events_executed` (a
+        no-op on any other handle)."""
+        if handle.interval and handle.park is not None and handle.park.parked:
+            handle.park.settle(self.position())
 
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[int]:
-        """Virtual time of the next live heap event, or None if drained
-        (the virtual firings of parked timers are not events here)."""
+        """Virtual time of the next live heap event, or None."""
         self._drop_dead()
         if not self._heap:
             return None
         return self._heap[0][0]
 
     def step(self) -> bool:
-        """Execute the next live heap event.  Returns False when
-        drained."""
+        """Execute the next live heap event, settling every pending chain
+        to it first (as the literal run stands after it).  Returns False
+        when drained."""
         self._drop_dead()
         if not self._heap:
             return False
+        if self._chains or self._parked:
+            pos = self._next_position()
+            for chain in self._pending():
+                chain.settle(pos)
+            self._drop_dead()
         self._fire()
         return True
 
@@ -544,51 +606,56 @@ class Simulator:
         self.events_executed += 1
         interval = handle.interval
         if interval:
-            if handle.park is None:
-                if self._parked or self._chains:
+            timer = handle.park
+            handle.time = time + interval
+            if timer is None:  # the literal re-arm consumes a rank
+                if self._chains or self._parked:
                     self._log_event(time, seq, 0)
                 self._seq += 1
-                handle.time = time + interval
                 handle.seq = self._seq
                 heapq.heapreplace(heap, (handle.time, self._seq, handle))
-                if handle.idle():
-                    handle.elided += 1
-                else:
-                    handle.callback(*handle.args)
-            else:
-                self._fire_parkable(time, seq, handle)
-            return
-        heapq.heappop(heap)
-        if self._parked or self._chains:
-            self._log_event(time, seq, handle.park.key
-                            if seq.__class__ is float else 0)
-        callback, args = handle.callback, handle.args
-        handle.cancel()  # consumed; release references
-        callback(*args)
-        if self._inv_on and self._parked:
-            self.invariants.on_parked(self._parked, time)
-
-    def _fire_parkable(self, time: int, seq: Any,
-                       handle: EventHandle) -> None:
-        """A heap firing of a parked-mode timer: park it if idle, else
-        act and stay on the heap unless now idle."""
-        heapq.heappop(self._heap)
-        handle.time = time + handle.interval
-        handle.seq = self._seq + 0.5
-        if handle.idle():
-            handle.elided += 1
-            self._park(handle)
-            return
-        if self._parked or self._chains:
-            self._log_event(time, seq, handle.park.key)
-        handle.callback(*handle.args)
-        if not handle.cancelled:
+            else:  # a parked-mode timer leaves the heap while idle
+                heapq.heappop(heap)
+                handle.seq = rank = self._seq + 0.5
+                timer.fired = i = timer.fired + 1
+                timer.known = i + 1
+                if rank != timer.ranks[-1]:
+                    timer.marks.append(i)
+                    timer.ranks.append(rank)
+                    if len(timer.marks) > _LOG_LIMIT:
+                        timer._forget()
             if handle.idle():
-                self._park(handle)
+                handle.elided += 1
+                if timer is not None:
+                    timer.parked = True
+                    self._parked[timer] = None
+                return
+            if timer is not None and (self._chains or self._parked):
+                self._log_event(time, seq, (-interval, _Tie(timer, i - 2, 1))
+                                if i > 1 else 0)
+            handle.callback(*handle.args)
+            if timer is None or handle.cancelled:
+                return
+            if handle.idle():
+                timer.parked = True
+                self._parked[timer] = None
             else:
-                heapq.heappush(self._heap, (handle.time, handle.seq, handle))
+                heapq.heappush(heap, (handle.time, handle.seq, handle))
+        else:
+            heapq.heappop(heap)
+            if self._chains or self._parked:
+                self._log_event(time, seq, _key(handle)
+                                if seq.__class__ is float else 0)
+            callback, args = handle.callback, handle.args
+            handle.cancel()  # consumed; release references
+            callback(*args)
         if self._inv_on and self._parked:
-            self.invariants.on_parked(self._parked, time)
+            self.invariants.on_parked([t.handle for t in self._parked], time)
+
+    def _next_position(self) -> "Position":
+        """The position of the (live and exact) top of the heap."""
+        time, seq, handle = self._heap[0]
+        return (time, seq, _key(handle) if seq.__class__ is float else 0)
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run until the heap drains, ``until`` is reached, or the event
@@ -597,23 +664,15 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly
         ``until`` even if the last event fired earlier.
 
-        ``max_events`` is a runaway guard, not a pause button: if the
-        budget is exhausted while live events are still pending, the run
-        did *not* complete and a :class:`SimulationError` is raised so
-        truncated results can never be mistaken for finished ones.  The
-        error names the virtual clock, the run label and the last few
-        executed events, so a fuzz-found livelock is diagnosable from
-        the exception alone.  The event descriptions are only recorded
-        when a budget is armed — a guard-free run stays on the exact
-        nominal path.  Virtual firings of parked timers spend the budget
-        like any other firing, and so do a chain's virtual firings
-        (counted, not applied, before each event; a run that stops on
-        the budget settles every pending chain).  A run that stops at
-        ``until`` settles every pending chain there.
-
-        A heap that drains while a parked timer is live, with no
-        ``until``, raises :class:`SimulationError` naming the timer: the
-        literal timer would fire forever.
+        ``max_events`` is a runaway guard, not a pause button: a budget
+        exhausted while live events are pending raises
+        :class:`SimulationError`, naming the clock, the run label and
+        the last few events (recorded only when a budget is armed).
+        Virtual firings spend the budget like any other firing (counted
+        before each event).  A run settles every pending chain where it
+        stops.  A heap that drains while a parked timer is live, with no
+        ``until``, raises :class:`SimulationError` naming it: the literal
+        timer would fire forever.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -631,34 +690,29 @@ class Simulator:
                         raise SimulationError(
                             "event heap drained with parked timer(s) live, "
                             f"which would fire forever: "
-                            f"{_describe(next(iter(self._parked)))}")
+                            f"{_describe(next(iter(self._parked)).handle)}")
                     break
                 if until is not None and heap[0][0] > until:
                     break
                 if max_events is not None:
                     virtual = 0
-                    if self._parked or self._chains:
-                        time, seq, handle = heap[0]
-                        pos = (time, seq, handle.park.key
-                               if handle.interval and handle.park
-                               or seq.__class__ is float else 0)
-                        self._settle_all(pos)
-                        for chain in self._chains:
+                    if self._chains or self._parked:
+                        pos = self._next_position()
+                        for chain in self._pending():
                             virtual += chain.count_before(pos) - chain.fired
                     if self.events_executed + virtual - start >= max_events:
-                        for chain in list(self._chains):
+                        for chain in self._pending():
                             chain.settle(pos)
                         self._budget_exhausted(start, max_events, recent)
                     recent.append(_describe(heap[0][2]))
                 self._fire()
         finally:
             self._running = False
-        if self._parked or self._chains:
+        if self._chains or self._parked:
             end = (until if until is not None else self.now, _INF, ())
-            for chain in list(self._chains):
+            for chain in self._pending():
                 chain.settle(end)
-            self._settle_all(end)
-            self._log.clear()
+            self._restart_log()
             if max_events is not None and \
                     self.events_executed - start > max_events:
                 self._budget_exhausted(start, max_events, recent)
@@ -677,28 +731,28 @@ class Simulator:
             f"{label}; last events: {tail}"
         )
 
+    def _pending(self) -> List[Chain]:
+        """The pending chains, parked timers included."""
+        return [*self._chains, *self._parked]
+
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued, parked
-        timers included."""
+        """Number of live events queued, parked timers included."""
         return len(self._parked) + sum(
             1 for _, _, h in self._heap if not h.cancelled)
 
     @property
     def pending_work(self) -> bool:
-        """Whether a live event that *drives* the run is queued — daemon
-        housekeeping timers excluded, parked timers included.
-        Self-rearming daemons must gate on this, not on :attr:`pending`,
-        or any two of them would keep each other alive after the real
-        work has drained."""
+        """Whether a live event that *drives* the run is queued (parked
+        timers included, daemons not): self-rearming daemons gate on
+        this, or two of them would keep each other alive."""
         return bool(self._parked) or any(
             not h.cancelled and not h.daemon for _, _, h in self._heap
         )
 
     def _drop_dead(self) -> None:
-        """Pop cancelled entries off the top of the heap and re-key the
-        lower-bound entries of moved and chained events, until the top
-        is live and exact."""
+        """Pop cancelled entries off the top of the heap and re-key moved
+        and chained events' lower bounds, until the top is exact."""
         heap = self._heap
         while heap:
             _time, seq, handle = heap[0]
@@ -715,65 +769,58 @@ class Simulator:
     # parked-mode timers
     # ------------------------------------------------------------------
     def _arm_parkable(self, handle: EventHandle) -> None:
-        """Give a new parked-mode timer its tie-break key.
-
-        The timers of one interval and phase keep one relative order
-        while they live (a tie at one firing repeats the order of the
-        one before), so each keeps the order it is given here for good.
-        The new timer's first rank was just taken at the current event,
-        so it goes after every timer of its group that fired at this
-        instant already and before the rest."""
+        """Make a new parked-mode timer's chain and its fixed place among
+        the timers of its interval and phase (a tie at one firing
+        repeats the one before): after every one that fired at this
+        instant already, as its first rank was just taken."""
         interval = handle.interval
-        group = self._phases.setdefault(
-            (interval, handle.time % interval), [])
-        before = after = None
+        first = handle.time
+        timer = _Timer(self, range(first, first + _SPAN * interval, interval),
+                       handle.seq)
+        timer.handle = handle
+        timer.parked = False
+        handle.park = timer
+        self._grids.add(interval)
+        group = self._phases.setdefault((interval, first % interval), [])
+        fired, rest = [], []
         if group:
-            pos = self.position() if self._parked else None
+            pos = self.position()
             for other in group:
-                if other.park.parked:
-                    self._settle(other, pos)
-                order = other.park.key[1]
-                if other.time > self.now:  # fired at this instant already
-                    if before is None or order > before:
-                        before = order
-                elif after is None or order < after:
-                    after = order
-        if after is None:
-            order = 0 if before is None else before + 1
-        elif before is None:
-            order = after - 1
+                if other.parked:
+                    other.settle(pos)
+            fired = [o.order for o in group if o.handle.time > self.now]
+            rest = [o.order for o in group if o.handle.time <= self.now]
+        if not rest:
+            timer.order = max(fired, default=-1) + 1
+        elif not fired:
+            timer.order = min(rest) - 1
         else:  # between two live timers: a dense order is needed
             from fractions import Fraction
-            order = Fraction(before + after) / 2
-        handle.park = _Park(self, (-interval, order))
-        group.append(handle)
+            timer.order = Fraction(max(fired) + min(rest)) / 2
+        group.append(timer)
 
-    def _retire(self, handle: EventHandle) -> None:
-        """A parked-mode timer is being cancelled."""
-        if handle.park.parked:
-            self._unpark(handle)
-        interval = handle.interval
-        phase = (interval, handle.time % interval)
+    def _retire(self, timer: _Timer) -> None:
+        """A parked-mode timer is being cancelled (unlinked from its
+        handle, so that refcounting frees both)."""
+        if timer.parked:
+            self._unpark(timer)
+        timer.handle = None
+        phase = (timer.times.step, timer.times.start % timer.times.step)
         group = self._phases[phase]
-        group.remove(handle)
+        group.remove(timer)
         if not group:
             del self._phases[phase]
 
-    def _park(self, handle: EventHandle) -> None:
-        handle.park.parked = True
-        self._parked[handle] = None
-
-    def _unpark(self, handle: EventHandle) -> None:
-        self._settle(handle, self.position())
-        handle.park.parked = False
-        del self._parked[handle]
-        if not self._parked and not self._chains:
-            self._log.clear()
+    def _unpark(self, timer: _Timer) -> None:
+        timer.settle(self.position())
+        timer.parked = False
+        del self._parked[timer]
+        if not self._chains and not self._parked:
+            self._restart_log()
 
     def position(self) -> Position:
         """Where the run stands: the current event (the newest log entry
-        while a timer is parked or a chain is pending) or, between runs,
-        after every firing at the current instant."""
+        while a chain is pending) or, between runs, after ``now``."""
         log = self._log
         if log:
             time, rank, key, _counter = log[-1]
@@ -781,68 +828,19 @@ class Simulator:
         return (self.now, _INF, ())
 
     def _log_event(self, time: int, rank: Any, key: Any) -> None:
-        """Log the event about to run while a timer is parked or a chain
-        is pending.  The log is bounded: when full, every parked timer
-        is settled to this event and every pending chain resolves the
-        ranks of its firings before it, after which no earlier entry is
-        read."""
+        """Log the event about to run while a chain is pending; when the
+        log is full, every pending chain resolves its ranks first."""
         log = self._log
         if len(log) >= _LOG_LIMIT:
             pos = (time, rank, key)
-            self._settle_all(pos)
-            for chain in self._chains:
+            for chain in self._pending():
                 chain.count_before(pos)
-            log.clear()
+            self._restart_log()
         log.append((time, rank, key, self._seq))
 
-    def _settle_all(self, pos: Position) -> None:
-        for handle in self._parked:
-            self._settle(handle, pos)
-
-    def _settle(self, handle: EventHandle, pos: Position) -> None:
-        """Count the virtual firings of a parked timer before ``pos`` and
-        move its anchor (``time``, ``seq``) to its first firing after."""
-        time, interval, key = handle.time, handle.interval, handle.park.key
-        if (time, handle.seq, key) > pos:
-            return
-        now = pos[0]
-        n = (now - 1 - time) // interval + 1 if time < now else 0
-        time += n * interval
-        rank = self._rank(handle, time) if n else handle.seq
-        if time == now and (now, rank, key) < pos:
-            n += 1
-            rank = self._counter_at((now, rank, key)) + 0.5
-            time += interval
-        handle.time, handle.seq = time, rank
-        handle.elided += n
-        self.events_executed += n
-        if self._inv_on:
-            self.invariants.on_virtual_events(n)
-
-    def _rank(self, handle: EventHandle, time: int) -> float:
-        """Rank of a parked timer's virtual firing at ``time`` (a later
-        firing than its anchor).  The rank is the counter at the firing
-        before; that depends on where that firing fell only when an
-        event ran at its instant, so walk back while one did."""
-        log, interval, key = self._log, handle.interval, handle.park.key
-        t = time
-        while t > handle.time:
-            i = bisect_left(log, (t - interval,))
-            if i < len(log) and log[i][0] == t - interval:
-                t -= interval
-                continue
-            rank = (log[i][3] if i < len(log) else self._seq) + 0.5
-            break
-        else:
-            rank = handle.seq
-        while t < time:
-            rank = self._counter_at((t, rank, key)) + 0.5
-            t += interval
-        return rank
-
-    def _counter_at(self, pos: Position) -> int:
-        """The schedule counter at ``pos``: as the first logged event
-        after it found it, or as it stands now if none is logged."""
-        log = self._log
-        i = bisect_right(log, pos)
-        return log[i][3] if i < len(log) else self._seq
+    def _restart_log(self) -> None:
+        """Empty the rank log, and the chains whose armed events ran."""
+        self._log.clear()
+        if self._armed:
+            self._armed = {c: t for c, t in self._armed.items()
+                           if t >= self.now}

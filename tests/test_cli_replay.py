@@ -55,9 +55,10 @@ def test_resume_without_stored_checkpoint_exits_2(tmp_path, capsys):
                                     "repro.stream/3", "repro.stream/4",
                                     "repro.stream/5", "repro.stream/6",
                                     "repro.stream/7", "repro.stream/8",
-                                    "repro.stream/9", "repro.stream/10"],
+                                    "repro.stream/9", "repro.stream/10",
+                                    "repro.stream/11"],
                          ids=["v1", "v2", "v3", "v4", "v5", "v6", "v7",
-                              "v8", "v9", "v10"])
+                              "v8", "v9", "v10", "v11"])
 def test_resume_of_older_checkpoint_schema_exits_2(tmp_path, capsys, schema):
     ckpt = tmp_path / "ckpt"
     args = BASE + ["--checkpoint-dir", str(ckpt), "--checkpoint-every", "5",

@@ -733,6 +733,15 @@ def test_tie_of_a_chain_and_a_parked_timer_armed_rotor_first():
     assert literal[0] == [("timer", 60, 6)]
 
 
+def test_tie_of_a_chain_and_a_parked_timer_armed_timer_first():
+    """The literal timer fires first at every instant from 10 on, as
+    armed; no fixed rule for a chained and a parked firing holds in
+    both arming orders."""
+    literal = _tie_run(False, timer_first=True)
+    assert _tie_run(True, timer_first=True) == literal
+    assert literal[0] == [("timer", 60, 5)]
+
+
 def _mixed_scenario(seed, lazy):
     """Parked timers and lazy rotors of one interval (10) and two
     phases, armed by events among events that touch the rotors, poke
@@ -798,12 +807,48 @@ def _mixed_scenario(seed, lazy):
             {n: h.elided for n, h in timers.items()})
 
 
-#: seeds whose chained/parked ties the fixed chained-first rule orders
-#: unlike the literal run
-_CHAINED_FIRST_FAILS = (14, 15, 18, 20, 36, 38)
-
-
-@pytest.mark.parametrize(
-    "seed", [s for s in range(40) if s not in _CHAINED_FIRST_FAILS])
+@pytest.mark.parametrize("seed", range(40))
 def test_random_ties_of_chains_and_parked_timers(seed):
     assert _mixed_scenario(seed, True) == _mixed_scenario(seed, False)
+
+
+def _stepped(lazy):
+    """Step a rotor (step 10, 8 firings) and a phase-5 parked timer
+    (interval 10, busy from 47) by hand; return, after each step, the
+    executed events, the rotor's count and the timer's idle firings."""
+    sim = Simulator()
+    box = {"sim": sim, "out": []}
+    state = {"busy": False}
+
+    def act():
+        state["busy"] = False
+
+    def arm():
+        box["timer"] = sim.every(10, lambda: not state["busy"], act,
+                                 park=lazy)
+
+    def wake():
+        state["busy"] = True
+        sim.poke(box["timer"])
+
+    sim.schedule_at(0, _start_rotor, box, 10, 8, lazy)
+    sim.schedule_at(5, arm)
+    sim.schedule_at(33, int)
+    sim.schedule_at(47, wake)
+    sim.schedule_at(70, int)
+    sim.schedule_at(96, lambda: box["timer"].cancel())
+    seen = []
+    while sim.step():
+        seen.append((sim.events_executed, box["rotor"].count,
+                     box["timer"].elided if "timer" in box else 0))
+    return seen
+
+
+def test_step_settles_every_chain_and_parked_timer():
+    literal = _stepped(False)
+    assert [e for e, _count, _elided in literal] == list(
+        range(1, len(literal) + 1))
+    lazy = _stepped(True)
+    assert len(lazy) < len(literal)
+    for state in lazy:
+        assert state == literal[state[0] - 1]

@@ -124,6 +124,7 @@ def test_checkpoint_resume_byte_identical(tmp_path, engine):
     assert restored.resumed_from == store_b.manifest()["virtual_time_us"]
     if engine == "discrete":  # rotation plans were pending at the cut
         assert any(c.plan is not None for c in restored.machine.cores)
+    assert restored.sim._parked  # and an SFS poll was parked
     got = StreamSummary.to_json(restored.run())
     assert got == ref
 
@@ -133,7 +134,7 @@ def test_checkpoint_manifest_contents(tmp_path):
     d = _driver(checkpointer=store, checkpoint_every=10 * SEC)
     d.run(until=25 * SEC)
     m = store.manifest()
-    assert m["schema"] == "repro.stream/11"
+    assert m["schema"] == "repro.stream/12"
     assert m["virtual_time_us"] == 20 * SEC
     assert m["requests_done"] <= d.done
     assert m["config_digest"]
