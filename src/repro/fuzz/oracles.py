@@ -12,12 +12,9 @@ asserted on configurations where it mathematically holds:
   needs the ``cfs`` fair class (the fluid model has no EEVDF) and no
   timing-dependent failure handling (timeout/admission outcomes
   legitimately differ across engines); the IDEAL bound needs a nominal
-  run.  The lazy diff (``differential-lazy``) runs a single-host
-  discrete ``cfs`` case bare, where CFS slices rotate in lazy plans
-  (:class:`repro.sim.engine.Chain`), and under the invariant checker,
-  an event per slice: records, ``events_executed`` and the final
-  runqueue enqueue counters must be equal, as the plans take the exact
-  ranks of the literal slice timers.
+  run.  ``differential-lazy`` runs a single-host discrete ``cfs`` case
+  bare (slices rotate in lazy plans) and checked (an event per slice):
+  records, ``events_executed`` and runqueue counters must be equal.
 * **metamorphic** — relations between *pairs* of runs:
 
   - *idle-hosts*: adding two idle cores never makes any request slower
@@ -203,29 +200,25 @@ def _lazy_applies(case: FuzzCase) -> bool:
 def _check_lazy(case: FuzzCase) -> Optional[Violation]:
     from repro.faas.driver import replay_host
 
-    name = "differential-lazy"
     runs = []
     for checked in (False, True):
         try:
             result, host = replay_host(
                 case.workload, replace(case.config, invariants=checked))
         except (InvariantViolation, SimulationError, RuntimeError) as exc:
-            return _crash_violation(name, exc)
-        # the runqueues' enqueue counters order equal vruntimes; the
-        # simulator's own counter differs by design (a plan reserves one
-        # rank where the per-slice path schedules an event per slice)
+            return _crash_violation("differential-lazy", exc)
+        # the simulator's own counter differs by design: a plan reserves
+        # one rank where the per-slice path schedules a slice event
         runs.append((result.records, host.sim.events_executed,
                      [core.rq._seq for core in host.machine.cores]))
-    (bare, bare_events, bare_seq), (checked, events, seq) = runs
-    if bare != checked:
-        diff = next(i for i, (a, b) in enumerate(zip(bare, checked))
-                    if a != b)
-        return Violation(name, f"request {bare[diff].req_id}: bare "
-                               f"{bare[diff]} but checked {checked[diff]}")
-    if (bare_events, bare_seq) != (events, seq):
-        return Violation(name, f"bare run executed {bare_events} events "
-                               f"to runqueue counters {bare_seq}, checked "
-                               f"run {events} to {seq}")
+    (bare, *counts), (checked, *checked_counts) = runs
+    for a, b in zip(bare, checked):
+        if a != b:
+            return Violation("differential-lazy",
+                             f"request {a.req_id}: bare {a}, checked {b}")
+    if counts != checked_counts:
+        return Violation("differential-lazy", f"events and runqueue "
+                         f"counters: bare {counts}, checked {checked_counts}")
     return None
 
 

@@ -1,27 +1,20 @@
 """Cancellable event-heap simulator.
 
-A classic discrete-event loop: a binary heap of ``(time, seq, handle)``
-entries, where ``seq``, a monotonically increasing counter, makes
-events scheduled earlier fire earlier at equal timestamps.  Cancelling
-is lazy (:meth:`EventHandle.cancel` marks the handle; dead entries are
-dropped when they surface), and so is moving an event later
-(:meth:`Simulator.move`): its old entry, a lower bound of its new key,
-is re-keyed when it surfaces.
+A binary heap of ``(time, seq, handle)`` entries, where ``seq``, a
+monotonically increasing counter, fires events scheduled earlier first
+at equal timestamps.  Cancelling is lazy, and so is moving an event
+later (:meth:`Simulator.move`): the old entry, a lower bound, is
+re-keyed when it surfaces.
 
-Virtual firings.  A :class:`Chain` is a run of firings at instants
-known in advance that cost no heap event each: a parked periodic
-timer's (:meth:`Simulator.every`, an arithmetic progression) and a
-discrete core's CFS slice rotation.  What a firing arms takes, as its
-rank, the counter at that firing plus one half, read from a log of the
-events run while a chain is pending; a literal re-arm would take the
-next counter value, so the order among other events is unchanged.
-Equal fractional ranks tie-break on the key ``(arm instant - instant,
-tie)``: armed earlier first, then in the order of the firings that
-armed them, walked back through the literal arming history
-(:class:`_Tie`) to a firing whose rank was reserved and never ties.  A
-chain's owner applies its firings in bulk when it settles
-(:meth:`Chain.settle`); its one real event waits on the heap at a lower
-bound of its rank (:meth:`Simulator.schedule_chained`).
+Virtual firings (docs/architecture.md §1).  A :class:`Chain` is a run
+of firings at instants known in advance that cost no heap event each:
+a parked periodic timer's (an arithmetic progression) and a discrete
+core's CFS slice rotation.  What a firing arms takes the counter at the
+firing plus one half as its rank, read from a log of the events run
+while a chain is pending, where a literal re-arm takes the next counter
+value.  Equal fractional ranks tie-break on the key ``(arm instant -
+instant, tie)``: armed earlier first, then as the firings that armed
+them, walked back through the literal arming history (:class:`_Tie`).
 """
 
 from __future__ import annotations
@@ -45,20 +38,14 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled callback; hold on to it if you may need to cancel.
 
-    ``daemon`` marks housekeeping timers (gauge samplers, health
-    pollers) that observe the run rather than drive it: they execute
-    normally but are excluded from :attr:`Simulator.pending_work`, so
-    two self-rearming daemons cannot keep each other — and the run —
-    alive forever.
-
-    A timer of :meth:`Simulator.every` also carries its ``interval``
-    (0 for a one-shot event), its ``idle`` test and ``elided``, the
-    firings it found idle (read it after :meth:`Simulator.settle` on a
-    parked-mode timer).  ``park`` breaks ties of fractional ranks: a
+    ``daemon`` marks housekeeping timers that observe the run rather
+    than drive it: they are excluded from :attr:`Simulator.pending_work`.
+    A timer of :meth:`Simulator.every` also carries its ``interval`` (0
+    for a one-shot event), its ``idle`` test and ``elided``, the firings
+    it found idle.  ``park`` breaks ties of fractional ranks: a
     parked-mode timer's :class:`_Timer` (None in literal mode), a
     chained event's :class:`Chain` or a key from :meth:`Chain.armed`;
-    other one-shot events leave it unset (one slot keeps a handle in
-    the allocator's size class of the slots before it).
+    other one-shot events leave it unset.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
@@ -114,10 +101,8 @@ def _noop(*_args: Any) -> None:
 
 
 class _Tie:
-    """The last element of a virtual firing's key: timers armed at one
-    instant fire in the order of the positions of the firings that
-    armed them (firing ``index`` of ``chain``), and a firing's
-    completion before its next firing (``sub`` 0, then 1)."""
+    """The last element of a virtual firing's key: firing ``index`` of
+    ``chain`` armed it, a completion (``sub`` 0) or the next firing."""
 
     __slots__ = ("chain", "index", "sub")
 
@@ -127,11 +112,9 @@ class _Tie:
         self.sub = sub
 
     def _cmp(self, other: "_Tie") -> int:
-        """-1, 0 or 1 as ``self`` orders before, with or after
-        ``other``: compare the arming firings' positions, stepping back
-        to the firings that armed those while they tie.  The walk ends
-        at a firing whose rank was reserved, which never ties, or at two
-        parked timers, whose order is fixed."""
+        """-1, 0 or 1: compare the arming firings' positions, stepping
+        back while they tie, to a reserved rank at the latest (or to two
+        parked timers, whose order is fixed)."""
         ca, ia, cb, ib = self.chain, self.index, other.chain, other.index
         sa, sb = self.sub, other.sub
         while ca is not cb:
@@ -154,19 +137,19 @@ class _Tie:
 
 
 class Chain:
-    """Virtual one-shot firings at ``times`` (ascending, none before the
-    instant the chain is made), the first at the reserved rank
-    ``rank``.  Firing ``i`` takes the rank of what firing ``i - 1``
-    arms, resolved once the run has passed firing ``i - 1`` (firings
-    before ``known`` are) and stored run-length: ``ranks[j]`` from
-    firing ``marks[j]`` on.  An owner registers the chain with
-    :meth:`Simulator.add_chain` and implements :meth:`settle`; ``end``
-    is ``(i, sub)``, the firing that armed the chain's one heap event
-    (:meth:`Simulator.schedule_chained`), or None when that event holds
-    a rank reserved before the chain."""
+    """Virtual firings at ``times`` (ascending, none before the chain is
+    made), the first at the reserved ``rank``; firing ``i`` takes the
+    rank of what firing ``i - 1`` arms, resolved (before ``known``) and
+    stored run-length: ``ranks[j]`` from firing ``marks[j]`` on.  An
+    owner registers it (:meth:`Simulator.add_chain`) and implements
+    :meth:`settle`; ``end`` is ``(i, sub)``, what armed its heap event
+    (:meth:`Simulator.schedule_chained`), or None for a reserved rank."""
 
     __slots__ = ("sim", "times", "ranks", "marks", "known", "end", "key",
                  "fired")
+
+    #: whether ties read only the firings :meth:`_wanted` names
+    _sparse = False
 
     def __init__(self, sim: "Simulator", times: Sequence[int], rank: Any):
         self.sim = sim
@@ -179,8 +162,7 @@ class Chain:
         self.fired = 0
 
     def settle(self, pos: "Position") -> None:
-        """Apply the firings before ``pos``, arm the owner's real timers
-        and drop the chain (:meth:`Simulator.drop_chain`)."""
+        """Apply the firings before ``pos`` and drop the chain."""
         raise NotImplementedError
 
     def heap_key(self) -> Any:
@@ -188,7 +170,7 @@ class Chain:
         return getattr(self, "key", ())
 
     def rank(self, i: int) -> Any:
-        """The rank of firing ``i`` (resolved; None if forgotten)."""
+        """The rank of firing ``i`` (resolved; None if not kept)."""
         marks = self.marks
         if i >= marks[-1]:
             return self.ranks[-1]
@@ -206,19 +188,15 @@ class Chain:
         """The number of firings before instant ``t``."""
         return bisect_left(self.times, t)
 
-    #: whether ties read only the firings :meth:`_wanted` names
-    _sparse = False
-
     def _wanted(self, i: int, k: int) -> Sequence[int]:
         """The firings up to ``k`` from ``i`` a tie may read, ascending."""
         return (k,)
 
     def _resolve(self, k: int) -> None:
-        """Resolve the rank of firing ``k`` (the run passed those before)
-        and of those before it :meth:`_wanted` names: the counter of the
-        first logged event after firing ``s - 1``, plus one half, for
-        firing ``s`` (its instant alone decides unless an event ran
-        there), standing while no logged event lies in between."""
+        """Resolve the ranks of firing ``k`` and of those :meth:`_wanted`
+        names: for firing ``s``, the counter of the first logged event
+        after firing ``s - 1`` (its instant decides unless an event ran
+        there) plus one half, standing while no event is logged."""
         s = self.known
         if s > k:
             return
@@ -256,9 +234,8 @@ class Chain:
             self._forget()
 
     def count_before(self, pos: "Position") -> int:
-        """The number of firings before ``pos``, resolved (at least
-        those run or counted: a run that stopped at an instant counted
-        the firings there, before any event armed later)."""
+        """The number of firings before ``pos`` (at least those already
+        run or counted), resolved."""
         times = self.times
         m = max(self._before(pos[0]), self.fired)
         self._resolve(m)
@@ -283,17 +260,14 @@ class Chain:
 
 class _Timer(Chain):
     """A parked-mode timer of :meth:`Simulator.every`, pending while
-    ``parked``: ``handle`` holds its next firing and ``order`` its
-    place among the timers of its interval and phase.  It resolves and
-    keeps only the ranks a tie with a chain may read (:meth:`_wanted`)."""
+    ``parked``: ``handle`` holds its next firing, ``order`` its place
+    among the timers of its interval and phase."""
 
     __slots__ = ("handle", "order", "parked")
     _sparse = True
 
     def settle(self, pos: "Position") -> None:
-        """Count the virtual firings before ``pos`` into ``elided`` and
-        the executed events, and move the handle to the first firing
-        after."""
+        """Count the virtual firings before ``pos``; move the handle on."""
         m = self.count_before(pos)
         n = m - self.fired
         if n:
@@ -305,11 +279,6 @@ class _Timer(Chain):
             if sim._inv_on:
                 sim.invariants.on_virtual_events(n)
             handle.time, handle.seq = self.times[m], self.rank(m)
-
-    def count_before(self, pos: "Position") -> int:
-        if self.handle.time > pos[0]:  # its next firing is later
-            return self.fired
-        return Chain.count_before(self, pos)
 
     def heap_key(self) -> Any:
         """The key of the next firing."""
@@ -377,27 +346,18 @@ _SPAN = 1 << 40
 
 
 class Simulator:
-    """Virtual-time discrete-event loop.
-
-    Usage::
+    """Virtual-time discrete-event loop::
 
         sim = Simulator()
         sim.schedule(1000, fn, arg1)      # fire fn(arg1) in 1 ms
         sim.run()                          # run until the heap drains
 
-    Time never flows backwards; callbacks run at exactly their scheduled
-    virtual time and may schedule further events (including at ``now``).
-
-    ``trace``, ``metrics`` and ``audit`` are the observability sinks (a
-    :class:`repro.trace.TraceRecorder`, a
-    :class:`repro.obs.MetricsRegistry` and a :class:`repro.why.AuditLog`,
-    each defaulting to its no-op null), wrapped in one read-only
-    :class:`repro.obs.probe.Probe` (``sim.probe``) that every component
-    caches, with its ``enabled`` flag, at construction: install them
-    *before* building those components.  ``invariants`` is the runtime
-    checker (:mod:`repro.invariants`, default
-    :data:`repro.invariants.checker.NULL_CHECKER`), cached the same way.
-    ``label`` names the run in error messages.
+    ``trace``, ``metrics`` and ``audit`` are the observability sinks,
+    wrapped in one read-only :class:`repro.obs.probe.Probe`
+    (``sim.probe``) that components cache at construction, and
+    ``invariants`` the runtime checker, cached the same way: install
+    them before building those components.  ``label`` names the run in
+    error messages.
     """
 
     def __init__(self, trace: Optional[Any] = None,
@@ -444,9 +404,8 @@ class Simulator:
         return handle
 
     def reserve(self, n: int) -> int:
-        """Reserve the next ``n`` tie-break ranks and return the first:
-        an event :meth:`schedule_ranked` at one fires where it would
-        have, had it been scheduled at reservation time."""
+        """Reserve the next ``n`` ranks (for :meth:`schedule_ranked`) and
+        return the first."""
         first = self._seq + 1
         self._seq += n
         return first
@@ -456,11 +415,7 @@ class Simulator:
                         *args: Any, key: Any = None) -> EventHandle:
         """:meth:`schedule_at` with a rank from :meth:`reserve`, or a
         fractional rank from :meth:`Chain.armed` with its ``key``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        handle = EventHandle(int(time), rank, callback, args)
+        handle = self._event(time, rank, callback, args)
         if key is not None:
             handle.park = key
         heapq.heappush(self._heap, (handle.time, rank, handle))
@@ -472,24 +427,26 @@ class Simulator:
         """Schedule the one heap event of ``chain``, armed at its firing
         ``chain.end``, at a lower bound of its rank (the counter now),
         re-keyed when it surfaces once every firing before it ran."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time} before now={self.now}"
-            )
-        handle = EventHandle(int(time), None, callback, args)
+        handle = self._event(time, None, callback, args)
         handle.park = chain
         heapq.heappush(self._heap, (handle.time, self._seq + 0.25, handle))
         return handle
 
+    def _event(self, time: int, rank: Any, callback: Callable[..., Any],
+               args: tuple) -> EventHandle:
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
+        return EventHandle(int(time), rank, callback, args)
+
     def add_chain(self, chain: Chain) -> None:
-        """Register a pending chain: the rank log is kept until it is
-        dropped, and a bounded run settles it at its end."""
+        """Register a pending chain (the rank log is kept meanwhile)."""
         self._chains[chain] = None
 
     def drop_chain(self, chain: Chain, applied: int) -> None:
-        """The owner applied the first ``applied`` firings of ``chain``
-        and no longer needs it; the virtual ones count as executed
-        events."""
+        """The owner applied ``applied`` firings of ``chain`` and drops
+        it; the virtual ones count as executed events."""
         del self._chains[chain]
         n = applied - chain.fired
         self.events_executed += n
@@ -499,11 +456,8 @@ class Simulator:
             self._restart_log()
 
     def move(self, handle: EventHandle, time: int) -> EventHandle:
-        """Move a pending one-shot event to absolute time ``time``, at
-        the rank a fresh :meth:`schedule_at` would take, and return the
-        handle that now holds it: the same one, whose heap entry is
-        re-keyed when it surfaces, unless the move is earlier, which
-        cancels it for a fresh one."""
+        """Move a pending one-shot event to ``time`` at a fresh rank, and
+        return the handle holding it (a new one if moved earlier)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot move event to t={time} before now={self.now}"
@@ -532,19 +486,12 @@ class Simulator:
               callback: Callable[..., Any], *args: Any,
               park: bool = False) -> EventHandle:
         """Fire every ``interval`` microseconds from now until cancelled,
-        calling ``callback(*args)`` only at firings where ``idle()`` is
-        false.
-
-        Each firing, idle or not, counts in :attr:`events_executed` and
-        the ``max_events`` budget, and takes its next rank *before* any
-        callback runs, as a callback rescheduling itself first thing
-        would.  ``idle`` must be free of side effects, and picklable for
-        checkpointed runs.  With ``park=False`` (the literal reference)
-        each firing re-arms the one handle on the heap.  With
-        ``park=True`` an idle firing parks the timer off the heap: its
-        later firings are virtual, idle by the owner's promise to
-        :meth:`poke` it whenever ``idle()`` may have turned false (the
-        checker's ``parked-idle`` law verifies it after every event).
+        calling ``callback(*args)`` only where ``idle()`` (picklable, free
+        of side effects) is false.  Every firing counts as an event and
+        takes its next rank before any callback runs.  With ``park=True``
+        an idle firing parks the timer off the heap: its later firings
+        are virtual, idle by the owner's promise to :meth:`poke` it when
+        ``idle()`` may turn false (the checker's ``parked-idle`` law).
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval}")
@@ -557,17 +504,15 @@ class Simulator:
         return handle
 
     def poke(self, handle: EventHandle) -> None:
-        """Tell a timer of :meth:`every` that its ``idle`` test may have
-        turned false.  A parked one goes back on the heap at its first
-        firing after the current event; any other is left alone."""
+        """A timer's ``idle`` test may have turned false: a parked one
+        goes back on the heap at its first firing after this event."""
         if handle.interval and handle.park is not None and handle.park.parked:
             self._unpark(handle.park)
             heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
     def settle(self, handle: EventHandle) -> None:
-        """Count a parked timer's virtual firings up to the current
-        event into ``handle.elided`` and :attr:`events_executed` (a
-        no-op on any other handle)."""
+        """Count a parked timer's virtual firings up to this event into
+        ``handle.elided`` (a no-op on any other handle)."""
         if handle.interval and handle.park is not None and handle.park.parked:
             handle.park.settle(self.position())
 
@@ -583,15 +528,12 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next live heap event, settling every pending chain
-        to it first (as the literal run stands after it).  Returns False
-        when drained."""
+        to it first; False when drained."""
         self._drop_dead()
         if not self._heap:
             return False
         if self._chains or self._parked:
-            pos = self._next_position()
-            for chain in self._pending():
-                chain.settle(pos)
+            self._settle_all(self._next_position())
             self._drop_dead()
         self._fire()
         return True
@@ -664,15 +606,11 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly
         ``until`` even if the last event fired earlier.
 
-        ``max_events`` is a runaway guard, not a pause button: a budget
-        exhausted while live events are pending raises
-        :class:`SimulationError`, naming the clock, the run label and
-        the last few events (recorded only when a budget is armed).
-        Virtual firings spend the budget like any other firing (counted
-        before each event).  A run settles every pending chain where it
-        stops.  A heap that drains while a parked timer is live, with no
-        ``until``, raises :class:`SimulationError` naming it: the literal
-        timer would fire forever.
+        ``max_events`` is a runaway guard: exhausted with live events
+        pending, it raises :class:`SimulationError` naming the last few
+        events.  Virtual firings spend it too.  A run settles every
+        pending chain where it stops; a heap that drains with a parked
+        timer live and no ``until`` raises, naming the timer.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -698,20 +636,19 @@ class Simulator:
                     virtual = 0
                     if self._chains or self._parked:
                         pos = self._next_position()
-                        for chain in self._pending():
+                        for chain in (*self._chains, *self._parked):
                             virtual += chain.count_before(pos) - chain.fired
                     if self.events_executed + virtual - start >= max_events:
-                        for chain in self._pending():
-                            chain.settle(pos)
+                        if self._chains or self._parked:
+                            self._settle_all(pos)
                         self._budget_exhausted(start, max_events, recent)
                     recent.append(_describe(heap[0][2]))
                 self._fire()
         finally:
             self._running = False
         if self._chains or self._parked:
-            end = (until if until is not None else self.now, _INF, ())
-            for chain in self._pending():
-                chain.settle(end)
+            self._settle_all((until if until is not None else self.now,
+                              _INF, ()))
             self._restart_log()
             if max_events is not None and \
                     self.events_executed - start > max_events:
@@ -731,9 +668,10 @@ class Simulator:
             f"{label}; last events: {tail}"
         )
 
-    def _pending(self) -> List[Chain]:
-        """The pending chains, parked timers included."""
-        return [*self._chains, *self._parked]
+    def _settle_all(self, pos: Position) -> None:
+        """Settle every pending chain and parked timer to ``pos``."""
+        for chain in (*self._chains, *self._parked):
+            chain.settle(pos)
 
     @property
     def pending(self) -> int:
@@ -743,9 +681,8 @@ class Simulator:
 
     @property
     def pending_work(self) -> bool:
-        """Whether a live event that *drives* the run is queued (parked
-        timers included, daemons not): self-rearming daemons gate on
-        this, or two of them would keep each other alive."""
+        """Whether a live non-daemon event is queued, parked timers
+        included: self-rearming daemons gate on this."""
         return bool(self._parked) or any(
             not h.cancelled and not h.daemon for _, _, h in self._heap
         )
@@ -766,13 +703,11 @@ class Simulator:
                 return
 
     # ------------------------------------------------------------------
-    # parked-mode timers
+    # parked-mode timers and the rank log
     # ------------------------------------------------------------------
     def _arm_parkable(self, handle: EventHandle) -> None:
-        """Make a new parked-mode timer's chain and its fixed place among
-        the timers of its interval and phase (a tie at one firing
-        repeats the one before): after every one that fired at this
-        instant already, as its first rank was just taken."""
+        """Make a parked-mode timer's chain and its fixed place among the
+        timers of its interval and phase: after those that fired now."""
         interval = handle.interval
         first = handle.time
         timer = _Timer(self, range(first, first + _SPAN * interval, interval),
@@ -828,12 +763,12 @@ class Simulator:
         return (self.now, _INF, ())
 
     def _log_event(self, time: int, rank: Any, key: Any) -> None:
-        """Log the event about to run while a chain is pending; when the
-        log is full, every pending chain resolves its ranks first."""
+        """Log the event about to run (first resolving every chain if
+        the log is full)."""
         log = self._log
         if len(log) >= _LOG_LIMIT:
             pos = (time, rank, key)
-            for chain in self._pending():
+            for chain in (*self._chains, *self._parked):
                 chain.count_before(pos)
             self._restart_log()
         log.append((time, rank, key, self._seq))
