@@ -328,12 +328,6 @@ def run_host(workload: Workload, cfg, trace=None, metrics=None,
              audit=None) -> RunResult:
     """Replay ``workload`` on one bare host under ``cfg`` (a
     :class:`repro.experiments.runner.RunConfig`)."""
-    return replay_host(workload, cfg, trace, metrics, audit)[0]
-
-
-def replay_host(workload: Workload, cfg, trace=None, metrics=None,
-                audit=None) -> Tuple[RunResult, "Host"]:
-    """:func:`run_host`, also returning the host it ran on."""
     wall_start = time.perf_counter()
     label = f"scheduler={cfg.scheduler} engine={cfg.engine}"
     driver = Driver(label, workload.meta.get("seed"), cfg.invariants,
@@ -359,4 +353,4 @@ def replay_host(workload: Workload, cfg, trace=None, metrics=None,
         trace=trace,
     )
     return driver.result(workload, [host], host.faults, dict(workload.meta),
-                         cfg.scheduler, cfg.engine, host.sfs, manifest), host
+                         cfg.scheduler, cfg.engine, host.sfs, manifest)

@@ -38,14 +38,21 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled callback; hold on to it if you may need to cancel.
 
-    ``daemon`` marks housekeeping timers that observe the run rather
-    than drive it: they are excluded from :attr:`Simulator.pending_work`.
-    A timer of :meth:`Simulator.every` also carries its ``interval`` (0
-    for a one-shot event), its ``idle`` test and ``elided``, the firings
-    it found idle.  ``park`` breaks ties of fractional ranks: a
-    parked-mode timer's :class:`_Timer` (None in literal mode), a
-    chained event's :class:`Chain` or a key from :meth:`Chain.armed`;
-    other one-shot events leave it unset.
+    ``daemon`` marks housekeeping timers (gauge samplers, health
+    pollers) that observe the run rather than drive it: they execute
+    normally but are excluded from :attr:`Simulator.pending_work`, so
+    two self-rearming daemons cannot keep each other — and the run —
+    alive forever.
+
+    A timer of :meth:`Simulator.every` also carries its ``interval``
+    (0 for a one-shot event), its ``idle`` test and ``elided``, the
+    number of firings it found idle (the owner may reset it; read it
+    after :meth:`Simulator.settle` on a parked-mode timer).  ``park``
+    breaks ties of fractional ranks: a parked-mode timer's
+    :class:`_Timer` (None in literal mode), a chained event's
+    :class:`Chain` or a key from :meth:`Chain.armed`; other one-shot
+    events leave it unset (one slot keeps a handle in the allocator's
+    size class of the slots before it).
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "daemon",
@@ -112,9 +119,8 @@ class _Tie:
         self.sub = sub
 
     def _cmp(self, other: "_Tie") -> int:
-        """-1, 0 or 1: compare the arming firings' positions, stepping
-        back while they tie, to a reserved rank at the latest (or to two
-        parked timers, whose order is fixed)."""
+        """-1, 0 or 1: compare the arming firings' positions back while
+        they tie, to a reserved rank or two parked timers' fixed order."""
         ca, ia, cb, ib = self.chain, self.index, other.chain, other.index
         sa, sb = self.sub, other.sub
         while ca is not cb:
@@ -171,10 +177,9 @@ class Chain:
 
     def rank(self, i: int) -> Any:
         """The rank of firing ``i`` (resolved; None if not kept)."""
-        marks = self.marks
-        if i >= marks[-1]:
+        if i >= self.marks[-1]:
             return self.ranks[-1]
-        j = bisect_right(marks, i) - 1
+        j = bisect_right(self.marks, i) - 1
         return self.ranks[j] if j >= 0 else None
 
     def position(self, i: int) -> "Position":
@@ -205,18 +210,15 @@ class Chain:
         n = len(log)
         bound = -1
         for want in self._wanted(s, k):
-            if want > s and self._sparse:  # firings no tie reads are
-                i, s = s, want  # left unresolved, back to one whose
-                while s > i:  # previous instant no event ran at
-                    t = times[s - 1]
-                    j = bisect_left(log, (t,))
-                    if j == n or log[j][0] != t:
-                        marks.append(i)
-                        ranks.append(None)
-                        bound, counter = ((log[j][0], log[j][3]) if j < n
-                                          else (_INF, sim._seq))
-                        break
-                    s -= 1
+            if want > s and self._sparse:  # skip the firings no tie reads
+                t = times[want - 1]  # unless an event ran at the instant
+                j = bisect_left(log, (t,))  # before ``want``
+                if j == n or log[j][0] != t:
+                    marks.append(s)
+                    ranks.append(None)
+                    s = want
+                    bound, counter = ((log[j][0], log[j][3]) if j < n
+                                      else (_INF, sim._seq))
             while s <= want:
                 t = times[s - 1]
                 if t >= bound:
@@ -281,20 +283,15 @@ class _Timer(Chain):
             handle.time, handle.seq = self.times[m], self.rank(m)
 
     def heap_key(self) -> Any:
-        """The key of the next firing."""
         i = self.fired
         return (-self.times.step, _Tie(self, i - 1, 1)) if i else 0
 
     def _before(self, t: float) -> int:
-        times = self.times
-        if t == _INF:
-            return len(times)
-        return max(0, -((times.start - t) // times.step))
+        return max(0, -((self.times.start - t) // self.times.step))
 
     def _wanted(self, i: int, k: int) -> Sequence[int]:
-        # a tie with a chain pending, or one that armed an event one
-        # interval after a firing, walks back through its firings on
-        # this timer's grid only
+        # a tie with a pending chain, or one that armed an event one
+        # interval on, reads only its firings on this timer's grid
         sim = self.sim
         if i == k or not (sim._chains or sim._armed):
             return (k,)
@@ -312,10 +309,10 @@ class _Timer(Chain):
         return sorted(wanted)
 
     def _forget(self) -> None:
-        sim = self.sim
-        first = min((c.times[0] for c in (*sim._chains, *sim._armed)),
-                    default=_INF)
-        j = bisect_right(self.marks, min(self._before(first), self.fired)) - 1
+        keep = self.fired  # and each firing from a tie chain's first on
+        for chain in (*self.sim._chains, *self.sim._armed):
+            keep = min(keep, self._before(chain.times[0]))
+        j = bisect_right(self.marks, keep) - 1
         if j > 0:
             del self.marks[:j], self.ranks[:j]
 
@@ -346,18 +343,36 @@ _SPAN = 1 << 40
 
 
 class Simulator:
-    """Virtual-time discrete-event loop::
+    """Virtual-time discrete-event loop.
+
+    Usage::
 
         sim = Simulator()
         sim.schedule(1000, fn, arg1)      # fire fn(arg1) in 1 ms
         sim.run()                          # run until the heap drains
 
-    ``trace``, ``metrics`` and ``audit`` are the observability sinks,
-    wrapped in one read-only :class:`repro.obs.probe.Probe`
-    (``sim.probe``) that components cache at construction, and
-    ``invariants`` the runtime checker, cached the same way: install
-    them before building those components.  ``label`` names the run in
-    error messages.
+    Time never flows backwards; callbacks run at exactly their scheduled
+    virtual time and may schedule further events (including at ``now``).
+
+    ``trace``, ``metrics`` and ``audit`` are the observability sinks:
+    a :class:`repro.trace.TraceRecorder`, a
+    :class:`repro.obs.MetricsRegistry` and a
+    :class:`repro.why.AuditLog`, each defaulting to its shared no-op
+    null.  The simulator wraps them in one :class:`repro.obs.probe.Probe`
+    (``sim.probe``), the single instrumentation path every machine,
+    scheduler, SFS and FaaS component caches — with its ``enabled``
+    flag — at construction.  Install the sinks here *before* building
+    those components.  The probe is read-only with respect to virtual
+    time, so an instrumented run is bit-identical to a bare one.
+
+    ``invariants`` is the runtime invariant checker
+    (:mod:`repro.invariants`), defaulting to the shared no-op
+    :data:`repro.invariants.checker.NULL_CHECKER`; it validates state
+    rather than recording decisions, so components cache it (and its
+    ``enabled`` flag) separately, under the same install-first rule.
+
+    ``label`` names the run in diagnostics (e.g. the scheduler/engine
+    pair); it is only ever read when an error message is built.
     """
 
     def __init__(self, trace: Optional[Any] = None,
@@ -392,8 +407,10 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule_at(self, time: int, callback: Callable[..., Any], *args: Any,
                     daemon: bool = False) -> EventHandle:
-        """Schedule ``callback(*args)`` at absolute virtual time ``time``
-        (``daemon``: see :class:`EventHandle`)."""
+        """Schedule ``callback(*args)`` at absolute virtual time ``time``.
+
+        ``daemon=True`` marks a housekeeping timer excluded from
+        :attr:`pending_work` (see :class:`EventHandle`)."""
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
@@ -404,8 +421,11 @@ class Simulator:
         return handle
 
     def reserve(self, n: int) -> int:
-        """Reserve the next ``n`` ranks (for :meth:`schedule_ranked`) and
-        return the first."""
+        """Reserve the next ``n`` tie-break ranks and return the first.
+
+        An event later scheduled with :meth:`schedule_ranked` at one of
+        them fires, among the events at its timestamp, where it would
+        have fired had it been scheduled at reservation time."""
         first = self._seq + 1
         self._seq += n
         return first
@@ -441,12 +461,14 @@ class Simulator:
         return EventHandle(int(time), rank, callback, args)
 
     def add_chain(self, chain: Chain) -> None:
-        """Register a pending chain (the rank log is kept meanwhile)."""
+        """Register a pending chain: the rank log is kept until it is
+        dropped, and a bounded run settles it at its end."""
         self._chains[chain] = None
 
     def drop_chain(self, chain: Chain, applied: int) -> None:
-        """The owner applied ``applied`` firings of ``chain`` and drops
-        it; the virtual ones count as executed events."""
+        """The owner applied the first ``applied`` firings of ``chain``
+        and no longer needs it; the virtual ones count as executed
+        events."""
         del self._chains[chain]
         n = applied - chain.fired
         self.events_executed += n
@@ -456,8 +478,15 @@ class Simulator:
             self._restart_log()
 
     def move(self, handle: EventHandle, time: int) -> EventHandle:
-        """Move a pending one-shot event to ``time`` at a fresh rank, and
-        return the handle holding it (a new one if moved earlier)."""
+        """Move a pending one-shot event to absolute time ``time``, at
+        the tie-break rank a fresh :meth:`schedule_at` would take, and
+        return the handle that now holds it.
+
+        A move no earlier than the event's current time updates the
+        handle in place: its heap entry stays where it is as a lower
+        bound and is re-keyed when it surfaces (a re-key is not a
+        firing).  An earlier move cancels the handle and returns a
+        fresh one, so every handle keeps exactly one heap entry."""
         if time < self.now:
             raise SimulationError(
                 f"cannot move event to t={time} before now={self.now}"
@@ -486,12 +515,26 @@ class Simulator:
               callback: Callable[..., Any], *args: Any,
               park: bool = False) -> EventHandle:
         """Fire every ``interval`` microseconds from now until cancelled,
-        calling ``callback(*args)`` only where ``idle()`` (picklable, free
-        of side effects) is false.  Every firing counts as an event and
-        takes its next rank before any callback runs.  With ``park=True``
-        an idle firing parks the timer off the heap: its later firings
-        are virtual, idle by the owner's promise to :meth:`poke` it when
-        ``idle()`` may turn false (the checker's ``parked-idle`` law).
+        calling ``callback(*args)`` only at firings where ``idle()`` is
+        false.
+
+        Each firing, idle or not, counts in :attr:`events_executed` and
+        the ``max_events`` budget, and takes its next tie-break rank
+        *before* any callback runs: a callback that rescheduled itself
+        first thing would sit at exactly the same ``(time, seq)``
+        positions.  ``idle`` must be free of side effects, and picklable
+        (a bound method or a ``functools.partial``, not a closure) for
+        checkpointed runs.
+
+        With ``park=False`` (the literal reference) each firing re-arms
+        the one handle on the heap.  With ``park=True`` a firing that
+        finds ``idle()`` true parks the timer off the heap: its later
+        firings are virtual, each one idle by the owner's promise, and
+        cost nothing until :meth:`poke` puts the timer back on the heap
+        at its first firing after the current event.  The owner must
+        poke whenever ``idle()`` may have turned false; the invariant
+        checker's ``parked-idle`` law verifies that after every event.
+        The first firing is armed through :meth:`schedule_at`.
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval}")
@@ -504,15 +547,18 @@ class Simulator:
         return handle
 
     def poke(self, handle: EventHandle) -> None:
-        """A timer's ``idle`` test may have turned false: a parked one
-        goes back on the heap at its first firing after this event."""
+        """Tell a timer of :meth:`every` that its ``idle`` test may have
+        turned false.  A parked one goes back on the heap at its first
+        firing after the current event; any other is left alone."""
         if handle.interval and handle.park is not None and handle.park.parked:
             self._unpark(handle.park)
             heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
     def settle(self, handle: EventHandle) -> None:
-        """Count a parked timer's virtual firings up to this event into
-        ``handle.elided`` (a no-op on any other handle)."""
+        """Count a parked timer's virtual firings up to the current
+        event into ``handle.elided`` and :attr:`events_executed`.  Call
+        it before reading ``elided`` mid-run; a no-op on any other
+        handle."""
         if handle.interval and handle.park is not None and handle.park.parked:
             handle.park.settle(self.position())
 
@@ -520,15 +566,18 @@ class Simulator:
     # execution
     # ------------------------------------------------------------------
     def peek_time(self) -> Optional[int]:
-        """Virtual time of the next live heap event, or None."""
+        """Virtual time of the next live heap event, or None if drained
+        (virtual firings are not events here)."""
         self._drop_dead()
         if not self._heap:
             return None
         return self._heap[0][0]
 
     def step(self) -> bool:
-        """Execute the next live heap event, settling every pending chain
-        to it first; False when drained."""
+        """Execute the next live heap event, settling every pending
+        chain and parked timer to it first, so that the run stands as
+        the literal one does after that event.  Returns False when
+        drained."""
         self._drop_dead()
         if not self._heap:
             return False
@@ -606,11 +655,22 @@ class Simulator:
         When ``until`` is given the clock is advanced to exactly
         ``until`` even if the last event fired earlier.
 
-        ``max_events`` is a runaway guard: exhausted with live events
-        pending, it raises :class:`SimulationError` naming the last few
-        events.  Virtual firings spend it too.  A run settles every
-        pending chain where it stops; a heap that drains with a parked
-        timer live and no ``until`` raises, naming the timer.
+        ``max_events`` is a runaway guard, not a pause button: if the
+        budget is exhausted while live events are still pending, the run
+        did *not* complete and a :class:`SimulationError` is raised so
+        truncated results can never be mistaken for finished ones.  The
+        error names the virtual clock, the run label and the last few
+        executed events, so a fuzz-found livelock is diagnosable from
+        the exception alone.  The event descriptions are only recorded
+        when a budget is armed — a guard-free run stays on the exact
+        nominal path.  Virtual firings spend the budget like any other
+        firing (counted, not applied, before each event; a run that
+        stops on the budget settles every pending chain).  A run that
+        stops at ``until`` settles every pending chain there.
+
+        A heap that drains while a parked timer is live, with no
+        ``until``, raises :class:`SimulationError` naming the timer: the
+        literal timer would fire forever.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
@@ -675,14 +735,18 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live events queued, parked timers included."""
+        """Number of live (non-cancelled) events still queued, parked
+        timers included."""
         return len(self._parked) + sum(
             1 for _, _, h in self._heap if not h.cancelled)
 
     @property
     def pending_work(self) -> bool:
-        """Whether a live non-daemon event is queued, parked timers
-        included: self-rearming daemons gate on this."""
+        """Whether a live event that *drives* the run is queued — daemon
+        housekeeping timers excluded, parked timers included.
+        Self-rearming daemons must gate on this, not on :attr:`pending`,
+        or any two of them would keep each other alive after the real
+        work has drained."""
         return bool(self._parked) or any(
             not h.cancelled and not h.daemon for _, _, h in self._heap
         )
