@@ -236,10 +236,9 @@ class Chain:
             self._forget()
 
     def count_before(self, pos: "Position") -> int:
-        """The number of firings before ``pos`` (at least those already
-        run or counted), resolved."""
+        """The number of firings before ``pos``, resolved."""
         times = self.times
-        m = max(self._before(pos[0]), self.fired)
+        m = self._before(pos[0])
         self._resolve(m)
         while m < len(times) and times[m] == pos[0] and self.position(m) < pos:
             m += 1
@@ -282,6 +281,11 @@ class _Timer(Chain):
                 sim.invariants.on_virtual_events(n)
             handle.time, handle.seq = self.times[m], self.rank(m)
 
+    def count_before(self, pos: "Position") -> int:
+        if self.handle.time > pos[0]:  # its next firing is later (also
+            return self.fired  # after a run stopped at ``pos``'s instant)
+        return Chain.count_before(self, pos)
+
     def heap_key(self) -> Any:
         i = self.fired
         return (-self.times.step, _Tie(self, i - 1, 1)) if i else 0
@@ -301,7 +305,7 @@ class _Timer(Chain):
         wanted = {k}
         for chain in (*sim._chains, *sim._armed):
             ts = chain.times
-            if not ts or ts[-1] < lo or ts[0] >= hi:
+            if ts[-1] < lo or ts[0] >= hi:
                 continue
             for j in range(bisect_left(ts, lo), bisect_left(ts, hi)):
                 if not (ts[j] - start) % step:
@@ -435,7 +439,11 @@ class Simulator:
                         *args: Any, key: Any = None) -> EventHandle:
         """:meth:`schedule_at` with a rank from :meth:`reserve`, or a
         fractional rank from :meth:`Chain.armed` with its ``key``."""
-        handle = self._event(time, rank, callback, args)
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule event at t={time} before now={self.now}"
+            )
+        handle = EventHandle(int(time), rank, callback, args)
         if key is not None:
             handle.park = key
         heapq.heappush(self._heap, (handle.time, rank, handle))
@@ -447,18 +455,14 @@ class Simulator:
         """Schedule the one heap event of ``chain``, armed at its firing
         ``chain.end``, at a lower bound of its rank (the counter now),
         re-keyed when it surfaces once every firing before it ran."""
-        handle = self._event(time, None, callback, args)
-        handle.park = chain
-        heapq.heappush(self._heap, (handle.time, self._seq + 0.25, handle))
-        return handle
-
-    def _event(self, time: int, rank: Any, callback: Callable[..., Any],
-               args: tuple) -> EventHandle:
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule event at t={time} before now={self.now}"
             )
-        return EventHandle(int(time), rank, callback, args)
+        handle = EventHandle(int(time), None, callback, args)
+        handle.park = chain
+        heapq.heappush(self._heap, (handle.time, self._seq + 0.25, handle))
+        return handle
 
     def add_chain(self, chain: Chain) -> None:
         """Register a pending chain: the rank log is kept until it is
@@ -781,14 +785,12 @@ class Simulator:
         handle.park = timer
         self._grids.add(interval)
         group = self._phases.setdefault((interval, first % interval), [])
-        fired, rest = [], []
-        if group:
-            pos = self.position()
-            for other in group:
-                if other.parked:
-                    other.settle(pos)
-            fired = [o.order for o in group if o.handle.time > self.now]
-            rest = [o.order for o in group if o.handle.time <= self.now]
+        pos = self.position()
+        for other in group:
+            if other.parked:
+                other.settle(pos)
+        fired = [o.order for o in group if o.handle.time > self.now]
+        rest = [o.order for o in group if o.handle.time <= self.now]
         if not rest:
             timer.order = max(fired, default=-1) + 1
         elif not fired:
