@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulator kernel."""
 
 import pickle
+import random
 from functools import partial
 
 import pytest
@@ -711,10 +712,11 @@ def _tie_run(lazy, timer_first):
                                  park=lazy)
 
     def start():
-        for arm in ((arm_timer, partial(_start_rotor, box, 10, 6, lazy))
-                    if timer_first else
-                    (partial(_start_rotor, box, 10, 6, lazy), arm_timer)):
-            arm()
+        if timer_first:
+            arm_timer()
+        _start_rotor(box, 10, 6, lazy)
+        if not timer_first:
+            arm_timer()
 
     def wake():
         state["busy"] = True
@@ -747,8 +749,6 @@ def _mixed_scenario(seed, lazy):
     phases, armed by events among events that touch the rotors, poke
     the timers and schedule events at their own instant and later;
     every decision is a function of (seed, tag, time), not of order."""
-    import random
-
     sim = Simulator()
     box = {"sim": sim, "out": []}
     busy, timers, rotors = {}, {}, {}
