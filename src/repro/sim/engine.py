@@ -154,7 +154,7 @@ class Chain:
     __slots__ = ("sim", "times", "ranks", "marks", "known", "end", "key",
                  "fired")
 
-    #: whether ties read only the firings :meth:`_wanted` names
+    #: whether ties read only some firings (:meth:`_Timer._wanted`)
     _sparse = False
 
     def __init__(self, sim: "Simulator", times: Sequence[int], rank: Any):
@@ -193,13 +193,9 @@ class Chain:
         """The number of firings before instant ``t``."""
         return bisect_left(self.times, t)
 
-    def _wanted(self, i: int, k: int) -> Sequence[int]:
-        """The firings up to ``k`` from ``i`` a tie may read, ascending."""
-        return (k,)
-
     def _resolve(self, k: int) -> None:
-        """Resolve the ranks of firing ``k`` and of those :meth:`_wanted`
-        names: for firing ``s``, the counter of the first logged event
+        """Resolve the ranks of firing ``k`` and of those before it a tie
+        may read: for firing ``s``, the counter of the first logged event
         after firing ``s - 1`` (its instant decides unless an event ran
         there) plus one half, standing while no event is logged."""
         s = self.known
@@ -209,28 +205,32 @@ class Chain:
         log, times, marks, ranks = sim._log, self.times, self.marks, self.ranks
         n = len(log)
         bound = -1
-        for want in self._wanted(s, k):
-            if want > s and self._sparse:  # skip the firings no tie reads
-                t = times[want - 1]  # unless an event ran at the instant
-                j = bisect_left(log, (t,))  # before ``want``
-                if j == n or log[j][0] != t:
-                    marks.append(s)
-                    ranks.append(None)
-                    s = want
-                    bound, counter = ((log[j][0], log[j][3]) if j < n
-                                      else (_INF, sim._seq))
-            while s <= want:
-                t = times[s - 1]
+        for want in self._wanted(s, k) if self._sparse else (k,):
+            if want > s and self._sparse:  # skip the firings no tie reads,
+                i, s = s, want  # back to one whose previous instant no
+                while s > i:  # event ran at
+                    t = times[s - 1]
+                    j = bisect_left(log, (t,))
+                    if j == n or log[j][0] != t:
+                        bound, counter = ((log[j][0], log[j][3]) if j < n
+                                          else (_INF, sim._seq))
+                        marks += (i, s)
+                        ranks += (None, counter + 0.5)
+                        s += 1
+                        break
+                    s -= 1
+            for s in range(s, want + 1):  # a rank changes only where a
+                t = times[s - 1]  # logged event lies before its firing
                 if t >= bound:
                     j = bisect_left(log, (t,))
                     if j < n and log[j][0] == t:
                         j = bisect_right(log, self.position(s - 1))
                     bound, counter = ((log[j][0], log[j][3]) if j < n
                                       else (_INF, sim._seq))
-                if counter + 0.5 != ranks[-1]:
-                    marks.append(s)
-                    ranks.append(counter + 0.5)
-                s += 1
+                    if counter + 0.5 != ranks[-1]:
+                        marks.append(s)
+                        ranks.append(counter + 0.5)
+            s = want + 1
         self.known = k + 1
         if len(marks) > _LOG_LIMIT and self._sparse:
             self._forget()
@@ -279,7 +279,7 @@ class _Timer(Chain):
             sim.events_executed += n
             if sim._inv_on:
                 sim.invariants.on_virtual_events(n)
-            handle.time, handle.seq = self.times[m], self.rank(m)
+            handle.time, handle.seq = self.times[m], self.ranks[-1]
 
     def count_before(self, pos: "Position") -> int:
         if self.handle.time > pos[0]:  # its next firing is later (also
@@ -294,8 +294,8 @@ class _Timer(Chain):
         return max(0, -((self.times.start - t) // self.times.step))
 
     def _wanted(self, i: int, k: int) -> Sequence[int]:
-        # a tie with a pending chain, or one that armed an event one
-        # interval on, reads only its firings on this timer's grid
+        """The firings from ``i`` to ``k`` a tie may read: a pending chain's
+        or an armed one's (one interval on) on this timer's grid."""
         sim = self.sim
         if i == k or not (sim._chains or sim._armed):
             return (k,)
@@ -305,11 +305,10 @@ class _Timer(Chain):
         wanted = {k}
         for chain in (*sim._chains, *sim._armed):
             ts = chain.times
-            if ts[-1] < lo or ts[0] >= hi:
-                continue
-            for j in range(bisect_left(ts, lo), bisect_left(ts, hi)):
-                if not (ts[j] - start) % step:
-                    wanted.add((ts[j] - start) // step)
+            if ts[-1] >= lo and ts[0] < hi:
+                for t in ts[bisect_left(ts, lo):bisect_left(ts, hi)]:
+                    if not (t - start) % step:
+                        wanted.add((t - start) // step)
         return sorted(wanted)
 
     def _forget(self) -> None:
@@ -785,19 +784,21 @@ class Simulator:
         handle.park = timer
         self._grids.add(interval)
         group = self._phases.setdefault((interval, first % interval), [])
-        pos = self.position()
-        for other in group:
-            if other.parked:
-                other.settle(pos)
-        fired = [o.order for o in group if o.handle.time > self.now]
-        rest = [o.order for o in group if o.handle.time <= self.now]
-        if not rest:
-            timer.order = max(fired, default=-1) + 1
-        elif not fired:
-            timer.order = min(rest) - 1
-        else:  # between two live timers: a dense order is needed
-            from fractions import Fraction
-            timer.order = Fraction(max(fired) + min(rest)) / 2
+        timer.order = 0
+        if group:
+            pos = self.position()
+            for other in group:
+                if other.parked:
+                    other.settle(pos)
+            fired = [o.order for o in group if o.handle.time > self.now]
+            rest = [o.order for o in group if o.handle.time <= self.now]
+            if not rest:
+                timer.order = max(fired) + 1
+            elif not fired:
+                timer.order = min(rest) - 1
+            else:  # between two live timers: a dense order is needed
+                from fractions import Fraction
+                timer.order = Fraction(max(fired) + min(rest)) / 2
         group.append(timer)
 
     def _retire(self, timer: _Timer) -> None:
@@ -842,6 +843,4 @@ class Simulator:
     def _restart_log(self) -> None:
         """Empty the rank log, and the chains whose armed events ran."""
         self._log.clear()
-        if self._armed:
-            self._armed = {c: t for c, t in self._armed.items()
-                           if t >= self.now}
+        self._armed = {c: t for c, t in self._armed.items() if t >= self.now}
