@@ -300,15 +300,16 @@ class _Timer(Chain):
         if i == k or not (sim._chains or sim._armed):
             return (k,)
         times = self.times
-        start, step = times.start, times.step
+        start, step, phase = times.start, times.step, times.start % times.step
         lo, hi = times[i], times[k]
         wanted = {k}
         for chain in (*sim._chains, *sim._armed):
             ts = chain.times
             if ts[-1] >= lo and ts[0] < hi:
-                for t in ts[bisect_left(ts, lo):bisect_left(ts, hi)]:
-                    if not (t - start) % step:
-                        wanted.add((t - start) // step)
+                window = ts[bisect_left(ts, lo):bisect_left(ts, hi)]
+                if phase in map(step.__rmod__, window):  # rarely: collect
+                    wanted.update((t - start) // step for t in window
+                                  if t % step == phase)
         return sorted(wanted)
 
     def _forget(self) -> None:
