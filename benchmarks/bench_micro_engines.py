@@ -7,12 +7,13 @@ scheduling throughput.
 """
 
 import numpy as np
+import pytest
 
 from repro.machine.base import MachineParams
 from repro.machine.discrete import DiscreteMachine
 from repro.machine.fluid import FluidMachine
 from repro.sched.rbtree import RBTree
-from repro.sim.engine import Simulator
+from repro.sim.engine import Chain, Simulator
 from repro.sim.task import Burst, BurstKind, Task
 from repro.sim.units import MS
 
@@ -93,3 +94,54 @@ def test_fluid_engine_throughput(benchmark):
     events_discrete = _drive(DiscreteMachine)()
     assert events_fluid < events_discrete
     benchmark(_drive(FluidMachine))
+
+
+class _Pending(Chain):
+    """A chain of virtual firings left pending until the run ends (a
+    rotation plan stands in the way of every parked timer's ranks)."""
+
+    __slots__ = ()
+
+    def settle(self, pos):
+        self.sim.drop_chain(self, self.count_before(pos))
+
+
+def _always_idle() -> bool:
+    return True
+
+
+def _parked_polls(park):
+    """2,000 timers of 4 ms, each armed idle (as an SFS FILTER poll is),
+    then settled and cancelled 50 ms later (a released worker), while a
+    chain with an expiry every 3 ms is pending."""
+
+    def run():
+        sim = Simulator()
+        chain = _Pending(sim, range(MS, 400 * MS, 3 * MS), sim.reserve(1))
+        sim.add_chain(chain)
+        live = []
+        elided = [0]
+
+        def arm():
+            live.append(sim.every(4 * MS, _always_idle, pytest.fail,
+                                  park=park))
+
+        def release():
+            handle = live.pop(0)
+            sim.settle(handle)
+            elided[0] += handle.elided
+            handle.cancel()
+
+        for i in range(2000):  # a phase of its own for each timer
+            sim.schedule_at(i * 97 + 7, arm)
+            sim.schedule_at(i * 97 + 50 * MS, release)
+        sim.run()
+        return sim.events_executed, elided[0]
+
+    return run
+
+
+def test_parked_poll_churn(benchmark):
+    """Parked timers count their idle firings on a settle; the literal
+    timers fire each one as a heap event, to the same counts."""
+    assert benchmark(_parked_polls(True)) == _parked_polls(False)()

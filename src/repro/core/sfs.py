@@ -367,15 +367,15 @@ class SFS:
     # ==================================================================
     def _watch_task(self, entry: QueueEntry,
                     delay: Optional[int] = None) -> None:
-        if self._watch_handle is None:
+        if self._watch_handle is not None:
+            self._meter_watch()
+        self._watch[entry.task.tid] = entry
+        if self._watch_handle is None:  # armed idle, its first poll parked
             self._watch_handle = self.sim.every(
                 self.config.poll_interval, self._watch_idle,
                 self._on_watch_poll, park=True,
             )
             self._watch_polled_to = self.sim.now
-        else:
-            self._meter_watch()
-        self._watch[entry.task.tid] = entry
         if self._probe_on:
             self._probe.watch(entry.task, delay)
 

@@ -15,6 +15,8 @@ while a chain is pending, where a literal re-arm takes the next counter
 value.  Equal fractional ranks tie-break on the key ``(arm instant -
 instant, tie)``: armed earlier first, then as the firings that armed
 them, walked back through the literal arming history (:class:`_Tie`).
+A parked timer's settle only counts its firings: it resolves ranks
+where one is read (a poke, a log restart, a settle at its instant).
 """
 
 from __future__ import annotations
@@ -262,13 +264,16 @@ class Chain:
 class _Timer(Chain):
     """A parked-mode timer of :meth:`Simulator.every`, pending while
     ``parked``: ``handle`` holds its next firing, ``order`` its place
-    among the timers of its interval and phase."""
+    among the timers of its interval and phase.  While parked, its
+    ranks are resolved only where one is read: at the instant of one of
+    its firings, by :meth:`resolve` and when the rank log restarts."""
 
     __slots__ = ("handle", "order", "parked")
     _sparse = True
 
     def settle(self, pos: "Position") -> None:
-        """Count the virtual firings before ``pos``; move the handle on."""
+        """Count the virtual firings before ``pos``; move the handle's
+        time (not its rank) on."""
         m = self.count_before(pos)
         n = m - self.fired
         if n:
@@ -279,12 +284,20 @@ class _Timer(Chain):
             sim.events_executed += n
             if sim._inv_on:
                 sim.invariants.on_virtual_events(n)
-            handle.time, handle.seq = self.times[m], self.ranks[-1]
+            handle.time = self.times[m]
 
     def count_before(self, pos: "Position") -> int:
-        if self.handle.time > pos[0]:  # its next firing is later (also
+        t = pos[0]
+        if self.handle.time > t:  # its next firing is later (also
             return self.fired  # after a run stopped at ``pos``'s instant)
+        if (t - self.times.start) % self.times.step:  # none fires at t
+            return self._before(t)
         return Chain.count_before(self, pos)
+
+    def resolve(self) -> None:
+        """Give the handle the rank of the timer's next firing."""
+        self._resolve(self.fired)
+        self.handle.seq = self.rank(self.fired)
 
     def heap_key(self) -> Any:
         i = self.fired
@@ -538,31 +551,43 @@ class Simulator:
         at its first firing after the current event.  The owner must
         poke whenever ``idle()`` may have turned false; the invariant
         checker's ``parked-idle`` law verifies that after every event.
-        The first firing is armed through :meth:`schedule_at`.
+        The first firing takes the rank a :meth:`schedule_at` now would;
+        a parked-mode timer whose ``idle()`` holds when it is armed
+        starts parked, its first firing virtual.
         """
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval}")
-        handle = self.schedule_at(self.now + int(interval), callback, *args)
-        handle.interval = int(interval)
+        interval = int(interval)
+        parked = park and idle()
+        if parked:
+            handle = EventHandle(self.now + interval, self.reserve(1),
+                                 callback, args)
+        else:
+            handle = self.schedule_at(self.now + interval, callback, *args)
+        handle.interval = interval
         handle.idle = idle
         handle.park = None
         if park:
-            self._arm_parkable(handle)
+            self._arm_parkable(handle, parked)
         return handle
 
     def poke(self, handle: EventHandle) -> None:
         """Tell a timer of :meth:`every` that its ``idle`` test may have
         turned false.  A parked one goes back on the heap at its first
         firing after the current event; any other is left alone."""
-        if handle.interval and handle.park is not None and handle.park.parked:
-            self._unpark(handle.park)
+        timer = handle.park
+        if handle.interval and timer is not None and timer.parked:
+            timer.settle(self.position())
+            timer.resolve()
+            self._unpark(timer)
             heapq.heappush(self._heap, (handle.time, handle.seq, handle))
 
     def settle(self, handle: EventHandle) -> None:
         """Count a parked timer's virtual firings up to the current
         event into ``handle.elided`` and :attr:`events_executed`.  Call
         it before reading ``elided`` mid-run; a no-op on any other
-        handle."""
+        handle.  Counting is arithmetic: ranks are resolved only at the
+        instant of one of the timer's firings, where they order it."""
         if handle.interval and handle.park is not None and handle.park.parked:
             handle.park.settle(self.position())
 
@@ -711,9 +736,9 @@ class Simulator:
         finally:
             self._running = False
         if self._chains or self._parked:
-            self._settle_all((until if until is not None else self.now,
-                              _INF, ()))
-            self._restart_log()
+            pos = (until if until is not None else self.now, _INF, ())
+            self._settle_all(pos)
+            self._restart_log(pos)
             if max_events is not None and \
                     self.events_executed - start > max_events:
                 self._budget_exhausted(start, max_events, recent)
@@ -773,15 +798,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # parked-mode timers and the rank log
     # ------------------------------------------------------------------
-    def _arm_parkable(self, handle: EventHandle) -> None:
-        """Make a parked-mode timer's chain and its fixed place among the
-        timers of its interval and phase: after those that fired now."""
+    def _arm_parkable(self, handle: EventHandle, parked: bool) -> None:
+        """Make a parked-mode timer's chain, ``parked`` or not, and its
+        fixed place among the timers of its interval and phase: after
+        those that fired now."""
         interval = handle.interval
         first = handle.time
         timer = _Timer(self, range(first, first + _SPAN * interval, interval),
                        handle.seq)
         timer.handle = handle
-        timer.parked = False
+        timer.parked = parked
         handle.park = timer
         self._grids.add(interval)
         group = self._phases.setdefault((interval, first % interval), [])
@@ -801,11 +827,14 @@ class Simulator:
                 from fractions import Fraction
                 timer.order = Fraction(max(fired) + min(rest)) / 2
         group.append(timer)
+        if parked:
+            self._parked[timer] = None
 
     def _retire(self, timer: _Timer) -> None:
         """A parked-mode timer is being cancelled (unlinked from its
         handle, so that refcounting frees both)."""
         if timer.parked:
+            timer.settle(self.position())
             self._unpark(timer)
         timer.handle = None
         phase = (timer.times.step, timer.times.start % timer.times.step)
@@ -815,7 +844,6 @@ class Simulator:
             del self._phases[phase]
 
     def _unpark(self, timer: _Timer) -> None:
-        timer.settle(self.position())
         timer.parked = False
         del self._parked[timer]
         if not self._chains and not self._parked:
@@ -835,13 +863,15 @@ class Simulator:
         the log is full)."""
         log = self._log
         if len(log) >= _LOG_LIMIT:
-            pos = (time, rank, key)
-            for chain in (*self._chains, *self._parked):
-                chain.count_before(pos)
-            self._restart_log()
+            self._restart_log((time, rank, key))
         log.append((time, rank, key, self._seq))
 
-    def _restart_log(self) -> None:
-        """Empty the rank log, and the chains whose armed events ran."""
+    def _restart_log(self, pos: Optional[Position] = None) -> None:
+        """Empty the rank log, first resolving the ranks every pending
+        chain and parked timer holds up to ``pos`` (the log decides
+        them), and drop the chains whose armed events ran."""
+        if pos is not None:
+            for chain in (*self._chains, *self._parked):
+                chain._resolve(chain.count_before(pos))
         self._log.clear()
         self._armed = {c: t for c, t in self._armed.items() if t >= self.now}

@@ -744,11 +744,13 @@ def test_tie_of_a_chain_and_a_parked_timer_armed_timer_first():
     assert literal[0] == [("timer", 60, 5)]
 
 
-def _mixed_scenario(seed, lazy):
+def _mixed_scenario(seed, lazy, settle=False):
     """Parked timers and lazy rotors of one interval (10) and two
     phases, armed by events among events that touch the rotors, poke
-    the timers and schedule events at their own instant and later;
-    every decision is a function of (seed, tag, time), not of order."""
+    the timers and schedule events at their own instant and later
+    (``settle``: and read a timer's ``elided`` through
+    :meth:`Simulator.settle`); every decision is a function of (seed,
+    tag, time), not of order."""
     sim = Simulator()
     box = {"sim": sim, "out": []}
     busy, timers, rotors = {}, {}, {}
@@ -764,6 +766,10 @@ def _mixed_scenario(seed, lazy):
     def event(tag):
         r = rng(tag)
         read(tag, r)
+        if settle and timers:
+            name = r.choice(sorted(timers))
+            sim.settle(timers[name])
+            box["out"].append((tag, sim.now, name, timers[name].elided))
         for k in range(r.randrange(3)):
             when = r.choice((0, 0, 5, 10))
             if r.random() < 0.5:
@@ -810,6 +816,125 @@ def _mixed_scenario(seed, lazy):
 @pytest.mark.parametrize("seed", range(40))
 def test_random_ties_of_chains_and_parked_timers(seed):
     assert _mixed_scenario(seed, True) == _mixed_scenario(seed, False)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_ties_with_elided_read_mid_run(seed):
+    """A settle counts a parked timer's firings without resolving their
+    ranks unless it lies at one of their instants; either way the count
+    read mid-run is the literal one."""
+    lazy = _mixed_scenario(seed, True, settle=True)
+    assert lazy == _mixed_scenario(seed, False, settle=True)
+    assert any(len(entry) == 4 and entry[3] for entry in lazy[0])
+
+
+# ----------------------------------------------------------------------
+# a parked-mode timer armed idle, and ranks resolved only when read
+# ----------------------------------------------------------------------
+def _idle_armed_run(lazy, poke_at=None, cancel_at=None, settle_at=()):
+    """A timer (interval 10) armed idle at t=2 among touches at its
+    first instant (12) scheduled before and after the arming; it turns
+    busy at ``poke_at``, is cancelled at ``cancel_at`` and has its idle
+    firings read at ``settle_at``, before and after its firing there."""
+    sim = Simulator()
+    out = []
+    state = {"busy": False}
+    box = {}
+
+    def act():
+        state["busy"] = False
+        out.append(("act", sim.now))
+
+    def arm():
+        box["timer"] = sim.every(10, lambda: not state["busy"], act,
+                                 park=lazy)
+        if lazy:
+            out.append(("armed parked", box["timer"].park.parked))
+        for t in settle_at:
+            sim.schedule_at(t, read, "after")
+        sim.schedule_at(12, out.append, ("after", 12))
+
+    def read(tag):
+        sim.settle(box["timer"])
+        out.append((tag, sim.now, box["timer"].elided))
+
+    def wake():
+        state["busy"] = True
+        sim.poke(box["timer"])
+
+    sim.schedule_at(12, out.append, ("before", 12))
+    for t in settle_at:
+        sim.schedule_at(t, read, "before")
+    sim.schedule_at(2, arm)
+    if poke_at is not None:
+        sim.schedule_at(poke_at, wake)
+    sim.schedule_at(cancel_at or 45, lambda: box["timer"].cancel())
+    sim.schedule_at(60, int)
+    sim.run()
+    return ([e for e in out if e[0] != "armed parked"], sim.events_executed,
+            box["timer"].elided, sim.pending), out
+
+
+@pytest.mark.parametrize("case", [
+    {"poke_at": 5}, {"poke_at": 12}, {"poke_at": 31}, {"cancel_at": 7},
+    {"cancel_at": 12}, {"settle_at": (12,)}, {"settle_at": (22, 32)},
+    {"settle_at": (12, 22), "poke_at": 17},
+], ids=lambda case: "-".join(f"{k}{v}" for k, v in case.items()))
+def test_timer_armed_idle_starts_parked(case):
+    literal, _ = _idle_armed_run(False, **case)
+    lazy, out = _idle_armed_run(True, **case)
+    assert lazy == literal
+    assert ("armed parked", True) in out
+
+
+def _late_poke_run(lazy, poke_at):
+    """A timer (interval 10) armed idle at 0, settled (counted) at 105
+    and poked at ``poke_at``.  Every microsecond an event schedules a
+    touch at the next multiple of 10, so the firing that acts lands
+    among the touches of its instant where its rank says, and ranks
+    change at every event; the rank log restarts every 256 of them."""
+    sim = Simulator()
+    out = []
+    state = {"busy": False}
+
+    def act():
+        state["busy"] = False
+        out.append(("act", sim.now))
+
+    timer = sim.every(10, lambda: not state["busy"], act, park=lazy)
+
+    def settle():
+        sim.settle(timer)
+        out.append(("settled", sim.now, timer.elided))
+
+    def wake():
+        state["busy"] = True
+        sim.poke(timer)
+
+    def relay():
+        sim.schedule_at(sim.now // 10 * 10 + 10, out.append, sim.now)
+
+    for t in range(1, 600):
+        sim.schedule_at(t, relay)
+    sim.schedule_at(105, settle)
+    sim.schedule_at(poke_at, wake)
+    sim.schedule_at(650, timer.cancel)
+    sim.run()
+    return out, sim.events_executed, timer.elided
+
+
+# 388 and 514-519 poke just after a log restart that follows an idle
+# firing (380, 510): the restart must resolve the rank the log decides
+@pytest.mark.parametrize("poke_at", [111, 255, 388, 389, 447, 514, 519,
+                                     583])
+def test_counted_settle_then_poke_after_log_restarts(poke_at):
+    literal = _late_poke_run(False, poke_at)
+    assert _late_poke_run(True, poke_at) == literal
+    out = literal[0]
+    assert ("settled", 105, 10) in out
+    fired = poke_at // 10 * 10  # the last idle firing before the act
+    at = out.index(("act", fired + 10))
+    assert out[at - 1:at + 2:2] == [fired, fired + 1]
 
 
 def _stepped(lazy):
