@@ -16,6 +16,7 @@ from repro.sched.rbtree import RBTree
 from repro.sim.engine import Chain, Simulator
 from repro.sim.task import Burst, BurstKind, Task
 from repro.sim.units import MS
+from repro.trace import TraceRecorder
 
 
 def test_event_heap_throughput(benchmark):
@@ -145,3 +146,49 @@ def test_parked_poll_churn(benchmark):
     """Parked timers count their idle firings on a settle; the literal
     timers fire each one as a heap event, to the same counts."""
     assert benchmark(_parked_polls(True)) == _parked_polls(False)()
+
+
+class _Reads:
+    """A gauge source with no keys that counts the sampler's reads: one
+    per heap firing of the sampler."""
+
+    def __init__(self):
+        self.n = 0
+
+    def gauge_keys(self):
+        return ()
+
+    def gauge_values(self, out):
+        self.n += 1
+
+
+def _sparse_sampled(stepped):
+    """A traced fluid run of 100 tasks arriving about every 40 ms, with
+    a 1 ms gauge sampler, driven by ``step()`` (every tick a heap
+    event) or ``run()``; returns the tick rows and the sampler reads."""
+    rng = np.random.default_rng(3)
+    sim = Simulator(trace=TraceRecorder(gauge_interval=MS))
+    m = FluidMachine(sim, MachineParams(n_cores=4))
+    reads = _Reads()
+    sim.probe.attach_sampler(m, reads)
+    at = 0
+    for _ in range(100):
+        at += int(rng.exponential(40 * MS))
+        task = Task(bursts=[Burst(BurstKind.CPU,
+                                  int(rng.uniform(5 * MS, 60 * MS)))])
+        sim.schedule_at(at, m.spawn, task)
+    if stepped:
+        while sim.step():
+            pass
+    else:
+        sim.run()
+    return (sim.trace.tick_ts, sim.trace.tick_values), reads.n
+
+
+def test_sparse_gauge_sampler(benchmark):
+    """One sampler firing covers every tick of a quiet stretch, to the
+    rows of the stepped run, where each tick is a heap event."""
+    rows, firings = benchmark(_sparse_sampled, False)
+    literal, ticks = _sparse_sampled(True)
+    assert rows == literal and ticks == len(literal[0])
+    assert firings < ticks / 2

@@ -70,17 +70,33 @@ _QUEUE_SERIES = (
 _MAX_QUEUE_SERIES = 4
 
 
-def _gauge_series(trace, kind: str) -> List[Tuple[int, float]]:
-    """Every ``(ts, value)`` sample of gauge ``kind`` in stream order;
-    the per-core ``gauge.runqueue`` samples of one tick timestamp are
-    summed into one point."""
+def _gauge_points(trace, kind: str) -> List[List[Union[int, float]]]:
+    """The queue chart's ``[ts, value]`` points of gauge ``kind``: every
+    sample in stream order, decimated (:func:`_decimate`); the per-core
+    ``gauge.runqueue`` samples of one tick timestamp are summed into
+    one point.  A gauge with one slot in the sampler's one schema is
+    read straight from the tick columns, and only its kept rows."""
+    keys = trace.tick_keys
+    schema = keys[0] if keys else ()
+    slots = [i for i, (k, _core) in enumerate(schema) if k == kind]
+    if kind != tev.GAUGE_RUNQUEUE and len(slots) == 1 and all(
+            k is schema for k in keys):
+        slot, stamps, rows = slots[0], trace.tick_ts, trace.tick_values
+        n = len(stamps)
+        kept = list(range(0, n, -(-n // MAX_SERIES_POINTS)))
+        last = kept[-1]
+        if (stamps[last], rows[last][slot]) != (stamps[-1], rows[-1][slot]):
+            kept.append(n - 1)
+        return [[stamps[i], _num(rows[i][slot])] for i in kept]
     if kind == tev.GAUGE_RUNQUEUE:
         summed: Dict[int, float] = {}
         for ts, _core, value in trace.gauge_samples(kind):
             summed[ts] = summed.get(ts, 0.0) + value
-        return sorted(summed.items())
-    return [(ts, float(value)) for ts, _core, value
-            in trace.gauge_samples(kind)]
+        series = sorted(summed.items())
+    else:
+        series = [(ts, float(value)) for ts, _core, value
+                  in trace.gauge_samples(kind)]
+    return [[ts, _num(v)] for ts, v in _decimate(series)]
 
 
 def _decimate(series: List[Tuple[int, float]],
@@ -339,21 +355,17 @@ def build_data(result, trace, metrics=None,
     for b in range(PCT_BINS):
         sel = turn_ms[which == b]
         counts.append(int(sel.size))
-        if sel.size == 0:
-            for key in pct_rows:
-                pct_rows[key].append(None)
-        else:
-            for key, q in (("p50", 50), ("p90", 90), ("p99", 99)):
-                pct_rows[key].append(_num(np.percentile(
-                    sel, q, method=PERCENTILE_METHOD)))
+        qs = (np.percentile(sel, (50, 90, 99), method=PERCENTILE_METHOD)
+              if sel.size else (None, None, None))
+        for key, v in zip(pct_rows, qs):
+            pct_rows[key].append(None if v is None else _num(v))
 
     # --- gauge series for the queue chart -----------------------------
     queue_series = []
     for kind, series_label in _QUEUE_SERIES:
-        raw = _gauge_series(trace, kind)
-        if not raw:
+        pts = _gauge_points(trace, kind)
+        if not pts:
             continue
-        pts = [[ts, _num(v)] for ts, v in _decimate(raw)]
         queue_series.append({"label": series_label, "pts": pts})
         if len(queue_series) >= _MAX_QUEUE_SERIES:
             break

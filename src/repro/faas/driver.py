@@ -298,7 +298,10 @@ class Driver:
                meta: Dict[str, object], scheduler: str, engine: str,
                sfs: Optional[SFS] = None, manifest=None) -> RunResult:
         """Records (with the fault governor's outcomes), the accounting
-        check, and the :class:`RunResult` over ``hosts``."""
+        check, and the :class:`RunResult` over ``hosts``, whose machines
+        drop their observers: the run is over."""
+        for host in hosts:
+            host.machine.detach_observers()
         pairs = [pair for host in hosts for pair in host.pairs]
         if faults is not None:
             meta["fault_stats"] = faults.stats.as_dict()

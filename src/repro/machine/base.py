@@ -161,6 +161,13 @@ class MachineBase:
         timers, whose polls then observe the change at their period."""
         self._state_callbacks.append(callback)
 
+    def detach_observers(self) -> None:
+        """Drop every observer once the run is over: each one's owner
+        (SFS, the host) holds the machine, so the pair would otherwise
+        wait for the cyclic collector."""
+        self._finish_callbacks.clear()
+        self._state_callbacks.clear()
+
     def kill(self, task: Task, reason: str = "crash") -> bool:
         """``SIGKILL``: forcibly terminate a live task.
 

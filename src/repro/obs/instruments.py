@@ -119,6 +119,30 @@ class Gauge:
             self._stride *= 2
             self._countdown = self._stride
 
+    def set_run(self, value: float, ts: int, step: int, n: int) -> None:
+        """``n`` calls ``set(value, ts=ts + j * step)``, j = 0 .. n - 1,
+        in closed form: the same snapshot, series and decimation."""
+        self.last = value
+        self.samples += n
+        if self.min is None or value < self.min:
+            self.min = value
+        if self.max is None or value > self.max:
+            self.max = value
+        series = self.series
+        j = self._countdown - 1  # the next call that keeps its point
+        while j < n:
+            stride = self._stride
+            room = max(1, self.max_points - len(series))
+            k = min(room, (n - 1 - j) // stride + 1)
+            series.extend([(ts + (j + i * stride) * step, value)
+                           for i in range(k)])
+            j += (k - 1) * stride
+            if len(series) >= self.max_points:
+                self.series = series = series[::2]
+                self._stride *= 2
+            j += self._stride
+        self._countdown = j - n + 1
+
     def snapshot(self) -> Dict[str, object]:
         return {
             "last": self.last,

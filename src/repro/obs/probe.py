@@ -27,14 +27,19 @@ Gauges answer *how deep were the queues while it happened* — the
 paper's queueing-delay story (Fig 12) is invisible without them.
 :meth:`Probe.attach_sampler` fixes the sampler's schema once, the
 ``(kind, core)`` keys the machine, SFS and FaaS sources declare through
-``gauge_keys()``, and arms one self-rescheduling daemon event.  Every
-``gauge_interval`` us it collects one row of values (``gauge_values``),
-hands the row to the trace recorder as one tick, and sets the registry
-gauge of each key (:data:`GAUGE_METRICS`, resolved at the first tick).
+``gauge_keys()``, and arms one self-rescheduling daemon event that
+ticks every ``gauge_interval`` us.  Only event callbacks change what a
+gauge reads, so every tick before the next live heap event reads the
+same row: one firing collects the row once (``gauge_values``), covers
+those ``n`` ticks (:meth:`repro.sim.engine.Simulator.quiet_ticks`),
+hands the recorder ``n`` rows in one call and sets the registry gauge
+of each key (:data:`GAUGE_METRICS`, resolved at the first tick) ``n``
+times in closed form (:meth:`repro.obs.instruments.Gauge.set_run`).
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Optional, Tuple
 
 from repro.obs.registry import _NULL_INSTRUMENT
@@ -196,11 +201,71 @@ class RunqueueHook:
                            chosen=tid)
 
 
+class _Sampler:
+    """The gauge sampler of :meth:`Probe.attach_sampler`: a daemon event
+    that re-arms itself (as an object, so that it holds no reference to
+    itself) while the run has work pending."""
+
+    __slots__ = ("sim", "metrics", "interval", "keys", "readers", "tick",
+                 "gauges", "shared")
+
+    def __init__(self, probe: "Probe", sources: list) -> None:
+        self.sim = probe._sim()  # held only while the sampler is armed
+        self.metrics = probe.metrics
+        self.interval = probe.gauge_interval
+        self.keys = tuple(key for src in sources for key in src.gauge_keys())
+        self.readers = [src.gauge_values for src in sources]
+        self.tick = probe.trace.gauge_tick if probe.trace.enabled else None
+        #: the registry gauge of each key, resolved at the first tick
+        self.gauges: Optional[list] = None if probe.metrics.enabled else []
+        #: whether two keys resolved to one gauge
+        self.shared = False
+
+    def __call__(self) -> None:
+        sim, interval = self.sim, self.interval
+        now = sim.now
+        out: list = []
+        for read in self.readers:
+            read(out)
+        values = tuple(out)
+        rearm = sim.pending_work
+        n = sim.quiet_ticks(interval) if rearm else 1
+        if self.tick is not None:
+            self.tick(now, self.keys, values, n, interval)
+        gauges = self.gauges
+        if gauges is None:
+            gauges = self.gauges = self._resolve()
+        if not self.shared:
+            for gauge, value in zip(gauges, values):
+                gauge.set_run(value, now, interval, n)
+        else:  # one gauge's samples interleave tick by tick
+            for ts in range(now, now + n * interval, interval):
+                for gauge, value in zip(gauges, values):
+                    gauge.set(value, ts=ts)
+        if rearm:
+            sim.schedule(interval, self, daemon=True)
+
+    def _resolve(self) -> list:
+        """The registry gauge of each ``(kind, core)`` key, in order."""
+        gauges = []
+        for kind, core in self.keys:
+            name, help, per_core = GAUGE_METRICS[kind]
+            labels = {"core": str(core)} if per_core and core >= 0 else None
+            gauges.append(self.metrics.gauge(name, help=help, labels=labels))
+        self.shared = len(set(map(id, gauges))) < len(gauges)
+        return gauges
+
+
 class Probe:
-    """The simulator's single instrumentation path (see module doc)."""
+    """The simulator's single instrumentation path (see module doc).
+
+    It holds its simulator weakly (``sim`` is a proxy): the simulator
+    holds the probe, and a cycle would leave every run's object graph
+    to the cyclic collector."""
 
     def __init__(self, sim, trace, metrics, audit) -> None:
-        self.sim = sim
+        self.sim = weakref.proxy(sim)
+        self._sim = weakref.ref(sim)
         self.trace = trace
         self.metrics = metrics
         self.audit = audit
@@ -216,6 +281,18 @@ class Probe:
         for family in INSTRUMENTS.values():
             for attr, *_ in family:
                 setattr(self, attr, _NULL_INSTRUMENT)
+
+    def __getstate__(self) -> dict:
+        # a checkpoint pickles the simulator with its probe; the weak
+        # link is re-made when it is loaded
+        state = dict(self.__dict__)
+        del state["_sim"]
+        state["sim"] = self._sim()
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.sim, self._sim = weakref.proxy(self.sim), weakref.ref(self.sim)
 
     def register(self, component: str) -> None:
         """Register ``component``'s :data:`INSTRUMENTS` (its constructor
@@ -250,44 +327,15 @@ class Probe:
         its heap drains, so the sampler rearms only while non-daemon
         work is pending: it lives exactly as long as the run it
         observes, and another daemon (the cluster health poller) cannot
-        keep it alive after the real work drained.
+        keep it alive after the real work drained.  One heap firing
+        covers every tick before the next live event
+        (:meth:`repro.sim.engine.Simulator.quiet_ticks`): no event runs
+        between them, so each tick reads the same row.
         """
-        interval = self.gauge_interval
-        if interval is None:
+        if self.gauge_interval is None:
             return
-        sim = self.sim
-        sources = [src for src in sources if src is not None]
-        keys = tuple(key for src in sources for key in src.gauge_keys())
-        readers = [src.gauge_values for src in sources]
-        tick = self.trace.gauge_tick if self.trace.enabled else None
-        gauges = None if self.metrics.enabled else ()
-
-        def sample() -> None:
-            nonlocal gauges
-            now = sim.now
-            out: list = []
-            for read in readers:
-                read(out)
-            values = tuple(out)
-            if tick is not None:
-                tick(now, keys, values)
-            if gauges is None:
-                gauges = self._gauges_for(keys)
-            for gauge, value in zip(gauges, values):
-                gauge.set(value, ts=now)
-            if sim.pending_work:
-                sim.schedule(interval, sample, daemon=True)
-
-        sim.schedule(interval, sample, daemon=True)
-
-    def _gauges_for(self, keys) -> list:
-        """The registry gauge of each ``(kind, core)`` key, in order."""
-        gauges = []
-        for kind, core in keys:
-            name, help, per_core = GAUGE_METRICS[kind]
-            labels = {"core": str(core)} if per_core and core >= 0 else None
-            gauges.append(self.metrics.gauge(name, help=help, labels=labels))
-        return gauges
+        sampler = _Sampler(self, [src for src in sources if src is not None])
+        self.sim.schedule(self.gauge_interval, sampler, daemon=True)
 
     # ------------------------------------------------------------------
     # process lifecycle (machine engines, drivers)

@@ -401,7 +401,10 @@ class Simulator:
         self.label = label
         self._heap: list[tuple[int, int, EventHandle]] = []
         self._seq: int = 0
-        self._running = False
+        #: False outside :meth:`run`; inside, the last instant a tick of
+        #: :meth:`quiet_ticks` may run at (``until`` or infinity), or
+        #: True when a ``max_events`` budget keeps every tick literal
+        self._running: Any = False
         self.events_executed: int = 0
         # pending chains, parked timers, the rank log, live parked-mode
         # timers by (interval, phase), their intervals, and the chains
@@ -670,7 +673,53 @@ class Simulator:
             handle.cancel()  # consumed; release references
             callback(*args)
         if self._inv_on and self._parked:
-            self.invariants.on_parked([t.handle for t in self._parked], time)
+            self.invariants.on_parked([t.handle for t in self._parked],
+                                      self.now)
+
+    def quiet_ticks(self, interval: int) -> int:
+        """Run ahead the firings of the current event's daemon tick that
+        the literal run would fire next, and return ``n`` >= 1: the
+        firing at ``now`` and those at ``now + interval``, ... before
+        the next live heap event (and no later than ``until``).
+
+        For a one-shot daemon whose firing re-arms it ``interval`` later
+        and changes nothing but its own sinks (the gauge sampler), which
+        calls this only when it will re-arm, as its last step before the
+        re-arm.  No event runs between its firings, so each one would
+        read what the current one read.  The ``n - 1`` later firings are
+        literal firings run early, at their literal ranks: each consumes
+        its re-arm's counter value, counts in :attr:`events_executed`,
+        the rank log (while a parked timer is live) and the invariant
+        checker; ``now`` is left at the last of them, whose re-arm is
+        the caller's.  ``n`` is 1 (the firing stays literal) under
+        :meth:`step`, a ``max_events`` budget or a pending chain, and
+        when the heap holds nothing else."""
+        horizon = self._running
+        if horizon is True or horizon is False or self._chains:
+            return 1
+        self._drop_dead()
+        heap = self._heap
+        if not heap:
+            return 1
+        top_time, top_seq = heap[0][0], heap[0][1]
+        now, counter = self.now, self._seq
+        # firing j sits at (now + j * interval, counter + j)
+        k = (top_time - now) // interval
+        if now + k * interval == top_time and counter + k >= top_seq:
+            k -= 1
+        k = max(0, int(min(k, (horizon - now) // interval)))
+        inv = self.invariants if self._inv_on else None
+        for _ in range(k):
+            self._seq += 1  # the re-arm of the firing before
+            if inv is not None:
+                if self._parked:
+                    inv.on_parked([t.handle for t in self._parked], self.now)
+                inv.on_event(self.now + interval, self.now)
+            self.now += interval
+            if self._parked:
+                self._log_event(self.now, self._seq, 0)
+        self.events_executed += k
+        return k + 1
 
     def _next_position(self) -> "Position":
         """The position of the (live and exact) top of the heap."""
@@ -701,9 +750,10 @@ class Simulator:
         ``until``, raises :class:`SimulationError` naming the timer: the
         literal timer would fire forever.
         """
-        if self._running:
+        if self._running is not False:
             raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
+        self._running = (True if max_events is not None
+                         else _INF if until is None else until)
         start = self.events_executed
         recent: Optional[deque] = (
             deque(maxlen=5) if max_events is not None else None

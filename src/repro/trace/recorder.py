@@ -5,8 +5,8 @@ A recorder is a two-method sink:
 * ``enabled`` — class-level flag;
 * ``emit(ts, kind, tid, core, args)`` — append one event.
 
-An enabled recorder also takes ``gauge_tick(ts, keys, values)``: one
-row per tick of the gauge sampler.
+An enabled recorder also takes ``gauge_tick(ts, keys, values, n,
+interval)``: ``n`` rows of the gauge sampler, one per tick.
 
 Instrumented layers never call a recorder directly: the simulator's
 :class:`repro.obs.probe.Probe` maps each scheduling decision to its
@@ -91,12 +91,14 @@ class TraceRecorder(NullRecorder):
         self.decisions.append(TraceEvent(ts, kind, tid, core, args))
 
     def gauge_tick(self, ts: int, keys: Tuple[Tuple[str, int], ...],
-                   values: Tuple[int, ...]) -> None:
-        """One sampler tick: ``values[i]`` is gauge ``keys[i]`` at ``ts``."""
-        self.tick_pos.append(len(self.decisions))
-        self.tick_ts.append(ts)
-        self.tick_keys.append(keys)
-        self.tick_values.append(values)
+                   values: Tuple[int, ...], n: int, interval: int) -> None:
+        """``n`` sampler ticks, ``interval`` us apart from ``ts``, with no
+        decision event between them: ``values[i]`` is gauge ``keys[i]``
+        at each."""
+        self.tick_pos.extend([len(self.decisions)] * n)
+        self.tick_ts.extend(range(ts, ts + n * interval, interval))
+        self.tick_keys.extend([keys] * n)
+        self.tick_values.extend([values] * n)
 
     # ------------------------------------------------------------------
     # post-run inspection

@@ -13,6 +13,8 @@ import json
 
 import pytest
 from conftest import small_workload
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.experiments.runner import RunConfig, run_workload
@@ -83,6 +85,27 @@ def test_gauge_series_decimation_bounded():
     for i in range(100_000):
         g2.set(i % 17, ts=i)
     assert g.series == g2.series
+
+
+@settings(max_examples=200, deadline=None)
+@given(max_points=st.integers(1, 12),
+       runs=st.lists(st.tuples(st.integers(1, 400), st.integers(0, 9),
+                               st.integers(1, 5)), min_size=1, max_size=8))
+@example(max_points=512, runs=[(600, 3, 1), (1000, 4, 10)])
+def test_gauge_set_run_is_n_sets(max_points, runs):
+    """``set_run`` equals its ``n`` sequential ``set`` calls, across the
+    series' halvings."""
+    literal = Gauge("depth", max_points=max_points)
+    closed = Gauge("depth", max_points=max_points)
+    ts = 0
+    for n, value, step in runs:
+        for j in range(n):
+            literal.set(value, ts=ts + j * step)
+        closed.set_run(value, ts, step, n)
+        ts += n * step + 1
+        assert (closed.series, closed.snapshot(), closed._countdown,
+                closed._stride) == (literal.series, literal.snapshot(),
+                                    literal._countdown, literal._stride)
 
 
 def test_histogram_quantiles_and_stats():
